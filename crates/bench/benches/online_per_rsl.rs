@@ -1,8 +1,7 @@
 //! Criterion bench behind Fig. 14(a): online processing cost of a single
 //! resource-state layer as the RSL grows, plus the `flat_vs_hash` A/B group
 //! comparing the flat-grid renormalizer against the preserved hash-based
-//! baseline (the numbers recorded in `BENCH_PR1.json` come from the
-//! `bench_pr1` binary, which measures the same pair).
+//! baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_bench::baseline::hash_renormalize;

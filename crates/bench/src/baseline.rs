@@ -10,8 +10,8 @@
 //!
 //! * the `flat_vs_hash` property tests assert the flat-grid engine produces
 //!   **identical** lattices (node sites, paths, success) on seeded layers;
-//! * the `flat_vs_hash` criterion group and the `bench_pr1` binary measure
-//!   the speedup recorded in `BENCH_PR1.json`.
+//! * the `flat_vs_hash` criterion group in `benches/online_per_rsl.rs`
+//!   measures the speedup.
 //!
 //! Do not "optimize" this module — its slowness is the point.
 

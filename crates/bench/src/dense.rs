@@ -14,12 +14,12 @@
 //!   produces **identical** layers site for site (and counter for counter)
 //!   across lattice sizes, merging factors, probability sweeps and
 //!   `reset_blank` reuse;
-//! * the `bench_pr5` binary measures the words-vs-bytes layer-generation
-//!   ratio recorded in `BENCH_PR5.json`. Its "bytes" contestant is
-//!   [`DenseScalarEngine`], the *verbatim pre-PR-5 generator* — per-site
-//!   boolean planes **and** one scalar per-attempt `sample()` draw (one
-//!   RNG word plus an f64 compare per attempt) — so the ratio captures
-//!   everything PR 5 replaced, bit-sliced draw batching included.
+//! * [`DenseScalarEngine`] keeps the *verbatim pre-PR-5 generator* —
+//!   per-site boolean planes **and** one scalar per-attempt `sample()`
+//!   draw (one RNG word plus an f64 compare per attempt). Its stream
+//!   differs from the batched engines, so it is the distributional
+//!   reference: the layers it draws follow the fusion strategy's
+//!   per-attempt probabilities by construction.
 //!
 //! Since PR 6 this module also preserves the **scalar percolation
 //! reference**: [`ScalarRenormalizer`], the pre-word-frontier band BFS of
@@ -30,9 +30,8 @@
 //! per-pair joining scan (word prechecks and resettable union-find
 //! included). The `layer_equivalence` BFS suite asserts the word-frontier
 //! implementations stay site-for-site identical to these across the full
-//! matrix, and `bench_pr6` times them as the scalar-BFS baseline; keeping
-//! the port allocation-for-allocation faithful is what makes that a fair
-//! fight rather than a strawman.
+//! matrix; keeping the port allocation-for-allocation faithful also keeps
+//! it a fair scalar-BFS timing baseline rather than a strawman.
 //!
 //! Do not "optimize" this module — matching the old representation is the
 //! point.
@@ -371,8 +370,9 @@ impl DenseReferenceEngine {
 /// as `FusionEngine::generate_layer_into` worked before the word refactor
 /// (including the in-plane presence checks the budget test has since
 /// subsumed). Its stochastic stream therefore differs from the batched
-/// engines — it is the timing baseline for `bench_pr5`, not an
-/// equivalence reference.
+/// engines — it is the distributional reference for the layer stream
+/// (per-attempt draws, no batching), not a site-for-site equivalence
+/// reference.
 #[derive(Debug, Clone)]
 pub struct DenseScalarEngine {
     config: HardwareConfig,

@@ -113,9 +113,9 @@ fn identical_on_offset_regions() {
 /// Deterministic micro-benchmark (test-gated twin of the criterion
 /// `flat_vs_hash` group): renormalize the same pre-generated L=40 layers
 /// with both engines and print the per-RSL latencies. The assertion is
-/// deliberately loose — unoptimized builds distort relative costs — the
-/// release-mode ≥ 2x claim is enforced by `bench_pr1` (see
-/// `BENCH_PR1.json`).
+/// deliberately loose — unoptimized builds distort relative costs; measure
+/// the release-mode speedup with the criterion group
+/// (`cargo bench -p oneperc-bench --bench online_per_rsl`).
 #[test]
 fn micro_bench_flat_not_slower_than_hash() {
     let layers: Vec<PhysicalLayer> = (0..8u64)

@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Sweeps `N` sampled corpus circuits through the full
-//! warm/cold × pipelined/serial × cached/uncached × 1/2/4-lane matrix and
-//! exits non-zero on the first byte-identity divergence, printing the
-//! minimized spec and a replay token. Set `ONEPERC_FUZZ_REPLAY` to such a
+//! warm/cold × 0/2 renormalization workers × cached/uncached × 1/2/4-lane
+//! matrix and exits non-zero on the first byte-identity divergence,
+//! printing the minimized spec and a replay token. Set `ONEPERC_FUZZ_REPLAY` to such a
 //! token to re-check exactly one circuit instead of sampling.
 //!
 //! Normally invoked as `cargo xtask fuzz-determinism` (which builds it in

@@ -1,15 +1,15 @@
 //! The cross-path determinism fuzzer.
 //!
-//! Every byte-identity guarantee in the workspace — pipelined ≡ serial,
-//! warm ≡ cold, cached ≡ uncached, any lane count — is pinned by
-//! hand-written suites over four seed benchmarks. This module sweeps
-//! *sampled* circuits (see [`CorpusSpec`](crate::CorpusSpec)) through the
-//! full path matrix instead:
+//! Every byte-identity guarantee in the workspace — pooled ≡ in-thread
+//! renormalization, warm ≡ cold, cached ≡ uncached, any lane count — is
+//! pinned by hand-written suites over four seed benchmarks. This module
+//! sweeps *sampled* circuits (see [`CorpusSpec`](crate::CorpusSpec))
+//! through the full path matrix instead:
 //!
-//! > warm/cold × pipelined/serial × cached/uncached × 1/2/4 lanes
+//! > warm/cold × 0/2 renormalization workers × cached/uncached × 1/2/4 lanes
 //!
 //! For each sampled circuit the fuzzer computes a **baseline** (a fresh
-//! single-lane serial uncached [`Session`]) and asserts that every other
+//! single-lane in-thread uncached [`Session`]) and asserts that every other
 //! path shape reproduces it byte-for-byte per execution seed (wall-clock
 //! and operational telemetry aside, via
 //! [`ExecutionReport::deterministic`](oneperc::ExecutionReport::deterministic)
@@ -41,11 +41,12 @@ pub const REPLAY_ENV: &str = "ONEPERC_FUZZ_REPLAY";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathShape {
     /// Run a lane-warming sweep (seeds outside the test set) before the
-    /// checked executions, so the engines, generator threads and (when
+    /// checked executions, so the engines, the worker pool and (when
     /// cached) the program cache are all hot.
     pub warm: bool,
-    /// Double-buffered RSL pipeline on the online pass.
-    pub pipelined: bool,
+    /// Renormalization workers of the session's shared pool (`0` =
+    /// renormalize in-lane).
+    pub renorm_workers: usize,
     /// Resolve the program through the content-addressed cache
     /// ([`Session::sweep`]) instead of compiling explicitly.
     pub cached: bool,
@@ -54,14 +55,19 @@ pub struct PathShape {
 }
 
 impl PathShape {
+    /// The reference every other shape must reproduce: a fresh single-lane
+    /// in-thread uncached session.
+    pub const BASELINE: PathShape =
+        PathShape { warm: false, renorm_workers: 0, cached: false, lanes: 1 };
+
     /// The full 2×2×2×3 matrix, baseline-most shape first.
     pub fn matrix() -> Vec<PathShape> {
         let mut shapes = Vec::with_capacity(24);
         for &warm in &[false, true] {
-            for &pipelined in &[false, true] {
+            for &renorm_workers in &[0usize, 2] {
                 for &cached in &[false, true] {
                     for &lanes in &[1usize, 2, 4] {
-                        shapes.push(PathShape { warm, pipelined, cached, lanes });
+                        shapes.push(PathShape { warm, renorm_workers, cached, lanes });
                     }
                 }
             }
@@ -74,9 +80,9 @@ impl fmt::Display for PathShape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}/{}/{}/{}l",
+            "{}/{}w/{}/{}l",
             if self.warm { "warm" } else { "cold" },
-            if self.pipelined { "pipelined" } else { "serial" },
+            self.renorm_workers,
             if self.cached { "cached" } else { "uncached" },
             self.lanes
         )
@@ -167,7 +173,7 @@ pub struct Divergence {
     pub exec_seed: u64,
     /// The first path shape that disagreed with the baseline.
     pub path: PathShape,
-    /// Baseline (cold/serial/uncached/1-lane) outcome, deterministic view.
+    /// Baseline ([`PathShape::BASELINE`]) outcome, deterministic view.
     pub expected: ExecuteOutcome,
     /// The diverging path's outcome, deterministic view.
     pub actual: ExecuteOutcome,
@@ -186,8 +192,8 @@ impl fmt::Display for Divergence {
         writeln!(
             f,
             "determinism divergence at corpus index {}: path {} disagrees with the \
-             cold/serial/uncached/1l baseline",
-            self.index, self.path
+             {} baseline",
+            self.index, self.path, PathShape::BASELINE
         )?;
         writeln!(f, "  spec      : {} (circuit seed {})", self.spec, self.circuit_seed)?;
         writeln!(f, "  minimized : {} (exec seed {})", self.minimized, self.exec_seed)?;
@@ -248,19 +254,12 @@ impl Replay {
 
 /// The deterministic comparison view of an outcome: wall-clock, cache
 /// counters and scheduler telemetry cleared on either arm; completion flag
-/// and full failure diagnostics kept. The report's `pipelined` flag is
-/// also cleared — it records *which* path ran, and the whole point of the
-/// sweep is comparing across paths.
+/// and full failure diagnostics kept.
 pub fn deterministic_view(outcome: ExecuteOutcome) -> ExecuteOutcome {
-    let strip = |report: oneperc::ExecutionReport| {
-        let mut report = report.deterministic();
-        report.pipelined = false;
-        report
-    };
     match outcome {
-        ExecuteOutcome::Complete(report) => ExecuteOutcome::Complete(strip(report)),
+        ExecuteOutcome::Complete(report) => ExecuteOutcome::Complete(report.deterministic()),
         ExecuteOutcome::Incomplete { report, failure } => {
-            ExecuteOutcome::Incomplete { report: strip(report), failure }
+            ExecuteOutcome::Incomplete { report: report.deterministic(), failure }
         }
     }
 }
@@ -293,7 +292,7 @@ fn run_path(
     circuit: &Circuit,
     seeds: &[u64],
 ) -> Result<Vec<ExecuteOutcome>, CompileError> {
-    let config = base.with_pipelining(path.pipelined);
+    let config = base.with_renorm_workers(path.renorm_workers);
     let session = Session::builder(config)
         .lanes(path.lanes)
         .program_cache(if path.cached { 4 } else { 0 })
@@ -327,12 +326,7 @@ fn check_circuit(
 ) -> Result<Option<(PathShape, u64, ExecuteOutcome, ExecuteOutcome)>, CompileError> {
     let circuit = spec.circuit(circuit_seed);
     let config = exec_config(spec, circuit_seed);
-    let baseline = run_path(
-        PathShape { warm: false, pipelined: false, cached: false, lanes: 1 },
-        config,
-        &circuit,
-        exec_seeds,
-    )?;
+    let baseline = run_path(PathShape::BASELINE, config, &circuit, exec_seeds)?;
     for path in PathShape::matrix() {
         let outcomes = run_path(path, config, &circuit, exec_seeds)?;
         for (slot, (&seed, actual)) in exec_seeds.iter().zip(&outcomes).enumerate() {
@@ -355,12 +349,11 @@ fn shrink_divergence(
     exec_seeds: &[u64],
     path: PathShape,
 ) -> CorpusSpec {
-    let baseline_shape = PathShape { warm: false, pipelined: false, cached: false, lanes: 1 };
     let still_diverges = |candidate: &CorpusSpec| -> bool {
         let circuit = candidate.circuit(circuit_seed);
         let config = exec_config(candidate, circuit_seed);
         match (
-            run_path(baseline_shape, config, &circuit, exec_seeds),
+            run_path(PathShape::BASELINE, config, &circuit, exec_seeds),
             run_path(path, config, &circuit, exec_seeds),
         ) {
             (Ok(expected), Ok(actual)) => expected != actual,
@@ -401,12 +394,7 @@ fn report_divergence(
         let circuit = minimized.circuit(circuit_seed);
         let config = exec_config(&minimized, circuit_seed);
         if let (Ok(base), Ok(other)) = (
-            run_path(
-                PathShape { warm: false, pipelined: false, cached: false, lanes: 1 },
-                config,
-                &circuit,
-                exec_seeds,
-            ),
+            run_path(PathShape::BASELINE, config, &circuit, exec_seeds),
             run_path(path, config, &circuit, exec_seeds),
         ) {
             if let Some(slot) = base.iter().zip(&other).position(|(b, o)| b != o) {
@@ -516,7 +504,8 @@ mod tests {
         let mut unique = shapes.clone();
         unique.dedup();
         assert_eq!(unique.len(), 24, "no duplicate shapes");
-        assert!(shapes.iter().any(|s| s.warm && s.pipelined && s.cached && s.lanes == 4));
+        assert_eq!(shapes[0], PathShape::BASELINE);
+        assert!(shapes.iter().any(|s| s.warm && s.renorm_workers == 2 && s.cached && s.lanes == 4));
     }
 
     #[test]
@@ -527,7 +516,7 @@ mod tests {
             minimized: CorpusSpec::Layered { width: 5, depth: 2, entanglement_permille: 420 },
             circuit_seed: 1234,
             exec_seed: 77,
-            path: PathShape { warm: true, pipelined: true, cached: false, lanes: 2 },
+            path: PathShape { warm: true, renorm_workers: 2, cached: false, lanes: 2 },
             expected: ExecuteOutcome::Complete(Default::default()),
             actual: ExecuteOutcome::Complete(Default::default()),
         };
@@ -558,7 +547,7 @@ mod tests {
 
     #[test]
     fn path_labels_are_readable() {
-        let path = PathShape { warm: true, pipelined: false, cached: true, lanes: 4 };
-        assert_eq!(path.to_string(), "warm/serial/cached/4l");
+        let path = PathShape { warm: true, renorm_workers: 0, cached: true, lanes: 4 };
+        assert_eq!(path.to_string(), "warm/0w/cached/4l");
     }
 }

@@ -1,8 +1,8 @@
 //! # oneperc-corpus — structured random circuits and the determinism fuzzer
 //!
-//! The workspace's byte-identity guarantees (pipelined ≡ serial, warm ≡
-//! cold, cached ≡ uncached, any lane count) were historically pinned on
-//! four hand-written benchmarks. This crate grows the workload surface:
+//! The workspace's byte-identity guarantees (pooled ≡ in-thread
+//! renormalization, warm ≡ cold, cached ≡ uncached, any lane count) were
+//! historically pinned on four hand-written benchmarks. This crate grows the workload surface:
 //!
 //! - [`CorpusSpec`] — a compact, token-serializable description of a
 //!   structured random circuit. Four families:
@@ -20,8 +20,8 @@
 //! - Every circuit is a **pure function** of `(spec, seed)` — same spec
 //!   and seed, byte-identical gate list, on any host.
 //! - [`fuzz`] — sweeps sampled circuits through the full
-//!   warm/cold × pipelined/serial × cached/uncached × 1/2/4-lane path
-//!   matrix and asserts byte-identical deterministic
+//!   warm/cold × 0/2 renormalization workers × cached/uncached × 1/2/4-lane
+//!   path matrix and asserts byte-identical deterministic
 //!   [`ExecutionReport`](oneperc::ExecutionReport)s, shrinking any
 //!   divergence to a minimal replayable reproducer.
 //!

@@ -105,8 +105,7 @@ impl FusionEngine {
     /// stream, the attempt statistics and the raw-RSL counter all start
     /// over — while keeping the per-site scratch allocations warm. Long-
     /// lived execution contexts use this to run many seeded experiments
-    /// through one engine (and one generator thread) without paying
-    /// construction cost per run.
+    /// through one engine without paying construction cost per run.
     pub fn reseed(&mut self, seed: u64) {
         let config = *self.config();
         self.sampler = FusionSampler::new(config.effective_fusion_prob(), seed);
@@ -478,9 +477,8 @@ mod tests {
 
     #[test]
     fn generation_stream_is_identical_across_threads() {
-        // The pipelined reshaping engine moves the FusionEngine onto a
-        // dedicated generator thread; the layer stream must not depend on
-        // which thread drives the engine.
+        // Session lanes drive their FusionEngine on a lane thread; the
+        // layer stream must not depend on which thread drives the engine.
         let cfg = HardwareConfig::new(16, 7, 0.75);
         let mut local = FusionEngine::new(cfg, 55);
         let on_main: Vec<PhysicalLayer> = (0..5).map(|_| local.generate_layer()).collect();

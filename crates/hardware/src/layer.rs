@@ -65,10 +65,10 @@ use crate::bitmap::Bitmap;
 /// with [`crate::exact`].
 ///
 /// Equality compares the full site/bond/port state plus the accounting
-/// fields — the byte-identity check used by the pipelined-stream
-/// determinism suite to prove that layers generated on a dedicated
-/// pipeline thread match in-thread generation exactly. With the bit-packed
-/// planes this holds word for word thanks to the canonical trailing mask.
+/// fields — the byte-identity check the determinism suites use to prove
+/// that the layer stream does not depend on which thread (caller or
+/// session lane) generates it. With the bit-packed planes this holds word
+/// for word thanks to the canonical trailing mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhysicalLayer {
     /// Sites along the x axis.

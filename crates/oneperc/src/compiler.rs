@@ -1,4 +1,5 @@
-//! The end-to-end OnePerc compiler: offline pass + online execution.
+//! The two passes of the OnePerc compiler: the offline mapping and the
+//! online execution. [`Session`](crate::Session) drives both.
 
 use std::error::Error;
 use std::fmt;
@@ -73,9 +74,9 @@ impl CompiledProgram {
     }
 }
 
-/// Offline pass shared by [`Compiler::compile`] and
-/// [`Session::compile`](crate::Session::compile): circuit → program graph
-/// state → FlexLattice IR → instructions.
+/// Offline pass behind [`Session::compile`](crate::Session::compile) and
+/// the program cache: circuit → program graph state → FlexLattice IR →
+/// instructions.
 pub(crate) fn run_offline_pass(
     config: &CompilerConfig,
     circuit: &Circuit,
@@ -93,13 +94,12 @@ pub(crate) fn run_offline_pass(
 pub(crate) fn reshape_config(config: &CompilerConfig) -> ReshapeConfig {
     ReshapeConfig::new(config.hardware, config.node_size, config.virtual_side, config.seed)
         .with_temporal_redundancy(config.temporal_redundancy)
-        .with_pipelining(config.pipelined)
         .with_renorm_workers(config.renorm_workers)
 }
 
-/// Online pass shared by the deprecated one-shot [`Compiler::execute`] shim
-/// and the warm [`Session`](crate::Session) lanes: drives `engine` through
-/// every IR layer of `compiled` and derives the evaluation metrics.
+/// Online pass run by the warm [`Session`](crate::Session) lanes: drives
+/// `engine` through every IR layer of `compiled` and derives the
+/// evaluation metrics.
 ///
 /// The caller is responsible for `engine` being in its start-of-run state
 /// (freshly constructed, or [`ReshapeEngine::reset`]) with the seed it
@@ -191,7 +191,6 @@ pub(crate) fn run_online_pass(
         ir_layers: compiled.layer_count(),
         program_nodes: compiled.mapping.stats.program_nodes,
         complete: failure.is_none(),
-        pipelined: config.pipelined,
         peak_memory_bytes,
         cache: CacheStats::default(),
         service: ServiceTelemetry::default(),
@@ -204,107 +203,39 @@ pub(crate) fn run_online_pass(
     }
 }
 
-/// The one-shot OnePerc compiler facade.
-///
-/// [`Compiler::compile`] runs the offline pass; the deprecated
-/// [`Compiler::execute`] simulates the online pass on the stochastic
-/// hardware model, constructing (and discarding) the full execution context
-/// — reshaping engine, generator thread, worker pool — on every call. New
-/// code should keep a [`Session`](crate::Session) instead: it owns those
-/// resources warm and multiplexes many seeded executions through them.
-#[derive(Debug, Clone)]
-pub struct Compiler {
-    config: CompilerConfig,
-    memory_model: MemoryModel,
-}
-
-impl Compiler {
-    /// Creates a compiler.
-    pub fn new(config: CompilerConfig) -> Self {
-        Compiler { config, memory_model: MemoryModel::default() }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CompilerConfig {
-        &self.config
-    }
-
-    /// Overrides the classical-memory model.
-    pub fn with_memory_model(mut self, model: MemoryModel) -> Self {
-        self.memory_model = model;
-        self
-    }
-
-    /// Offline pass: circuit → program graph state → FlexLattice IR →
-    /// instructions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Mapping`] when the program cannot be mapped
-    /// onto the configured virtual hardware.
-    pub fn compile(&self, circuit: &Circuit) -> Result<CompiledProgram, CompileError> {
-        run_offline_pass(&self.config, circuit)
-    }
-
-    /// Online pass: simulates the execution of a compiled program on the
-    /// stochastic photonic hardware and reports `#RSL`, `#fusion` and the
-    /// supporting metrics.
-    ///
-    /// This is the **cold** path: every call constructs a fresh reshaping
-    /// engine (plus generator thread and renormalization pool when
-    /// configured) and tears it down again. A
-    /// [`Session`](crate::Session) produces byte-identical reports while
-    /// reusing all of that across calls.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a `Session` and use `Session::execute` / `Session::execute_batch`; \
-                this one-shot shim pays full engine and thread startup per call"
-    )]
-    pub fn execute(&self, compiled: &CompiledProgram) -> ExecutionReport {
-        let mut engine = ReshapeEngine::new(reshape_config(&self.config));
-        run_online_pass(&mut engine, compiled, &self.config, &self.memory_model, None)
-            .into_report()
-    }
-
-    /// Convenience: compile and execute in one call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Mapping`] when the offline pass fails.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a `Session` and use `Session::compile` + `Session::execute`; \
-                this one-shot shim pays full engine and thread startup per call"
-    )]
-    pub fn compile_and_execute(&self, circuit: &Circuit) -> Result<ExecutionReport, CompileError> {
-        let compiled = self.compile(circuit)?;
-        let mut engine = ReshapeEngine::new(reshape_config(&self.config));
-        Ok(
-            run_online_pass(&mut engine, &compiled, &self.config, &self.memory_model, None)
-                .into_report(),
-        )
-    }
-}
-
 #[cfg(test)]
-// The deprecated one-shot shims are exactly what this module tests: they
-// must keep producing the same reports as always (and as the session).
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::config::CompilerConfig;
+    use crate::session::Session;
     use oneperc_circuit::benchmarks;
 
-    fn small_compiler(p: f64, seed: u64) -> Compiler {
+    fn small_config(p: f64, seed: u64) -> CompilerConfig {
         // A deliberately small machine so tests stay fast: 36x36 RSL,
         // 3x3 virtual hardware, 7-qubit resource states.
-        Compiler::new(CompilerConfig::for_sensitivity(36, 3, p, seed))
+        CompilerConfig::for_sensitivity(36, 3, p, seed)
+    }
+
+    /// Compiles and executes `circuit` once on a fresh session with the
+    /// configuration's own seed.
+    fn run(config: CompilerConfig, circuit: &Circuit) -> ExecutionReport {
+        let session = Session::new(config);
+        let compiled = session.compile(circuit).unwrap();
+        session.execute_report(&compiled)
+    }
+
+    /// Runs the online pass on a fresh engine, optionally cancellable.
+    fn run_online(
+        config: &CompilerConfig,
+        compiled: &CompiledProgram,
+        cancel: Option<&CancelToken>,
+    ) -> ExecuteOutcome {
+        let mut engine = ReshapeEngine::new(reshape_config(config));
+        run_online_pass(&mut engine, compiled, config, &MemoryModel::default(), cancel)
     }
 
     #[test]
     fn compile_produces_ir_layers() {
-        let compiler = small_compiler(0.9, 1);
-        let compiled = compiler.compile(&benchmarks::qaoa(4, 2)).unwrap();
+        let compiled = run_offline_pass(&small_config(0.9, 1), &benchmarks::qaoa(4, 2)).unwrap();
         assert!(compiled.layer_count() > 0);
         assert!(compiled.mapping.complete);
         assert!(compiled.offline_time.as_nanos() > 0);
@@ -312,8 +243,7 @@ mod tests {
 
     #[test]
     fn execute_reports_consistent_metrics() {
-        let compiler = small_compiler(0.9, 2);
-        let report = compiler.compile_and_execute(&benchmarks::qaoa(4, 2)).unwrap();
+        let report = run(small_config(0.9, 2), &benchmarks::qaoa(4, 2));
         assert!(report.complete);
         assert_eq!(report.logical_layers as usize, report.ir_layers);
         assert_eq!(
@@ -329,8 +259,8 @@ mod tests {
     #[test]
     fn lower_fusion_probability_costs_more_rsl() {
         let circuit = benchmarks::vqe(4, 3);
-        let high = small_compiler(0.9, 3).compile_and_execute(&circuit).unwrap();
-        let low = small_compiler(0.72, 3).compile_and_execute(&circuit).unwrap();
+        let high = run(small_config(0.9, 3), &circuit);
+        let low = run(small_config(0.72, 3), &circuit);
         assert!(
             low.rsl_consumed >= high.rsl_consumed,
             "lower fusion probability should consume at least as many RSLs ({} vs {})",
@@ -342,12 +272,8 @@ mod tests {
     #[test]
     fn four_qubit_resource_states_multiply_raw_rsl() {
         let circuit = benchmarks::qaoa(4, 5);
-        let seven = small_compiler(0.9, 4).compile_and_execute(&circuit).unwrap();
-        let four = Compiler::new(
-            CompilerConfig::for_sensitivity(36, 3, 0.9, 4).with_resource_state_size(4),
-        )
-        .compile_and_execute(&circuit)
-        .unwrap();
+        let seven = run(small_config(0.9, 4), &circuit);
+        let four = run(small_config(0.9, 4).with_resource_state_size(4), &circuit);
         assert!(four.rsl_consumed > seven.rsl_consumed);
         assert_eq!(four.rsl_consumed, 3 * four.merged_layers);
         assert_eq!(seven.rsl_consumed, seven.merged_layers);
@@ -357,10 +283,8 @@ mod tests {
     fn refresh_limits_memory_estimate() {
         let circuit = benchmarks::qft(4);
         let base = CompilerConfig::for_sensitivity(36, 3, 0.85, 9);
-        let without = Compiler::new(base).compile_and_execute(&circuit).unwrap();
-        let with = Compiler::new(base.with_refresh_period(Some(5)))
-            .compile_and_execute(&circuit)
-            .unwrap();
+        let without = run(base, &circuit);
+        let with = run(base.with_refresh_period(Some(5)), &circuit);
         assert!(with.peak_memory_bytes <= without.peak_memory_bytes);
         assert!(with.ir_layers >= without.ir_layers);
     }
@@ -374,20 +298,16 @@ mod tests {
         // same estimate as running without refresh — for any period.
         let circuit = benchmarks::qft(4);
         let base = CompilerConfig::for_sensitivity(36, 3, 0.85, 9);
-        let unrefreshed = Compiler::new(base).compile_and_execute(&circuit).unwrap();
+        let unrefreshed = run(base, &circuit);
         for period in [usize::MAX, usize::MAX / 2, u64::MAX as usize] {
-            let huge = Compiler::new(base.with_refresh_period(Some(period)))
-                .compile_and_execute(&circuit)
-                .unwrap();
+            let huge = run(base.with_refresh_period(Some(period)), &circuit);
             assert_eq!(
                 huge.peak_memory_bytes, unrefreshed.peak_memory_bytes,
                 "period {period}: a window larger than the run retains everything"
             );
         }
         // And a sane period still shrinks the estimate.
-        let small = Compiler::new(base.with_refresh_period(Some(5)))
-            .compile_and_execute(&circuit)
-            .unwrap();
+        let small = run(base.with_refresh_period(Some(5)), &circuit);
         assert!(small.peak_memory_bytes <= unrefreshed.peak_memory_bytes);
     }
 
@@ -396,11 +316,8 @@ mod tests {
         // Virtual side == RSL side cannot renormalize: the safety cap hits
         // on the very first logical layer and the outcome must say so.
         let config = CompilerConfig::for_sensitivity(12, 12, 0.7, 5);
-        let compiler = Compiler::new(config);
-        let compiled = compiler.compile(&benchmarks::qaoa(4, 1)).unwrap();
-        let mut engine = ReshapeEngine::new(reshape_config(&config));
-        let outcome =
-            run_online_pass(&mut engine, &compiled, &config, &MemoryModel::default(), None);
+        let compiled = run_offline_pass(&config, &benchmarks::qaoa(4, 1)).unwrap();
+        let outcome = run_online(&config, &compiled, None);
         assert!(!outcome.is_complete());
         let failure = outcome.failure().unwrap();
         assert_eq!(failure.layer_index, 0);
@@ -409,29 +326,20 @@ mod tests {
             failure.reason,
             crate::report::LayerFailureReason::RenormalizationStarved
         );
-        // The deprecated shim flattens the same information into the bool.
-        let report = compiler.execute(&compiled);
-        assert!(!report.complete);
+        // The flattened report carries the same information in the bool.
+        assert!(!outcome.into_report().complete);
     }
 
     #[test]
     fn cancelled_token_stops_the_online_pass() {
         let config = CompilerConfig::for_sensitivity(36, 3, 0.9, 6);
-        let compiler = Compiler::new(config);
-        let compiled = compiler.compile(&benchmarks::qaoa(4, 2)).unwrap();
+        let compiled = run_offline_pass(&config, &benchmarks::qaoa(4, 2)).unwrap();
 
         // Pre-cancelled: the run stops before consuming a single merged
         // layer and says why.
         let token = CancelToken::new();
         token.cancel();
-        let mut engine = ReshapeEngine::new(reshape_config(&config));
-        let outcome = run_online_pass(
-            &mut engine,
-            &compiled,
-            &config,
-            &MemoryModel::default(),
-            Some(&token),
-        );
+        let outcome = run_online(&config, &compiled, Some(&token));
         assert!(!outcome.is_complete());
         let failure = outcome.failure().unwrap();
         assert_eq!(failure.reason, LayerFailureReason::Cancelled);
@@ -441,22 +349,8 @@ mod tests {
         // A live token never perturbs the run: byte-identical to the
         // uncancellable path.
         let live = CancelToken::new();
-        let mut with_token_engine = ReshapeEngine::new(reshape_config(&config));
-        let with_token = run_online_pass(
-            &mut with_token_engine,
-            &compiled,
-            &config,
-            &MemoryModel::default(),
-            Some(&live),
-        );
-        let mut plain_engine = ReshapeEngine::new(reshape_config(&config));
-        let plain = run_online_pass(
-            &mut plain_engine,
-            &compiled,
-            &config,
-            &MemoryModel::default(),
-            None,
-        );
+        let with_token = run_online(&config, &compiled, Some(&live));
+        let plain = run_online(&config, &compiled, None);
         assert_eq!(
             with_token.report().deterministic(),
             plain.report().deterministic()
@@ -467,29 +361,9 @@ mod tests {
     #[test]
     fn reports_are_reproducible_per_seed() {
         let circuit = benchmarks::rca(4);
-        let a = small_compiler(0.8, 77).compile_and_execute(&circuit).unwrap();
-        let b = small_compiler(0.8, 77).compile_and_execute(&circuit).unwrap();
+        let a = run(small_config(0.8, 77), &circuit);
+        let b = run(small_config(0.8, 77), &circuit);
         assert_eq!(a.rsl_consumed, b.rsl_consumed);
         assert_eq!(a.fusions, b.fusions);
-    }
-
-    #[test]
-    fn pipelined_execution_matches_serial_metrics() {
-        let circuit = benchmarks::qaoa(4, 8);
-        let base = CompilerConfig::for_sensitivity(36, 3, 0.78, 41);
-        let serial = Compiler::new(base).compile_and_execute(&circuit).unwrap();
-        let piped = Compiler::new(base.with_pipelining(true))
-            .compile_and_execute(&circuit)
-            .unwrap();
-        assert!(serial.complete && piped.complete);
-        assert!(!serial.pipelined);
-        assert!(piped.pipelined);
-        // Every metric except the mode flag and wall-clock is identical.
-        assert_eq!(serial.rsl_consumed, piped.rsl_consumed);
-        assert_eq!(serial.merged_layers, piped.merged_layers);
-        assert_eq!(serial.fusions, piped.fusions);
-        assert_eq!(serial.logical_layers, piped.logical_layers);
-        assert_eq!(serial.routing_layers, piped.routing_layers);
-        assert_eq!(serial.peak_memory_bytes, piped.peak_memory_bytes);
     }
 }

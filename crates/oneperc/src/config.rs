@@ -69,19 +69,15 @@ pub struct CompilerConfig {
     pub temporal_redundancy: usize,
     /// RNG seed shared by the stochastic components.
     pub seed: u64,
-    /// Run the online pass on the double-buffered RSL pipeline: layer
-    /// generation overlaps renormalization on a dedicated thread. The
-    /// execution report is byte-identical to the serial path per seed.
-    pub pipelined: bool,
     /// Renormalization worker threads of the online pass (`0` = renormalize
     /// in-thread). With workers, the reshaping stage streams upcoming
-    /// layers through a persistent [`WorkerPool`] — engine-private for the
-    /// one-shot `Compiler` shims, shared across lanes in a
-    /// [`Session`](crate::Session) — and consumes the lattices in stream
-    /// order, so reports are byte-identical for every worker count; only
-    /// the wall-clock changes. The same knob sizes modular-renormalization
-    /// pools derived via [`CompilerConfig::modular`] (there `0` = one per
-    /// available core, capped at one per module).
+    /// layers through a persistent [`WorkerPool`] shared across the lanes
+    /// of a [`Session`](crate::Session) — the only way the online pass
+    /// overlaps generation with renormalization — and consumes the
+    /// lattices in stream order, so reports are byte-identical for every
+    /// worker count; only the wall-clock changes. The same knob sizes
+    /// modular-renormalization pools derived via [`CompilerConfig::modular`]
+    /// (there `0` = one per available core, capped at one per module).
     ///
     /// [`WorkerPool`]: oneperc_percolation::WorkerPool
     pub renorm_workers: usize,
@@ -109,7 +105,6 @@ impl CompilerConfig {
             refresh_period: None,
             temporal_redundancy: 3,
             seed,
-            pipelined: false,
             renorm_workers: 0,
         }
     }
@@ -148,14 +143,6 @@ impl CompilerConfig {
         self
     }
 
-    /// Enables or disables the double-buffered RSL pipeline for the online
-    /// pass.
-    #[must_use]
-    pub fn with_pipelining(mut self, pipelined: bool) -> Self {
-        self.pipelined = pipelined;
-        self
-    }
-
     /// Sets the worker-pool size used by modular renormalizers derived
     /// from this configuration (`0` = auto).
     #[must_use]
@@ -187,8 +174,8 @@ impl CompilerConfig {
     /// deterministic and seed-independent (only the online pass consumes
     /// randomness), so a multi-seed sweep over one circuit must address the
     /// *same* compiled artifact. Every other knob participates, including
-    /// ones (like [`CompilerConfig::pipelined`]) that do not influence the
-    /// offline output today: keying conservatively costs at most a
+    /// ones (like [`CompilerConfig::renorm_workers`]) that do not influence
+    /// the offline output today: keying conservatively costs at most a
     /// recompile, while under-keying would silently serve a stale artifact
     /// if a knob ever grows offline-side effects.
     pub fn fingerprint(&self) -> u64 {
@@ -212,7 +199,8 @@ impl CompilerConfig {
             }
         }
         h.write_usize(self.temporal_redundancy);
-        h.write_tag(u8::from(self.pipelined));
+        // Slot of the retired `pipelined` knob, kept so existing keys hold.
+        h.write_tag(0);
         h.write_usize(self.renorm_workers);
         h.finish()
     }
@@ -272,10 +260,8 @@ mod tests {
     #[test]
     fn pipeline_knobs_thread_through_builders() {
         let cfg = CompilerConfig::for_qubits(4, 0.75, 1);
-        assert!(!cfg.pipelined, "serial by default");
         assert_eq!(cfg.renorm_workers, 0, "auto-sized pool by default");
-        let cfg = cfg.with_pipelining(true).with_renorm_workers(3);
-        assert!(cfg.pipelined);
+        let cfg = cfg.with_renorm_workers(3);
         assert_eq!(cfg.renorm_workers, 3);
     }
 
@@ -313,7 +299,6 @@ mod tests {
             ("fusion_prob", CompilerConfig::for_sensitivity(36, 3, 0.75, 1)),
             ("resource_state", base.with_resource_state_size(4)),
             ("refresh", base.with_refresh_period(Some(5))),
-            ("pipelined", base.with_pipelining(true)),
             ("renorm_workers", base.with_renorm_workers(2)),
             ("occupancy", {
                 let mut c = base;

@@ -14,9 +14,9 @@
 //! RNG seeds to characterize the hardware's randomness. [`Session`] (alias
 //! [`OnePercService`]) is built for exactly that shape. It owns the warm
 //! execution context — persistent lane threads with reseedable reshaping
-//! engines, their pipelined generator threads, and a shared
-//! renormalization [`WorkerPool`](oneperc_percolation::WorkerPool) sized
-//! by [`CompilerConfig::renorm_workers`] — and multiplexes every execution
+//! engines and a shared renormalization
+//! [`WorkerPool`](oneperc_percolation::WorkerPool) sized by
+//! [`CompilerConfig::renorm_workers`] — and multiplexes every execution
 //! through it, so a seed sweep pays thread and allocation startup once
 //! instead of per run.
 //!
@@ -34,7 +34,7 @@
 //! let circuit = benchmarks::qaoa(4, 1);
 //! let compiled = session.compile(&circuit).unwrap();
 //!
-//! // …online pass runs once per seed, through the warm pipelines.
+//! // …online pass runs once per seed, through the warm lanes.
 //! let outcomes = session.execute_batch(&compiled, &[1, 2, 3, 4]);
 //! for outcome in &outcomes {
 //!     let report = outcome.report();
@@ -135,10 +135,6 @@
 //! to replay a failing schedule live in `CONCURRENCY.md` at the
 //! workspace root.
 //!
-//! The one-shot [`Compiler`] facade remains as a deprecated-but-working
-//! shim for existing callers; `Compiler::compile` (the offline pass) is
-//! not deprecated and shares its implementation with [`Session::compile`].
-//!
 //! The experiment harness in `crates/bench` drives this API to regenerate
 //! every table and figure of the paper's evaluation; the `examples/`
 //! directory shows smaller end-to-end uses.
@@ -154,7 +150,7 @@ pub mod service;
 mod session;
 pub mod sync;
 
-pub use compiler::{CompileError, CompiledProgram, Compiler};
+pub use compiler::{CompileError, CompiledProgram};
 pub use config::{CompilerConfig, Preset};
 pub use memory::MemoryModel;
 pub use report::{

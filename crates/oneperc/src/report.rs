@@ -110,10 +110,6 @@ pub struct ExecutionReport {
     /// Whether every requested logical layer was formed within the safety
     /// caps.
     pub complete: bool,
-    /// Whether the online pass ran on the double-buffered RSL pipeline
-    /// (the metrics are byte-identical either way for a fixed seed; only
-    /// the wall-clock differs).
-    pub pipelined: bool,
     /// Peak classical-memory estimate in bytes for the real-time stage.
     pub peak_memory_bytes: u64,
     /// Compiled-program cache counters at report time, when the execution
@@ -395,11 +391,6 @@ impl fmt::Display for ExecutionReport {
         writeln!(f, "routing layers  {:>12}", self.routing_layers)?;
         writeln!(f, "PL ratio        {:>12.2}", self.pl_ratio())?;
         writeln!(f, "peak memory     {:>9.2} GiB", self.peak_memory_gib())?;
-        writeln!(
-            f,
-            "online pipeline {:>12}",
-            if self.pipelined { "2-stage" } else { "serial" }
-        )?;
         if self.cache.lookups() > 0 {
             writeln!(f, "program cache   {}", self.cache)?;
         }

@@ -1,16 +1,14 @@
-//! Long-lived compiler service sessions: warm pipelines, a shared
+//! Long-lived compiler service sessions: warm lanes, a shared
 //! renormalization worker pool, and batched multi-seed execution.
 //!
-//! The one-shot [`Compiler`](crate::Compiler) facade rebuilds the whole
-//! online execution context — reshaping engine, generator thread, worker
-//! pool, scratch memory — on every `execute` call. A [`Session`] builds
-//! that context **once** and multiplexes work through it:
+//! A [`Session`] builds the online execution context — reshaping engines,
+//! worker pool, scratch memory — **once** and multiplexes work through it:
 //!
 //! * Each of the session's **lanes** is a persistent worker thread owning a
 //!   warm [`ReshapeEngine`]; between executions the engine is
 //!   [`reset`](ReshapeEngine::reset) to the request's seed instead of being
-//!   reconstructed, so the generator thread, the circulating layer buffers
-//!   and the renormalization scratch all survive from one run to the next.
+//!   reconstructed, so the layer buffer and the renormalization scratch
+//!   survive from one run to the next.
 //! * With [`CompilerConfig::renorm_workers`] > 0 the session owns a single
 //!   [`WorkerPool`] shared by every lane: each lane engine streams its
 //!   layers through its own [`PoolClient`], and the pool multiplexes the
@@ -23,9 +21,9 @@
 //! Determinism is part of the API contract: for a fixed `(config, circuit,
 //! seed)`, the report of a session execution is byte-identical (wall-clock
 //! fields aside — compare with [`ExecutionReport::deterministic`]) to a
-//! fresh one-shot `Compiler` run, whatever the lane count, worker count,
-//! batch size or submission order. `tests/session_determinism.rs` pins
-//! this.
+//! run on a fresh single-lane, in-thread session, whatever the lane count,
+//! worker count, batch size or submission order.
+//! `tests/session_determinism.rs` pins this.
 //!
 //! # Example
 //!
@@ -35,7 +33,7 @@
 //!
 //! let session = Session::new(CompilerConfig::for_qubits(4, 0.9, 1));
 //! let compiled = session.compile(&benchmarks::qaoa(4, 1)).unwrap();
-//! // Sweep three seeds through the warm pipeline.
+//! // Sweep three seeds through the warm lane.
 //! let outcomes = session.execute_batch(&compiled, &[1, 2, 3]);
 //! assert!(outcomes.iter().all(|o| o.is_complete()));
 //! ```
@@ -364,14 +362,12 @@ impl SessionBuilder {
 /// A long-lived OnePerc compiler service session.
 ///
 /// Owns the warm execution context — persistent lane threads with
-/// reseedable [`ReshapeEngine`]s, their pipelined generator threads, and
-/// (optionally) one shared renormalization [`WorkerPool`] — and multiplexes
-/// compile/execute work through it. See the [module docs](self) for the
-/// architecture and determinism contract, and [`SessionBuilder`] for
-/// construction knobs.
+/// reseedable [`ReshapeEngine`]s and (optionally) one shared
+/// renormalization [`WorkerPool`] — and multiplexes compile/execute work
+/// through it. See the [module docs](self) for the architecture and
+/// determinism contract, and [`SessionBuilder`] for construction knobs.
 ///
-/// Sessions are the primary entry point of the crate; the one-shot
-/// [`Compiler`](crate::Compiler) shims remain for existing callers.
+/// Sessions are the primary entry point of the crate.
 #[derive(Debug)]
 pub struct Session {
     config: CompilerConfig,
@@ -532,8 +528,8 @@ impl Session {
     /// Online pass on the warm session: executes a compiled program with
     /// the given seed and returns the typed outcome.
     ///
-    /// Byte-identical (wall-clock aside) to a one-shot
-    /// `Compiler::execute` with `config.with_seed(seed)`.
+    /// Byte-identical (wall-clock aside) to the same execution on a fresh
+    /// single-lane session with `renorm_workers = 0`.
     ///
     /// This convenience clones the program into an [`Arc`] per call; when
     /// sweeping seeds one call at a time, hold the program in an `Arc`
@@ -554,7 +550,7 @@ impl Session {
         self.execute(compiled, self.config.seed).into_report()
     }
 
-    /// Runs a whole seed sweep through the warm pipelines: one execution
+    /// Runs a whole seed sweep through the warm lanes: one execution
     /// per seed, distributed round-robin over the lanes, outcomes returned
     /// in seed order. The compiled program is shared (one `Arc`) across
     /// the batch.
@@ -697,10 +693,10 @@ mod tests {
         let compiled = session.compile(&circuit).unwrap();
         for seed in [7u64, 8, 1_000_003] {
             let warm = session.execute(&compiled, seed).into_report().deterministic();
-            #[allow(deprecated)]
-            let cold = crate::Compiler::new(config.with_seed(seed))
-                .compile_and_execute(&circuit)
-                .unwrap()
+            // Cold reference: a fresh 1-lane, in-thread session per seed.
+            let fresh = Session::new(config.with_seed(seed).with_renorm_workers(0));
+            let cold = fresh
+                .execute_report(&fresh.compile(&circuit).unwrap())
                 .deterministic();
             assert_eq!(warm, cold, "seed {seed}");
         }
@@ -849,7 +845,7 @@ mod tests {
             assert_eq!(session.jobs_cancelled(), 1);
         }
         // The lane keeps serving, and an untouched token never perturbs a
-        // run: byte-identical to the one-shot path.
+        // run.
         let fresh = session.execute_shared(compiled, 3);
         assert!(fresh.is_complete());
         assert_eq!(session.jobs_completed(), 2);

@@ -35,9 +35,8 @@ fn compiler_config_fingerprints_are_pinned() {
             "every builder knob flipped",
             CompilerConfig::for_qubits(4, 0.75, 1)
                 .with_refresh_period(Some(6))
-                .with_pipelining(true)
                 .with_renorm_workers(2),
-            0xd6a3_e42c_6115_7f06,
+            0xee23_1d65_c9f3_4c95,
         ),
     ];
     for (name, config, expected) in cases {

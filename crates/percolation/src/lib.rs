@@ -25,37 +25,30 @@
 //! * [`ReshapeEngine`] — the (2+1)-D driver that consumes a stream of RSLs,
 //!   classifies them into logical and routing layers, and establishes the
 //!   adjacent-layer and cross-layer time-like connections requested by the
-//!   IR program (Section 5.2). With [`ReshapeConfig::with_pipelining`] and
-//!   [`ReshapeConfig::with_renorm_workers`] the driver becomes a
-//!   three-stage pipeline: layer generation on a dedicated thread,
-//!   renormalization fanned out on a worker pool a few layers ahead, and
-//!   connection in the driving thread. [`ReshapeEngine::reset`] restarts
+//!   IR program (Section 5.2). With [`ReshapeConfig::with_renorm_workers`]
+//!   the engine overlaps its stages: layers are generated in the driving
+//!   thread, renormalized on a worker pool a few layers ahead, and
+//!   connected in the driving thread. [`ReshapeEngine::reset`] restarts
 //!   the stochastic stream for a new seed while keeping every thread and
 //!   allocation warm — the primitive behind the `oneperc` session API.
 //!
 //! # Pipeline architecture and ownership rules
 //!
 //! The online pass is organized as a stream of resource-state layers
-//! flowing generate → renormalize → connect. Three independent levers
-//! spread that stream across cores, and all are determinism-preserving —
-//! with a fixed seed they produce byte-identical [`RenormalizedLattice`]s
-//! and reports to the fully serial path, for any worker count:
+//! flowing generate → renormalize → connect. Only the connect step carries
+//! state from one layer to the next. Two independent levers spread that
+//! stream across cores, and both are determinism-preserving — with a
+//! fixed seed they produce byte-identical [`RenormalizedLattice`]s and
+//! reports to the fully serial path, for any worker count:
 //!
-//! * **Stage overlap** (`ReshapeEngine`, pipelined mode): a generator
-//!   thread owns the `FusionEngine` and runs exactly one layer ahead
-//!   through a bounded depth-1 channel; spent [`PhysicalLayer`] buffers
-//!   cycle back over a recycle channel, so the steady state circulates a
-//!   fixed set of allocations. Time-like fusion outcomes draw from their
-//!   own seeded sampler in both modes, which is what keeps the
-//!   layer-pattern RNG stream independent of prefetch timing. Layers are
-//!   epoch-tagged, so a [`ReshapeEngine::reset`] reseeds the generator in
-//!   place and silently discards the few stale prefetched layers.
 //! * **Stream fan-out** (`ReshapeEngine` with `renorm_workers` > 0):
 //!   upcoming layers are submitted to a [`WorkerPool`] as whole-layer
 //!   region jobs, a bounded lookahead ahead of consumption, and their
 //!   lattices are collected strictly in stream order. Every layer is
 //!   consumed in generation order whatever its logical/routing fate, so
-//!   the prefetched renormalization is never speculative waste.
+//!   the prefetched renormalization is never speculative waste. Time-like
+//!   fusion outcomes draw from their own seeded sampler, which is what
+//!   keeps the layer-pattern RNG stream independent of the lookahead.
 //! * **Module fan-out** (`ModularRenormalizer` on a [`WorkerPool`]):
 //!   modules of one layer are renormalized by persistent workers fed over
 //!   a channel. Each worker permanently owns one `Renormalizer` (and thus
@@ -64,8 +57,6 @@
 //!   are written back by slot so worker scheduling cannot reorder them.
 //!   Scratch pools never migrate between workers mid-search; their epoch
 //!   stamps make cross-layer reuse reset-free.
-//!
-//! [`PhysicalLayer`]: oneperc_hardware::PhysicalLayer
 //!
 //! # Flat-index site convention
 //!

@@ -51,7 +51,7 @@ use crate::scratch::{pack_site, ScratchPool, NO_SITE};
 ///
 /// Equality compares every field — target geometry, node representatives
 /// and full path contents — so `a == b` is the byte-identity check used by
-/// the pipelined-vs-serial determinism suite.
+/// the pooled-vs-in-thread determinism suite.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RenormalizedLattice {
     target_side: usize,

@@ -9,32 +9,26 @@
 //! simply fused forward to the next RSL. Cross-layer connections park the
 //! photons of the source node in delay lines until the target layer exists.
 //!
-//! # The pipelined layer stream
+//! # Overlapping the stages
 //!
-//! The per-layer loop is a two-stage pipeline: *generate* (the fusion
-//! strategy samples the next random layer) and *renormalize + connect*
-//! (the percolation pass classifies it). With
-//! [`ReshapeConfig::with_pipelining`], generation moves to a dedicated
-//! thread that owns the [`FusionEngine`] and runs one layer ahead, so
-//! `generate_layer_into` for layer `t + 1` overlaps the renormalization of
-//! layer `t` on a second core. Layers travel to the consumer through a
-//! bounded depth-1 channel (the double buffer) and the spent
-//! [`PhysicalLayer`] allocations cycle back to the generator over a
-//! recycle channel, keeping the steady state allocation-free exactly like
-//! the serial path.
+//! The per-layer loop has three steps: *generate* (the fusion strategy
+//! samples the next random layer), *renormalize* and *connect*. Only the
+//! connect step carries state from one layer to the next, so with
+//! [`ReshapeConfig::with_renorm_workers`] the engine generates upcoming
+//! layers in-thread and renormalizes them on a [`WorkerPool`] a few layers
+//! ahead, while it connects the current one.
 //!
-//! Determinism is preserved by construction: the generator thread draws
-//! from the same seeded sampler in the same order as the serial path, the
-//! channel is FIFO, and time-like fusion outcomes come from a *separate*
-//! sampler seeded from the configuration (in both modes), so prefetching a
-//! layer never reorders RNG draws. With a fixed seed the pipelined engine
-//! therefore produces byte-identical [`RenormalizedLattice`]s and
-//! identical [`LogicalLayerReport`]s to the serial engine — the contract
-//! enforced by `tests/pipeline_determinism.rs`.
+//! Determinism is preserved by construction: layers are generated from
+//! the same seeded sampler in the same order whatever the worker count,
+//! lattices are consumed in stream order, and time-like fusion outcomes
+//! come from a *separate* sampler seeded from the configuration, so
+//! renormalizing ahead never reorders RNG draws. With a fixed seed the
+//! pooled engine therefore produces byte-identical
+//! [`RenormalizedLattice`]s and identical [`LogicalLayerReport`]s to the
+//! in-thread engine — the contract enforced by
+//! `tests/pipeline_determinism.rs`.
 
 use std::collections::VecDeque;
-use crate::sync::mpsc::{channel, sync_channel, Receiver, Sender};
-use crate::sync::thread::{self, JoinHandle};
 use crate::sync::Arc;
 
 use graphstate::FusionOutcome;
@@ -93,10 +87,6 @@ pub struct ReshapeConfig {
     pub max_layers_per_logical: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Run layer generation on a dedicated pipeline thread, double-buffered
-    /// one layer ahead of renormalization. Output is byte-identical to the
-    /// serial path for the same seed.
-    pub pipelined: bool,
     /// Worker threads renormalizing layers on a persistent pool (`0` =
     /// renormalize in-thread). With workers the engine submits upcoming
     /// layers of the stream to the pool a few layers ahead and consumes the
@@ -126,7 +116,6 @@ impl ReshapeConfig {
             temporal_redundancy: 4,
             max_layers_per_logical: 2048,
             seed,
-            pipelined: false,
             renorm_workers: 0,
         }
     }
@@ -136,13 +125,6 @@ impl ReshapeConfig {
     pub fn with_temporal_redundancy(mut self, redundancy: usize) -> Self {
         assert!(redundancy > 0, "redundancy must be positive");
         self.temporal_redundancy = redundancy;
-        self
-    }
-
-    /// Enables or disables the double-buffered layer pipeline.
-    #[must_use]
-    pub fn with_pipelining(mut self, pipelined: bool) -> Self {
-        self.pipelined = pipelined;
         self
     }
 
@@ -162,8 +144,8 @@ impl ReshapeConfig {
     }
 
     /// Seed of the dedicated time-like fusion sampler. Time-like hops draw
-    /// from their own stream (in both the serial and pipelined engines) so
-    /// that prefetching layers never reorders the layer-pattern draws.
+    /// from their own stream so that generating layers ahead for the pool
+    /// never reorders the layer-pattern draws.
     fn timelike_seed(&self) -> u64 {
         // Fixed odd multiplier decorrelates the two streams per seed.
         self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x5EED)
@@ -240,12 +222,15 @@ impl ReshapeStats {
 #[derive(Debug)]
 pub struct ReshapeEngine {
     config: ReshapeConfig,
-    /// Where merged layers come from: the in-thread fusion engine (serial)
-    /// or the double-buffered generator thread (pipelined).
-    source: LayerSource,
+    /// Generates the merged layers, in-thread. Boxed to keep the engine
+    /// small to move.
+    generator: Box<FusionEngine>,
+    /// Reusable layer buffer: each merged layer is generated in place, so
+    /// the steady-state per-RSL loop performs no layer allocation.
+    buf: Option<PhysicalLayer>,
     /// Dedicated sampler for time-like fusion outcomes. Kept separate from
-    /// the layer-pattern stream so the pipelined generator can run ahead
-    /// without reordering any RNG draw; both modes use it identically.
+    /// the layer-pattern stream so the pooled backend can generate ahead
+    /// without reordering any RNG draw.
     timelike: FusionSampler,
     delay: DelayLine<(usize, usize)>,
     stats: ReshapeStats,
@@ -257,8 +242,8 @@ pub struct ReshapeEngine {
     bulk_attempted: u64,
     bulk_succeeded: u64,
     /// Layer-pattern fusions accumulated from *consumed* layers. Counting
-    /// at consumption (not generation) keeps the serial and pipelined
-    /// totals identical even while the generator runs one layer ahead.
+    /// at consumption (not generation) keeps the in-thread and pooled
+    /// totals identical even while the pool's lookahead runs ahead.
     layer_attempted: u64,
     layer_succeeded: u64,
     /// Renormalized lattice of the most recent logical layer (if any).
@@ -318,178 +303,6 @@ enum RenormBackend {
     },
 }
 
-/// Origin of the merged-layer stream.
-#[derive(Debug)]
-enum LayerSource {
-    /// Generate each layer in-thread, reusing one buffer (the pre-pipeline
-    /// behavior). The engine is boxed to keep the variants close in size.
-    Serial {
-        engine: Box<FusionEngine>,
-        /// Reusable layer buffer: each merged layer is generated in place,
-        /// so the steady-state per-RSL loop performs no layer allocation.
-        buf: Option<PhysicalLayer>,
-    },
-    /// Pull layers from the generator thread, one layer ahead.
-    Pipelined(LayerPipeline),
-}
-
-impl LayerSource {
-    /// Produces the next merged layer of the stream.
-    fn next_layer(&mut self, rsl_size: usize) -> PhysicalLayer {
-        match self {
-            LayerSource::Serial { engine, buf } => {
-                let mut layer = buf
-                    .take()
-                    .unwrap_or_else(|| PhysicalLayer::blank(rsl_size, rsl_size));
-                engine.generate_layer_into(&mut layer);
-                layer
-            }
-            LayerSource::Pipelined(pipeline) => pipeline.recv(),
-        }
-    }
-
-    /// Returns a spent layer so its allocation is reused for a later layer
-    /// (serially in place, or cycled back to the generator thread).
-    fn recycle(&mut self, layer: PhysicalLayer) {
-        match self {
-            LayerSource::Serial { buf, .. } => *buf = Some(layer),
-            LayerSource::Pipelined(pipeline) => pipeline.recycle(layer),
-        }
-    }
-
-    /// Restarts the layer stream from `seed` without tearing the source
-    /// down: the serial engine reseeds in place, the pipelined generator
-    /// thread is told to reseed and its already-prefetched layers are
-    /// discarded on the next receive.
-    fn reset(&mut self, seed: u64) {
-        match self {
-            LayerSource::Serial { engine, .. } => engine.reseed(seed),
-            LayerSource::Pipelined(pipeline) => pipeline.reset(seed),
-        }
-    }
-}
-
-/// Command sent to the generator thread between layers.
-enum GenCommand {
-    /// Reseed the fusion engine and stamp all further layers with `epoch`.
-    Reset { seed: u64, epoch: u64 },
-}
-
-/// The generator half of the double-buffered pipeline.
-///
-/// The spawned thread owns the [`FusionEngine`] and keeps exactly one
-/// finished layer queued in the bounded channel while generating the next
-/// one, i.e. it runs at most one layer ahead of the consumer. Spent layer
-/// buffers return through the recycle channel, so after warm-up the
-/// pipeline circulates a fixed set of allocations. Dropping the pipeline
-/// closes the layer channel, which unblocks and terminates the generator.
-///
-/// # Warm reseeding
-///
-/// [`LayerPipeline::reset`] restarts the stochastic stream **without
-/// respawning the thread**: every layer is stamped with the epoch it was
-/// generated under, the reset bumps the consumer-side epoch and posts a
-/// reseed command, and the consumer silently recycles any stale-epoch
-/// layers that were already prefetched (at most the channel depth plus the
-/// one being generated). The generator applies pending commands between
-/// layers, so the first layer of the new epoch comes from a freshly
-/// reseeded engine — byte-identical to a cold-started pipeline.
-#[derive(Debug)]
-struct LayerPipeline {
-    /// `Option` so `Drop` can hang up the channel before joining.
-    layer_rx: Option<Receiver<(u64, PhysicalLayer)>>,
-    recycle_tx: Sender<PhysicalLayer>,
-    command_tx: Sender<GenCommand>,
-    /// Epoch of the layers the consumer currently accepts.
-    epoch: u64,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl LayerPipeline {
-    /// Spawns the generator thread for the given hardware model and seed.
-    fn spawn(hardware: HardwareConfig, seed: u64) -> Self {
-        let (layer_tx, layer_rx) = sync_channel::<(u64, PhysicalLayer)>(1);
-        let (recycle_tx, recycle_rx) = channel::<PhysicalLayer>();
-        let (command_tx, command_rx) = channel::<GenCommand>();
-        let rsl_size = hardware.rsl_size;
-        let handle = thread::Builder::new()
-            .name("rsl-generator".into())
-            .spawn(move || {
-                let mut engine = FusionEngine::new(hardware, seed);
-                let mut epoch = 0u64;
-                loop {
-                    // Apply every pending command; the last reseed wins.
-                    while let Ok(command) = command_rx.try_recv() {
-                        match command {
-                            GenCommand::Reset { seed, epoch: e } => {
-                                engine.reseed(seed);
-                                epoch = e;
-                            }
-                        }
-                    }
-                    // Reuse a recycled buffer when one is back already;
-                    // otherwise allocate (only happens during warm-up).
-                    let mut layer = recycle_rx
-                        .try_recv()
-                        .unwrap_or_else(|_| PhysicalLayer::blank(rsl_size, rsl_size));
-                    engine.generate_layer_into(&mut layer);
-                    if layer_tx.send((epoch, layer)).is_err() {
-                        break; // consumer dropped the engine
-                    }
-                }
-            })
-            .expect("spawn RSL generator thread");
-        LayerPipeline {
-            layer_rx: Some(layer_rx),
-            recycle_tx,
-            command_tx,
-            epoch: 0,
-            handle: Some(handle),
-        }
-    }
-
-    /// Receives the next layer of the current epoch in generation order
-    /// (FIFO), recycling any stale prefetched layers of earlier epochs.
-    fn recv(&mut self) -> PhysicalLayer {
-        let rx = self.layer_rx.as_ref().expect("pipeline is live");
-        loop {
-            let (epoch, layer) = rx.recv().expect("RSL generator thread died");
-            if epoch == self.epoch {
-                return layer;
-            }
-            // Prefetched under an earlier seed: only the buffer survives.
-            let _ = self.recycle_tx.send(layer);
-        }
-    }
-
-    /// Cycles a spent buffer back to the generator.
-    fn recycle(&mut self, layer: PhysicalLayer) {
-        // A send error only means the generator already exited; the buffer
-        // is simply dropped then.
-        let _ = self.recycle_tx.send(layer);
-    }
-
-    /// Restarts the generator's stream from `seed` while keeping the
-    /// thread (and its circulating buffers) warm.
-    fn reset(&mut self, seed: u64) {
-        self.epoch += 1;
-        self.command_tx
-            .send(GenCommand::Reset { seed, epoch: self.epoch })
-            .expect("RSL generator thread died");
-    }
-}
-
-impl Drop for LayerPipeline {
-    fn drop(&mut self) {
-        // Hang up the layer channel first: a generator blocked in `send`
-        // wakes with an error and exits, making the join safe.
-        self.layer_rx = None;
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 impl ReshapeEngine {
     /// Creates an engine. With [`ReshapeConfig::renorm_workers`] > 0 the
     /// engine owns a private [`WorkerPool`] of that size; use
@@ -538,17 +351,10 @@ impl ReshapeEngine {
     }
 
     fn with_backend(config: ReshapeConfig, renorm: RenormBackend) -> Self {
-        let source = if config.pipelined {
-            LayerSource::Pipelined(LayerPipeline::spawn(config.hardware, config.seed))
-        } else {
-            LayerSource::Serial {
-                engine: Box::new(FusionEngine::new(config.hardware, config.seed)),
-                buf: None,
-            }
-        };
         ReshapeEngine {
             config,
-            source,
+            generator: Box::new(FusionEngine::new(config.hardware, config.seed)),
+            buf: None,
             timelike: FusionSampler::new(
                 config.hardware.effective_fusion_prob(),
                 config.timelike_seed(),
@@ -584,10 +390,9 @@ impl ReshapeEngine {
 
     /// Restarts the engine's stochastic execution from `seed`, exactly as
     /// if it had been freshly constructed with that seed, while keeping
-    /// every warm resource alive: the generator thread (pipelined mode) is
-    /// reseeded in place, the renormalization scratch — or the worker pool
-    /// and its in-flight lookahead — is retained, and the circulating layer
-    /// buffers keep circulating. This is what makes a long-lived session
+    /// every warm resource alive: the fusion engine is reseeded in place,
+    /// the renormalization scratch — or the worker pool — is retained, and
+    /// the layer buffer is reused. This is what makes a long-lived session
     /// lane cheap: repeated seeded executions pay no thread or allocation
     /// startup.
     ///
@@ -596,18 +401,18 @@ impl ReshapeEngine {
     /// suite.
     pub fn reset(&mut self, seed: u64) {
         // Drain the pooled lookahead first: in-flight jobs belong to the
-        // old stream. Their lattices are discarded, their layer buffers
-        // recycled into the (about-to-be-reseeded) source.
+        // old stream. Their lattices are discarded, a layer buffer kept
+        // for the (about-to-be-reseeded) generator.
         if let RenormBackend::Pooled { client, queue, .. } = &mut self.renorm {
             while let Some(layer) = queue.pop_front() {
                 let _ = client.recv_next();
                 if let Ok(buf) = Arc::try_unwrap(layer) {
-                    self.source.recycle(buf);
+                    self.buf = Some(buf);
                 }
             }
         }
         self.config.seed = seed;
-        self.source.reset(seed);
+        self.generator.reseed(seed);
         self.timelike = FusionSampler::new(
             self.config.hardware.effective_fusion_prob(),
             self.config.timelike_seed(),
@@ -646,16 +451,22 @@ impl ReshapeEngine {
     /// function collected in submission order, the lattices are
     /// byte-identical to the in-thread path for any worker count.
     fn next_renormalized(&mut self) -> (LayerHolder, RenormalizedLattice) {
-        let ReshapeEngine { config, source, renorm, .. } = self;
+        let ReshapeEngine { config, generator, buf, renorm, .. } = self;
+        let rsl_size = config.hardware.rsl_size;
+        let mut next_layer = || {
+            let mut layer = buf.take().unwrap_or_else(|| PhysicalLayer::blank(rsl_size, rsl_size));
+            generator.generate_layer_into(&mut layer);
+            layer
+        };
         match renorm {
             RenormBackend::Local(renormalizer) => {
-                let layer = source.next_layer(config.hardware.rsl_size);
+                let layer = next_layer();
                 let lattice = renormalizer.renormalize(&layer, config.node_size);
                 (LayerHolder::Owned(layer), lattice)
             }
             RenormBackend::Pooled { client, queue, lookahead, .. } => {
                 while queue.len() < *lookahead {
-                    let layer = Arc::new(source.next_layer(config.hardware.rsl_size));
+                    let layer = Arc::new(next_layer());
                     let _ = client.submit(
                         &layer,
                         ModuleRegion::whole_layer(&layer),
@@ -670,22 +481,21 @@ impl ReshapeEngine {
         }
     }
 
-    /// Returns a consumed layer's allocation to the source when the engine
-    /// holds it exclusively again.
+    /// Keeps a consumed layer's allocation for the next layer when the
+    /// engine holds it exclusively again.
     fn recycle_holder(&mut self, holder: LayerHolder) {
         if let Some(buf) = holder.into_owned() {
-            self.source.recycle(buf);
+            self.buf = Some(buf);
         }
     }
 
     /// Consumes resource-state layers until one of them becomes a logical
     /// layer satisfying `requirement`, or the safety cap is hit.
     ///
-    /// In pipelined mode the next layer was already generated while the
-    /// previous one was being renormalized; a layer prefetched but not yet
-    /// consumed when a logical layer forms simply waits in the channel and
-    /// is the first layer of the next call, so the stream order matches the
-    /// serial path exactly.
+    /// On the pooled backend a layer renormalized ahead but not yet consumed
+    /// when a logical layer forms simply waits in the lookahead queue and is
+    /// the first layer of the next call, so the stream order matches the
+    /// in-thread path exactly.
     pub fn advance_logical_layer(&mut self, requirement: &LayerRequirement) -> LogicalLayerReport {
         self.advance_logical_layer_impl(requirement, None)
     }
@@ -1001,33 +811,11 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_stream_is_byte_identical_to_serial() {
-        let config = small_config(0.75, 13);
-        let mut serial = ReshapeEngine::new(config);
-        let mut piped = ReshapeEngine::new(config.with_pipelining(true));
-        let req = LayerRequirement {
-            temporal_edges: vec![TemporalRequirement { coord: (1, 1), back_distance: 1 }],
-            stores: 1,
-            retrieves: 0,
-        };
-        for step in 0..6 {
-            let a = serial.advance_logical_layer(&req);
-            let b = piped.advance_logical_layer(&req);
-            assert_eq!(a, b, "report diverged at logical layer {step}");
-            assert_eq!(
-                serial.last_logical_lattice(),
-                piped.last_logical_lattice(),
-                "lattice diverged at logical layer {step}"
-            );
-        }
-        assert_eq!(serial.stats(), piped.stats());
-    }
-
-    #[test]
     fn pipelined_engine_drops_cleanly_with_prefetched_layer() {
-        // The generator runs one layer ahead; dropping the engine while a
-        // prefetched layer is still queued must join the thread, not hang.
-        let mut engine = ReshapeEngine::new(small_config(0.85, 3).with_pipelining(true));
+        // The pooled backend renormalizes a few layers ahead; dropping the
+        // engine while lookahead jobs are still in flight must join the
+        // pool's workers, not hang.
+        let mut engine = ReshapeEngine::new(small_config(0.85, 3).with_renorm_workers(2));
         let report = engine.advance_logical_layer(&LayerRequirement::none());
         assert!(report.formed);
         drop(engine);
@@ -1056,27 +844,23 @@ mod tests {
 
     #[test]
     fn warm_reset_matches_cold_engine() {
-        for pipelined in [false, true] {
-            for workers in [0usize, 2] {
-                let config = small_config(0.75, 3)
-                    .with_pipelining(pipelined)
-                    .with_renorm_workers(workers);
-                let mut warm = ReshapeEngine::new(config);
-                // Dirty the warm engine with a different-seed run first.
-                let _ = drive(&mut warm, 3);
-                warm.reset(91);
-                assert_eq!(warm.config().seed, 91);
-                let mut cold = ReshapeEngine::new(config.with_seed(91));
-                let a = drive(&mut warm, 5);
-                let b = drive(&mut cold, 5);
-                assert_eq!(a, b, "pipelined={pipelined} workers={workers}");
-            }
+        for workers in [0usize, 2] {
+            let config = small_config(0.75, 3).with_renorm_workers(workers);
+            let mut warm = ReshapeEngine::new(config);
+            // Dirty the warm engine with a different-seed run first.
+            let _ = drive(&mut warm, 3);
+            warm.reset(91);
+            assert_eq!(warm.config().seed, 91);
+            let mut cold = ReshapeEngine::new(config.with_seed(91));
+            let a = drive(&mut warm, 5);
+            let b = drive(&mut cold, 5);
+            assert_eq!(a, b, "workers={workers}");
         }
     }
 
     #[test]
     fn repeated_resets_reproduce_the_same_run() {
-        let config = small_config(0.72, 17).with_pipelining(true);
+        let config = small_config(0.72, 17);
         let mut engine = ReshapeEngine::new(config);
         engine.reset(55);
         let first = drive(&mut engine, 4);
@@ -1091,15 +875,12 @@ mod tests {
         let base = small_config(0.75, 29);
         let mut local = ReshapeEngine::new(base);
         let expected = drive(&mut local, 5);
-        // 1 worker, several, and oversubscribed; plus pipelined generation
-        // on top — all must match the in-thread lattices exactly.
+        // 1 worker, several, and oversubscribed — all must match the
+        // in-thread lattices exactly.
         for workers in [1usize, 2, 5] {
             let mut pooled = ReshapeEngine::new(base.with_renorm_workers(workers));
             assert_eq!(pooled.own_pool_workers(), Some(workers));
             assert_eq!(drive(&mut pooled, 5), expected, "workers = {workers}");
-            let mut both =
-                ReshapeEngine::new(base.with_renorm_workers(workers).with_pipelining(true));
-            assert_eq!(drive(&mut both, 5), expected, "workers = {workers} + pipeline");
         }
     }
 
@@ -1124,18 +905,18 @@ mod tests {
 
     #[test]
     fn fusion_totals_count_consumed_layers_and_timelike_draws() {
-        // Prefetched-but-unconsumed layers must not inflate the totals: a
-        // pipelined engine that consumed k layers reports exactly the same
-        // attempt count as a serial engine that consumed k layers.
+        // Layers generated ahead but not yet consumed must not inflate the
+        // totals: a pooled engine that consumed k layers reports exactly
+        // the same attempt count as an in-thread engine that consumed k.
         let config = small_config(0.72, 19);
         let mut serial = ReshapeEngine::new(config);
-        let mut piped = ReshapeEngine::new(config.with_pipelining(true));
+        let mut pooled = ReshapeEngine::new(config.with_renorm_workers(2));
         for _ in 0..4 {
             serial.advance_logical_layer(&LayerRequirement::none());
-            piped.advance_logical_layer(&LayerRequirement::none());
+            pooled.advance_logical_layer(&LayerRequirement::none());
         }
-        assert_eq!(serial.stats().fusions_attempted, piped.stats().fusions_attempted);
-        assert_eq!(serial.stats().fusions_succeeded, piped.stats().fusions_succeeded);
+        assert_eq!(serial.stats().fusions_attempted, pooled.stats().fusions_attempted);
+        assert_eq!(serial.stats().fusions_succeeded, pooled.stats().fusions_succeeded);
         assert!(serial.stats().fusions_attempted > 0);
     }
 }

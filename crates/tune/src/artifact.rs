@@ -23,7 +23,7 @@ use oneperc::CompilerConfig;
 use oneperc_hardware::HardwareConfig;
 
 /// Format tag of the artifact encoding; bumped on breaking change.
-pub const ARTIFACT_FORMAT: &str = "oneperc-tune-frontier-v1";
+pub const ARTIFACT_FORMAT: &str = "oneperc-tune-frontier-v2";
 
 /// A malformed or mismatched artifact file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,8 +68,6 @@ pub struct ConfigKnobs {
     pub refresh_period: Option<usize>,
     /// Photons fused in parallel per time-like hop.
     pub temporal_redundancy: usize,
-    /// Double-buffered RSL pipeline.
-    pub pipelined: bool,
     /// Renormalization worker threads (`0` = in-thread).
     pub renorm_workers: usize,
 }
@@ -87,7 +85,6 @@ impl From<&CompilerConfig> for ConfigKnobs {
             occupancy_limit: config.occupancy_limit,
             refresh_period: config.refresh_period,
             temporal_redundancy: config.temporal_redundancy,
-            pipelined: config.pipelined,
             renorm_workers: config.renorm_workers,
         }
     }
@@ -110,7 +107,6 @@ impl ConfigKnobs {
         config.temporal_redundancy = self.temporal_redundancy;
         config
             .with_refresh_period(self.refresh_period)
-            .with_pipelining(self.pipelined)
             .with_renorm_workers(self.renorm_workers)
     }
 }
@@ -367,8 +363,6 @@ fn write_knobs(out: &mut String, level: usize, knobs: &ConfigKnobs) {
     }
     field(out, "temporal_redundancy");
     let _ = write!(out, "{}", knobs.temporal_redundancy);
-    field(out, "pipelined");
-    let _ = write!(out, "{}", knobs.pipelined);
     field(out, "renorm_workers");
     let _ = write!(out, "{}", knobs.renorm_workers);
     out.push('}');
@@ -451,7 +445,6 @@ fn parse_knobs(value: &Json) -> Result<ConfigKnobs, ArtifactError> {
             Some(refresh.as_usize("refresh_period")?)
         },
         temporal_redundancy: get(obj, "temporal_redundancy")?.as_usize("temporal_redundancy")?,
-        pipelined: get(obj, "pipelined")?.as_bool("pipelined")?,
         renorm_workers: get(obj, "renorm_workers")?.as_usize("renorm_workers")?,
     })
 }
@@ -513,13 +506,6 @@ impl Json {
         match self {
             Json::Str(s) => Ok(s),
             _ => Err(ArtifactError::new(format!("{what} is not a string"))),
-        }
-    }
-
-    fn as_bool(&self, what: &str) -> Result<bool, ArtifactError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(ArtifactError::new(format!("{what} is not a boolean"))),
         }
     }
 
@@ -801,7 +787,6 @@ mod tests {
     fn knobs_round_trip_through_config() {
         let config = CompilerConfig::for_sensitivity(36, 3, 0.8, 9)
             .with_refresh_period(Some(5))
-            .with_pipelining(true)
             .with_renorm_workers(2);
         let rebuilt = ConfigKnobs::from(&config).to_config(9);
         assert_eq!(rebuilt, config);
@@ -829,7 +814,8 @@ mod tests {
 
     #[test]
     fn format_tag_is_enforced() {
-        let json = artifact().to_json().replace("frontier-v1", "frontier-v0");
+        // A v1 artifact still carries the retired `pipelined` knob.
+        let json = artifact().to_json().replace("frontier-v2", "frontier-v1");
         let err = FrontierArtifact::from_json(&json).unwrap_err();
         assert!(err.to_string().contains("format"));
     }

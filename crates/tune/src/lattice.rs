@@ -27,7 +27,6 @@ pub struct ConfigLattice {
     resource_state_sizes: Vec<usize>,
     temporal_redundancies: Vec<usize>,
     refresh_periods: Vec<Option<usize>>,
-    pipelined: Vec<bool>,
     renorm_workers: Vec<usize>,
 }
 
@@ -40,7 +39,6 @@ impl ConfigLattice {
             resource_state_sizes: vec![base.hardware.resource_state_size],
             temporal_redundancies: vec![base.temporal_redundancy],
             refresh_periods: vec![base.refresh_period],
-            pipelined: vec![base.pipelined],
             renorm_workers: vec![base.renorm_workers],
         }
     }
@@ -79,13 +77,6 @@ impl ConfigLattice {
         self
     }
 
-    /// Replaces the pipelining axis.
-    pub fn with_pipelining(mut self, values: &[bool]) -> Self {
-        assert!(!values.is_empty(), "an axis needs at least one value");
-        self.pipelined = values.to_vec();
-        self
-    }
-
     /// Replaces the renormalization-worker axis (`0` = in-thread).
     pub fn with_renorm_workers(mut self, values: &[usize]) -> Self {
         assert!(!values.is_empty(), "an axis needs at least one value");
@@ -99,7 +90,6 @@ impl ConfigLattice {
             * self.resource_state_sizes.len()
             * self.temporal_redundancies.len()
             * self.refresh_periods.len()
-            * self.pipelined.len()
             * self.renorm_workers.len()
     }
 
@@ -117,7 +107,6 @@ impl ConfigLattice {
             self.resource_state_sizes.len(),
             self.temporal_redundancies.len(),
             self.refresh_periods.len(),
-            self.pipelined.len(),
             self.renorm_workers.len(),
         ]
         .iter()
@@ -127,7 +116,7 @@ impl ConfigLattice {
 
     /// Materializes every lattice point, in the fixed nesting order
     /// (RSL size ▸ resource-state size ▸ temporal redundancy ▸ refresh
-    /// period ▸ pipelining ▸ renormalization workers).
+    /// period ▸ renormalization workers).
     ///
     /// # Panics
     ///
@@ -140,10 +129,8 @@ impl ConfigLattice {
             for &rss in &self.resource_state_sizes {
                 for &tr in &self.temporal_redundancies {
                     for &refresh in &self.refresh_periods {
-                        for &pipe in &self.pipelined {
-                            for &workers in &self.renorm_workers {
-                                out.push(self.materialize(rsl, rss, tr, refresh, pipe, workers));
-                            }
+                        for &workers in &self.renorm_workers {
+                            out.push(self.materialize(rsl, rss, tr, refresh, workers));
                         }
                     }
                 }
@@ -158,7 +145,6 @@ impl ConfigLattice {
         resource_state_size: usize,
         temporal_redundancy: usize,
         refresh_period: Option<usize>,
-        pipelined: bool,
         renorm_workers: usize,
     ) -> CompilerConfig {
         let hardware = HardwareConfig {
@@ -173,7 +159,6 @@ impl ConfigLattice {
         config.temporal_redundancy = temporal_redundancy;
         config
             .with_refresh_period(refresh_period)
-            .with_pipelining(pipelined)
             .with_renorm_workers(renorm_workers)
     }
 
@@ -181,8 +166,9 @@ impl ConfigLattice {
     /// part of the tuner's artifact cache key.
     pub fn fingerprint(&self) -> u64 {
         let mut h = StableHasher::new();
-        // Encoding version tag, bumped on format change.
-        h.write_tag(1);
+        // Encoding version tag, bumped on format change (2: the pipelining
+        // axis is gone).
+        h.write_tag(2);
         h.write_u64(self.base.fingerprint());
         let usize_axis = |h: &mut StableHasher, tag: u8, values: &[usize]| {
             h.write_tag(tag);
@@ -204,11 +190,6 @@ impl ConfigLattice {
                     h.write_usize(*p);
                 }
             }
-        }
-        h.write_tag(5);
-        h.write_usize(self.pipelined.len());
-        for &p in &self.pipelined {
-            h.write_tag(u8::from(p));
         }
         usize_axis(&mut h, 6, &self.renorm_workers);
         h.finish()
@@ -237,15 +218,15 @@ mod tests {
         let lattice = ConfigLattice::new(base())
             .with_rsl_sizes(&[24, 30])
             .with_temporal_redundancies(&[2, 3])
-            .with_pipelining(&[false, true]);
+            .with_renorm_workers(&[0, 2]);
         assert_eq!(lattice.len(), 8);
         assert_eq!(lattice.knob_count(), 3);
         let points = lattice.points();
         assert_eq!(points.len(), 8);
-        // RSL is the outermost axis, pipelining the innermost of the three.
+        // RSL is the outermost axis, renormalization workers the innermost.
         assert_eq!(points[0].hardware.rsl_size, 24);
-        assert!(!points[0].pipelined);
-        assert!(points[1].pipelined);
+        assert_eq!(points[0].renorm_workers, 0);
+        assert_eq!(points[1].renorm_workers, 2);
         assert_eq!(points[1].temporal_redundancy, 2);
         assert_eq!(points[2].temporal_redundancy, 3);
         assert_eq!(points[4].hardware.rsl_size, 30);
@@ -263,7 +244,7 @@ mod tests {
         assert_eq!(a.fingerprint(), same.fingerprint());
         let reordered = ConfigLattice::new(base()).with_rsl_sizes(&[30, 24]);
         assert_ne!(a.fingerprint(), reordered.fingerprint(), "axis order is significant");
-        let extra = ConfigLattice::new(base()).with_rsl_sizes(&[24, 30]).with_pipelining(&[true]);
+        let extra = ConfigLattice::new(base()).with_rsl_sizes(&[24, 30]).with_renorm_workers(&[2]);
         assert_ne!(a.fingerprint(), extra.fingerprint());
         let other_base = ConfigLattice::new(base().with_renorm_workers(2)).with_rsl_sizes(&[24, 30]);
         assert_ne!(a.fingerprint(), other_base.fingerprint());

@@ -3,7 +3,7 @@
 //!
 //! The compiler exposes many interacting knobs — RSL size, resource-state
 //! size (and with it the merging factor), temporal redundancy, refresh
-//! period, pipelining, renormalization workers — over a cheap warm-sweep
+//! period, renormalization workers — over a cheap warm-sweep
 //! path, but picking values by hand means picking blind. This crate turns
 //! the choice into a search problem:
 //!
@@ -37,7 +37,7 @@
 //! // Three knobs around the 4-qubit Table 1 preset.
 //! let lattice = ConfigLattice::new(CompilerConfig::for_qubits(4, 0.9, 1))
 //!     .with_temporal_redundancies(&[2, 3])
-//!     .with_pipelining(&[false, true])
+//!     .with_refresh_periods(&[None, Some(6)])
 //!     .with_renorm_workers(&[0, 2]);
 //! let mut tuner = Tuner::builder(lattice).seeds(&[1, 2]).build();
 //!

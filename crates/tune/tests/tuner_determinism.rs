@@ -27,7 +27,7 @@ use oneperc_tune::{
 fn three_knob_lattice() -> ConfigLattice {
     ConfigLattice::new(CompilerConfig::for_qubits(4, 0.9, 1))
         .with_temporal_redundancies(&[2, 3])
-        .with_pipelining(&[false, true])
+        .with_renorm_workers(&[0, 1])
         .with_refresh_periods(&[None, Some(6)])
 }
 

@@ -14,12 +14,12 @@ fn main() {
     let circuit = benchmarks::qaoa(4, 42);
 
     // Three knobs around the 4-qubit Table 1 preset at p = 0.90: how
-    // many redundant temporal ports to plan, whether to pipeline layer
-    // generation, and whether to refresh the virtual hardware
+    // many redundant temporal ports to plan, whether to renormalize on a
+    // worker pool, and whether to refresh the virtual hardware
     // periodically. 2 x 2 x 2 = 8 candidate configurations.
     let lattice = ConfigLattice::new(CompilerConfig::for_qubits(4, 0.9, 1))
         .with_temporal_redundancies(&[2, 3])
-        .with_pipelining(&[false, true])
+        .with_renorm_workers(&[0, 1])
         .with_refresh_periods(&[None, Some(6)]);
     println!("lattice: {} points over {} knobs", lattice.len(), lattice.knob_count());
 
@@ -47,9 +47,9 @@ fn main() {
     println!("\nPareto frontier ({} objectives):", outcome.artifact.objectives.len());
     for point in &outcome.artifact.frontier {
         println!(
-            "  temporal={} pipelined={:<5} refresh={:<7} cost={:?}",
+            "  temporal={} workers={} refresh={:<7} cost={:?}",
             point.config.temporal_redundancy,
-            point.config.pipelined,
+            point.config.renorm_workers,
             format!("{:?}", point.config.refresh_period),
             point.cost,
         );
@@ -68,9 +68,9 @@ fn main() {
     let compiled = session.compile(&circuit).expect("offline mapping succeeds");
     let report = session.execute(&compiled, 42).into_report();
     println!(
-        "\nrecommended config: temporal={} pipelined={} refresh={:?} -> {} RSLs, {:.1} RSL/layer",
+        "\nrecommended config: temporal={} workers={} refresh={:?} -> {} RSLs, {:.1} RSL/layer",
         best.temporal_redundancy,
-        best.pipelined,
+        best.renorm_workers,
         best.refresh_period,
         report.rsl_consumed,
         report.rsl_per_logical_layer(),

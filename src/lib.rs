@@ -55,7 +55,7 @@
 //!
 //! let lattice = ConfigLattice::new(CompilerConfig::for_qubits(4, 0.9, 1))
 //!     .with_temporal_redundancies(&[2, 3])
-//!     .with_pipelining(&[false, true])
+//!     .with_refresh_periods(&[None, Some(6)])
 //!     .with_renorm_workers(&[0, 2]);
 //! let mut tuner = Tuner::builder(lattice).seeds(&[1, 2]).build();
 //!

@@ -1,34 +1,33 @@
 //! Determinism contract of the pipelined RSL stream: with a fixed seed,
-//! the pipelined engines must produce byte-identical outputs to the serial
-//! path — the same `RenormalizedLattice`s (down to every path site), the
-//! same `LogicalLayerReport`s and the same cumulative statistics — for any
+//! the engines that renormalize on a worker pool must produce
+//! byte-identical outputs to the serial path — the same
+//! `RenormalizedLattice`s (down to every path site), the same
+//! `LogicalLayerReport`s and the same cumulative statistics — for any
 //! worker count and at every tested `(L, g, p)` point.
 //!
-//! These tests are the lock on the PR-2 tentpole: any scheduling leak in
-//! the worker pool or RNG reordering in the double-buffered generator
-//! shows up here as a diff on long streams.
+//! Any scheduling leak in the worker pool or RNG reordering by the
+//! lookahead shows up here as a diff on long streams.
 
 use std::sync::Arc;
 
-use oneperc_suite::circuit::benchmarks;
-use oneperc_suite::compiler::{CompilerConfig, Session};
 use oneperc_suite::hardware::{FusionEngine, HardwareConfig};
 use oneperc_suite::percolation::{
     LayerRequirement, ModularConfig, ModularRenormalizer, ReshapeConfig, ReshapeEngine,
     TemporalRequirement,
 };
 
-/// Drives a serial and a pipelined reshaping engine through the same
-/// requirement stream until both consumed at least `min_layers` merged
-/// layers, comparing every report and every logical lattice.
-fn assert_pipelined_stream_matches(rsl: usize, node_size: usize, p: f64, seed: u64, min_layers: u64) {
+/// Drives a serial reshaping engine and one renormalizing a few layers
+/// ahead on a worker pool through the same requirement stream until both
+/// consumed at least `min_layers` merged layers, comparing every report
+/// and every logical lattice.
+fn assert_pooled_stream_matches(rsl: usize, node_size: usize, p: f64, seed: u64, min_layers: u64) {
     let hw = HardwareConfig::new(rsl, 7, p);
     let config = ReshapeConfig::new(hw, node_size, 3, seed);
     let mut serial = ReshapeEngine::new(config);
-    let mut piped = ReshapeEngine::new(config.with_pipelining(true));
+    let mut pooled = ReshapeEngine::new(config.with_renorm_workers(2));
 
     // A requirement mix with time-like edges so the dedicated time-like
-    // sampler is exercised, not just layer generation.
+    // sampler is exercised, not just layer generation and renormalization.
     let requirements = [
         LayerRequirement::none(),
         LayerRequirement {
@@ -46,14 +45,14 @@ fn assert_pipelined_stream_matches(rsl: usize, node_size: usize, p: f64, seed: u
     while serial.stats().merged_layers < min_layers {
         let req = &requirements[logical % requirements.len()];
         let a = serial.advance_logical_layer(req);
-        let b = piped.advance_logical_layer(req);
+        let b = pooled.advance_logical_layer(req);
         assert_eq!(
             a, b,
             "L={rsl} p={p} seed={seed}: report diverged at logical layer {logical}"
         );
         assert_eq!(
             serial.last_logical_lattice(),
-            piped.last_logical_lattice(),
+            pooled.last_logical_lattice(),
             "L={rsl} p={p} seed={seed}: lattice diverged at logical layer {logical}"
         );
         assert!(a.formed, "L={rsl} p={p} seed={seed}: stream stalled");
@@ -61,7 +60,7 @@ fn assert_pipelined_stream_matches(rsl: usize, node_size: usize, p: f64, seed: u
     }
     assert_eq!(
         serial.stats(),
-        piped.stats(),
+        pooled.stats(),
         "L={rsl} p={p} seed={seed}: cumulative stats diverged"
     );
     assert!(serial.stats().merged_layers >= min_layers);
@@ -69,17 +68,17 @@ fn assert_pipelined_stream_matches(rsl: usize, node_size: usize, p: f64, seed: u
 
 #[test]
 fn pipelined_reshaping_is_byte_identical_small_layer() {
-    assert_pipelined_stream_matches(24, 6, 0.72, 2024, 50);
+    assert_pooled_stream_matches(24, 6, 0.72, 2024, 50);
 }
 
 #[test]
 fn pipelined_reshaping_is_byte_identical_medium_layer() {
-    assert_pipelined_stream_matches(36, 9, 0.78, 7, 50);
+    assert_pooled_stream_matches(36, 9, 0.78, 7, 50);
 }
 
 #[test]
 fn pipelined_reshaping_is_byte_identical_table1_shape() {
-    assert_pipelined_stream_matches(40, 10, 0.75, 411, 50);
+    assert_pooled_stream_matches(40, 10, 0.75, 411, 50);
 }
 
 /// Streams `layers` seeded RSLs through a pooled modular renormalizer at
@@ -129,26 +128,4 @@ fn pooled_modular_matches_serial_oversubscribed() {
 fn pooled_modular_matches_serial_three_by_three() {
     // 9 modules at a larger layer, moderately sized pool.
     assert_pooled_modular_stream_matches(60, 3, 0.72, 4, 34, 50);
-}
-
-/// End to end through the compiler facade: the execution report of a full
-/// benchmark run is identical in both modes except for the mode flag and
-/// wall-clock times.
-#[test]
-fn compiler_reports_identical_across_modes() {
-    for (qubits, p, seed) in [(4usize, 0.9, 5u64), (4, 0.75, 17)] {
-        let circuit = benchmarks::qaoa(qubits, 6);
-        let base = CompilerConfig::for_qubits(qubits, p, seed);
-        let serial_session = Session::new(base);
-        let serial =
-            serial_session.execute_report(&serial_session.compile(&circuit).unwrap());
-        let piped_session = Session::new(base.with_pipelining(true));
-        let piped = piped_session.execute_report(&piped_session.compile(&circuit).unwrap());
-        assert!(serial.complete && piped.complete, "p={p} seed={seed}");
-        assert_eq!(serial.rsl_consumed, piped.rsl_consumed, "p={p} seed={seed}");
-        assert_eq!(serial.merged_layers, piped.merged_layers, "p={p} seed={seed}");
-        assert_eq!(serial.fusions, piped.fusions, "p={p} seed={seed}");
-        assert_eq!(serial.logical_layers, piped.logical_layers, "p={p} seed={seed}");
-        assert_eq!(serial.routing_layers, piped.routing_layers, "p={p} seed={seed}");
-    }
 }

@@ -163,7 +163,6 @@ fn config_knobs_split_cache_lines_but_seeds_do_not() {
     let variants = [
         base.with_refresh_period(Some(5)),
         base.with_resource_state_size(4),
-        base.with_pipelining(true),
         base.with_renorm_workers(1),
         CompilerConfig::for_sensitivity(48, 3, 0.8, 0),
         CompilerConfig::for_sensitivity(36, 3, 0.75, 0),

@@ -1,14 +1,13 @@
 //! Determinism contract of the session API: per `(config, circuit, seed)`,
 //! a warm [`Session`] produces reports byte-identical (wall-clock fields
-//! aside, via `ExecutionReport::deterministic`) to fresh one-shot
-//! `Compiler` runs — regardless of batch size, submission order, lane
-//! count, renormalization worker count, or how many executions the session
-//! has already served.
+//! aside, via `ExecutionReport::deterministic`) to a fresh single-lane,
+//! in-thread session per seed — regardless of batch size, submission
+//! order, lane count, renormalization worker count, or how many
+//! executions the session has already served.
 //!
-//! These tests are the lock on the PR-3 tentpole, in the spirit of
-//! `tests/pipeline_determinism.rs` for PR 2: any state leaking across
-//! `ReshapeEngine::reset`, any cross-lane RNG contamination, and any
-//! scheduling leak in the shared worker pool shows up here as a diff.
+//! In the spirit of `tests/pipeline_determinism.rs`: any state leaking
+//! across `ReshapeEngine::reset`, any cross-lane RNG contamination, and
+//! any scheduling leak in the shared worker pool shows up here as a diff.
 
 use std::sync::Arc;
 
@@ -19,16 +18,14 @@ use oneperc_suite::compiler::{
 
 const SEEDS: [u64; 16] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597];
 
-/// The cold reference: a fresh one-shot compiler per seed.
+/// The cold reference: a fresh 1-lane, in-thread session per seed.
 fn cold_reports(config: CompilerConfig, circuit: &oneperc_suite::circuit::Circuit) -> Vec<ExecutionReport> {
     SEEDS
         .iter()
         .map(|&seed| {
-            #[allow(deprecated)]
-            oneperc_suite::compiler::Compiler::new(config.with_seed(seed))
-                .compile_and_execute(circuit)
-                .expect("offline pass succeeds")
-                .deterministic()
+            let session = Session::new(config.with_seed(seed).with_renorm_workers(0));
+            let compiled = session.compile(circuit).expect("offline pass succeeds");
+            session.execute_report(&compiled).deterministic()
         })
         .collect()
 }
@@ -38,7 +35,7 @@ fn batch_reports(outcomes: &[ExecuteOutcome]) -> Vec<ExecutionReport> {
 }
 
 /// The acceptance sweep: a 16-seed batch through one warm session equals 16
-/// fresh `Compiler::compile_and_execute` calls, byte for byte.
+/// fresh per-seed sessions, byte for byte.
 #[test]
 fn warm_16_seed_sweep_matches_cold_per_call_runs() {
     let circuit = benchmarks::qaoa(4, 2);
@@ -100,30 +97,25 @@ fn lane_count_and_submission_order_are_unobservable() {
 }
 
 /// `renorm_workers` (in-thread, 1, 2, oversubscribed) never changes
-/// results — the knob the reshaping stage now actually consults — in both
-/// serial and pipelined generation modes.
+/// results — the knob the reshaping stage actually consults.
 #[test]
 fn renorm_worker_count_is_unobservable() {
     let circuit = benchmarks::qaoa(4, 5);
-    for pipelined in [false, true] {
-        let base = CompilerConfig::for_sensitivity(36, 3, 0.75, 0).with_pipelining(pipelined);
-        let mut baseline: Option<Vec<ExecutionReport>> = None;
-        for workers in [0usize, 1, 2, 6] {
-            let session = Session::builder(base.with_renorm_workers(workers))
-                .lanes(2)
-                .build();
-            assert_eq!(
-                session.renorm_pool_workers(),
-                (workers > 0).then_some(workers)
-            );
-            let compiled = session.compile(&circuit).unwrap();
-            let reports = batch_reports(&session.execute_batch(&compiled, &SEEDS[..8]));
-            match &baseline {
-                None => baseline = Some(reports),
-                Some(expected) => {
-                    assert_eq!(&reports, expected, "pipelined={pipelined} workers={workers}")
-                }
-            }
+    let base = CompilerConfig::for_sensitivity(36, 3, 0.75, 0);
+    let mut baseline: Option<Vec<ExecutionReport>> = None;
+    for workers in [0usize, 1, 2, 6] {
+        let session = Session::builder(base.with_renorm_workers(workers))
+            .lanes(2)
+            .build();
+        assert_eq!(
+            session.renorm_pool_workers(),
+            (workers > 0).then_some(workers)
+        );
+        let compiled = session.compile(&circuit).unwrap();
+        let reports = batch_reports(&session.execute_batch(&compiled, &SEEDS[..8]));
+        match &baseline {
+            None => baseline = Some(reports),
+            Some(expected) => assert_eq!(&reports, expected, "workers={workers}"),
         }
     }
 }
