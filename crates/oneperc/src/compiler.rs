@@ -94,7 +94,6 @@ pub(crate) fn run_offline_pass(
 pub(crate) fn reshape_config(config: &CompilerConfig) -> ReshapeConfig {
     ReshapeConfig::new(config.hardware, config.node_size, config.virtual_side, config.seed)
         .with_temporal_redundancy(config.temporal_redundancy)
-        .with_renorm_workers(config.renorm_workers)
 }
 
 /// Online pass run by the warm [`Session`](crate::Session) lanes: drives

@@ -3,7 +3,6 @@
 use oneperc_circuit::StableHasher;
 use oneperc_hardware::HardwareConfig;
 use oneperc_ir::VirtualHardware;
-use oneperc_percolation::ModularConfig;
 
 /// One row of the paper's Table 1: the hardware sizing used for a given
 /// benchmark qubit count and fusion success probability.
@@ -75,9 +74,7 @@ pub struct CompilerConfig {
     /// of a [`Session`](crate::Session) — the only way the online pass
     /// overlaps generation with renormalization — and consumes the
     /// lattices in stream order, so reports are byte-identical for every
-    /// worker count; only the wall-clock changes. The same knob sizes
-    /// modular-renormalization pools derived via [`CompilerConfig::modular`]
-    /// (there `0` = one per available core, capped at one per module).
+    /// worker count; only the wall-clock changes.
     ///
     /// [`WorkerPool`]: oneperc_percolation::WorkerPool
     pub renorm_workers: usize,
@@ -143,8 +140,8 @@ impl CompilerConfig {
         self
     }
 
-    /// Sets the worker-pool size used by modular renormalizers derived
-    /// from this configuration (`0` = auto).
+    /// Sets [`CompilerConfig::renorm_workers`], the size of a session's
+    /// shared renormalization pool (`0` = renormalize in-thread).
     #[must_use]
     pub fn with_renorm_workers(mut self, workers: usize) -> Self {
         self.renorm_workers = workers;
@@ -204,15 +201,6 @@ impl CompilerConfig {
         h.write_usize(self.renorm_workers);
         h.finish()
     }
-
-    /// The modular-renormalization configuration implied by this compiler
-    /// configuration for `modules_per_side` modules at the given MI ratio:
-    /// the node size comes from the RSL/virtual-hardware sizing and the
-    /// worker pool from [`CompilerConfig::renorm_workers`].
-    pub fn modular(&self, modules_per_side: usize, mi_ratio: usize) -> ModularConfig {
-        ModularConfig::new(modules_per_side, mi_ratio, self.node_size)
-            .with_workers(self.renorm_workers)
-    }
 }
 
 #[cfg(test)]
@@ -263,17 +251,6 @@ mod tests {
         assert_eq!(cfg.renorm_workers, 0, "auto-sized pool by default");
         let cfg = cfg.with_renorm_workers(3);
         assert_eq!(cfg.renorm_workers, 3);
-    }
-
-    #[test]
-    fn modular_config_inherits_sizing_and_workers() {
-        let cfg = CompilerConfig::for_sensitivity(84, 7, 0.75, 0).with_renorm_workers(2);
-        let modular = cfg.modular(3, 7);
-        assert_eq!(modular.modules_per_side, 3);
-        assert_eq!(modular.mi_ratio, 7);
-        assert_eq!(modular.node_size, cfg.node_size);
-        assert_eq!(modular.workers, 2);
-        assert!(modular.parallel);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! Photonic compilation is *repeated stochastic execution over a fixed
 //! machine configuration*: the same compiled program is run across many
-//! RNG seeds to characterize the hardware's randomness. [`Session`] (alias
-//! [`OnePercService`]) is built for exactly that shape. It owns the warm
+//! RNG seeds to characterize the hardware's randomness. [`Session`] is
+//! built for exactly that shape. It owns the warm
 //! execution context — persistent lane threads with reseedable reshaping
 //! engines and a shared renormalization
 //! [`WorkerPool`](oneperc_percolation::WorkerPool) sized by
@@ -109,10 +109,10 @@
 //! assert!(lookup.hit, "tenant A's compile served tenant B");
 //! ```
 //!
-//! Under overload, work is **shed, not finished**: dropping a
-//! [`JobHandle`] or [`service::JobFuture`] (or calling their `cancel`)
-//! flips a [`CancelToken`](service::CancelToken) the lane polls between
-//! logical layers; the run stops at the next checkpoint with
+//! Under overload, work is **shed, not finished**: dropping the
+//! [`JobFuture`] that every sync and async submission returns (or calling
+//! its `cancel`) flips a [`CancelToken`](service::CancelToken) the lane
+//! polls between logical layers; the run stops at the next checkpoint with
 //! [`LayerFailureReason::Cancelled`]. Runs that complete are never
 //! perturbed, so determinism contracts hold. Each service report also
 //! carries per-tenant scheduling telemetry
@@ -158,7 +158,4 @@ pub use report::{
     ServiceTelemetry,
 };
 pub use service::{AsyncSession, AsyncSessionBuilder, JobFuture, SubmitError};
-pub use session::{
-    ExecutionRequest, JobHandle, OnePercService, Session, SessionBuilder,
-    DEFAULT_PROGRAM_CACHE_CAPACITY,
-};
+pub use session::{ExecutionRequest, Session, SessionBuilder, DEFAULT_PROGRAM_CACHE_CAPACITY};

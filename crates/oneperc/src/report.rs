@@ -218,10 +218,10 @@ pub enum LayerFailureReason {
     /// the binding constraint.
     TimelikeStarved,
     /// The submitter cancelled the job (dropped its
-    /// [`JobFuture`](crate::service::JobFuture) /
-    /// [`JobHandle`](crate::JobHandle), or called `cancel()`): the online
-    /// pass stopped at a layer checkpoint before consuming further merged
-    /// layers. The report covers everything consumed up to the checkpoint.
+    /// [`JobFuture`](crate::service::JobFuture) or called `cancel()`): the
+    /// online pass stopped at a layer checkpoint before consuming further
+    /// merged layers. The report covers everything consumed up to the
+    /// checkpoint.
     Cancelled,
 }
 

@@ -1,11 +1,10 @@
 //! [`AsyncSession`]: the runtime-agnostic async front-end over a warm
 //! [`Session`].
 //!
-//! The synchronous session's `submit` is a channel handshake: the caller
-//! eventually parks on a [`JobHandle`](crate::JobHandle) and lane queues
-//! grow without bound. An embedding RPC server needs the opposite shape —
-//! non-blocking admission with explicit backpressure, and completion as a
-//! [`Future`](std::future::Future). `AsyncSession` provides both:
+//! The synchronous [`Session::submit`] accepts every job, so lane queues
+//! grow without bound. An embedding RPC server needs non-blocking
+//! admission with explicit backpressure on top of the same
+//! [`JobFuture`] completion. `AsyncSession` provides it:
 //!
 //! * **Bounded admission.** At most `queue_depth` executions may be
 //!   admitted-and-incomplete at once. [`AsyncSession::try_submit`] refuses
@@ -16,11 +15,11 @@
 //!   executor thread multiplexing many tenants never blocks inside a
 //!   submission. Admission is released by job *completion*, not by future
 //!   redemption, so an abandoned future never wedges the window.
-//! * **Futures, no runtime.** [`JobFuture`] is a plain
-//!   `std::future::Future` wired through hand-rolled `Waker` plumbing: the
-//!   lane thread completes a shared slot and wakes the registered waker.
-//!   It works under any executor, under the built-in
-//!   [`block_on`](super::block_on), or via the synchronous
+//! * **Futures, no runtime.** [`JobFuture`] — the one job handle of the
+//!   session tier — is a plain `std::future::Future` wired through
+//!   hand-rolled `Waker` plumbing: the lane thread completes a shared slot
+//!   and wakes the registered waker. It works under any executor, under
+//!   the built-in [`block_on`](super::block_on), or via the synchronous
 //!   [`JobFuture::wait`].
 //! * **Cancellation.** Every admitted job carries a
 //!   [`CancelToken`](oneperc_percolation::CancelToken) polled by the lane
@@ -55,7 +54,6 @@ use crate::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Waker};
 
 use oneperc_circuit::Circuit;
-use oneperc_percolation::CancelToken;
 
 use crate::compiler::{CompileError, CompiledProgram};
 use crate::config::CompilerConfig;
@@ -63,7 +61,7 @@ use crate::report::CacheStats;
 use crate::service::cache::ProgramCache;
 use crate::session::{ExecutionRequest, Session, SessionBuilder};
 
-use super::future::{JobFuture, JobSlot, SubmitError};
+use super::future::{JobFuture, SubmitError};
 
 /// Guts of the admission window: the slot count plus the wakers of async
 /// submitters waiting for one.
@@ -84,7 +82,7 @@ struct AdmissionState {
 /// submission — blocking ([`Admission::acquire`]), non-blocking
 /// ([`Admission::try_acquire`]) or asynchronously
 /// ([`Admission::poll_acquire`], the engine of [`AdmissionFuture`]) — and
-/// release from the lane-side completion callback.
+/// release when the lane drops the job's [`AdmissionTicket`].
 #[derive(Debug)]
 pub(crate) struct Admission {
     capacity: usize,
@@ -156,6 +154,18 @@ impl Admission {
         for waker in waiters {
             waker.wake();
         }
+    }
+}
+
+/// One admitted execution's claim on the window. It rides with the job to
+/// its lane; dropping it — when the job completes, or when a request is
+/// dropped unrun — releases the slot.
+#[derive(Debug)]
+pub(crate) struct AdmissionTicket(pub(crate) Arc<Admission>);
+
+impl Drop for AdmissionTicket {
+    fn drop(&mut self) {
+        self.0.release();
     }
 }
 
@@ -469,37 +479,17 @@ impl AsyncSession {
         Ok((lookup.program, (lookup.hit, lookup.stats)))
     }
 
-    /// Dispatches an already-admitted request; the lane-side callback fills
-    /// the future's slot (stamping cache telemetry when present) and
-    /// releases the admission ticket. Release happens *before* the wake so
-    /// a woken submitter never observes a stale full window. The returned
-    /// future owns the job's cancellation token — dropping it sheds the
-    /// remaining layers.
+    /// Dispatches an already-admitted request with its admission ticket;
+    /// the lane stamps cache telemetry when present and drops the ticket
+    /// *before* completing the future, so a woken submitter never observes
+    /// a stale full window.
     fn dispatch_admitted(
         &self,
         request: ExecutionRequest,
         stamp: Option<(bool, CacheStats)>,
     ) -> JobFuture {
-        let slot = Arc::new(JobSlot::default());
-        let lane_slot = Arc::clone(&slot);
-        let admission = Arc::clone(&self.admission);
-        let seed = request.seed;
-        let cancel = CancelToken::new();
-        self.session.submit_with(
-            request,
-            Box::new(move |outcome| {
-                let outcome = match (outcome, stamp) {
-                    (Ok(outcome), Some((hit, stats))) => {
-                        Ok(outcome.with_cache_stamp(hit, stats))
-                    }
-                    (outcome, _) => outcome,
-                };
-                admission.release();
-                lane_slot.complete(outcome);
-            }),
-            cancel.clone(),
-        );
-        JobFuture::new(slot, seed, cancel)
+        let ticket = AdmissionTicket(Arc::clone(&self.admission));
+        self.session.dispatch(request, stamp, Some(ticket))
     }
 }
 

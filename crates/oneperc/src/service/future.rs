@@ -1,11 +1,13 @@
 //! [`JobFuture`]: a pending execution as a `std::future::Future`, plus a
 //! minimal thread-parking executor ([`block_on`]).
 //!
-//! The wiring is hand-rolled on std primitives only (consistent with the
-//! workspace's no-crates.io shim policy): a lane thread completes the
-//! shared slot and wakes whatever `Waker` the last poll registered; a
-//! synchronous caller can instead park on the built-in condvar via
-//! [`JobFuture::wait`]. No executor is assumed — the future works under
+//! Every session job — [`Session::submit`](crate::Session::submit) and
+//! each [`AsyncSession`](super::AsyncSession) entry point — hands back a
+//! `JobFuture`. The wiring is hand-rolled on std primitives only
+//! (consistent with the workspace's no-crates.io shim policy): a lane
+//! thread completes the shared slot and wakes whatever `Waker` the last
+//! poll registered; a synchronous caller can instead park on the built-in
+//! condvar via [`JobFuture::wait`]. No executor is assumed — the future works under
 //! [`block_on`], under any external runtime, or polled by hand.
 
 use std::fmt;
@@ -60,10 +62,22 @@ impl From<CompileError> for SubmitError {
     }
 }
 
+/// Why a job ended without an outcome.
+#[derive(Debug)]
+pub(crate) enum JobFailure {
+    /// The execution panicked; carries the lane's relayed message.
+    Panicked(String),
+    /// The job was dropped unrun: the session was torn down with it queued.
+    TornDown,
+}
+
+/// What a lane delivers into a [`JobSlot`].
+pub(crate) type JobResult = Result<ExecuteOutcome, JobFailure>;
+
 /// The slot a lane thread fills and a poller drains.
 #[derive(Debug, Default)]
 struct JobState {
-    outcome: Option<Result<ExecuteOutcome, String>>,
+    outcome: Option<JobResult>,
     /// Waker of the most recent poll, if the job was still pending then.
     waker: Option<Waker>,
 }
@@ -78,8 +92,9 @@ pub(crate) struct JobSlot {
 
 impl JobSlot {
     /// Fills the slot and wakes both kinds of waiters (registered `Waker`
-    /// and condvar parkers). Called exactly once, from the lane thread.
-    pub(crate) fn complete(&self, outcome: Result<ExecuteOutcome, String>) {
+    /// and condvar parkers). Called exactly once: by the lane thread, or
+    /// by the teardown guard of a request that never ran.
+    pub(crate) fn complete(&self, outcome: JobResult) {
         let waker = {
             let mut state = self.state.lock().expect("job slot poisoned");
             debug_assert!(state.outcome.is_none(), "a job completes exactly once");
@@ -94,7 +109,9 @@ impl JobSlot {
     }
 }
 
-/// A pending [`AsyncSession`](super::AsyncSession) execution.
+/// A pending session execution, from
+/// [`Session::submit`](crate::Session::submit) or an
+/// [`AsyncSession`](super::AsyncSession) entry point.
 ///
 /// Implements [`Future`] — `.await` it under any executor (or the built-in
 /// [`block_on`]) — and offers the synchronous [`JobFuture::wait`] for
@@ -102,17 +119,19 @@ impl JobSlot {
 ///
 /// **Dropping the future cancels the execution**: the lane observes the
 /// token at its next layer checkpoint and sheds the remaining layers (an
-/// already-finished job is unaffected). The admission slot is released on
-/// completion either way, so an abandoned future never wedges the window.
-/// Call [`JobFuture::cancel`] to shed work while keeping the future — it
-/// then resolves to the partial outcome with
+/// already-finished job is unaffected). An async job's admission slot is
+/// released on completion either way, so an abandoned future never wedges
+/// the window. Call [`JobFuture::cancel`] to shed work while keeping the
+/// future — it then resolves to the partial outcome with
 /// [`LayerFailureReason::Cancelled`](crate::LayerFailureReason::Cancelled).
 ///
 /// # Panics
 ///
 /// Polling (or waiting on) a job whose execution panicked re-raises the
-/// relayed panic message, mirroring
-/// [`JobHandle::wait`](crate::JobHandle::wait).
+/// relayed panic message (the lane itself survives with a fresh engine
+/// and keeps serving other jobs). A job whose session was torn down with
+/// the job still queued panics with "session torn down while a job was
+/// pending" instead of hanging.
 #[derive(Debug)]
 #[must_use = "a dropped future cancels its job at the next layer checkpoint"]
 pub struct JobFuture {
@@ -170,10 +189,11 @@ impl Drop for JobFuture {
     }
 }
 
-fn resolve(outcome: Result<ExecuteOutcome, String>) -> ExecuteOutcome {
+fn resolve(outcome: JobResult) -> ExecuteOutcome {
     match outcome {
         Ok(outcome) => outcome,
-        Err(message) => panic!("async session execution panicked: {message}"),
+        Err(JobFailure::Panicked(message)) => panic!("session execution panicked: {message}"),
+        Err(JobFailure::TornDown) => panic!("session torn down while a job was pending"),
     }
 }
 
@@ -341,12 +361,12 @@ mod tests {
     #[test]
     fn panicked_execution_is_relayed_through_poll() {
         let slot = Arc::new(JobSlot::default());
-        slot.complete(Err("boom".to_string()));
+        slot.complete(Err(JobFailure::Panicked("boom".to_string())));
         let future = JobFuture::new(slot, 0, CancelToken::new());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| block_on(future)))
             .expect_err("relayed panic");
         let message = oneperc_percolation::panic_message(err);
-        assert!(message.contains("async session execution panicked"));
+        assert!(message.contains("session execution panicked"));
         assert!(message.contains("boom"));
     }
 

@@ -19,14 +19,13 @@
 //!    entry point here; hit/miss/eviction counters surface through
 //!    [`CacheStats`](crate::CacheStats) on the
 //!    [`ExecutionReport`](crate::ExecutionReport).
-//! 2. **Blocking admission.** `Session::submit` hands jobs to unbounded
-//!    lane queues and redeems them by parking a thread. [`AsyncSession`]
-//!    replaces that with a bounded admission window —
-//!    [`try_submit`](AsyncSession::try_submit) refuses with
+//! 2. **Unbounded admission.** `Session::submit` hands jobs to unbounded
+//!    lane queues. [`AsyncSession`] puts a bounded admission window in
+//!    front of them — [`try_submit`](AsyncSession::try_submit) refuses with
 //!    [`SubmitError::Busy`] instead of queueing without limit, and
 //!    [`submit_async`](AsyncSession::submit_async) returns an
 //!    [`AdmissionFuture`] that waits for a slot without parking the
-//!    executor thread — and returns [`JobFuture`]s: plain
+//!    executor thread. Both return the same [`JobFuture`]s: plain
 //!    `std::future::Future`s wired through hand-rolled `Waker` plumbing
 //!    (std only, no runtime dependency), consumable by any executor, by
 //!    the built-in [`block_on`], or synchronously via [`JobFuture::wait`].
@@ -47,8 +46,7 @@
 //!   ([`SessionBuilder::shared_program_cache`](crate::SessionBuilder::shared_program_cache),
 //!   [`AsyncSessionBuilder::shared_program_cache`]): one tenant's compile
 //!   is every tenant's hit, byte-identically.
-//! * **Cancellation sheds load.** Dropping a [`JobFuture`] (or
-//!   [`JobHandle`](crate::JobHandle)) flips the job's
+//! * **Cancellation sheds load.** Dropping a [`JobFuture`] flips the job's
 //!   [`CancelToken`](oneperc_percolation::CancelToken); the lane observes
 //!   it between logical layers and stops, reporting
 //!   [`LayerFailureReason::Cancelled`](crate::LayerFailureReason::Cancelled).

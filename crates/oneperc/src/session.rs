@@ -16,7 +16,9 @@
 //! * [`Session::execute_batch`] sweeps many seeds through the same compiled
 //!   program — the bread-and-butter experiment shape of the paper's
 //!   evaluation — and [`Session::submit`] exposes the underlying
-//!   fire-and-collect job interface.
+//!   fire-and-collect job interface: every job, sync or
+//!   [async](crate::service::AsyncSession), is a [`JobFuture`] its lane
+//!   completes.
 //!
 //! Determinism is part of the API contract: for a fixed `(config, circuit,
 //! seed)`, the report of a session execution is byte-identical (wall-clock
@@ -40,7 +42,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use crate::sync::mpsc::{channel, Receiver, Sender};
+use crate::sync::mpsc::{channel, Sender};
 use crate::sync::thread::{self, JoinHandle};
 use crate::sync::Arc;
 use std::time::Instant;
@@ -54,7 +56,9 @@ use crate::compiler::{
 use crate::config::CompilerConfig;
 use crate::memory::MemoryModel;
 use crate::report::{CacheStats, ExecuteOutcome, ExecutionReport, LayerFailureReason};
+use crate::service::async_session::AdmissionTicket;
 use crate::service::cache::{program_key, CacheLookup, ProgramCache};
+use crate::service::future::{JobFailure, JobFuture, JobResult, JobSlot};
 
 /// One unit of work for a session: execute a compiled program with a seed.
 ///
@@ -76,104 +80,76 @@ impl ExecutionRequest {
     }
 }
 
-/// A pending session execution; redeem it with [`JobHandle::wait`].
+/// Message from the session facade to a lane thread: one job and the slot
+/// its [`JobFuture`] waits on.
 ///
-/// Dropping the handle **cancels** the job: the lane observes the token
-/// at its next layer checkpoint and sheds the remaining work (an
-/// already-finished job is unaffected). Call [`JobHandle::cancel`] to
-/// shed work while keeping the handle — `wait` then returns the partial
-/// outcome with [`LayerFailureReason::Cancelled`].
-#[derive(Debug)]
-#[must_use = "a dropped handle cancels its job at the next layer checkpoint"]
-pub struct JobHandle {
-    reply_rx: Receiver<Result<ExecuteOutcome, String>>,
-    seed: u64,
-    cancel: CancelToken,
-}
-
-impl JobHandle {
-    /// The seed of the submitted request.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Requests cancellation: the lane stops the run at its next layer
-    /// checkpoint instead of forming the remaining logical layers.
-    /// Idempotent; a run that finished first is unaffected.
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// A clone of the job's cancellation token, for cancelling from
-    /// elsewhere (a watchdog, another thread) without holding the handle.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Blocks until the lane finishes the job and returns its outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics when this job's execution panicked (the lane's message is
-    /// relayed; the lane itself survives with a fresh engine and keeps
-    /// serving other jobs) or when the session was torn down with the job
-    /// still pending.
-    pub fn wait(self) -> ExecuteOutcome {
-        match self.reply_rx.recv() {
-            Ok(Ok(outcome)) => outcome,
-            Ok(Err(message)) => panic!("session execution panicked: {message}"),
-            Err(_) => panic!("session torn down while a job was pending"),
-        }
-    }
-}
-
-impl Drop for JobHandle {
-    fn drop(&mut self) {
-        // Shed the remaining work under overload: nobody can collect this
-        // job's outcome any more. Cancelling after completion is a no-op.
-        self.cancel.cancel();
-    }
-}
-
-/// How a lane delivers a finished job: the synchronous handle path parks a
-/// channel receiver, the async path runs a completion callback (which fills
-/// a [`JobFuture`](crate::service::JobFuture) slot and releases its
-/// admission ticket) right on the lane thread.
-pub(crate) enum Completion {
-    Channel(Sender<Result<ExecuteOutcome, String>>),
-    Callback(Box<dyn FnOnce(Result<ExecuteOutcome, String>) + Send>),
-}
-
-impl Completion {
-    fn deliver(self, outcome: Result<ExecuteOutcome, String>) {
-        match self {
-            // A dropped handle just means the caller lost interest.
-            Completion::Channel(reply) => drop(reply.send(outcome)),
-            Completion::Callback(callback) => callback(outcome),
-        }
-    }
-}
-
-impl std::fmt::Debug for Completion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Completion::Channel(_) => f.write_str("Completion::Channel"),
-            Completion::Callback(_) => f.write_str("Completion::Callback"),
-        }
-    }
-}
-
-/// Message from the session facade to a lane thread.
+/// Dropped unrun — the lane thread is gone, or the send failed — the
+/// request completes its slot with [`JobFailure::TornDown`], so a pending
+/// future panics instead of hanging.
 struct LaneRequest {
     compiled: Arc<CompiledProgram>,
     seed: u64,
-    completion: Completion,
     /// The submitter's cancellation token, polled at layer checkpoints.
     cancel: CancelToken,
     /// Jobs in flight (this one included) when the job was admitted.
     queue_depth: u64,
     /// When the job was submitted, for the queue-wait stamp.
     submitted_at: Instant,
+    /// The `(hit, stats)` stamp of the cache lookup that produced the
+    /// program, for the circuit-accepting entry points.
+    stamp: Option<(bool, CacheStats)>,
+    /// The async front-end's admission slot, released on completion.
+    ticket: Option<AdmissionTicket>,
+    /// The future's completion slot; `None` once completed.
+    slot: Option<Arc<JobSlot>>,
+}
+
+impl LaneRequest {
+    /// Packs a job for a lane together with the future its completion
+    /// resolves.
+    fn new(
+        request: ExecutionRequest,
+        stamp: Option<(bool, CacheStats)>,
+        ticket: Option<AdmissionTicket>,
+        queue_depth: u64,
+    ) -> (LaneRequest, JobFuture) {
+        let slot = Arc::new(JobSlot::default());
+        let cancel = CancelToken::new();
+        let future = JobFuture::new(Arc::clone(&slot), request.seed, cancel.clone());
+        let lane_request = LaneRequest {
+            compiled: request.compiled,
+            seed: request.seed,
+            cancel,
+            queue_depth,
+            submitted_at: Instant::now(),
+            stamp,
+            ticket,
+            slot: Some(slot),
+        };
+        (lane_request, future)
+    }
+
+    /// Delivers the job's result: stamps the cache lookup, releases the
+    /// admission ticket, then wakes the future — release before wake, so a
+    /// woken submitter never observes a stale full window.
+    fn complete(&mut self, result: JobResult) {
+        let result = match (result, self.stamp) {
+            (Ok(outcome), Some((hit, stats))) => Ok(outcome.with_cache_stamp(hit, stats)),
+            (result, _) => result,
+        };
+        drop(self.ticket.take());
+        if let Some(slot) = self.slot.take() {
+            slot.complete(result);
+        }
+    }
+}
+
+impl Drop for LaneRequest {
+    fn drop(&mut self) {
+        if self.slot.is_some() {
+            self.complete(Err(JobFailure::TornDown));
+        }
+    }
 }
 
 /// Lifetime counters shared between the session facade and its lanes.
@@ -214,12 +190,12 @@ impl Lane {
                     None => ReshapeEngine::new(base),
                 };
                 let mut engine = build_engine();
-                while let Ok(request) = request_rx.recv() {
+                while let Ok(mut request) = request_rx.recv() {
                     let queue_wait = request.submitted_at.elapsed();
                     let run_config = config.with_seed(request.seed);
                     // A panicking execution must not take the lane (and
                     // with it every queued and future job on this lane)
-                    // down: relay the panic to the one affected handle and
+                    // down: relay the panic to the one affected future and
                     // rebuild the engine — its post-panic state (in-flight
                     // pool jobs included) is not worth salvaging, a fresh
                     // engine with a fresh pool client is.
@@ -233,7 +209,7 @@ impl Lane {
                             Some(&request.cancel),
                         )
                     }));
-                    let reply = match outcome {
+                    let result = match outcome {
                         Ok(outcome) => {
                             if outcome.failure().map(|f| f.reason)
                                 == Some(LayerFailureReason::Cancelled)
@@ -244,11 +220,11 @@ impl Lane {
                         }
                         Err(payload) => {
                             engine = build_engine();
-                            Err(panic_message(payload))
+                            Err(JobFailure::Panicked(panic_message(payload)))
                         }
                     };
                     counters.completed.fetch_add(1, Ordering::Relaxed);
-                    request.completion.deliver(reply);
+                    request.complete(result);
                 }
             })
             .expect("spawn session lane thread");
@@ -386,9 +362,6 @@ pub struct Session {
     pool: Option<Arc<WorkerPool>>,
 }
 
-/// The service alias: `OnePercService` is a [`Session`].
-pub type OnePercService = Session;
-
 impl Session {
     /// Builds a single-lane session for a configuration (see
     /// [`Session::builder`] for multi-lane setups).
@@ -439,8 +412,8 @@ impl Session {
         self.counters.completed.load(Ordering::Relaxed)
     }
 
-    /// Jobs that stopped at a cancellation checkpoint (dropped handle /
-    /// future, or an explicit `cancel()`) instead of running to the end.
+    /// Jobs that stopped at a cancellation checkpoint (dropped future or
+    /// an explicit `cancel()`) instead of running to the end.
     pub fn jobs_cancelled(&self) -> u64 {
         self.counters.cancelled.load(Ordering::Relaxed)
     }
@@ -459,30 +432,14 @@ impl Session {
     }
 
     /// Enqueues one `(program, seed)` execution on the next lane
-    /// (round-robin) and returns a handle to collect its outcome. This is
-    /// the fire-and-collect primitive under [`Session::execute`] and
-    /// [`Session::execute_batch`]; use it directly to overlap submission
-    /// with other work or to interleave programs.
-    pub fn submit(&self, request: ExecutionRequest) -> JobHandle {
-        let (reply, reply_rx) = channel();
-        let seed = request.seed;
-        let cancel = CancelToken::new();
-        self.dispatch(request, Completion::Channel(reply), cancel.clone());
-        JobHandle { reply_rx, seed, cancel }
-    }
-
-    /// The callback twin of [`Session::submit`]: the lane runs `completion`
-    /// (on the lane thread) when the job finishes instead of parking a
-    /// channel. This is the dispatch primitive under the async front-end —
-    /// the callback fills a `JobFuture` slot and releases its admission
-    /// ticket. The caller owns `cancel` (a dropped `JobFuture` flips it).
-    pub(crate) fn submit_with(
-        &self,
-        request: ExecutionRequest,
-        completion: Box<dyn FnOnce(Result<ExecuteOutcome, String>) + Send>,
-        cancel: CancelToken,
-    ) {
-        self.dispatch(request, Completion::Callback(completion), cancel);
+    /// (round-robin) and returns the [`JobFuture`] that resolves to its
+    /// outcome — `.await` it, [`block_on`](crate::service::block_on) it or
+    /// [`wait`](JobFuture::wait) on it. This is the fire-and-collect
+    /// primitive under [`Session::execute`] and [`Session::execute_batch`];
+    /// use it directly to overlap submission with other work or to
+    /// interleave programs. Dropping the future cancels the job.
+    pub fn submit(&self, request: ExecutionRequest) -> JobFuture {
+        self.dispatch(request, None, None)
     }
 
     /// The next round-robin lane. The stored counter is kept in
@@ -501,7 +458,15 @@ impl Session {
         previous % lanes
     }
 
-    fn dispatch(&self, request: ExecutionRequest, completion: Completion, cancel: CancelToken) {
+    /// The one dispatch path under every sync and async entry point:
+    /// queues the job on the next lane with its optional cache stamp and
+    /// admission ticket.
+    pub(crate) fn dispatch(
+        &self,
+        request: ExecutionRequest,
+        stamp: Option<(bool, CacheStats)>,
+        ticket: Option<AdmissionTicket>,
+    ) -> JobFuture {
         let lane_index = self.next_lane_index();
         let submitted = self.jobs_submitted.fetch_add(1, Ordering::Relaxed) + 1;
         // In-flight jobs including this one; `completed` can lag behind
@@ -510,19 +475,14 @@ impl Session {
         let queue_depth = submitted
             .saturating_sub(self.counters.completed.load(Ordering::Relaxed))
             .max(1);
+        let (lane_request, future) = LaneRequest::new(request, stamp, ticket, queue_depth);
         self.lanes[lane_index]
             .request_tx
             .as_ref()
             .expect("session is live")
-            .send(LaneRequest {
-                compiled: request.compiled,
-                seed: request.seed,
-                completion,
-                cancel,
-                queue_depth,
-                submitted_at: Instant::now(),
-            })
+            .send(lane_request)
             .expect("session lane hung up");
+        future
     }
 
     /// Online pass on the warm session: executes a compiled program with
@@ -568,11 +528,23 @@ impl Session {
         compiled: Arc<CompiledProgram>,
         seeds: &[u64],
     ) -> Vec<ExecuteOutcome> {
-        let handles: Vec<JobHandle> = seeds
+        self.execute_batch_stamped(compiled, seeds, None)
+    }
+
+    /// Submits one job per seed, then redeems them in seed order.
+    fn execute_batch_stamped(
+        &self,
+        compiled: Arc<CompiledProgram>,
+        seeds: &[u64],
+        stamp: Option<(bool, CacheStats)>,
+    ) -> Vec<ExecuteOutcome> {
+        let futures: Vec<JobFuture> = seeds
             .iter()
-            .map(|&seed| self.submit(ExecutionRequest::new(Arc::clone(&compiled), seed)))
+            .map(|&seed| {
+                self.dispatch(ExecutionRequest::new(Arc::clone(&compiled), seed), stamp, None)
+            })
             .collect();
-        handles.into_iter().map(JobHandle::wait).collect()
+        futures.into_iter().map(JobFuture::wait).collect()
     }
 
     /// Offline pass through the session's content-addressed program cache:
@@ -640,33 +612,16 @@ impl Session {
         seeds: &[u64],
     ) -> Result<Vec<ExecuteOutcome>, CompileError> {
         let lookup = self.compile_cached_lookup(circuit)?;
-        Ok(self
-            .execute_batch_shared(lookup.program, seeds)
-            .into_iter()
-            .map(|outcome| outcome.with_cache_stamp(lookup.hit, lookup.stats))
-            .collect())
-    }
-
-    /// Convenience: compile once, then sweep seeds through the result.
-    ///
-    /// Since the program cache landed this routes through
-    /// [`Session::sweep`]; the spelling remains for existing callers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Mapping`] when the offline pass fails.
-    pub fn compile_and_sweep(
-        &self,
-        circuit: &Circuit,
-        seeds: &[u64],
-    ) -> Result<Vec<ExecuteOutcome>, CompileError> {
-        self.sweep(circuit, seeds)
+        let stamp = Some((lookup.hit, lookup.stats));
+        Ok(self.execute_batch_stamped(lookup.program, seeds, stamp))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::async_session::Admission;
+    use crate::service::block_on;
     use oneperc_circuit::benchmarks;
 
     fn small_config(p: f64, seed: u64) -> CompilerConfig {
@@ -726,14 +681,14 @@ mod tests {
         let session = Session::builder(config).lanes(2).build();
         let qaoa = Arc::new(session.compile(&benchmarks::qaoa(4, 3)).unwrap());
         let qft = Arc::new(session.compile(&benchmarks::qft(4)).unwrap());
-        let handles = vec![
+        let futures = vec![
             session.submit(ExecutionRequest::new(Arc::clone(&qaoa), 11)),
             session.submit(ExecutionRequest::new(Arc::clone(&qft), 12)),
             session.submit(ExecutionRequest::new(Arc::clone(&qaoa), 13)),
             session.submit(ExecutionRequest::new(Arc::clone(&qft), 11)),
         ];
-        assert_eq!(handles[0].seed(), 11);
-        let outcomes: Vec<ExecuteOutcome> = handles.into_iter().map(JobHandle::wait).collect();
+        assert_eq!(futures[0].seed(), 11);
+        let outcomes: Vec<ExecuteOutcome> = futures.into_iter().map(JobFuture::wait).collect();
         assert!(outcomes.iter().all(ExecuteOutcome::is_complete));
         // Same program, same seed, different submission slot → same report.
         assert_eq!(
@@ -741,6 +696,32 @@ mod tests {
             session.execute(&qaoa, 11).report().deterministic()
         );
         assert_eq!(session.jobs_submitted(), 5);
+        // A sync job is a plain future: redeeming it through an executor
+        // gives the same report as parking on it.
+        let awaited = block_on(session.submit(ExecutionRequest::new(Arc::clone(&qft), 12)));
+        assert_eq!(awaited.report().deterministic(), outcomes[1].report().deterministic());
+        assert_eq!(session.jobs_submitted(), 6);
+    }
+
+    #[test]
+    fn request_dropped_unrun_resolves_with_teardown_panic() {
+        // A request that never reaches a lane (the lane thread is gone)
+        // must still complete its future — with the teardown panic, not a
+        // hang — and give back its admission slot.
+        let session = Session::new(small_config(0.85, 1));
+        let compiled = Arc::new(session.compile(&benchmarks::qaoa(4, 2)).unwrap());
+        let admission = Arc::new(Admission::new(1));
+        assert!(admission.try_acquire());
+        let ticket = AdmissionTicket(Arc::clone(&admission));
+        let (request, future) =
+            LaneRequest::new(ExecutionRequest::new(compiled, 3), None, Some(ticket), 1);
+        assert!(!future.is_ready());
+        drop(request);
+        assert_eq!(admission.in_flight(), 0, "the dropped request released its ticket");
+        assert!(future.is_ready(), "the dropped request completed its slot");
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| future.wait()))
+            .expect_err("a torn-down job panics on redemption");
+        assert!(panic_message(payload).contains("session torn down while a job was pending"));
     }
 
     #[test]
@@ -765,7 +746,7 @@ mod tests {
         // multiply makes every execution panic inside the lane in debug
         // builds (it wraps in release, where this test degenerates to a
         // smoke check). The contract under test: the panic is relayed
-        // through the affected job's handle — and the lane thread
+        // through the affected job's future — and the lane thread
         // survives it, so later submissions on the same lane still get
         // answers instead of hanging or hitting a dead channel.
         let config = small_config(0.85, 1).with_renorm_workers(1);
@@ -783,7 +764,7 @@ mod tests {
                 let message = panic_message(payload);
                 assert!(
                     message.contains("session execution panicked"),
-                    "attempt {attempt}: panic must be relayed through the handle \
+                    "attempt {attempt}: panic must be relayed through the future \
                      (lane alive), got: {message}"
                 );
             } else {
@@ -833,13 +814,13 @@ mod tests {
     fn explicit_cancel_stops_a_submitted_job() {
         let session = Session::new(small_config(0.85, 2));
         let compiled = Arc::new(session.compile(&benchmarks::qaoa(4, 2)).unwrap());
-        let handle = session.submit(ExecutionRequest::new(Arc::clone(&compiled), 3));
+        let future = session.submit(ExecutionRequest::new(Arc::clone(&compiled), 3));
         // Cancel before waiting: depending on timing the lane either
         // observed the flag at a checkpoint (Cancelled outcome) or had
         // already finished (complete outcome) — both are legal; what is
         // pinned is that `wait` returns and the lane stays serviceable.
-        handle.cancel();
-        let outcome = handle.wait();
+        future.cancel();
+        let outcome = future.wait();
         if let Some(failure) = outcome.failure() {
             assert_eq!(failure.reason, LayerFailureReason::Cancelled);
             assert_eq!(session.jobs_cancelled(), 1);

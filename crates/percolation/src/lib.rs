@@ -25,10 +25,11 @@
 //! * [`ReshapeEngine`] — the (2+1)-D driver that consumes a stream of RSLs,
 //!   classifies them into logical and routing layers, and establishes the
 //!   adjacent-layer and cross-layer time-like connections requested by the
-//!   IR program (Section 5.2). With [`ReshapeConfig::with_renorm_workers`]
-//!   the engine overlaps its stages: layers are generated in the driving
-//!   thread, renormalized on a worker pool a few layers ahead, and
-//!   connected in the driving thread. [`ReshapeEngine::reset`] restarts
+//!   IR program (Section 5.2). Built with
+//!   [`ReshapeEngine::with_renorm_client`], the engine overlaps its
+//!   stages: layers are generated in the driving thread, renormalized on a
+//!   shared worker pool a few layers ahead, and connected in the driving
+//!   thread. [`ReshapeEngine::reset`] restarts
 //!   the stochastic stream for a new seed while keeping every thread and
 //!   allocation warm — the primitive behind the `oneperc` session API.
 //!
@@ -41,7 +42,7 @@
 //! fixed seed they produce byte-identical [`RenormalizedLattice`]s and
 //! reports to the fully serial path, for any worker count:
 //!
-//! * **Stream fan-out** (`ReshapeEngine` with `renorm_workers` > 0):
+//! * **Stream fan-out** (`ReshapeEngine::with_renorm_client`):
 //!   upcoming layers are submitted to a [`WorkerPool`] as whole-layer
 //!   region jobs, a bounded lookahead ahead of consumption, and their
 //!   lattices are collected strictly in stream order. Every layer is

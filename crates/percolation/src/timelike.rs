@@ -13,10 +13,11 @@
 //!
 //! The per-layer loop has three steps: *generate* (the fusion strategy
 //! samples the next random layer), *renormalize* and *connect*. Only the
-//! connect step carries state from one layer to the next, so with
-//! [`ReshapeConfig::with_renorm_workers`] the engine generates upcoming
-//! layers in-thread and renormalizes them on a [`WorkerPool`] a few layers
-//! ahead, while it connects the current one.
+//! connect step carries state from one layer to the next, so an engine
+//! built with [`ReshapeEngine::with_renorm_client`] generates upcoming
+//! layers in-thread and renormalizes them on a shared
+//! [`WorkerPool`](crate::WorkerPool) a few layers ahead, while it connects
+//! the current one.
 //!
 //! Determinism is preserved by construction: layers are generated from
 //! the same seeded sampler in the same order whatever the worker count,
@@ -35,7 +36,7 @@ use graphstate::FusionOutcome;
 use oneperc_hardware::{DelayLine, FusionEngine, FusionSampler, HardwareConfig, PhysicalLayer};
 
 use crate::cancel::CancelToken;
-use crate::pool::{ModuleRegion, PoolClient, WorkerPool};
+use crate::pool::{ModuleRegion, PoolClient};
 use crate::renormalize::{RenormalizedLattice, Renormalizer};
 
 /// One time-like edge requested by the IR program for the layer currently
@@ -87,12 +88,6 @@ pub struct ReshapeConfig {
     pub max_layers_per_logical: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads renormalizing layers on a persistent pool (`0` =
-    /// renormalize in-thread). With workers the engine submits upcoming
-    /// layers of the stream to the pool a few layers ahead and consumes the
-    /// lattices strictly in stream order, so the output is byte-identical
-    /// to the in-thread path for any worker count.
-    pub renorm_workers: usize,
 }
 
 impl ReshapeConfig {
@@ -116,7 +111,6 @@ impl ReshapeConfig {
             temporal_redundancy: 4,
             max_layers_per_logical: 2048,
             seed,
-            renorm_workers: 0,
         }
     }
 
@@ -125,14 +119,6 @@ impl ReshapeConfig {
     pub fn with_temporal_redundancy(mut self, redundancy: usize) -> Self {
         assert!(redundancy > 0, "redundancy must be positive");
         self.temporal_redundancy = redundancy;
-        self
-    }
-
-    /// Sets the renormalization worker count (`0` = in-thread). Results are
-    /// independent of the worker count; only the wall-clock changes.
-    #[must_use]
-    pub fn with_renorm_workers(mut self, workers: usize) -> Self {
-        self.renorm_workers = workers;
         self
     }
 
@@ -296,50 +282,28 @@ enum RenormBackend {
         client: PoolClient,
         queue: VecDeque<Arc<PhysicalLayer>>,
         lookahead: usize,
-        /// The pool owned by this engine, when not shared with other
-        /// engines by the caller. Declared after `client` so the client's
-        /// channels close first.
-        own_pool: Option<WorkerPool>,
     },
 }
 
 impl ReshapeEngine {
-    /// Creates an engine. With [`ReshapeConfig::renorm_workers`] > 0 the
-    /// engine owns a private [`WorkerPool`] of that size; use
-    /// [`ReshapeEngine::with_renorm_client`] to share one pool between
-    /// several engines instead.
+    /// Creates an engine that renormalizes in-thread; use
+    /// [`ReshapeEngine::with_renorm_client`] to renormalize on a worker
+    /// pool instead.
     pub fn new(config: ReshapeConfig) -> Self {
-        let renorm = if config.renorm_workers > 0 {
-            let pool = WorkerPool::new(config.renorm_workers);
-            let client = pool.client();
-            RenormBackend::Pooled {
-                client,
-                queue: VecDeque::new(),
-                lookahead: Self::lookahead_for(config.renorm_workers),
-                own_pool: Some(pool),
-            }
-        } else {
-            RenormBackend::Local(Renormalizer::new())
-        };
-        Self::with_backend(config, renorm)
+        Self::with_backend(config, RenormBackend::Local(Renormalizer::new()))
     }
 
-    /// Creates an engine whose layer renormalization runs on a **shared**
-    /// worker pool through `client` (obtained from
-    /// [`WorkerPool::client`]). Several engines — e.g. one per session lane
-    /// — can stream through one pool concurrently; results are
-    /// byte-identical to [`ReshapeEngine::new`] with any
-    /// `renorm_workers` setting, including the in-thread path.
+    /// Creates an engine whose layer renormalization runs on a worker pool
+    /// through `client` (obtained from
+    /// [`WorkerPool::client`](crate::WorkerPool::client)). Several
+    /// engines — e.g. one per session lane — can stream through one pool
+    /// concurrently; results are byte-identical to the in-thread
+    /// [`ReshapeEngine::new`] for any pool size.
     ///
     /// The pool must outlive this engine.
     pub fn with_renorm_client(config: ReshapeConfig, client: PoolClient) -> Self {
-        // Size the in-flight window against the pool actually behind the
-        // client — `config.renorm_workers` need not agree with the shared
-        // pool's size, and a lookahead below the worker count would
-        // silently starve it.
-        let lookahead = Self::lookahead_for(client.pool_workers().max(config.renorm_workers));
-        let renorm =
-            RenormBackend::Pooled { client, queue: VecDeque::new(), lookahead, own_pool: None };
+        let lookahead = Self::lookahead_for(client.pool_workers());
+        let renorm = RenormBackend::Pooled { client, queue: VecDeque::new(), lookahead };
         Self::with_backend(config, renorm)
     }
 
@@ -376,16 +340,6 @@ impl ReshapeEngine {
     /// The configuration in use.
     pub fn config(&self) -> &ReshapeConfig {
         &self.config
-    }
-
-    /// Workers of the engine-owned renormalization pool: `None` when the
-    /// engine renormalizes in-thread or streams through a shared pool it
-    /// does not own.
-    pub fn own_pool_workers(&self) -> Option<usize> {
-        match &self.renorm {
-            RenormBackend::Pooled { own_pool: Some(pool), .. } => Some(pool.worker_count()),
-            _ => None,
-        }
     }
 
     /// Restarts the engine's stochastic execution from `seed`, exactly as
@@ -464,7 +418,7 @@ impl ReshapeEngine {
                 let lattice = renormalizer.renormalize(&layer, config.node_size);
                 (LayerHolder::Owned(layer), lattice)
             }
-            RenormBackend::Pooled { client, queue, lookahead, .. } => {
+            RenormBackend::Pooled { client, queue, lookahead } => {
                 while queue.len() < *lookahead {
                     let layer = Arc::new(next_layer());
                     let _ = client.submit(
@@ -674,9 +628,18 @@ impl ReshapeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::WorkerPool;
 
     fn small_config(p: f64, seed: u64) -> ReshapeConfig {
         ReshapeConfig::new(HardwareConfig::new(36, 7, p), 12, 3, seed)
+    }
+
+    /// An engine renormalizing on `pool`, or in-thread without one.
+    fn engine_on(config: ReshapeConfig, pool: Option<&WorkerPool>) -> ReshapeEngine {
+        match pool {
+            Some(pool) => ReshapeEngine::with_renorm_client(config, pool.client()),
+            None => ReshapeEngine::new(config),
+        }
     }
 
     #[test]
@@ -813,12 +776,14 @@ mod tests {
     #[test]
     fn pipelined_engine_drops_cleanly_with_prefetched_layer() {
         // The pooled backend renormalizes a few layers ahead; dropping the
-        // engine while lookahead jobs are still in flight must join the
-        // pool's workers, not hang.
-        let mut engine = ReshapeEngine::new(small_config(0.85, 3).with_renorm_workers(2));
+        // engine while lookahead jobs are still in flight, then the pool,
+        // must join the pool's workers, not hang.
+        let pool = WorkerPool::new(2);
+        let mut engine = ReshapeEngine::with_renorm_client(small_config(0.85, 3), pool.client());
         let report = engine.advance_logical_layer(&LayerRequirement::none());
         assert!(report.formed);
         drop(engine);
+        drop(pool);
     }
 
     /// Drives an engine through `logical` layers and returns the final
@@ -845,13 +810,14 @@ mod tests {
     #[test]
     fn warm_reset_matches_cold_engine() {
         for workers in [0usize, 2] {
-            let config = small_config(0.75, 3).with_renorm_workers(workers);
-            let mut warm = ReshapeEngine::new(config);
+            let config = small_config(0.75, 3);
+            let pool = (workers > 0).then(|| WorkerPool::new(workers));
+            let mut warm = engine_on(config, pool.as_ref());
             // Dirty the warm engine with a different-seed run first.
             let _ = drive(&mut warm, 3);
             warm.reset(91);
             assert_eq!(warm.config().seed, 91);
-            let mut cold = ReshapeEngine::new(config.with_seed(91));
+            let mut cold = engine_on(config.with_seed(91), pool.as_ref());
             let a = drive(&mut warm, 5);
             let b = drive(&mut cold, 5);
             assert_eq!(a, b, "workers={workers}");
@@ -878,8 +844,8 @@ mod tests {
         // 1 worker, several, and oversubscribed — all must match the
         // in-thread lattices exactly.
         for workers in [1usize, 2, 5] {
-            let mut pooled = ReshapeEngine::new(base.with_renorm_workers(workers));
-            assert_eq!(pooled.own_pool_workers(), Some(workers));
+            let pool = WorkerPool::new(workers);
+            let mut pooled = ReshapeEngine::with_renorm_client(base, pool.client());
             assert_eq!(drive(&mut pooled, 5), expected, "workers = {workers}");
         }
     }
@@ -887,13 +853,12 @@ mod tests {
     #[test]
     fn engines_sharing_one_pool_match_private_engines() {
         // Two engines with different seeds stream through one shared pool
-        // concurrently; each must reproduce its private-engine run.
+        // concurrently; each must reproduce its in-thread run.
         let pool = WorkerPool::new(2);
         let config_a = small_config(0.78, 101);
         let config_b = small_config(0.78, 202);
         let mut shared_a = ReshapeEngine::with_renorm_client(config_a, pool.client());
         let mut shared_b = ReshapeEngine::with_renorm_client(config_b, pool.client());
-        assert_eq!(shared_a.own_pool_workers(), None);
         let (got_a, got_b) = std::thread::scope(|scope| {
             let a = scope.spawn(|| drive(&mut shared_a, 4));
             let b = scope.spawn(|| drive(&mut shared_b, 4));
@@ -910,7 +875,8 @@ mod tests {
         // the same attempt count as an in-thread engine that consumed k.
         let config = small_config(0.72, 19);
         let mut serial = ReshapeEngine::new(config);
-        let mut pooled = ReshapeEngine::new(config.with_renorm_workers(2));
+        let pool = WorkerPool::new(2);
+        let mut pooled = ReshapeEngine::with_renorm_client(config, pool.client());
         for _ in 0..4 {
             serial.advance_logical_layer(&LayerRequirement::none());
             pooled.advance_logical_layer(&LayerRequirement::none());

@@ -12,7 +12,7 @@
 //! 2. A [`Tuner`] sweeps every lattice point over the warm multi-tenant
 //!    fleet — one [`AsyncSession`](oneperc::AsyncSession) per point, all
 //!    sharing one [`ProgramCache`](oneperc::service::ProgramCache), seeds
-//!    admitted through `submit_async` — and scores each point with a
+//!    admitted through the blocking `submit` — and scores each point with a
 //!    pluggable [`CostModel`] (the built-in [`ResourceDeadlineModel`]
 //!    trades per-RSL latency against the photon-lifetime deadline, raw
 //!    resource volume, and success probability).

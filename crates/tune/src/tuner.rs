@@ -8,7 +8,7 @@
 //! [`AsyncSession`] (one warm session per machine configuration — the
 //! fleet-sharding shape the service layer documents), every session
 //! shares the tuner's one [`ProgramCache`], and the point's seeds are
-//! admitted through [`submit_async`](AsyncSession::submit_async) so the
+//! admitted through the blocking [`submit`](AsyncSession::submit) so the
 //! sweep respects the service tier's bounded admission window. Points are
 //! *harvested* (futures awaited, reports aggregated, cost scored, Pareto
 //! frontier updated) strictly in lattice order.
@@ -53,7 +53,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oneperc::service::{block_on, AsyncSession, ProgramCache};
+use oneperc::service::{AsyncSession, ProgramCache};
 use oneperc::{
     CacheStats, CompileError, CompilerConfig, ExecutionReport, ExecutionRequest, JobFuture,
     LayerFailureReason, DEFAULT_PROGRAM_CACHE_CAPACITY,
@@ -560,12 +560,7 @@ impl Tuner {
                     .seeds
                     .iter()
                     .map(|&seed| {
-                        block_on(
-                            session.submit_async(ExecutionRequest::new(
-                                Arc::clone(&compiled),
-                                seed,
-                            )),
-                        )
+                        session.submit(ExecutionRequest::new(Arc::clone(&compiled), seed))
                     })
                     .collect();
                 in_flight.push_back(InFlightPoint { config, session, futures, lower_bound });
@@ -662,13 +657,11 @@ impl Tuner {
                 let reports: Vec<ExecutionReport> = seeds
                     .iter()
                     .map(|&seed| {
-                        block_on(
-                            session
-                                .submit_async(ExecutionRequest::new(Arc::clone(&compiled), seed)),
-                        )
-                        .wait()
-                        .into_report()
-                        .deterministic()
+                        session
+                            .submit(ExecutionRequest::new(Arc::clone(&compiled), seed))
+                            .wait()
+                            .into_report()
+                            .deterministic()
                     })
                     .collect();
                 stats.refinement_executions += reports.len();

@@ -131,7 +131,7 @@ fn same_key_tenants_share_one_compile() {
     assert_eq!(stats.hits, 3, "every other tenant was served the leader's compile");
 }
 
-/// Dropping a `JobHandle` sheds the queued work: the lane observes the
+/// Dropping a `JobFuture` sheds the queued work: the lane observes the
 /// cancelled token at its first layer checkpoint and skips the run,
 /// while neighbours before and after it in the same lane's queue are
 /// untouched — byte-identical to a session that never saw the

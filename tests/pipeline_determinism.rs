@@ -13,7 +13,7 @@ use std::sync::Arc;
 use oneperc_suite::hardware::{FusionEngine, HardwareConfig};
 use oneperc_suite::percolation::{
     LayerRequirement, ModularConfig, ModularRenormalizer, ReshapeConfig, ReshapeEngine,
-    TemporalRequirement,
+    TemporalRequirement, WorkerPool,
 };
 
 /// Drives a serial reshaping engine and one renormalizing a few layers
@@ -24,7 +24,8 @@ fn assert_pooled_stream_matches(rsl: usize, node_size: usize, p: f64, seed: u64,
     let hw = HardwareConfig::new(rsl, 7, p);
     let config = ReshapeConfig::new(hw, node_size, 3, seed);
     let mut serial = ReshapeEngine::new(config);
-    let mut pooled = ReshapeEngine::new(config.with_renorm_workers(2));
+    let pool = WorkerPool::new(2);
+    let mut pooled = ReshapeEngine::with_renorm_client(config, pool.client());
 
     // A requirement mix with time-like edges so the dedicated time-like
     // sampler is exercised, not just layer generation and renormalization.

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use oneperc_suite::circuit::benchmarks;
 use oneperc_suite::compiler::{
-    CompilerConfig, ExecuteOutcome, ExecutionReport, ExecutionRequest, JobHandle, Session,
+    CompilerConfig, ExecuteOutcome, ExecutionReport, ExecutionRequest, JobFuture, Session,
 };
 
 const SEEDS: [u64; 16] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597];
@@ -132,7 +132,7 @@ fn long_lived_session_stays_clean() {
 
     let first = session.execute(&qaoa, 31).report().deterministic();
     // Churn: interleave programs and seeds through both lanes.
-    let handles: Vec<JobHandle> = (0..24u64)
+    let handles: Vec<JobFuture> = (0..24u64)
         .map(|i| {
             let program = if i % 2 == 0 { &qaoa } else { &vqe };
             session.submit(ExecutionRequest::new(Arc::clone(program), i))
