@@ -14,6 +14,7 @@
 
 pub mod baseline;
 pub mod dense;
+pub mod reference_mapper;
 
 use std::fs;
 use std::path::PathBuf;

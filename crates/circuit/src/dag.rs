@@ -7,8 +7,6 @@
 //! (Section 6.2). [`DependencyDag`] stores the relation; [`DagScheduler`]
 //! maintains the front layer.
 
-use std::collections::HashSet;
-
 /// A directed acyclic dependency graph over the node ids `0..n`.
 #[derive(Debug, Clone, Default)]
 pub struct DependencyDag {
@@ -114,21 +112,16 @@ impl DependencyDag {
 pub struct DagScheduler<'a> {
     dag: &'a DependencyDag,
     remaining_preds: Vec<usize>,
-    consumed: HashSet<usize>,
+    consumed: usize,
+    /// Ready nodes, kept sorted by id.
     front: Vec<usize>,
 }
 
 impl<'a> DagScheduler<'a> {
     fn new(dag: &'a DependencyDag) -> Self {
         let remaining_preds: Vec<usize> = dag.preds.iter().map(Vec::len).collect();
-        let mut front: Vec<usize> = (0..dag.len()).filter(|&v| remaining_preds[v] == 0).collect();
-        front.sort_unstable();
-        DagScheduler {
-            dag,
-            remaining_preds,
-            consumed: HashSet::new(),
-            front,
-        }
+        let front: Vec<usize> = (0..dag.len()).filter(|&v| remaining_preds[v] == 0).collect();
+        DagScheduler { dag, remaining_preds, consumed: 0, front }
     }
 
     /// Nodes that are currently ready to be consumed, in increasing id
@@ -139,12 +132,12 @@ impl<'a> DagScheduler<'a> {
 
     /// Returns `true` once every node has been consumed.
     pub fn is_done(&self) -> bool {
-        self.consumed.len() == self.dag.len()
+        self.consumed == self.dag.len()
     }
 
     /// Number of nodes consumed so far.
     pub fn consumed_count(&self) -> usize {
-        self.consumed.len()
+        self.consumed
     }
 
     /// Marks `v` as consumed and returns the nodes that became ready as a
@@ -155,13 +148,14 @@ impl<'a> DagScheduler<'a> {
     /// Panics when `v` is not currently in the front layer (consuming a node
     /// whose dependencies are unmet would violate the partial order).
     pub fn consume(&mut self, v: usize) -> Vec<usize> {
+        // A node leaves the front exactly when it is consumed, so front
+        // membership also rules out consuming a node twice.
         let pos = self
             .front
-            .iter()
-            .position(|&f| f == v)
+            .binary_search(&v)
             .expect("node must be in the front layer to be consumed");
         self.front.remove(pos);
-        self.consumed.insert(v);
+        self.consumed += 1;
         let mut newly_ready = Vec::new();
         for &s in &self.dag.succs[v] {
             self.remaining_preds[s] -= 1;
@@ -171,9 +165,9 @@ impl<'a> DagScheduler<'a> {
         }
         newly_ready.sort_unstable();
         for &s in &newly_ready {
-            self.front.push(s);
+            let at = self.front.partition_point(|&f| f < s);
+            self.front.insert(at, s);
         }
-        self.front.sort_unstable();
         newly_ready
     }
 }
@@ -235,12 +229,67 @@ mod tests {
     }
 
     #[test]
+    fn front_matches_naive_recomputation_under_random_consume_orders() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..40usize);
+            // Edges go forward in a random topological labelling, so the
+            // ids themselves are not a topological order.
+            let mut label: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                label.swap(i, rng.gen_range(0..i + 1));
+            }
+            let mut dag = DependencyDag::new(n);
+            for i in 0..n {
+                for j in i + 1..n {
+                    if rng.gen_bool(0.15) {
+                        dag.add_dependency(label[i], label[j]);
+                    }
+                }
+            }
+            let mut sched = dag.scheduler();
+            let mut consumed = vec![false; n];
+            for step in 0..n {
+                assert!(!sched.is_done(), "seed {seed}: done after {step} of {n}");
+                let front = sched.front().to_vec();
+                let v = front[rng.gen_range(0..front.len())];
+                let ready = sched.consume(v);
+                consumed[v] = true;
+                let naive: Vec<usize> = (0..n)
+                    .filter(|&u| !consumed[u] && dag.predecessors(u).iter().all(|&p| consumed[p]))
+                    .collect();
+                assert!(sched.front().windows(2).all(|w| w[0] < w[1]), "seed {seed}: unsorted");
+                assert_eq!(sched.front(), naive.as_slice(), "seed {seed} step {step}");
+                let mut expected: Vec<usize> =
+                    naive.iter().copied().filter(|u| !front.contains(u)).collect();
+                expected.sort_unstable();
+                assert_eq!(ready, expected, "seed {seed} step {step}: newly ready");
+                assert_eq!(sched.consumed_count(), step + 1);
+            }
+            assert!(sched.is_done(), "seed {seed}");
+            assert!(sched.front().is_empty());
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "front layer")]
     fn consuming_unready_node_panics() {
         let mut dag = DependencyDag::new(2);
         dag.add_dependency(0, 1);
         let mut sched = dag.scheduler();
         sched.consume(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "front layer")]
+    fn consuming_twice_panics() {
+        let dag = DependencyDag::new(2);
+        let mut sched = dag.scheduler();
+        sched.consume(0);
+        sched.consume(0);
     }
 
     #[test]

@@ -1,6 +1,21 @@
 //! The FlexLattice intermediate representation (Section 6.2).
-
-use std::collections::{HashMap, HashSet};
+//!
+//! # Storage layout
+//!
+//! A [`FlexLatticeIr`] keeps no per-layer maps. Every placed node lives in
+//! one arena, in placement order, next to a flag saying whether it already
+//! sources a temporal edge. A flat slot index holds one `u32` per
+//! coordinate per layer: slot `layer·w·h + y·w + x` holds the node's arena
+//! index, or `u32::MAX` when the coordinate is empty. A layer is therefore
+//! a contiguous row-major block of `w·h` slots:
+//!
+//! * [`FlexLatticeIr::node`] is a bounds check and two array reads; an
+//!   out-of-range coordinate or layer is `None`, never a neighbouring slot;
+//! * [`FlexLatticeIr::layer_nodes`] walks one block and yields the layer's
+//!   nodes row-major (`y`, then `x`), which is the order the instruction
+//!   lowering emits them in;
+//! * [`FlexLatticeIr::temporal_edges`] walks each block column by column,
+//!   so edges come out in `(to_layer, x, y)` order without a sort.
 
 use graphstate::MeasBasis;
 
@@ -120,15 +135,25 @@ pub struct IrLayerSummary {
     pub occupied: usize,
 }
 
+/// Slot-index value of an empty coordinate.
+const EMPTY: u32 = u32::MAX;
+
 /// A program expressed on the virtual hardware: a stack of partially filled
 /// lattice layers with individually enabled spatial and temporal edges.
+///
+/// Placed nodes live in one arena behind a flat slot index with one entry
+/// per coordinate per layer (`layer·w·h + y·w + x`), so each layer is a
+/// row-major block of slots.
 #[derive(Debug, Clone)]
 pub struct FlexLatticeIr {
     hardware: VirtualHardware,
-    layers: Vec<HashMap<(usize, usize), IrNode>>,
-    /// Nodes that are already the source of a temporal edge, for O(1)
-    /// fan-out checks while building large programs.
-    temporal_sources: HashSet<(usize, (usize, usize))>,
+    /// Placed nodes in placement order.
+    nodes: Vec<IrNode>,
+    /// Per arena node: already the source of a temporal edge (at most one
+    /// edge towards subsequent layers per node).
+    temporal_source: Vec<bool>,
+    /// Arena index per slot, or [`EMPTY`].
+    slots: Vec<u32>,
 }
 
 impl FlexLatticeIr {
@@ -136,8 +161,9 @@ impl FlexLatticeIr {
     pub fn new(hardware: VirtualHardware) -> Self {
         FlexLatticeIr {
             hardware,
-            layers: Vec::new(),
-            temporal_sources: HashSet::new(),
+            nodes: Vec::new(),
+            temporal_source: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -148,31 +174,61 @@ impl FlexLatticeIr {
 
     /// Number of layers.
     pub fn layer_count(&self) -> usize {
-        self.layers.len()
+        self.slots.len() / self.hardware.nodes_per_layer()
     }
 
     /// Appends an empty layer and returns its index.
     pub fn push_layer(&mut self) -> usize {
-        self.layers.push(HashMap::new());
-        self.layers.len() - 1
+        let layer = self.layer_count();
+        self.slots.resize(self.slots.len() + self.hardware.nodes_per_layer(), EMPTY);
+        layer
+    }
+
+    /// The slot of `(layer, coord)`, or `None` when either is out of range.
+    fn slot(&self, layer: usize, (x, y): (usize, usize)) -> Option<usize> {
+        let (w, h) = (self.hardware.width(), self.hardware.height());
+        (layer < self.layer_count() && x < w && y < h).then(|| (layer * h + y) * w + x)
+    }
+
+    /// The arena index of the node at `(layer, coord)`, if any.
+    fn index(&self, layer: usize, coord: (usize, usize)) -> Option<usize> {
+        let i = self.slots[self.slot(layer, coord)?];
+        (i != EMPTY).then_some(i as usize)
     }
 
     /// The node at `(layer, coord)`, if any.
     pub fn node(&self, layer: usize, coord: (usize, usize)) -> Option<&IrNode> {
-        self.layers.get(layer).and_then(|l| l.get(&coord))
+        self.index(layer, coord).map(|i| &self.nodes[i])
+    }
+
+    /// The nodes of a layer with their coordinates, in row-major order
+    /// (`y`, then `x`). Empty for a layer that does not exist.
+    pub fn layer_nodes(
+        &self,
+        layer: usize,
+    ) -> impl Iterator<Item = ((usize, usize), &IrNode)> + '_ {
+        let k2 = self.hardware.nodes_per_layer();
+        let w = self.hardware.width();
+        let block = if layer < self.layer_count() { layer * k2..(layer + 1) * k2 } else { 0..0 };
+        self.slots[block]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &i)| i != EMPTY)
+            .map(move |(s, &i)| ((s % w, s / w), &self.nodes[i as usize]))
     }
 
     /// Number of occupied coordinates on a layer.
     pub fn occupancy(&self, layer: usize) -> usize {
-        self.layers.get(layer).map_or(0, HashMap::len)
+        self.layer_nodes(layer).count()
     }
 
     /// Places a node on a layer.
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::MissingLayer`], [`IrError::OutOfBounds`] or
-    /// [`IrError::Occupied`] when the position is invalid.
+    /// Returns [`IrError::OutOfBounds`], [`IrError::MissingLayer`] or
+    /// [`IrError::Occupied`] (checked in that order) when the position is
+    /// invalid.
     pub fn place(
         &mut self,
         layer: usize,
@@ -180,11 +236,14 @@ impl FlexLatticeIr {
         kind: NodeKind,
     ) -> Result<(), IrError> {
         self.hardware.check_coord(coord)?;
-        let l = self.layers.get_mut(layer).ok_or(IrError::MissingLayer(layer))?;
-        if l.contains_key(&coord) {
+        let slot = self.slot(layer, coord).ok_or(IrError::MissingLayer(layer))?;
+        if self.slots[slot] != EMPTY {
             return Err(IrError::Occupied { layer, coord });
         }
-        l.insert(coord, IrNode::new(kind));
+        self.slots[slot] =
+            u32::try_from(self.nodes.len()).expect("FlexLattice arena exceeds u32 indices");
+        self.nodes.push(IrNode::new(kind));
+        self.temporal_source.push(false);
         Ok(())
     }
 
@@ -199,13 +258,11 @@ impl FlexLatticeIr {
         coord: (usize, usize),
         basis: MeasBasis,
     ) -> Result<(), IrError> {
-        let node = self
-            .layers
-            .get_mut(layer)
-            .ok_or(IrError::MissingLayer(layer))?
-            .get_mut(&coord)
-            .ok_or(IrError::MissingNode { layer, coord })?;
-        node.basis = Some(basis);
+        if layer >= self.layer_count() {
+            return Err(IrError::MissingLayer(layer));
+        }
+        let i = self.index(layer, coord).ok_or(IrError::MissingNode { layer, coord })?;
+        self.nodes[i].basis = Some(basis);
         Ok(())
     }
 
@@ -227,24 +284,17 @@ impl FlexLatticeIr {
         if !self.hardware.adjacent(a, b) {
             return Err(IrError::NotAdjacent { a, b });
         }
-        let l = self.layers.get_mut(layer).ok_or(IrError::MissingLayer(layer))?;
-        if !l.contains_key(&a) {
-            return Err(IrError::MissingNode { layer, coord: a });
+        if layer >= self.layer_count() {
+            return Err(IrError::MissingLayer(layer));
         }
-        if !l.contains_key(&b) {
-            return Err(IrError::MissingNode { layer, coord: b });
-        }
+        let ia = self.index(layer, a).ok_or(IrError::MissingNode { layer, coord: a })?;
+        let ib = self.index(layer, b).ok_or(IrError::MissingNode { layer, coord: b })?;
         // Normalize to the west/south endpoint owning the flag.
-        let (owner, east) = if a.0 + 1 == b.0 || b.0 + 1 == a.0 {
-            (if a.0 < b.0 { a } else { b }, true)
+        let owner = &mut self.nodes[if a < b { ia } else { ib }];
+        if a.1 == b.1 {
+            owner.east_edge = true;
         } else {
-            (if a.1 < b.1 { a } else { b }, false)
-        };
-        let node = l.get_mut(&owner).expect("owner exists");
-        if east {
-            node.east_edge = true;
-        } else {
-            node.north_edge = true;
+            owner.north_edge = true;
         }
         Ok(())
     }
@@ -292,74 +342,67 @@ impl FlexLatticeIr {
         if from_layer >= to_layer {
             return Err(IrError::InvalidTemporalOrder { from: from_layer, to: to_layer });
         }
-        if to_layer >= self.layers.len() {
+        if to_layer >= self.layer_count() {
             return Err(IrError::MissingLayer(to_layer));
         }
         if to_layer - from_layer == 1 && from_coord != to_coord {
             return Err(IrError::NotAdjacent { a: from_coord, b: to_coord });
         }
-        if !self.layers[from_layer].contains_key(&from_coord) {
-            return Err(IrError::MissingNode { layer: from_layer, coord: from_coord });
-        }
-        if !self.layers[to_layer].contains_key(&to_coord) {
-            return Err(IrError::MissingNode { layer: to_layer, coord: to_coord });
-        }
+        let from = self
+            .index(from_layer, from_coord)
+            .ok_or(IrError::MissingNode { layer: from_layer, coord: from_coord })?;
+        let to = self
+            .index(to_layer, to_coord)
+            .ok_or(IrError::MissingNode { layer: to_layer, coord: to_coord })?;
         // The earlier node may have at most one edge towards subsequent
         // layers: it must not already be the source of another temporal
         // edge.
-        if self.temporal_sources.contains(&(from_layer, from_coord)) {
+        if self.temporal_source[from] {
             return Err(IrError::TemporalConflict { layer: from_layer, coord: from_coord });
         }
-        let to_node = self.layers[to_layer].get_mut(&to_coord).expect("checked above");
-        if to_node.temporal_prev.is_some() {
+        if self.nodes[to].temporal_prev.is_some() {
             return Err(IrError::TemporalConflict { layer: to_layer, coord: to_coord });
         }
-        to_node.temporal_prev = Some((from_layer, from_coord));
-        self.temporal_sources.insert((from_layer, from_coord));
+        self.nodes[to].temporal_prev = Some((from_layer, from_coord));
+        self.temporal_source[from] = true;
         if to_layer - from_layer > 1 {
-            let from_node =
-                self.layers[from_layer].get_mut(&from_coord).expect("checked above");
-            from_node.stored_after = true;
+            self.nodes[from].stored_after = true;
         }
         Ok(())
     }
 
+    /// The temporal edges ending on `to_layer`, in `(x, y)` order of their
+    /// later endpoint.
+    fn incoming_temporal(&self, to_layer: usize) -> impl Iterator<Item = TemporalEdge> + '_ {
+        let (w, h) = (self.hardware.width(), self.hardware.height());
+        (0..w).flat_map(move |x| (0..h).map(move |y| (x, y))).filter_map(move |to_coord| {
+            let (from_layer, from_coord) = self.node(to_layer, to_coord)?.temporal_prev?;
+            Some(TemporalEdge { from_coord, from_layer, to_coord, to_layer })
+        })
+    }
+
     /// All temporal edges of the program in `(to_layer, to_coord)` order.
     pub fn temporal_edges(&self) -> Vec<TemporalEdge> {
-        let mut out = Vec::new();
-        for (to_layer, layer) in self.layers.iter().enumerate() {
-            for (&to_coord, node) in layer {
-                if let Some((from_layer, from_coord)) = node.temporal_prev {
-                    out.push(TemporalEdge { from_coord, from_layer, to_coord, to_layer });
-                }
-            }
-        }
-        out.sort_by_key(|e| (e.to_layer, e.to_coord));
-        out
+        (0..self.layer_count()).flat_map(|layer| self.incoming_temporal(layer)).collect()
     }
 
     /// Aggregate statistics.
     pub fn stats(&self) -> IrStats {
-        let mut stats = IrStats { layers: self.layers.len(), ..IrStats::default() };
-        for layer in &self.layers {
-            for node in layer.values() {
-                match node.kind {
-                    NodeKind::Program(_) => stats.program_nodes += 1,
-                    NodeKind::Ancilla => stats.ancilla_nodes += 1,
-                }
-                if node.east_edge {
-                    stats.spatial_edges += 1;
-                }
-                if node.north_edge {
-                    stats.spatial_edges += 1;
-                }
+        let mut stats = IrStats { layers: self.layer_count(), ..IrStats::default() };
+        for node in &self.nodes {
+            match node.kind {
+                NodeKind::Program(_) => stats.program_nodes += 1,
+                NodeKind::Ancilla => stats.ancilla_nodes += 1,
             }
+            stats.spatial_edges += usize::from(node.east_edge) + usize::from(node.north_edge);
         }
-        for edge in self.temporal_edges() {
-            if edge.is_cross_layer() {
-                stats.cross_temporal_edges += 1;
-            } else {
-                stats.adjacent_temporal_edges += 1;
+        for layer in 0..self.layer_count() {
+            for (_, node) in self.layer_nodes(layer) {
+                match node.temporal_prev {
+                    Some((from, _)) if layer - from > 1 => stats.cross_temporal_edges += 1,
+                    Some(_) => stats.adjacent_temporal_edges += 1,
+                    None => {}
+                }
             }
         }
         stats
@@ -367,26 +410,23 @@ impl FlexLatticeIr {
 
     /// Per-layer summaries in layer order, used to drive the online pass.
     pub fn layer_summaries(&self) -> Vec<IrLayerSummary> {
-        let mut summaries: Vec<IrLayerSummary> =
-            (0..self.layers.len()).map(|_| IrLayerSummary::default()).collect();
-        for (idx, layer) in self.layers.iter().enumerate() {
-            summaries[idx].occupied = layer.len();
-            for node in layer.values() {
-                if node.stored_after {
-                    summaries[idx].stores += 1;
+        (0..self.layer_count())
+            .map(|layer| {
+                let mut summary = IrLayerSummary::default();
+                for (_, node) in self.layer_nodes(layer) {
+                    summary.occupied += 1;
+                    summary.stores += usize::from(node.stored_after);
                 }
-            }
-        }
-        for edge in self.temporal_edges() {
-            let gap = edge.to_layer - edge.from_layer;
-            summaries[edge.to_layer].incoming_temporal.push((edge.to_coord, gap));
-            if edge.is_cross_layer() {
-                // The stored node is retrieved just before the destination
-                // layer.
-                summaries[edge.to_layer].retrieves += 1;
-            }
-        }
-        summaries
+                for edge in self.incoming_temporal(layer) {
+                    let gap = edge.to_layer - edge.from_layer;
+                    summary.incoming_temporal.push((edge.to_coord, gap));
+                    // The stored node is retrieved just before the
+                    // destination layer.
+                    summary.retrieves += usize::from(edge.is_cross_layer());
+                }
+                summary
+            })
+            .collect()
     }
 
     /// Full structural validation: every edge endpoint exists, spatial edges
@@ -395,40 +435,33 @@ impl FlexLatticeIr {
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
+    /// Returns the first violation found, scanning layers in order and each
+    /// layer row-major.
     pub fn validate(&self) -> Result<(), IrError> {
-        for (idx, layer) in self.layers.iter().enumerate() {
-            for (&(x, y), node) in layer {
-                self.hardware.check_coord((x, y))?;
-                if node.east_edge && !layer.contains_key(&(x + 1, y)) {
+        let mut sourced = vec![false; self.nodes.len()];
+        for idx in 0..self.layer_count() {
+            for ((x, y), node) in self.layer_nodes(idx) {
+                if node.east_edge && self.node(idx, (x + 1, y)).is_none() {
                     return Err(IrError::MissingNode { layer: idx, coord: (x + 1, y) });
                 }
-                if node.north_edge && !layer.contains_key(&(x, y + 1)) {
+                if node.north_edge && self.node(idx, (x, y + 1)).is_none() {
                     return Err(IrError::MissingNode { layer: idx, coord: (x, y + 1) });
                 }
                 if let Some((from, from_coord)) = node.temporal_prev {
                     if from >= idx {
                         return Err(IrError::InvalidTemporalOrder { from, to: idx });
                     }
-                    if !self.layers[from].contains_key(&from_coord) {
-                        return Err(IrError::MissingNode { layer: from, coord: from_coord });
-                    }
+                    let source = self
+                        .index(from, from_coord)
+                        .ok_or(IrError::MissingNode { layer: from, coord: from_coord })?;
                     if idx - from == 1 && from_coord != (x, y) {
                         return Err(IrError::NotAdjacent { a: from_coord, b: (x, y) });
                     }
+                    // At most one outgoing temporal edge per node.
+                    if std::mem::replace(&mut sourced[source], true) {
+                        return Err(IrError::TemporalConflict { layer: from, coord: from_coord });
+                    }
                 }
-            }
-        }
-        // At most one outgoing temporal edge per node.
-        let mut sources: HashMap<(usize, (usize, usize)), usize> = HashMap::new();
-        for edge in self.temporal_edges() {
-            let count = sources.entry((edge.from_layer, edge.from_coord)).or_insert(0);
-            *count += 1;
-            if *count > 1 {
-                return Err(IrError::TemporalConflict {
-                    layer: edge.from_layer,
-                    coord: edge.from_coord,
-                });
             }
         }
         Ok(())
@@ -601,5 +634,151 @@ mod tests {
             ir.set_basis(0, (2, 2), MeasBasis::z()),
             Err(IrError::MissingNode { .. })
         ));
+    }
+
+    /// Non-square shapes in both orientations: a transposed flat index or a
+    /// missing bounds check shows up as aliasing on one of them.
+    const SHAPES: [(usize, usize); 2] = [(3, 5), (5, 3)];
+
+    /// Two full layers whose every node carries a distinct id.
+    fn filled(w: usize, h: usize) -> FlexLatticeIr {
+        let mut ir = FlexLatticeIr::new(VirtualHardware::new(w, h));
+        for layer in 0..2 {
+            ir.push_layer();
+            for (x, y) in ir.hardware().coords().collect::<Vec<_>>() {
+                ir.place(layer, (x, y), NodeKind::Program(id(layer, (x, y)))).unwrap();
+            }
+        }
+        ir
+    }
+
+    fn id(layer: usize, (x, y): (usize, usize)) -> usize {
+        1000 * layer + 100 * x + y
+    }
+
+    #[test]
+    fn flat_index_never_aliases_out_of_range_positions() {
+        for (w, h) in SHAPES {
+            let ir = filled(w, h);
+            for layer in 0..2 {
+                for coord in ir.hardware().coords() {
+                    let node = ir.node(layer, coord).expect("placed");
+                    assert_eq!(node.kind.program_node(), Some(id(layer, coord)));
+                }
+                // (w, y) would alias (0, y + 1) and (x, h) the next layer's
+                // (x, 0) in an unchecked flat index.
+                for y in 0..h {
+                    assert!(ir.node(layer, (w, y)).is_none(), "{w}x{h}: ({w}, {y})");
+                }
+                for x in 0..w {
+                    assert!(ir.node(layer, (x, h)).is_none(), "{w}x{h}: ({x}, {h})");
+                }
+            }
+            assert!(ir.node(2, (0, 0)).is_none());
+            assert!(ir.node(usize::MAX, (0, 0)).is_none());
+            assert_eq!(ir.layer_nodes(2).count(), 0);
+            assert_eq!(ir.occupancy(1), w * h);
+        }
+    }
+
+    #[test]
+    fn place_reports_bounds_then_layer_then_occupancy() {
+        for (w, h) in SHAPES {
+            let mut ir = filled(w, h);
+            let size = (w, h);
+            assert_eq!(
+                ir.place(7, (w, 0), NodeKind::Ancilla),
+                Err(IrError::OutOfBounds { coord: (w, 0), size })
+            );
+            assert_eq!(
+                ir.place(0, (0, h), NodeKind::Ancilla),
+                Err(IrError::OutOfBounds { coord: (0, h), size })
+            );
+            assert_eq!(ir.place(2, (0, 0), NodeKind::Ancilla), Err(IrError::MissingLayer(2)));
+            assert_eq!(
+                ir.place(1, (w - 1, h - 1), NodeKind::Ancilla),
+                Err(IrError::Occupied { layer: 1, coord: (w - 1, h - 1) })
+            );
+            // Failed placements leave the program untouched.
+            assert_eq!(ir.layer_count(), 2);
+            assert_eq!(ir.stats().program_nodes, 2 * w * h);
+            assert_eq!(ir.stats().ancilla_nodes, 0);
+        }
+    }
+
+    #[test]
+    fn temporal_edges_come_out_in_layer_x_y_order() {
+        for (w, h) in SHAPES {
+            let mut ir = filled(w, h);
+            ir.push_layer();
+            // Scrambled insertion order: the listing must not depend on it.
+            let mut coords: Vec<(usize, usize)> = ir.hardware().coords().collect();
+            coords.reverse();
+            coords.rotate_left(w);
+            for &c in &coords {
+                ir.place(2, c, NodeKind::Ancilla).unwrap();
+                if (c.0 + c.1) % 2 == 0 {
+                    ir.enable_temporal_edge(c, 1, 2).unwrap();
+                } else {
+                    ir.enable_temporal_edge(c, 0, 2).unwrap();
+                }
+            }
+            for &c in &coords {
+                if (c.0 + c.1) % 2 == 1 {
+                    ir.enable_temporal_edge(c, 0, 1).unwrap_err();
+                } else {
+                    ir.enable_temporal_edge(c, 0, 1).unwrap();
+                }
+            }
+            let keys: Vec<(usize, usize, usize)> = ir
+                .temporal_edges()
+                .iter()
+                .map(|e| (e.to_layer, e.to_coord.0, e.to_coord.1))
+                .collect();
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            assert_eq!(keys, sorted, "{w}x{h}");
+            assert_eq!(keys.len(), 2 * w * h - (w * h) / 2);
+            let summaries = ir.layer_summaries();
+            let incoming: Vec<(usize, usize)> =
+                summaries[2].incoming_temporal.iter().map(|&(c, _)| c).collect();
+            let mut by_x = incoming.clone();
+            by_x.sort_unstable();
+            assert_eq!(incoming, by_x, "{w}x{h}: summary order");
+            assert!(ir.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn layer_nodes_and_lowering_are_row_major() {
+        for (w, h) in SHAPES {
+            let mut ir = FlexLatticeIr::new(VirtualHardware::new(w, h));
+            let layer = ir.push_layer();
+            // Column-major insertion, the opposite of the listing order.
+            for x in (0..w).rev() {
+                for y in (0..h).rev() {
+                    if (x * 7 + y * 3) % 4 != 0 {
+                        ir.place(layer, (x, y), NodeKind::Program(10 * x + y)).unwrap();
+                    }
+                }
+            }
+            let listed: Vec<(usize, usize)> = ir.layer_nodes(layer).map(|(c, _)| c).collect();
+            let mut row_major = listed.clone();
+            row_major.sort_by_key(|&(x, y)| (y, x));
+            assert_eq!(listed, row_major, "{w}x{h}");
+            for ((x, y), node) in ir.layer_nodes(layer) {
+                assert_eq!(node.kind.program_node(), Some(10 * x + y));
+            }
+            let lowered = crate::InstructionProgram::lower(&ir).unwrap();
+            let mapped: Vec<(usize, usize)> = lowered
+                .instructions()
+                .iter()
+                .map(|i| match *i {
+                    crate::Instruction::MapVNode { v_node: (x, y, _), .. } => (x, y),
+                    ref other => panic!("unexpected {other}"),
+                })
+                .collect();
+            assert_eq!(mapped, row_major, "{w}x{h}: lowering order");
+        }
     }
 }

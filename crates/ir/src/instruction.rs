@@ -139,24 +139,14 @@ impl InstructionProgram {
     pub fn lower(ir: &FlexLatticeIr) -> Result<Self, IrError> {
         ir.validate()?;
         let mut instructions = Vec::new();
-        // Group temporal edges by destination layer once, instead of
-        // rescanning the whole program per layer.
-        let mut edges_by_layer: Vec<Vec<crate::flexlattice::TemporalEdge>> =
-            vec![Vec::new(); ir.layer_count()];
-        for edge in ir.temporal_edges() {
-            edges_by_layer[edge.to_layer].push(edge);
-        }
-        for (layer, layer_edges) in edges_by_layer.iter().enumerate() {
+        // Temporal edges come sorted by destination layer: walk them with
+        // one cursor instead of rescanning the program per layer.
+        let edges = ir.temporal_edges();
+        let mut edges = edges.iter().copied().peekable();
+        for layer in 0..ir.layer_count() {
             // Deterministic order: row-major over the layer.
-            let mut coords: Vec<(usize, usize)> = ir
-                .hardware()
-                .coords()
-                .filter(|&c| ir.node(layer, c).is_some())
-                .collect();
-            coords.sort_by_key(|&(x, y)| (y, x));
-            for &coord in &coords {
-                let node = ir.node(layer, coord).expect("filtered above");
-                let v_node = (coord.0, coord.1, layer);
+            for ((x, y), node) in ir.layer_nodes(layer) {
+                let v_node = (x, y, layer);
                 match node.kind {
                     NodeKind::Program(g) => {
                         instructions.push(Instruction::MapVNode { v_node, g_node: g })
@@ -166,19 +156,18 @@ impl InstructionProgram {
                     }
                 }
             }
-            for &coord in &coords {
-                let node = ir.node(layer, coord).expect("filtered above");
-                let v_node = (coord.0, coord.1, layer);
+            for ((x, y), node) in ir.layer_nodes(layer) {
+                let v_node = (x, y, layer);
                 if node.east_edge {
                     instructions.push(Instruction::EnableSpatialVEdge {
                         v_node,
-                        adjacent_v_node: (coord.0 + 1, coord.1, layer),
+                        adjacent_v_node: (x + 1, y, layer),
                     });
                 }
                 if node.north_edge {
                     instructions.push(Instruction::EnableSpatialVEdge {
                         v_node,
-                        adjacent_v_node: (coord.0, coord.1 + 1, layer),
+                        adjacent_v_node: (x, y + 1, layer),
                     });
                 }
                 if node.stored_after {
@@ -186,7 +175,7 @@ impl InstructionProgram {
                 }
             }
             // Temporal edges terminating on this layer.
-            for edge in layer_edges.iter().copied() {
+            while let Some(edge) = edges.next_if(|e| e.to_layer == layer) {
                 let (tx, ty) = edge.to_coord;
                 if edge.is_cross_layer() {
                     // Retrieve the stored node just below the destination

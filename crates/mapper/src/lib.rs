@@ -21,6 +21,30 @@
 //!    memory needed for graph-information storage at the cost of extra
 //!    layers (Table 3).
 //!
+//! # Implementation
+//!
+//! The mapper is linear in the program size, and its state is dense so
+//! that the constant stays small:
+//!
+//! * live (placed but incomplete) nodes sit in a vector indexed by node id,
+//!   next to a sorted list of the live ids; each keeps its unrealized edges
+//!   as a sorted id list, and a running total of those edges decides when
+//!   the program is done;
+//! * mapped flags and creation ranks are vectors indexed by node id, and
+//!   dynamic scheduling pops the ready node of lowest creation rank from a
+//!   binary heap;
+//! * the occupancy of the layer being built is one flag per coordinate,
+//!   and ancilla routes are found by a breadth-first search over reusable
+//!   epoch-stamped buffers;
+//! * the emitted [`oneperc_ir::FlexLatticeIr`] stores its nodes in one
+//!   arena behind a flat per-coordinate slot index (see its docs), which
+//!   the instruction lowering walks row-major.
+//!
+//! Every step visits nodes, pairs and partners in id order, so the result
+//! is a pure function of the program and the configuration.
+//! `oneperc-bench` keeps the earlier hash-map mapper as a reference, and
+//! its `mapper_equivalence` tests pin this implementation to it.
+//!
 //! # Example
 //!
 //! ```

@@ -1,6 +1,7 @@
 //! The mapping algorithm: program graph state → FlexLattice IR.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -93,11 +94,12 @@ pub struct MappingResult {
 
 /// Per-live-node bookkeeping: where the node lives and which of its graph
 /// edges are still unrealized.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Live {
     coord: (usize, usize),
     last_layer: usize,
-    pending: HashSet<usize>,
+    /// Neighbors whose edge to this node is still unrealized, sorted by id.
+    pending: Vec<usize>,
 }
 
 /// The offline mapper.
@@ -106,18 +108,85 @@ pub struct Mapper {
     config: MapperConfig,
 }
 
+/// Occupancy of the layer being built, indexed `y·w + x`.
+struct LayerGrid {
+    width: usize,
+    occupied: Vec<bool>,
+    count: usize,
+}
+
+impl LayerGrid {
+    fn new(hw: &VirtualHardware) -> Self {
+        LayerGrid { width: hw.width(), occupied: vec![false; hw.nodes_per_layer()], count: 0 }
+    }
+
+    fn clear(&mut self) {
+        self.occupied.fill(false);
+        self.count = 0;
+    }
+
+    fn index(&self, (x, y): (usize, usize)) -> usize {
+        y * self.width + x
+    }
+
+    fn coord(&self, i: usize) -> (usize, usize) {
+        (i % self.width, i / self.width)
+    }
+
+    fn is_occupied(&self, coord: (usize, usize)) -> bool {
+        self.occupied[self.index(coord)]
+    }
+
+    fn occupy(&mut self, coord: (usize, usize)) {
+        let i = self.index(coord);
+        debug_assert!(!self.occupied[i], "coordinate {coord:?} occupied twice");
+        self.occupied[i] = true;
+        self.count += 1;
+    }
+
+    /// Free coordinates in row-major order.
+    fn free(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.occupied.iter().enumerate().filter(|&(_, &o)| !o).map(|(i, _)| self.coord(i))
+    }
+}
+
+/// Reusable breadth-first-search buffers of [`RunState::route_edge`],
+/// indexed like [`LayerGrid`]. A coordinate is seen when its stamp equals
+/// the current epoch, so no buffer is cleared between searches.
+#[derive(Default)]
+struct RouteScratch {
+    epoch: usize,
+    seen: Vec<usize>,
+    prev: Vec<usize>,
+    queue: VecDeque<usize>,
+    path: Vec<usize>,
+}
+
 /// Mutable state of one mapping run, threaded through the per-layer steps.
 struct RunState<'p> {
     program: &'p ProgramGraph,
     ir: FlexLatticeIr,
-    live: HashMap<usize, Live>,
-    mapped: HashSet<usize>,
+    /// Live (placed but incomplete) nodes, indexed by node id.
+    live: Vec<Option<Live>>,
+    /// Ids of the live nodes, sorted.
+    live_ids: Vec<usize>,
+    /// Sum of `pending.len()` over the live nodes.
+    pending_total: usize,
+    mapped: Vec<bool>,
+    mapped_count: usize,
     stats: MapperStats,
     refresh_queue: VecDeque<usize>,
     /// Next layer index at which a refresh round may start.
     next_refresh: usize,
     /// Cursor into the creation order for the static-partition mode.
     static_cursor: usize,
+    /// Occupancy of the current layer.
+    grid: LayerGrid,
+    /// Program nodes placed or brought onto the current layer.
+    present: Vec<usize>,
+    route: RouteScratch,
+    /// Coordinates of the placed neighbors of the node being placed.
+    anchors: Vec<(usize, usize)>,
 }
 
 impl Mapper {
@@ -143,51 +212,61 @@ impl Mapper {
         let hw = self.config.hardware;
         let k2 = hw.nodes_per_layer();
         let cap_incomplete = self.config.max_incomplete_nodes();
+        let total_nodes = program.node_count();
 
         let dag = program.dependency_dag();
         let mut sched = dag.scheduler();
-        let creation_rank: HashMap<usize, usize> = program
-            .creation_order()
-            .iter()
-            .enumerate()
-            .map(|(rank, &v)| (v, rank))
-            .collect();
+        let creation_order = program.creation_order();
+        let mut creation_rank = vec![0; total_nodes];
+        for (rank, &v) in creation_order.iter().enumerate() {
+            creation_rank[v] = rank;
+        }
+        // Step 2's queue, as creation ranks: the smallest rank pops first.
+        let mut queue: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut partners: Vec<usize> = Vec::new();
 
         let mut state = RunState {
             program,
             ir: FlexLatticeIr::new(hw),
-            live: HashMap::new(),
-            mapped: HashSet::new(),
+            live: (0..total_nodes).map(|_| None).collect(),
+            live_ids: Vec::new(),
+            pending_total: 0,
+            mapped: vec![false; total_nodes],
+            mapped_count: 0,
             stats: MapperStats::default(),
             refresh_queue: VecDeque::new(),
             next_refresh: self.config.refresh_period.unwrap_or(usize::MAX),
             static_cursor: 0,
+            grid: LayerGrid::new(&hw),
+            present: Vec::new(),
+            route: RouteScratch {
+                seen: vec![0; k2],
+                prev: vec![0; k2],
+                ..RouteScratch::default()
+            },
+            anchors: Vec::new(),
         };
-        let total_nodes = program.node_count();
 
-        while state.mapped.len() < total_nodes
-            || state.live.values().any(|l| !l.pending.is_empty())
-        {
+        while state.mapped_count < total_nodes || state.pending_total > 0 {
             if state.ir.layer_count() >= self.config.max_layers {
                 return Err(MapError::LayerBudgetExhausted { limit: self.config.max_layers });
             }
             let z = state.ir.push_layer();
-            let mut occupied: HashSet<(usize, usize)> = HashSet::new();
-            let mut present: HashMap<usize, (usize, usize)> = HashMap::new();
+            state.grid.clear();
+            state.present.clear();
             let mut progressed = false;
 
             // ---- Refresh round (third optimization of Section 6.2) ----
             if let Some(period) = self.config.refresh_period {
                 if z >= state.next_refresh && state.refresh_queue.is_empty() {
-                    let mut stored: Vec<usize> = state
-                        .live
-                        .iter()
-                        .filter(|(_, l)| l.last_layer + 1 < z)
-                        .map(|(&g, _)| g)
-                        .collect();
-                    stored.sort_unstable();
-                    if !stored.is_empty() {
-                        state.refresh_queue.extend(stored);
+                    // `live_ids` is sorted, so the round runs in id order.
+                    for &g in &state.live_ids {
+                        if state.live[g].as_ref().is_some_and(|l| l.last_layer + 1 < z) {
+                            state.refresh_queue.push_back(g);
+                        }
+                    }
+                    if !state.refresh_queue.is_empty() {
                         state.stats.refreshes += 1;
                     }
                     // Whether or not anything needed refreshing, wait a full
@@ -205,10 +284,10 @@ impl Mapper {
                 let mut brought = 0;
                 while brought < cap_incomplete {
                     let Some(g) = state.refresh_queue.pop_front() else { break };
-                    if !state.live.contains_key(&g) {
+                    if state.live[g].is_none() {
                         continue;
                     }
-                    if bring_live_node(&hw, &mut state, z, g, &mut occupied, &mut present)? {
+                    if state.bring_live_node(z, g)? {
                         brought += 1;
                         progressed = true;
                     } else {
@@ -223,32 +302,27 @@ impl Mapper {
                 // routed right away, so the layer never fills up with
                 // carried nodes whose edges cannot be completed any more.
                 let free_needed = (k2 / 2).clamp(2, 4);
-                let pairs = pending_pairs(&state.live);
-                for (u, v) in pairs {
-                    if k2 - occupied.len() < free_needed + 2
-                        || present.len() + 2 > cap_incomplete.max(2) + 2
+                state.pending_pairs(&mut pairs);
+                for &(u, v) in &pairs {
+                    if k2 - state.grid.count < free_needed + 2
+                        || state.present.len() + 2 > cap_incomplete.max(2) + 2
                     {
                         break;
                     }
                     let mut both_present = true;
                     for g in [u, v] {
-                        if present.contains_key(&g) {
+                        if state.is_present(g, z) {
                             continue;
                         }
-                        if !bring_live_node(&hw, &mut state, z, g, &mut occupied, &mut present)? {
+                        if !state.bring_live_node(z, g)? {
                             both_present = false;
                         }
                     }
                     if !both_present {
                         continue;
                     }
-                    let (cu, cv) = (present[&u], present[&v]);
-                    if route_edge(&hw, &mut state.ir, z, cu, cv, &mut occupied)? {
-                        state.live.get_mut(&u).expect("live").pending.remove(&v);
-                        state.live.get_mut(&v).expect("live").pending.remove(&u);
+                    if state.route_pending_edge(z, u, v)? {
                         progressed = true;
-                    } else {
-                        state.stats.deferred_edges += 1;
                     }
                 }
 
@@ -260,62 +334,55 @@ impl Mapper {
                 // layer is kept free for ancilla routing.
                 let placement_cap = k2 - (k2 / 4).max(1);
                 if self.config.dynamic_scheduling {
-                    let mut queue: Vec<usize> = sched.front().to_vec();
-                    queue.sort_by_key(|g| creation_rank[g]);
-                    while let Some(g) = queue.first().copied() {
-                        queue.remove(0);
-                        if occupied.len() >= placement_cap {
+                    // Present nodes with unrealized edges. Placing a node
+                    // realizes no edge, so this only grows during step 2.
+                    let mut incomplete_present = state
+                        .present
+                        .iter()
+                        .filter(|&&p| state.live[p].as_ref().is_some_and(|l| !l.pending.is_empty()))
+                        .count();
+                    queue.clear();
+                    queue.extend(sched.front().iter().map(|&g| Reverse(creation_rank[g])));
+                    while let Some(Reverse(rank)) = queue.pop() {
+                        let g = creation_order[rank];
+                        if state.grid.count >= placement_cap {
                             break;
                         }
                         let neighbors = neighbor_ids(program, g);
                         let will_be_incomplete =
-                            neighbors.iter().any(|n| !state.mapped.contains(n) && *n != g);
-                        let incomplete_present = present
-                            .keys()
-                            .filter(|p| state.live.get(p).is_some_and(|l| !l.pending.is_empty()))
-                            .count();
+                            neighbors.iter().any(|&n| !state.mapped[n] && n != g);
                         if will_be_incomplete
                             && incomplete_present >= cap_incomplete
                             && progressed
                         {
                             continue;
                         }
-                        let Some(coord) =
-                            choose_coord(&hw, &occupied, &neighbors, &present, &state.live)
-                        else {
+                        let Some(coord) = state.choose_coord(neighbors) else {
                             continue;
                         };
-                        place_program_node(&mut state, z, g, coord)?;
-                        occupied.insert(coord);
-                        present.insert(g, coord);
-                        let newly_ready = sched.consume(g);
+                        state.place_present(z, g, coord)?;
+                        incomplete_present += usize::from(!neighbors.is_empty());
                         progressed = true;
-                        queue.extend(newly_ready);
-                        queue.sort_by_key(|g| creation_rank[g]);
-                        queue.dedup();
+                        let newly_ready = sched.consume(g);
+                        queue.extend(newly_ready.into_iter().map(|s| Reverse(creation_rank[s])));
                     }
                 } else {
                     // Static partition (the OneQ behaviour): fill the layer
                     // with the next contiguous chunk of nodes in creation
                     // order, without reordering and without an occupancy
                     // reservation.
-                    while occupied.len() < placement_cap {
-                        let Some(&g) = program.creation_order().get(state.static_cursor) else {
+                    while state.grid.count < placement_cap {
+                        let Some(&g) = creation_order.get(state.static_cursor) else {
                             break;
                         };
-                        if state.mapped.contains(&g) {
+                        if state.mapped[g] {
                             state.static_cursor += 1;
                             continue;
                         }
-                        let neighbors = neighbor_ids(program, g);
-                        let Some(coord) =
-                            choose_coord(&hw, &occupied, &neighbors, &present, &state.live)
-                        else {
+                        let Some(coord) = state.choose_coord(neighbor_ids(program, g)) else {
                             break;
                         };
-                        place_program_node(&mut state, z, g, coord)?;
-                        occupied.insert(coord);
-                        present.insert(g, coord);
+                        state.place_present(z, g, coord)?;
                         sched.consume(g);
                         state.static_cursor += 1;
                         progressed = true;
@@ -324,62 +391,53 @@ impl Mapper {
             }
 
             // ---- Step 3: realize edges between co-present nodes ----
-            let mut present_nodes: Vec<usize> = present.keys().copied().collect();
-            present_nodes.sort_unstable();
-            for &u in &present_nodes {
-                let mut partners: Vec<usize> = state
-                    .live
-                    .get(&u)
-                    .map(|l| {
-                        l.pending
-                            .iter()
-                            .copied()
-                            .filter(|v| *v > u && present.contains_key(v))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                // `pending` is a `HashSet`: route in node order, not hash
-                // order, so the mapping is a pure function of the program.
-                partners.sort_unstable();
-                for v in partners {
-                    let (cu, cv) = (present[&u], present[&v]);
-                    if route_edge(&hw, &mut state.ir, z, cu, cv, &mut occupied)? {
-                        state.live.get_mut(&u).expect("live").pending.remove(&v);
-                        state.live.get_mut(&v).expect("live").pending.remove(&u);
+            // In node order, each node with its partners in node order, so
+            // the mapping is a pure function of the program.
+            state.present.sort_unstable();
+            for i in 0..state.present.len() {
+                let u = state.present[i];
+                partners.clear();
+                if let Some(l) = &state.live[u] {
+                    partners.extend(
+                        l.pending.iter().copied().filter(|&v| v > u && state.is_present(v, z)),
+                    );
+                }
+                for &v in &partners {
+                    if state.route_pending_edge(z, u, v)? {
                         progressed = true;
-                    } else {
-                        state.stats.deferred_edges += 1;
                     }
                 }
             }
 
             // ---- Step 4: retire completed nodes, update peaks ----
-            for g in &present_nodes {
-                if state.live.get(g).is_some_and(|l| l.pending.is_empty()) {
-                    state.live.remove(g);
+            for i in 0..state.present.len() {
+                let g = state.present[i];
+                if state.live[g].as_ref().is_some_and(|l| l.pending.is_empty()) {
+                    state.retire(g);
                 }
             }
-            state.stats.peak_live_nodes = state.stats.peak_live_nodes.max(state.live.len());
-            let stored_now = state.live.values().filter(|l| l.last_layer < z).count();
+            state.stats.peak_live_nodes = state.stats.peak_live_nodes.max(state.live_ids.len());
+            let stored_now = state
+                .live_ids
+                .iter()
+                .filter(|&&g| state.live[g].as_ref().is_some_and(|l| l.last_layer < z))
+                .count();
             state.stats.peak_stored_nodes = state.stats.peak_stored_nodes.max(stored_now);
 
             // ---- Progress guarantee ----
             if !progressed {
                 if let Some(&g) = sched.front().first() {
-                    let neighbors = neighbor_ids(program, g);
-                    let Some(coord) =
-                        choose_coord(&hw, &occupied, &neighbors, &present, &state.live)
-                    else {
+                    let Some(coord) = state.choose_coord(neighbor_ids(program, g)) else {
                         return Err(MapError::HardwareTooSmall {
-                            needed: state.live.len() + 1,
+                            needed: state.live_ids.len() + 1,
                             available: k2,
                         });
                     };
-                    place_program_node(&mut state, z, g, coord)?;
+                    state.place_program_node(z, g, coord)?;
                     sched.consume(g);
-                } else if present.is_empty() && occupied.is_empty() {
+                } else if state.present.is_empty() && state.grid.count == 0 {
                     return Err(MapError::HardwareTooSmall {
-                        needed: state.live.len(),
+                        needed: state.live_ids.len(),
                         available: k2,
                     });
                 }
@@ -403,181 +461,225 @@ impl Mapper {
     }
 }
 
-/// All unordered pairs of live nodes whose mutual edge is still pending,
-/// sorted for determinism.
-fn pending_pairs(live: &HashMap<usize, Live>) -> Vec<(usize, usize)> {
-    let mut pairs: Vec<(usize, usize)> = live
-        .iter()
-        .flat_map(|(&u, l)| {
-            l.pending
-                .iter()
-                .copied()
-                .filter(move |&v| v > u && live.contains_key(&v))
-                .map(move |v| (u, v))
-        })
-        .collect();
-    pairs.sort_unstable();
-    pairs
+fn neighbor_ids(program: &ProgramGraph, g: usize) -> &[usize] {
+    // GraphState neighbor slices are sorted by id and duplicate-free.
+    program.graph().neighbors(g).unwrap_or_default()
 }
 
-fn neighbor_ids(program: &ProgramGraph, g: usize) -> Vec<usize> {
-    // GraphState neighbor slices are already sorted by id.
-    program.graph().neighbors(g).map(<[usize]>::to_vec).unwrap_or_default()
-}
-
-/// Places a fresh program node and registers it as live.
-fn place_program_node(
-    state: &mut RunState<'_>,
-    layer: usize,
-    g: usize,
-    coord: (usize, usize),
-) -> Result<(), MapError> {
-    state.ir.place(layer, coord, NodeKind::Program(g))?;
-    if let Some(basis) = state.program.node(g).basis {
-        state.ir.set_basis(layer, coord, basis)?;
+impl RunState<'_> {
+    /// Whether live node `g` was placed or brought onto layer `z`.
+    fn is_present(&self, g: usize, z: usize) -> bool {
+        self.live[g].as_ref().is_some_and(|l| l.last_layer == z)
     }
-    state.stats.program_nodes += 1;
-    let pending: HashSet<usize> = neighbor_ids(state.program, g).into_iter().collect();
-    state.live.insert(g, Live { coord, last_layer: layer, pending });
-    state.mapped.insert(g);
-    Ok(())
-}
 
-/// Re-places a live node on layer `z` and links it to its previous
-/// appearance with a temporal edge. Nodes carried from the immediately
-/// preceding layer must keep their coordinate (direct fusion); nodes parked
-/// in the virtual memory may re-enter at any free coordinate. Returns
-/// `false` when the node could not be brought onto this layer.
-fn bring_live_node(
-    hw: &VirtualHardware,
-    state: &mut RunState<'_>,
-    z: usize,
-    g: usize,
-    occupied: &mut HashSet<(usize, usize)>,
-    present: &mut HashMap<usize, (usize, usize)>,
-) -> Result<bool, MapError> {
-    let Some(info) = state.live.get(&g).cloned() else { return Ok(false) };
-    let adjacent_carry = info.last_layer + 1 == z;
-    let coord = if !occupied.contains(&info.coord) {
-        Some(info.coord)
-    } else if adjacent_carry {
-        // Adjacent carries must stay at their coordinate; skip this layer
-        // and let the node travel through the virtual memory instead.
-        None
-    } else {
-        // Relocate: pick the free coordinate closest to the old home.
-        hw.coords()
-            .filter(|c| !occupied.contains(c))
-            .min_by_key(|&(x, y)| x.abs_diff(info.coord.0) + y.abs_diff(info.coord.1))
-    };
-    let Some(coord) = coord else { return Ok(false) };
-    state.ir.place(z, coord, NodeKind::Program(g))?;
-    if adjacent_carry || coord == info.coord {
-        state.ir.enable_temporal_edge(coord, info.last_layer, z)?;
-    } else {
-        state
-            .ir
-            .enable_temporal_edge_relocated(info.last_layer, info.coord, z, coord)?;
-    }
-    occupied.insert(coord);
-    present.insert(g, coord);
-    let live = state.live.get_mut(&g).expect("live");
-    live.coord = coord;
-    live.last_layer = z;
-    Ok(true)
-}
-
-/// Picks a free coordinate for a new node, minimizing the total Manhattan
-/// distance to the coordinates of its already-placed neighbors.
-fn choose_coord(
-    hw: &VirtualHardware,
-    occupied: &HashSet<(usize, usize)>,
-    neighbors: &[usize],
-    present: &HashMap<usize, (usize, usize)>,
-    live: &HashMap<usize, Live>,
-) -> Option<(usize, usize)> {
-    let anchor_coords: Vec<(usize, usize)> = neighbors
-        .iter()
-        .filter_map(|n| present.get(n).copied().or_else(|| live.get(n).map(|l| l.coord)))
-        .collect();
-    let mut best: Option<((usize, usize), usize)> = None;
-    for coord in hw.coords() {
-        if occupied.contains(&coord) {
-            continue;
+    /// Fills `pairs` with every unordered pair of live nodes whose mutual
+    /// edge is still pending, in sorted order.
+    fn pending_pairs(&self, pairs: &mut Vec<(usize, usize)>) {
+        pairs.clear();
+        for &u in &self.live_ids {
+            if let Some(l) = &self.live[u] {
+                pairs.extend(
+                    l.pending.iter().filter(|&&v| v > u && self.live[v].is_some()).map(|&v| (u, v)),
+                );
+            }
         }
-        let score: usize = if anchor_coords.is_empty() {
-            coord.0 + coord.1
+    }
+
+    /// Places a fresh program node and registers it as live.
+    fn place_program_node(
+        &mut self,
+        layer: usize,
+        g: usize,
+        coord: (usize, usize),
+    ) -> Result<(), MapError> {
+        self.ir.place(layer, coord, NodeKind::Program(g))?;
+        if let Some(basis) = self.program.node(g).basis {
+            self.ir.set_basis(layer, coord, basis)?;
+        }
+        self.stats.program_nodes += 1;
+        let pending = neighbor_ids(self.program, g).to_vec();
+        self.pending_total += pending.len();
+        self.live[g] = Some(Live { coord, last_layer: layer, pending });
+        let at = self.live_ids.partition_point(|&l| l < g);
+        self.live_ids.insert(at, g);
+        self.mapped[g] = true;
+        self.mapped_count += 1;
+        Ok(())
+    }
+
+    /// Places a fresh program node onto the layer being built.
+    fn place_present(
+        &mut self,
+        layer: usize,
+        g: usize,
+        coord: (usize, usize),
+    ) -> Result<(), MapError> {
+        self.place_program_node(layer, g, coord)?;
+        self.grid.occupy(coord);
+        self.present.push(g);
+        Ok(())
+    }
+
+    /// Drops a completed node from the live set.
+    fn retire(&mut self, g: usize) {
+        self.live[g] = None;
+        if let Ok(pos) = self.live_ids.binary_search(&g) {
+            self.live_ids.remove(pos);
+        }
+    }
+
+    /// Re-places a live node on layer `z` and links it to its previous
+    /// appearance with a temporal edge. Nodes carried from the immediately
+    /// preceding layer must keep their coordinate (direct fusion); nodes
+    /// parked in the virtual memory may re-enter at any free coordinate.
+    /// Returns `false` when the node could not be brought onto this layer.
+    fn bring_live_node(&mut self, z: usize, g: usize) -> Result<bool, MapError> {
+        let Some(info) = &self.live[g] else { return Ok(false) };
+        let (home, last_layer) = (info.coord, info.last_layer);
+        let adjacent_carry = last_layer + 1 == z;
+        let coord = if !self.grid.is_occupied(home) {
+            Some(home)
+        } else if adjacent_carry {
+            // Adjacent carries must stay at their coordinate; skip this
+            // layer and let the node travel through the virtual memory
+            // instead.
+            None
         } else {
-            anchor_coords
-                .iter()
-                .map(|&(x, y)| x.abs_diff(coord.0) + y.abs_diff(coord.1))
-                .sum()
+            // Relocate: pick the free coordinate closest to the old home.
+            self.grid
+                .free()
+                .min_by_key(|&(x, y)| x.abs_diff(home.0) + y.abs_diff(home.1))
         };
-        if best.is_none_or(|(_, s)| score < s) {
-            best = Some((coord, score));
+        let Some(coord) = coord else { return Ok(false) };
+        self.ir.place(z, coord, NodeKind::Program(g))?;
+        if adjacent_carry || coord == home {
+            self.ir.enable_temporal_edge(coord, last_layer, z)?;
+        } else {
+            self.ir.enable_temporal_edge_relocated(last_layer, home, z, coord)?;
         }
+        self.grid.occupy(coord);
+        self.present.push(g);
+        if let Some(live) = &mut self.live[g] {
+            live.coord = coord;
+            live.last_layer = z;
+        }
+        Ok(true)
     }
-    best.map(|(c, _)| c)
-}
 
-/// Routes an edge between two coordinates of the same layer through free
-/// coordinates, placing ancillas along the way. Returns `false` when no
-/// route exists on this layer.
-fn route_edge(
-    hw: &VirtualHardware,
-    ir: &mut FlexLatticeIr,
-    z: usize,
-    a: (usize, usize),
-    b: (usize, usize),
-    occupied: &mut HashSet<(usize, usize)>,
-) -> Result<bool, MapError> {
-    if hw.adjacent(a, b) {
-        ir.enable_spatial_edge(z, a, b)?;
-        return Ok(true);
-    }
-    // BFS from a to b through free coordinates.
-    let mut prev: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    let mut seen: HashSet<(usize, usize)> = HashSet::new();
-    let mut queue = VecDeque::new();
-    seen.insert(a);
-    queue.push_back(a);
-    let mut found = false;
-    'bfs: while let Some(cur) = queue.pop_front() {
-        for nb in hw.neighbors(cur) {
-            if nb == b {
-                prev.insert(nb, cur);
-                found = true;
-                break 'bfs;
+    /// Picks a free coordinate for a new node, minimizing the total
+    /// Manhattan distance to the coordinates of its already-placed
+    /// neighbors.
+    fn choose_coord(&mut self, neighbors: &[usize]) -> Option<(usize, usize)> {
+        self.anchors.clear();
+        self.anchors
+            .extend(neighbors.iter().filter_map(|&n| self.live[n].as_ref().map(|l| l.coord)));
+        let mut best: Option<((usize, usize), usize)> = None;
+        for coord in self.grid.free() {
+            let score: usize = if self.anchors.is_empty() {
+                coord.0 + coord.1
+            } else {
+                self.anchors
+                    .iter()
+                    .map(|&(x, y)| x.abs_diff(coord.0) + y.abs_diff(coord.1))
+                    .sum()
+            };
+            if best.is_none_or(|(_, s)| score < s) {
+                best = Some((coord, score));
             }
-            if occupied.contains(&nb) || seen.contains(&nb) {
-                continue;
+        }
+        best.map(|(c, _)| c)
+    }
+
+    /// Routes the pending edge between the co-present live nodes `u` and
+    /// `v`, and marks it realized. Counts a deferral and returns `false`
+    /// when no route exists on this layer.
+    fn route_pending_edge(&mut self, z: usize, u: usize, v: usize) -> Result<bool, MapError> {
+        let (Some(lu), Some(lv)) = (&self.live[u], &self.live[v]) else { return Ok(false) };
+        let (cu, cv) = (lu.coord, lv.coord);
+        if !self.route_edge(z, cu, cv)? {
+            self.stats.deferred_edges += 1;
+            return Ok(false);
+        }
+        for (a, b) in [(u, v), (v, u)] {
+            if let Some(l) = &mut self.live[a] {
+                if let Ok(pos) = l.pending.binary_search(&b) {
+                    l.pending.remove(pos);
+                    self.pending_total -= 1;
+                }
             }
-            seen.insert(nb);
-            prev.insert(nb, cur);
-            queue.push_back(nb);
         }
+        Ok(true)
     }
-    if !found {
-        return Ok(false);
-    }
-    // Reconstruct and materialize the route.
-    let mut path = vec![b];
-    let mut cur = b;
-    while cur != a {
-        let p = prev[&cur];
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    for window in path.windows(2) {
-        let (from, to) = (window[0], window[1]);
-        if to != b && ir.node(z, to).is_none() {
-            ir.place(z, to, NodeKind::Ancilla)?;
-            occupied.insert(to);
+
+    /// Routes an edge between two coordinates of layer `z` through free
+    /// coordinates, placing ancillas along the way. Returns `false` when no
+    /// route exists on this layer.
+    fn route_edge(
+        &mut self,
+        z: usize,
+        a: (usize, usize),
+        b: (usize, usize),
+    ) -> Result<bool, MapError> {
+        let hw = *self.ir.hardware();
+        if hw.adjacent(a, b) {
+            self.ir.enable_spatial_edge(z, a, b)?;
+            return Ok(true);
         }
-        ir.enable_spatial_edge(z, from, to)?;
+        let RunState { ir, grid, route, .. } = self;
+        let (w, h) = (hw.width(), hw.height());
+        let (start, goal) = (grid.index(a), grid.index(b));
+        // BFS from a to b through free coordinates, expanding neighbors in
+        // `VirtualHardware::neighbors` order (west, south, east, north).
+        route.epoch += 1;
+        let epoch = route.epoch;
+        route.seen[start] = epoch;
+        route.queue.clear();
+        route.queue.push_back(start);
+        let mut found = false;
+        'bfs: while let Some(cur) = route.queue.pop_front() {
+            let (x, y) = grid.coord(cur);
+            let around = [
+                (x > 0).then(|| cur - 1),
+                (y > 0).then(|| cur - w),
+                (x + 1 < w).then(|| cur + 1),
+                (y + 1 < h).then(|| cur + w),
+            ];
+            for nb in around.into_iter().flatten() {
+                if nb == goal {
+                    route.prev[nb] = cur;
+                    found = true;
+                    break 'bfs;
+                }
+                if grid.occupied[nb] || route.seen[nb] == epoch {
+                    continue;
+                }
+                route.seen[nb] = epoch;
+                route.prev[nb] = cur;
+                route.queue.push_back(nb);
+            }
+        }
+        if !found {
+            return Ok(false);
+        }
+        // Reconstruct and materialize the route.
+        route.path.clear();
+        route.path.push(goal);
+        let mut cur = goal;
+        while cur != start {
+            cur = route.prev[cur];
+            route.path.push(cur);
+        }
+        route.path.reverse();
+        for window in route.path.windows(2) {
+            let (from, to) = (grid.coord(window[0]), grid.coord(window[1]));
+            if window[1] != goal && !grid.occupied[window[1]] {
+                ir.place(z, to, NodeKind::Ancilla)?;
+                grid.occupy(to);
+            }
+            ir.enable_spatial_edge(z, from, to)?;
+        }
+        Ok(true)
     }
-    Ok(true)
 }
 
 #[cfg(test)]

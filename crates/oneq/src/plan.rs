@@ -40,23 +40,15 @@ impl OneqPlan {
             .with_occupancy_limit(1.0);
         let result = Mapper::new(config).map(program)?;
         let summaries = result.ir.layer_summaries();
-        let ir_stats = result.ir.stats();
-        let _ = ir_stats;
         let mut layers = Vec::with_capacity(summaries.len());
         for (idx, summary) in summaries.iter().enumerate() {
             // Spatial edges of this layer: count the enabled edges by
             // walking the layer's nodes.
-            let mut spatial = 0u64;
-            for coord in result.ir.hardware().coords() {
-                if let Some(node) = result.ir.node(idx, coord) {
-                    if node.east_edge {
-                        spatial += 1;
-                    }
-                    if node.north_edge {
-                        spatial += 1;
-                    }
-                }
-            }
+            let spatial: u64 = result
+                .ir
+                .layer_nodes(idx)
+                .map(|(_, node)| u64::from(node.east_edge) + u64::from(node.north_edge))
+                .sum();
             layers.push(LayerPlan {
                 intra_fusions: summary.occupied as u64 + spatial,
                 inter_fusions: summary.incoming_temporal.len() as u64,
