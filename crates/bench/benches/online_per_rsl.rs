@@ -1,7 +1,8 @@
 //! Criterion bench behind Fig. 14(a): online processing cost of a single
-//! resource-state layer as the RSL grows, plus the `flat_vs_hash` A/B group
-//! comparing the flat-grid renormalizer against the preserved hash-based
-//! baseline.
+//! resource-state layer as the RSL grows — full renormalization beside the
+//! path-free `spans_target` verdict the reshaping engine runs — plus the
+//! `flat_vs_hash` A/B group comparing the flat-grid renormalizer against
+//! the preserved hash-based baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_bench::baseline::hash_renormalize;
@@ -32,6 +33,17 @@ fn bench_online_per_rsl(c: &mut Criterion) {
                 let layer = &layers[i % layers.len()];
                 i += 1;
                 std::hint::black_box(renormalizer.renormalize(layer, node_size).node_count())
+            });
+        });
+        // The reshaping engine's per-layer verdict: the same bands' gate,
+        // no path extraction.
+        group.bench_with_input(BenchmarkId::new("spans_target", rsl), &rsl, |b, _| {
+            let mut renormalizer = Renormalizer::new();
+            let mut i = 0usize;
+            b.iter(|| {
+                let layer = &layers[i % layers.len()];
+                i += 1;
+                std::hint::black_box(renormalizer.spans_target(layer, node_size, 4))
             });
         });
         group.bench_with_input(

@@ -73,8 +73,8 @@ pub struct CompilerConfig {
     /// layers through a persistent [`WorkerPool`] shared across the lanes
     /// of a [`Session`](crate::Session) — the only way the online pass
     /// overlaps generation with renormalization — and consumes the
-    /// lattices in stream order, so reports are byte-identical for every
-    /// worker count; only the wall-clock changes.
+    /// per-layer renormalization verdicts in stream order, so reports are
+    /// byte-identical for every worker count; only the wall-clock changes.
     ///
     /// [`WorkerPool`]: oneperc_percolation::WorkerPool
     pub renorm_workers: usize,

@@ -11,23 +11,29 @@
 //!
 //! * [`renormalize`] / [`Renormalizer`] — 2D renormalization of a single RSL
 //!   into a coarse-grained `k × k` lattice by alternating vertical /
-//!   horizontal path searches (Section 5.1).
+//!   horizontal path searches (Section 5.1), and
+//!   [`Renormalizer::spans_target`], the path-free verdict of whether a
+//!   layer renormalizes to a given target side.
 //! * [`ModularRenormalizer`] — the modular variant that splits the RSL into
 //!   independently-processed modules separated by joining intervals,
 //!   trading a small resource overhead for a large reduction in real-time
 //!   latency (Fig. 10, Fig. 13(c), Fig. 14(b)).
 //! * [`WorkerPool`] — persistent, channel-fed renormalization workers,
-//!   amortizing thread startup across the RSL stream. The pool multiplexes
-//!   any number of submitters: each [`PoolClient`] has a private reply
-//!   channel and slot sequence, so concurrent batches (several reshaping
-//!   engines, the modular renormalizer, …) interleave on the workers
-//!   without ever mixing results.
+//!   amortizing thread startup across the RSL stream. A job is either a
+//!   region lattice (the modular renormalizer) or a whole-layer verdict
+//!   (the reshaping engine). The pool multiplexes any number of
+//!   submitters: each [`PoolClient`] has a private reply channel and slot
+//!   sequence, so concurrent batches interleave on the workers without
+//!   ever mixing results.
 //! * [`ReshapeEngine`] — the (2+1)-D driver that consumes a stream of RSLs,
 //!   classifies them into logical and routing layers, and establishes the
 //!   adjacent-layer and cross-layer time-like connections requested by the
-//!   IR program (Section 5.2). Built with
+//!   IR program (Section 5.2). It classifies each layer by its
+//!   [`spans_target`](Renormalizer::spans_target) verdict and extracts no
+//!   path; [`ReshapeEngine::last_logical_lattice`] renormalizes the kept
+//!   logical layer only when asked. Built with
 //!   [`ReshapeEngine::with_renorm_client`], the engine overlaps its
-//!   stages: layers are generated in the driving thread, renormalized on a
+//!   stages: layers are generated in the driving thread, decided on a
 //!   shared worker pool a few layers ahead, and connected in the driving
 //!   thread. [`ReshapeEngine::reset`] restarts
 //!   the stochastic stream for a new seed while keeping every thread and
@@ -36,18 +42,23 @@
 //! # Pipeline architecture and ownership rules
 //!
 //! The online pass is organized as a stream of resource-state layers
-//! flowing generate → renormalize → connect. Only the connect step carries
-//! state from one layer to the next. Two independent levers spread that
-//! stream across cores, and both are determinism-preserving — with a
-//! fixed seed they produce byte-identical [`RenormalizedLattice`]s and
-//! reports to the fully serial path, for any worker count:
+//! flowing generate → decide → connect. The decide step is the path-free
+//! renormalization verdict: a layer is logical-capable exactly when the
+//! first `target_side` column and row bands all percolate, which the
+//! word-parallel band gate answers without extracting a path (see
+//! [`Renormalizer::spans_target`] for the planarity argument). Only the
+//! connect step carries state from one layer to the next. Two independent
+//! levers spread that stream across cores, and both are
+//! determinism-preserving — with a fixed seed they produce identical
+//! reports and byte-identical [`RenormalizedLattice`]s to the fully serial
+//! path, for any worker count:
 //!
 //! * **Stream fan-out** (`ReshapeEngine::with_renorm_client`):
 //!   upcoming layers are submitted to a [`WorkerPool`] as whole-layer
-//!   region jobs, a bounded lookahead ahead of consumption, and their
-//!   lattices are collected strictly in stream order. Every layer is
+//!   verdict jobs, a bounded lookahead ahead of consumption, and their
+//!   verdicts are collected strictly in stream order. Every layer is
 //!   consumed in generation order whatever its logical/routing fate, so
-//!   the prefetched renormalization is never speculative waste. Time-like
+//!   the prefetched verdict is never speculative waste. Time-like
 //!   fusion outcomes draw from their own seeded sampler, which is what
 //!   keeps the layer-pattern RNG stream independent of the lookahead.
 //! * **Module fan-out** (`ModularRenormalizer` on a [`WorkerPool`]):

@@ -28,12 +28,15 @@
 //!   so the outcome of a batch is independent of worker scheduling: any
 //!   worker count — including a single worker, or more workers than jobs —
 //!   produces byte-identical lattices in identical order.
-//! * Region renormalization is a pure function of `(layer, region,
-//!   node_size)`; workers keep no cross-job state other than their scratch
-//!   pool, whose epoch stamps make reuse observationally reset-free. A job
-//!   that panics is reported back to its submitter and the worker replaces
-//!   its (possibly mid-search) scratch with a fresh one, so one submitter's
-//!   failure never corrupts another's batch.
+//! * A job states what it computes: a region lattice (the modular
+//!   renormalizer's shape) or a whole-layer verdict — whether the layer
+//!   spans a `target_side` lattice (the reshaping engine's shape). Both
+//!   are pure functions of the layer and the job's parameters; workers
+//!   keep no cross-job state other than their scratch pool, whose epoch
+//!   stamps make reuse observationally reset-free. A job that panics is
+//!   reported back to its submitter and the worker replaces its (possibly
+//!   mid-search) scratch with a fresh one, so one submitter's failure never
+//!   corrupts another's batch.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,8 +49,7 @@ use oneperc_hardware::PhysicalLayer;
 use crate::renormalize::{RenormalizedLattice, Renormalizer};
 
 /// One rectangular region of a layer, in physical sites. A region may be a
-/// module of the modular renormalization or an entire layer (the shape the
-/// reshaping stage submits).
+/// module of the modular renormalization or an entire layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModuleRegion {
     /// Top-left corner `(x, y)` of the region.
@@ -65,17 +67,34 @@ impl ModuleRegion {
     }
 }
 
-/// A worker's answer for one job: the slot plus the lattice, or the panic
+/// What a job computes from its layer.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    /// The renormalized lattice of one region
+    /// ([`Renormalizer::renormalize_region`]).
+    Region { region: ModuleRegion, node_size: usize },
+    /// Whether the whole layer spans a `target_side` lattice
+    /// ([`Renormalizer::spans_target`]).
+    Verdict { node_size: usize, target_side: usize },
+}
+
+/// The result of a [`Task`].
+#[derive(Debug)]
+enum Answer {
+    Lattice(RenormalizedLattice),
+    Verdict(bool),
+}
+
+/// A worker's answer for one job: the slot plus the result, or the panic
 /// message of a job that blew up. Panics must travel back explicitly — a
 /// silently swallowed panic would leave the submitter waiting forever.
-type JobReply = (usize, Result<RenormalizedLattice, String>);
+type JobReply = (usize, Result<Answer, String>);
 
-/// One unit of work: renormalize a region of a shared layer and answer the
+/// One unit of work: run a task on a shared layer and answer the
 /// submitting client on its private reply channel.
 struct WorkItem {
     layer: Arc<PhysicalLayer>,
-    region: ModuleRegion,
-    node_size: usize,
+    task: Task,
     slot: usize,
     reply: Sender<JobReply>,
 }
@@ -165,30 +184,35 @@ impl WorkerPool {
                             Job::Work(item) => item,
                             Job::Shutdown => break,
                         };
-                        let WorkItem { layer, region, node_size, slot, reply } = *item;
+                        let WorkItem { layer, task, slot, reply } = *item;
                         // A panicking job must reach its submitter as a
                         // message, or that batch would wait forever while
                         // the worker moved on.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            renorm.renormalize_region(
-                                &layer,
-                                region.origin,
-                                region.width,
-                                region.height,
-                                node_size,
-                            )
+                        let outcome = catch_unwind(AssertUnwindSafe(|| match task {
+                            Task::Region { region, node_size } => {
+                                Answer::Lattice(renorm.renormalize_region(
+                                    &layer,
+                                    region.origin,
+                                    region.width,
+                                    region.height,
+                                    node_size,
+                                ))
+                            }
+                            Task::Verdict { node_size, target_side } => {
+                                Answer::Verdict(renorm.spans_target(&layer, node_size, target_side))
+                            }
                         }));
                         // Release the layer before replying: once the
                         // submitter has the result, it again holds the only
                         // references it created.
                         drop(layer);
                         match outcome {
-                            Ok(lattice) => {
+                            Ok(answer) => {
                                 // A dead reply channel only means the
                                 // submitter abandoned its jobs (its engine
                                 // was dropped or reset); other submitters
                                 // still need this worker.
-                                let _ = reply.send((slot, Ok(lattice)));
+                                let _ = reply.send((slot, Ok(answer)));
                             }
                             Err(payload) => {
                                 // The scratch may be mid-search; replace it
@@ -274,8 +298,9 @@ impl Drop for WorkerPool {
 
 /// A per-submitter handle onto a [`WorkerPool`].
 ///
-/// `submit` enqueues a region-renormalization job and assigns it the next
-/// slot of this client's stream; `recv_next` returns results strictly in
+/// `submit` enqueues a region-renormalization job and `submit_verdict` a
+/// whole-layer verdict job, each assigned the next slot of this client's
+/// stream; `recv_next` / `recv_next_verdict` return results strictly in
 /// submission order, buffering any that arrive early. One client therefore
 /// behaves like a private pipeline through the shared workers: results come
 /// back in the order the work went in, independent of the worker count and
@@ -292,7 +317,7 @@ pub struct PoolClient {
     /// Slot whose result `recv_next` returns next.
     next_result: usize,
     /// Results that arrived ahead of `next_result`.
-    reordered: BTreeMap<usize, Result<RenormalizedLattice, String>>,
+    reordered: BTreeMap<usize, Result<Answer, String>>,
 }
 
 impl PoolClient {
@@ -302,22 +327,33 @@ impl PoolClient {
         self.pool_workers
     }
     /// Enqueues one region job and returns its slot in this client's
-    /// stream.
+    /// stream; receive its lattice with [`PoolClient::recv_next`].
     pub fn submit(
         &mut self,
         layer: &Arc<PhysicalLayer>,
         region: ModuleRegion,
         node_size: usize,
     ) -> usize {
+        self.enqueue(layer, Task::Region { region, node_size })
+    }
+
+    /// Enqueues one whole-layer verdict job — does `layer` span a
+    /// `target_side` lattice at this node size, per
+    /// [`Renormalizer::spans_target`] — and returns its slot; receive the
+    /// verdict with [`PoolClient::recv_next_verdict`].
+    pub fn submit_verdict(
+        &mut self,
+        layer: &Arc<PhysicalLayer>,
+        node_size: usize,
+        target_side: usize,
+    ) -> usize {
+        self.enqueue(layer, Task::Verdict { node_size, target_side })
+    }
+
+    fn enqueue(&mut self, layer: &Arc<PhysicalLayer>, task: Task) -> usize {
         let slot = self.next_slot;
         self.next_slot += 1;
-        let item = WorkItem {
-            layer: Arc::clone(layer),
-            region,
-            node_size,
-            slot,
-            reply: self.reply_tx.clone(),
-        };
+        let item = WorkItem { layer: Arc::clone(layer), task, slot, reply: self.reply_tx.clone() };
         self.job_tx.send(Job::Work(Box::new(item))).expect("worker pool hung up");
         slot
     }
@@ -327,8 +363,8 @@ impl PoolClient {
         self.next_slot - self.next_result - self.reordered.len()
     }
 
-    /// Receives the result of the oldest outstanding job, blocking until it
-    /// is available.
+    /// Receives the lattice of the oldest outstanding job, blocking until
+    /// it is available.
     ///
     /// The pool must outlive the client's outstanding work: jobs submitted
     /// before the pool is dropped are always processed (the teardown
@@ -339,9 +375,28 @@ impl PoolClient {
     ///
     /// # Panics
     ///
-    /// Panics when no job is outstanding or when the job itself panicked
-    /// (the worker's message is relayed).
+    /// Panics when no job is outstanding, when the job itself panicked
+    /// (the worker's message is relayed), or when the oldest job is a
+    /// verdict job.
     pub fn recv_next(&mut self) -> RenormalizedLattice {
+        match self.recv_answer() {
+            Answer::Lattice(lattice) => lattice,
+            Answer::Verdict(_) => panic!("the oldest outstanding job is a verdict job"),
+        }
+    }
+
+    /// Receives the verdict of the oldest outstanding job, blocking until
+    /// it is available; the blocking and panic rules of
+    /// [`PoolClient::recv_next`] apply, with the oldest job required to be
+    /// a verdict job.
+    pub fn recv_next_verdict(&mut self) -> bool {
+        match self.recv_answer() {
+            Answer::Verdict(spans) => spans,
+            Answer::Lattice(_) => panic!("the oldest outstanding job is a region job"),
+        }
+    }
+
+    fn recv_answer(&mut self) -> Answer {
         let want = self.next_result;
         assert!(want < self.next_slot, "no outstanding job to receive");
         let result = loop {
@@ -358,7 +413,7 @@ impl PoolClient {
         };
         self.next_result += 1;
         match result {
-            Ok(lattice) => lattice,
+            Ok(answer) => answer,
             Err(msg) => panic!("renormalization job for slot {want} panicked: {msg}"),
         }
     }
@@ -542,6 +597,43 @@ mod tests {
             assert_eq!(got, expected);
         }
         assert_eq!(client.in_flight(), 0);
+    }
+
+    #[test]
+    fn verdict_jobs_interleave_with_region_jobs_in_slot_order() {
+        use oneperc_hardware::{FusionEngine, HardwareConfig};
+        let layers: Vec<Arc<PhysicalLayer>> = (0..6)
+            .map(|seed| {
+                let hw = HardwareConfig::new(24, 7, 0.66);
+                Arc::new(FusionEngine::new(hw, seed).generate_layer())
+            })
+            .collect();
+        let pool = WorkerPool::new(3);
+        let mut client = pool.client();
+        for layer in &layers {
+            client.submit_verdict(layer, 6, 4);
+            client.submit(layer, ModuleRegion::whole_layer(layer), 6);
+        }
+        let mut reference = Renormalizer::new();
+        let mut verdicts = Vec::new();
+        for layer in &layers {
+            let spans = client.recv_next_verdict();
+            assert_eq!(spans, reference.spans_target(layer, 6, 4));
+            assert_eq!(client.recv_next(), reference.renormalize(layer, 6));
+            verdicts.push(spans);
+        }
+        assert_eq!(client.in_flight(), 0);
+        assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "verdict job")]
+    fn receiving_a_verdict_as_a_lattice_panics() {
+        let layer = Arc::new(PhysicalLayer::fully_connected(8, 8));
+        let pool = WorkerPool::new(1);
+        let mut client = pool.client();
+        client.submit_verdict(&layer, 4, 2);
+        let _ = client.recv_next();
     }
 
     #[test]

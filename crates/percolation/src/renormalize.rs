@@ -38,6 +38,15 @@
 //! into one `u64` (see `scratch::pack_site`), so the hot dequeue path
 //! never divides by the layer width, and all site/bond tests read the
 //! packed planes' raw words directly.
+//!
+//! # Verdict without paths
+//!
+//! The gate alone decides whether a layer reaches a target lattice:
+//! [`Renormalizer::spans_target`] runs it over the target's bands and
+//! extracts no path, which is all the reshaping engine asks of a merged
+//! layer (see its docs for the planarity argument that makes the two
+//! equivalent). Paths are built only when a caller asks for a
+//! [`RenormalizedLattice`].
 
 use oneperc_hardware::PhysicalLayer;
 
@@ -169,9 +178,10 @@ impl RenormalizedLattice {
 
 /// Reusable renormalizer holding the scratch memory of the flat-grid
 /// engine; use [`renormalize`] for one-off calls and keep one
-/// `Renormalizer` alive when processing a stream of RSLs (as
-/// [`crate::ReshapeEngine`] does) so the per-layer steady state allocates
-/// only the output paths.
+/// `Renormalizer` alive when processing a stream of RSLs so the per-layer
+/// steady state allocates only the output paths ([`crate::ReshapeEngine`]
+/// keeps one for its per-layer [`Renormalizer::spans_target`] verdicts,
+/// which allocate nothing).
 #[derive(Debug, Clone, Default)]
 pub struct Renormalizer {
     scratch: ScratchPool,
@@ -189,6 +199,38 @@ struct Band {
     y_hi: usize,
     /// `true` for a vertical (top-to-bottom) crossing.
     vertical: bool,
+}
+
+impl Band {
+    /// Column band `band` (a vertical crossing over the region's full
+    /// height) and row band `band` (a horizontal crossing over its full
+    /// width) of the region at `origin`.
+    fn pair(
+        origin: (usize, usize),
+        width: usize,
+        height: usize,
+        node_size: usize,
+        band: usize,
+    ) -> [Band; 2] {
+        let (ox, oy) = origin;
+        let lo = band * node_size;
+        [
+            Band {
+                x_lo: ox + lo,
+                x_hi: ox + lo + node_size,
+                y_lo: oy,
+                y_hi: oy + height,
+                vertical: true,
+            },
+            Band {
+                x_lo: ox,
+                x_hi: ox + width,
+                y_lo: oy + lo,
+                y_hi: oy + lo + node_size,
+                vertical: false,
+            },
+        ]
+    }
 }
 
 impl Renormalizer {
@@ -209,6 +251,42 @@ impl Renormalizer {
             "node size must be positive and fit in the layer"
         );
         self.renormalize_region(layer, (0, 0), layer.width, layer.height, node_size)
+    }
+
+    /// Decides whether [`Renormalizer::renormalize`] of `layer` would realize
+    /// every coarse node `(i, j)` with `i, j < target_side`, without
+    /// extracting a single path.
+    ///
+    /// Node `(i, j)` is realized exactly when column band `i` and row band
+    /// `j` both percolate. A vertical path confined to column band `i`
+    /// crosses it top to bottom; a horizontal path confined to row band `j`
+    /// crosses the whole layer, so it contains a left-to-right crossing of
+    /// column band `i` inside block `(i, j)`. Two such crossings of one
+    /// rectangle of the planar square lattice must share a site, and that
+    /// site is the node. The verdict is therefore the word-parallel
+    /// reachability gate run over the first `target_side` column and row
+    /// bands, stopping at the first band that fails.
+    ///
+    /// Returns `false` when the target does not fit, i.e. when
+    /// `target_side > min(width, height) / node_size`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node_size` is zero.
+    pub fn spans_target(
+        &mut self,
+        layer: &PhysicalLayer,
+        node_size: usize,
+        target_side: usize,
+    ) -> bool {
+        assert!(node_size > 0, "node size must be positive");
+        if target_side > layer.width.min(layer.height) / node_size {
+            return false;
+        }
+        (0..target_side).all(|band| {
+            let [column, row] = Band::pair((0, 0), layer.width, layer.height, node_size, band);
+            self.band_percolates(layer, &column) && self.band_percolates(layer, &row)
+        })
     }
 
     /// Renormalizes a sub-rectangle of the layer (used by the modular
@@ -246,33 +324,17 @@ impl Renormalizer {
         // suggested by the paper; with disjoint bands the orders only affect
         // scratch locality, so we simply interleave.
         for band in 0..k {
-            let band_lo = band * node_size;
-            let band_hi = band_lo + node_size;
-            v_paths.push(self.search_path(
-                layer,
-                Band {
-                    x_lo: ox + band_lo,
-                    x_hi: ox + band_hi,
-                    y_lo: oy,
-                    y_hi: oy + height,
-                    vertical: true,
-                },
-            ));
-            h_paths.push(self.search_path(
-                layer,
-                Band {
-                    x_lo: ox,
-                    x_hi: ox + width,
-                    y_lo: oy + band_lo,
-                    y_hi: oy + band_hi,
-                    vertical: false,
-                },
-            ));
+            let [column, row] = Band::pair(origin, width, height, node_size, band);
+            v_paths.push(self.search_path(layer, column));
+            h_paths.push(self.search_path(layer, row));
         }
 
         // Intersections become coarse nodes: stamp the sites of each
         // vertical path, then take the first stamped site along each
-        // horizontal path.
+        // horizontal path. Vertical path `i` crosses column band `i` top to
+        // bottom and horizontal path `j` crosses it left to right inside
+        // row band `j`, so by planarity they share a site of block
+        // `(i, j)` (see [`Renormalizer::spans_target`]).
         let w = layer.width;
         let mut nodes = vec![NO_SITE; k * k];
         for (i, vp) in v_paths.iter().enumerate() {
@@ -283,14 +345,12 @@ impl Renormalizer {
             }
             for (j, hp) in h_paths.iter().enumerate() {
                 let Some(hp) = hp else { continue };
-                if let Some(&site) = hp.iter().find(|&&s| self.scratch.is_marked(s, mark)) {
-                    nodes[i * k + j] = site;
-                } else if let Some(site) =
-                    closest_block_site(vp, hp, w, node_size, origin, i, j)
-                {
-                    // Paths share no site (possible when a band is wider
-                    // than the region actually covered); fall back to the
-                    // closest pair of sites in the common block.
+                let site = hp.iter().find(|&&s| self.scratch.is_marked(s, mark));
+                debug_assert!(
+                    site.is_some(),
+                    "crossing paths of column band {i} and row band {j} must share a site"
+                );
+                if let Some(&site) = site {
                     nodes[i * k + j] = site;
                 }
             }
@@ -805,45 +865,6 @@ fn fill_row(reach: &mut [u64], conn: &[u64]) {
             reach[c] = close_word(reach[c] | west, conn[c]);
         }
     }
-}
-
-/// Fallback coarse-node site when the two paths do not share a site: the
-/// site of the vertical path closest (in Manhattan distance) to any site of
-/// the horizontal path inside block `(i, j)`.
-fn closest_block_site(
-    vp: &[u32],
-    hp: &[u32],
-    layer_width: usize,
-    node_size: usize,
-    origin: (usize, usize),
-    i: usize,
-    j: usize,
-) -> Option<u32> {
-    let (ox, oy) = origin;
-    let x_lo = ox + i * node_size;
-    let x_hi = x_lo + node_size;
-    let y_lo = oy + j * node_size;
-    let y_hi = y_lo + node_size;
-    let decode = |s: u32| (s as usize % layer_width, s as usize / layer_width);
-    let in_block = |(x, y): (usize, usize)| x >= x_lo && x < x_hi && y >= y_lo && y < y_hi;
-    let mut best: Option<(u32, usize)> = None;
-    for &v in vp {
-        let vc = decode(v);
-        if !in_block(vc) {
-            continue;
-        }
-        for &h in hp {
-            let hc = decode(h);
-            if !in_block(hc) {
-                continue;
-            }
-            let d = vc.0.abs_diff(hc.0) + vc.1.abs_diff(hc.1);
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((v, d));
-            }
-        }
-    }
-    best.map(|(s, _)| s)
 }
 
 /// Renormalizes an entire layer with the given average node size, targeting

@@ -2,32 +2,42 @@
 //! (Section 5.2).
 //!
 //! The [`ReshapeEngine`] consumes resource-state layers from the hardware
-//! simulator one after another. Each layer is renormalized; layers whose
-//! renormalization reaches the target size *and* that can establish every
-//! time-like connection requested by the IR program become **logical
-//! layers**, all other layers become **routing layers** whose qubits are
-//! simply fused forward to the next RSL. Cross-layer connections park the
-//! photons of the source node in delay lines until the target layer exists.
+//! simulator one after another. Layers whose renormalization reaches the
+//! target size *and* that can establish every time-like connection
+//! requested by the IR program become **logical layers**, all other layers
+//! become **routing layers** whose qubits are simply fused forward to the
+//! next RSL. Cross-layer connections park the photons of the source node
+//! in delay lines until the target layer exists.
+//!
+//! # Verdicts, not lattices
+//!
+//! Whether a merged layer reaches the target is a per-layer **verdict**:
+//! the first `target_side` column and row bands all percolate
+//! ([`Renormalizer::spans_target`], which states the planarity argument
+//! that makes this exactly "renormalization realizes every target node").
+//! The engine decides each layer with that word-parallel gate and extracts
+//! no path. It keeps the buffer of the last logical layer instead, and
+//! [`ReshapeEngine::last_logical_lattice`] renormalizes it only when a
+//! caller asks.
 //!
 //! # Overlapping the stages
 //!
 //! The per-layer loop has three steps: *generate* (the fusion strategy
-//! samples the next random layer), *renormalize* and *connect*. Only the
+//! samples the next random layer), *decide* and *connect*. Only the
 //! connect step carries state from one layer to the next, so an engine
 //! built with [`ReshapeEngine::with_renorm_client`] generates upcoming
-//! layers in-thread and renormalizes them on a shared
+//! layers in-thread and decides them on a shared
 //! [`WorkerPool`](crate::WorkerPool) a few layers ahead, while it connects
 //! the current one.
 //!
 //! Determinism is preserved by construction: layers are generated from
 //! the same seeded sampler in the same order whatever the worker count,
-//! lattices are consumed in stream order, and time-like fusion outcomes
+//! verdicts are consumed in stream order, and time-like fusion outcomes
 //! come from a *separate* sampler seeded from the configuration, so
-//! renormalizing ahead never reorders RNG draws. With a fixed seed the
-//! pooled engine therefore produces byte-identical
-//! [`RenormalizedLattice`]s and identical [`LogicalLayerReport`]s to the
-//! in-thread engine — the contract enforced by
-//! `tests/pipeline_determinism.rs`.
+//! deciding ahead never reorders RNG draws. With a fixed seed the pooled
+//! engine therefore produces identical [`LogicalLayerReport`]s and
+//! byte-identical on-demand [`RenormalizedLattice`]s to the in-thread
+//! engine — the contract enforced by `tests/pipeline_determinism.rs`.
 
 use std::collections::VecDeque;
 use crate::sync::Arc;
@@ -36,8 +46,8 @@ use graphstate::FusionOutcome;
 use oneperc_hardware::{DelayLine, FusionEngine, FusionSampler, HardwareConfig, PhysicalLayer};
 
 use crate::cancel::CancelToken;
-use crate::pool::{ModuleRegion, PoolClient};
-use crate::renormalize::{RenormalizedLattice, Renormalizer};
+use crate::pool::PoolClient;
+use crate::renormalize::{renormalize, RenormalizedLattice, Renormalizer};
 
 /// One time-like edge requested by the IR program for the layer currently
 /// being formed.
@@ -232,11 +242,14 @@ pub struct ReshapeEngine {
     /// totals identical even while the pool's lookahead runs ahead.
     layer_attempted: u64,
     layer_succeeded: u64,
-    /// Renormalized lattice of the most recent logical layer (if any).
-    last_logical: Option<RenormalizedLattice>,
-    /// Where lattices come from: the in-thread renormalizer or the worker
-    /// pool fed a few layers ahead. Scratch memory (or the pool's workers)
-    /// is reused across every RSL this engine consumes — and across
+    /// The most recent logical layer (if any), kept for
+    /// [`ReshapeEngine::last_logical_lattice`]. Forming the next logical
+    /// layer swaps it back into the buffer rotation, so keeping it costs
+    /// one layer allocation and no copy.
+    last_logical: Option<LayerHolder>,
+    /// Where verdicts come from: the in-thread gate or the worker pool fed
+    /// a few layers ahead. Scratch memory (or the pool's workers) is reused
+    /// across every RSL this engine consumes — and across
     /// [`ReshapeEngine::reset`]s.
     renorm: RenormBackend,
 }
@@ -269,15 +282,16 @@ impl LayerHolder {
     }
 }
 
-/// Origin of the renormalized-lattice stream.
+/// Origin of the per-layer verdict stream.
 #[derive(Debug)]
 enum RenormBackend {
-    /// Renormalize each layer in-thread on one reusable scratch.
+    /// Decide each layer in-thread on one reusable scratch.
     Local(Renormalizer),
-    /// Submit upcoming layers to a worker pool and consume the lattices in
-    /// stream order. `queue` holds the layers whose jobs are in flight,
-    /// oldest first; its length is kept at `lookahead` so the pool always
-    /// has work while the engine connects the current layer.
+    /// Submit upcoming layers to a worker pool as verdict jobs and consume
+    /// the verdicts in stream order. `queue` holds the layers whose jobs
+    /// are in flight, oldest first; its length is kept at `lookahead` so
+    /// the pool always has work while the engine connects the current
+    /// layer.
     Pooled {
         client: PoolClient,
         queue: VecDeque<Arc<PhysicalLayer>>,
@@ -286,14 +300,14 @@ enum RenormBackend {
 }
 
 impl ReshapeEngine {
-    /// Creates an engine that renormalizes in-thread; use
-    /// [`ReshapeEngine::with_renorm_client`] to renormalize on a worker
+    /// Creates an engine that decides layers in-thread; use
+    /// [`ReshapeEngine::with_renorm_client`] to decide them on a worker
     /// pool instead.
     pub fn new(config: ReshapeConfig) -> Self {
         Self::with_backend(config, RenormBackend::Local(Renormalizer::new()))
     }
 
-    /// Creates an engine whose layer renormalization runs on a worker pool
+    /// Creates an engine whose per-layer verdicts run on a worker pool
     /// through `client` (obtained from
     /// [`WorkerPool::client`](crate::WorkerPool::client)). Several
     /// engines — e.g. one per session lane — can stream through one pool
@@ -307,7 +321,7 @@ impl ReshapeEngine {
         Self::with_backend(config, renorm)
     }
 
-    /// In-flight depth of the pooled renormalization stage: one job per
+    /// In-flight depth of the pooled verdict stage: one job per
     /// worker plus one so a worker never idles while the engine connects
     /// the current layer, capped to keep prefetch memory bounded.
     fn lookahead_for(workers: usize) -> usize {
@@ -355,15 +369,18 @@ impl ReshapeEngine {
     /// suite.
     pub fn reset(&mut self, seed: u64) {
         // Drain the pooled lookahead first: in-flight jobs belong to the
-        // old stream. Their lattices are discarded, a layer buffer kept
+        // old stream. Their verdicts are discarded, a layer buffer kept
         // for the (about-to-be-reseeded) generator.
         if let RenormBackend::Pooled { client, queue, .. } = &mut self.renorm {
             while let Some(layer) = queue.pop_front() {
-                let _ = client.recv_next();
+                let _ = client.recv_next_verdict();
                 if let Ok(buf) = Arc::try_unwrap(layer) {
                     self.buf = Some(buf);
                 }
             }
+        }
+        if let Some(holder) = self.last_logical.take() {
+            self.recycle_holder(holder);
         }
         self.config.seed = seed;
         self.generator.reseed(seed);
@@ -380,7 +397,6 @@ impl ReshapeEngine {
         self.bulk_succeeded = 0;
         self.layer_attempted = 0;
         self.layer_succeeded = 0;
-        self.last_logical = None;
     }
 
     /// Cumulative statistics.
@@ -388,25 +404,30 @@ impl ReshapeEngine {
         &self.stats
     }
 
-    /// The renormalized lattice realizing the most recent logical layer.
-    pub fn last_logical_lattice(&self) -> Option<&RenormalizedLattice> {
-        self.last_logical.as_ref()
+    /// The renormalized lattice realizing the most recent logical layer,
+    /// built on demand: the engine keeps that layer and renormalizes it
+    /// here with a fresh [`Renormalizer`]. Every target node
+    /// `(i, j)`, `i, j < target_side`, of the result is realized.
+    pub fn last_logical_lattice(&self) -> Option<RenormalizedLattice> {
+        let node_size = self.config.node_size;
+        self.last_logical.as_ref().map(|holder| renormalize(holder.layer(), node_size))
     }
 
     /// Produces the next merged layer of the stream together with its
-    /// renormalized lattice.
+    /// verdict: does it renormalize to the target lattice.
     ///
     /// On the pooled backend the engine first tops the lookahead window up
     /// — generating upcoming layers and submitting them as whole-layer
-    /// region jobs — then blocks on the oldest job's result. Because every
+    /// verdict jobs — then blocks on the oldest job's result. Because every
     /// layer of the stream is consumed in generation order whatever its
-    /// logical/routing fate, renormalizing ahead is never speculative
-    /// waste, and because region renormalization is a pure per-layer
-    /// function collected in submission order, the lattices are
-    /// byte-identical to the in-thread path for any worker count.
-    fn next_renormalized(&mut self) -> (LayerHolder, RenormalizedLattice) {
+    /// logical/routing fate, deciding ahead is never speculative waste, and
+    /// because the verdict is a pure per-layer function collected in
+    /// submission order, the verdicts match the in-thread path for any
+    /// worker count.
+    fn next_decided(&mut self) -> (LayerHolder, bool) {
         let ReshapeEngine { config, generator, buf, renorm, .. } = self;
-        let rsl_size = config.hardware.rsl_size;
+        let (rsl_size, node_size, target_side) =
+            (config.hardware.rsl_size, config.node_size, config.target_side);
         let mut next_layer = || {
             let mut layer = buf.take().unwrap_or_else(|| PhysicalLayer::blank(rsl_size, rsl_size));
             generator.generate_layer_into(&mut layer);
@@ -415,22 +436,18 @@ impl ReshapeEngine {
         match renorm {
             RenormBackend::Local(renormalizer) => {
                 let layer = next_layer();
-                let lattice = renormalizer.renormalize(&layer, config.node_size);
-                (LayerHolder::Owned(layer), lattice)
+                let spans = renormalizer.spans_target(&layer, node_size, target_side);
+                (LayerHolder::Owned(layer), spans)
             }
             RenormBackend::Pooled { client, queue, lookahead } => {
                 while queue.len() < *lookahead {
                     let layer = Arc::new(next_layer());
-                    let _ = client.submit(
-                        &layer,
-                        ModuleRegion::whole_layer(&layer),
-                        config.node_size,
-                    );
+                    let _ = client.submit_verdict(&layer, node_size, target_side);
                     queue.push_back(layer);
                 }
-                let lattice = client.recv_next();
+                let spans = client.recv_next_verdict();
                 let layer = queue.pop_front().expect("lookahead queue is non-empty");
-                (LayerHolder::Shared(layer), lattice)
+                (LayerHolder::Shared(layer), spans)
             }
         }
     }
@@ -487,9 +504,9 @@ impl ReshapeEngine {
                 self.update_fusion_totals();
                 return report;
             }
-            // Generate + renormalize: in-thread, or collected from the
-            // worker pool that was fed this layer a few steps ago.
-            let (holder, lattice) = self.next_renormalized();
+            // Generate + decide: in-thread, or collected from the worker
+            // pool that was fed this layer a few steps ago.
+            let (holder, target_reached) = self.next_decided();
             let layer = holder.layer();
             report.merged_layers += 1;
             report.raw_rsl += layer.raw_rsl_consumed as u64;
@@ -502,12 +519,6 @@ impl ReshapeEngine {
             for _ in 0..layer.raw_rsl_consumed {
                 self.stats.delay_line_expired += self.delay.advance_cycle() as u64;
             }
-
-            let target_reached = lattice.node_count()
-                >= self.config.target_side * self.config.target_side
-                && (0..self.config.target_side).all(|i| {
-                    (0..self.config.target_side).all(|j| lattice.node_flat(i, j).is_some())
-                });
 
             if !target_reached {
                 report.renorm_failures += 1;
@@ -553,8 +564,11 @@ impl ReshapeEngine {
 
             self.stats.logical_layers += 1;
             self.routing_since_logical = 0;
-            self.last_logical = Some(lattice);
-            self.recycle_holder(holder);
+            // Keep this layer for `last_logical_lattice`; the previous
+            // logical layer's buffer goes back into the rotation.
+            if let Some(previous) = self.last_logical.replace(holder) {
+                self.recycle_holder(previous);
+            }
             self.update_fusion_totals();
             report.formed = true;
             return report;
@@ -650,6 +664,32 @@ mod tests {
         assert!(report.merged_layers <= 4, "took {} layers", report.merged_layers);
         assert_eq!(engine.stats().logical_layers, 1);
         assert!(engine.last_logical_lattice().is_some());
+    }
+
+    #[test]
+    fn last_logical_lattice_renormalizes_the_formed_layer() {
+        for workers in [0usize, 2] {
+            let config = small_config(0.66, 41);
+            let pool = (workers > 0).then(|| WorkerPool::new(workers));
+            let mut engine = engine_on(config, pool.as_ref());
+            // Replays the layer stream to recover each logical layer.
+            let mut replay = FusionEngine::new(config.hardware, config.seed);
+            let mut layer = PhysicalLayer::blank(36, 36);
+            assert!(engine.last_logical_lattice().is_none());
+            for _ in 0..4 {
+                let report = engine.advance_logical_layer(&LayerRequirement::none());
+                assert!(report.formed);
+                for _ in 0..report.merged_layers {
+                    replay.generate_layer_into(&mut layer);
+                }
+                let lattice = engine.last_logical_lattice().expect("a logical layer formed");
+                assert_eq!(lattice, renormalize(&layer, config.node_size), "workers={workers}");
+                assert!(lattice.is_success(), "workers={workers}");
+            }
+            assert!(engine.stats().routing_layers > 0, "the stream should include routing layers");
+            engine.reset(7);
+            assert!(engine.last_logical_lattice().is_none(), "reset must clear the layer");
+        }
     }
 
     #[test]
@@ -801,7 +841,7 @@ mod tests {
             .map(|_| {
                 let report = engine.advance_logical_layer(&req);
                 assert!(report.formed);
-                engine.last_logical_lattice().cloned()
+                engine.last_logical_lattice()
             })
             .collect();
         (*engine.stats(), lattices)

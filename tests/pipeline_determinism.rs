@@ -1,8 +1,8 @@
 //! Determinism contract of the pipelined RSL stream: with a fixed seed,
-//! the engines that renormalize on a worker pool must produce
-//! byte-identical outputs to the serial path — the same
-//! `RenormalizedLattice`s (down to every path site), the same
-//! `LogicalLayerReport`s and the same cumulative statistics — for any
+//! the engines that decide layers on a worker pool must produce
+//! byte-identical outputs to the serial path — the same on-demand
+//! logical-layer `RenormalizedLattice`s (down to every path site), the
+//! same `LogicalLayerReport`s and the same cumulative statistics — for any
 //! worker count and at every tested `(L, g, p)` point.
 //!
 //! Any scheduling leak in the worker pool or RNG reordering by the
