@@ -16,6 +16,7 @@ pub mod baseline;
 pub mod dense;
 pub mod reference_mapper;
 
+use std::fmt;
 use std::fs;
 use std::path::PathBuf;
 
@@ -148,11 +149,14 @@ pub fn run_oneq(
         .unwrap_or_else(|e| panic!("OneQ failed on {bench}-{qubits}: {e}"))
 }
 
-/// Formats a count the way the paper's Table 2 does: plain numbers below the
-/// saturation cap, `"> cap"` once the cap is hit.
-pub fn format_capped(value: u64, saturated: bool, cap: u64) -> String {
+/// Formats a Table 2 cell of the OneQ baseline: the plain value for a run
+/// that finished, `"≥ value"` for one cut at the RSL cap. A saturated run
+/// stops after charging `value` in the cell's own unit (RSLs, fusions or
+/// an improvement ratio built from them), so the true figure is at least
+/// that.
+pub fn format_capped(value: impl fmt::Display, saturated: bool) -> String {
     if saturated {
-        format!("> {cap}")
+        format!("≥ {value}")
     } else {
         value.to_string()
     }
@@ -164,8 +168,11 @@ mod tests {
 
     #[test]
     fn capped_formatting() {
-        assert_eq!(format_capped(123, false, 1_000_000), "123");
-        assert_eq!(format_capped(1_000_000, true, 1_000_000), "> 1000000");
+        assert_eq!(format_capped(123, false), "123");
+        // A saturated cell keeps its own unit: fusions charged, not the
+        // RSL cap.
+        assert_eq!(format_capped(7_000, true), "≥ 7000");
+        assert_eq!(format_capped(format!("{:.2}", 12.345), true), "≥ 12.35");
     }
 
     #[test]

@@ -68,13 +68,14 @@ pub struct CompilerConfig {
     pub temporal_redundancy: usize,
     /// RNG seed shared by the stochastic components.
     pub seed: u64,
-    /// Renormalization worker threads of the online pass (`0` = renormalize
-    /// in-thread). With workers, the reshaping stage streams upcoming
-    /// layers through a persistent [`WorkerPool`] shared across the lanes
-    /// of a [`Session`](crate::Session) — the only way the online pass
-    /// overlaps generation with renormalization — and consumes the
-    /// per-layer renormalization verdicts in stream order, so reports are
-    /// byte-identical for every worker count; only the wall-clock changes.
+    /// Renormalization worker threads of the online pass (`0` = decide
+    /// every layer in-thread). Layer generation always stays in the lane
+    /// thread; with workers, the lane hands each merged layer's
+    /// renormalization verdict to a persistent [`WorkerPool`] shared
+    /// across the lanes of a [`Session`](crate::Session), generates the
+    /// next layers while the pool decides, and consumes the verdicts in
+    /// stream order, so reports are byte-identical for every worker count;
+    /// only the wall-clock changes.
     ///
     /// [`WorkerPool`]: oneperc_percolation::WorkerPool
     pub renorm_workers: usize,
@@ -248,7 +249,7 @@ mod tests {
     #[test]
     fn pipeline_knobs_thread_through_builders() {
         let cfg = CompilerConfig::for_qubits(4, 0.75, 1);
-        assert_eq!(cfg.renorm_workers, 0, "auto-sized pool by default");
+        assert_eq!(cfg.renorm_workers, 0, "in-thread verdicts by default");
         let cfg = cfg.with_renorm_workers(3);
         assert_eq!(cfg.renorm_workers, 3);
     }

@@ -169,27 +169,6 @@ impl ExecutionReport {
         }
     }
 
-    /// Total raw resource states consumed: every raw layer fires one
-    /// resource state per RSL site, so this is `rsl_consumed ×
-    /// sites_per_layer` (pass
-    /// [`HardwareConfig::sites_per_rsl`](oneperc_hardware::HardwareConfig)
-    /// for the compiled hardware). Widened to `u128`: large sweeps at
-    /// 240×240 RSLs overflow `u64` within reach of a long tuning run.
-    pub fn resource_volume(&self, sites_per_layer: usize) -> u128 {
-        u128::from(self.rsl_consumed) * sites_per_layer as u128
-    }
-
-    /// Fraction of the given runs that formed every requested logical
-    /// layer — the empirical success probability of a seed sweep. `0.0`
-    /// for an empty slice.
-    pub fn success_probability(reports: &[ExecutionReport]) -> f64 {
-        if reports.is_empty() {
-            return 0.0;
-        }
-        let complete = reports.iter().filter(|r| r.complete).count();
-        complete as f64 / reports.len() as f64
-    }
-
     /// The report with its wall-clock fields and cache counters zeroed:
     /// every remaining field is a pure function of the configuration and
     /// seed, so two runs of the same `(config, circuit, seed)` must produce
@@ -429,23 +408,10 @@ mod tests {
             rsl_consumed: 90,
             merged_layers: 30,
             logical_layers: 10,
-            complete: true,
             ..ExecutionReport::default()
         };
         assert!((report.rsl_per_logical_layer() - 9.0).abs() < 1e-12);
         assert_eq!(ExecutionReport::default().rsl_per_logical_layer(), 0.0);
-        // 90 raw layers × 576 sites = 51 840 resource states.
-        assert_eq!(report.resource_volume(576), 51_840);
-        assert_eq!(report.resource_volume(0), 0);
-        // Widening: a u64-overflowing volume stays exact in u128.
-        let huge = ExecutionReport { rsl_consumed: u64::MAX, ..ExecutionReport::default() };
-        assert_eq!(huge.resource_volume(4), u128::from(u64::MAX) * 4);
-
-        let incomplete = ExecutionReport { complete: false, ..report };
-        let sweep = [report, report, incomplete, incomplete];
-        assert!((ExecutionReport::success_probability(&sweep) - 0.5).abs() < 1e-12);
-        assert!((ExecutionReport::success_probability(&[report]) - 1.0).abs() < 1e-12);
-        assert_eq!(ExecutionReport::success_probability(&[]), 0.0);
     }
 
     #[test]

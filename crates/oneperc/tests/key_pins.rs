@@ -1,17 +1,15 @@
-//! Golden pins for the content-addressed cache keys (ISSUE 9 satellite).
+//! Golden pins for the content-addressed cache keys.
 //!
-//! Three layers of caching hang off these hashes: the service tier's
-//! [`ProgramCache`](oneperc::service::ProgramCache) (keyed by
-//! `program_key = H(fingerprint, structural_hash)`), the tuner's frontier
-//! artifacts (keyed by `Circuit::structural_hash`, validated by a tune
-//! key that folds in `CompilerConfig::fingerprint` per lattice point),
-//! and any artifact files already on disk from *previous* builds. The
-//! hashes are documented as process-independent and stable across
-//! versions — so a refactor that shifts them silently invalidates every
-//! stored artifact and splits fleet-shared caches. These pins make such a
-//! shift a loud, deliberate decision: if one fails, either restore the
-//! encoding or bump the relevant version tag *and* re-pin, accepting the
-//! cache invalidation.
+//! Two caches hang off these hashes, both keyed by `program_key =
+//! H(fingerprint, structural_hash)`: a session's own
+//! [`ProgramCache`](oneperc::service::ProgramCache), and one cache shared
+//! by many sessions through
+//! [`SessionBuilder::shared_program_cache`](oneperc::SessionBuilder::shared_program_cache).
+//! The hashes are documented as process-independent and stable across
+//! versions — so a refactor that shifts them silently splits shared
+//! caches. These pins make such a shift a loud, deliberate decision: if
+//! one fails, either restore the encoding or bump the relevant version tag
+//! *and* re-pin, accepting the cache invalidation.
 //!
 //! (The FNV-1a primitive underneath has its own golden pin in
 //! `oneperc-circuit`'s hash tests; these pins cover the composite

@@ -150,8 +150,9 @@ impl OneqCompiler {
                     if success_prob < 1e-9 {
                         // The layer can essentially never succeed in one
                         // shot; charge the cap directly instead of looping
-                        // a million times.
-                        fusions += (cap - rsl) * layer.intra_fusions.max(1);
+                        // a million times. The current attempt (already
+                        // counted in `rsl`) fires its fusions too.
+                        fusions += (cap - rsl + 1) * layer.intra_fusions;
                         rsl = cap;
                         saturated = true;
                         break 'restart;
@@ -218,6 +219,28 @@ mod tests {
         let report = compiler.run(&circuit).unwrap();
         assert!(report.saturated, "expected the baseline to saturate, got {report:?}");
         assert_eq!(report.rsl_consumed, 100_000);
+    }
+
+    #[test]
+    fn saturation_shortcut_charges_every_attempt() {
+        // qft(9) on a side-3 lattice opens with a 7-fusion layer. At
+        // p = 0.05 its one-shot success probability is below the shortcut
+        // threshold, so the run saturates on layer 0 without looping; every
+        // one of the `cap` attempts still fires all 7 fusions, exactly what
+        // the looped path charges at p = 0.10.
+        let circuit = benchmarks::qft(9);
+        let run = |p| {
+            OneqCompiler::new(OneqConfig::new(3, p, 1).with_rsl_cap(1_000))
+                .run(&circuit)
+                .unwrap()
+        };
+        let shortcut = run(0.05);
+        assert!(shortcut.saturated);
+        assert_eq!(shortcut.rsl_consumed, 1_000);
+        assert_eq!(shortcut.fusions, 7_000);
+        let looped = run(0.10);
+        assert!(looped.saturated);
+        assert_eq!(looped.fusions, shortcut.fusions);
     }
 
     #[test]

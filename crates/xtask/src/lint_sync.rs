@@ -40,7 +40,6 @@ const CRATES: &[(&str, bool)] = &[
     ("oneperc", true),
     ("oneq", false),
     ("percolation", true),
-    ("tune", false),
 ];
 
 // Not scanned: `verify` (the shim itself — the one place raw `std::sync`
@@ -48,6 +47,17 @@ const CRATES: &[(&str, bool)] = &[
 // `shims` (vendored stand-ins for crates.io deps), `xtask` (this tool).
 
 pub(crate) fn run(root: &Path) -> ExitCode {
+    // A stale entry would scan nothing and still pass: refuse it instead.
+    let missing = missing_crates(root);
+    if !missing.is_empty() {
+        for krate in &missing {
+            eprintln!(
+                "lint-sync: `{krate}` is listed in CRATES but crates/{krate}/src is not a directory"
+            );
+        }
+        return ExitCode::FAILURE;
+    }
+
     let mut findings = Vec::new();
     let mut scanned = 0usize;
     for &(krate, has_facade) in CRATES {
@@ -78,6 +88,15 @@ pub(crate) fn run(root: &Path) -> ExitCode {
         );
         ExitCode::FAILURE
     }
+}
+
+/// The `CRATES` entries with no `src` directory under `root`.
+fn missing_crates(root: &Path) -> Vec<&'static str> {
+    CRATES
+        .iter()
+        .map(|&(krate, _)| krate)
+        .filter(|krate| !root.join("crates").join(krate).join("src").is_dir())
+        .collect()
 }
 
 fn scan_file(rel: &Path, text: &str, has_facade: bool, findings: &mut Vec<Finding>) {
@@ -164,7 +183,18 @@ fn mentions_std_sync_item(line: &str, item: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::mentions_std_sync_item;
+    use std::path::Path;
+
+    use super::{mentions_std_sync_item, missing_crates, CRATES};
+
+    #[test]
+    fn every_listed_crate_has_sources() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(missing_crates(&root), Vec::<&str>::new());
+        // An empty tree lists every entry as missing.
+        let nowhere = root.join("crates/xtask/no-such-workspace");
+        assert_eq!(missing_crates(&nowhere).len(), CRATES.len());
+    }
 
     #[test]
     fn inline_path_is_detected() {

@@ -18,8 +18,6 @@
 //! * [`compiler`] — the OnePerc compiler service (sessions, batched
 //!   multi-seed execution, the async front-end and content-addressed
 //!   compile cache under `compiler::service`) and its metrics.
-//! * [`tune`] — the auto-tuner: cost-model-driven configuration search
-//!   over the service tier, with a cached Pareto-frontier artifact.
 //! * [`corpus`] — structured random-circuit corpus (layered, reversible,
 //!   chained-RCA, QFT-adder families) and the cross-path determinism
 //!   fuzzer behind `cargo xtask fuzz-determinism`.
@@ -38,32 +36,6 @@
 //! for outcome in session.execute_batch(&compiled, &[7, 8]) {
 //!     assert!(outcome.report().rsl_consumed > 0);
 //! }
-//! ```
-//!
-//! # Auto-tuning a configuration
-//!
-//! Instead of hand-picking compiler knobs, span a lattice of candidates
-//! and let the tuner search it. Evaluation fans out over the warm
-//! multi-tenant fleet, dominated candidates are pruned (in-flight ones
-//! cancelled mid-run), and the resulting Pareto frontier is cached by
-//! the circuit's structural hash — re-tuning is a cache hit:
-//!
-//! ```
-//! use oneperc_suite::compiler::CompilerConfig;
-//! use oneperc_suite::circuit::benchmarks;
-//! use oneperc_suite::tune::{ConfigLattice, TuneSource, Tuner};
-//!
-//! let lattice = ConfigLattice::new(CompilerConfig::for_qubits(4, 0.9, 1))
-//!     .with_temporal_redundancies(&[2, 3])
-//!     .with_refresh_periods(&[None, Some(6)])
-//!     .with_renorm_workers(&[0, 2]);
-//! let mut tuner = Tuner::builder(lattice).seeds(&[1, 2]).build();
-//!
-//! let tuned = tuner.tune(&benchmarks::qaoa(4, 1)).unwrap();
-//! let best = tuned.artifact.recommended.to_config(42);
-//! assert!(!tuned.artifact.frontier.is_empty());
-//! assert_eq!(tuner.tune(&benchmarks::qaoa(4, 1)).unwrap().source, TuneSource::MemoryCache);
-//! # let _ = best;
 //! ```
 //!
 //! # Sampling the random-circuit corpus
@@ -103,13 +75,7 @@ pub use oneperc_percolation as percolation;
 /// The OnePerc compiler facade (core crate).
 pub use oneperc as compiler;
 
-/// Auto-tuner: cost-model-driven config search with a cached Pareto
-/// frontier. (Lives beside the `oneperc` crate rather than inside it —
-/// the tuner drives the session tier, so `oneperc::tune` would be a
-/// dependency cycle.)
-pub use oneperc_tune as tune;
-
 /// Structured random-circuit corpus and the cross-path determinism
-/// fuzzer. (Also beside `oneperc` rather than inside it: the fuzzer
+/// fuzzer. (Beside `oneperc` rather than inside it: the fuzzer
 /// drives whole sessions across path shapes.)
 pub use oneperc_corpus as corpus;
