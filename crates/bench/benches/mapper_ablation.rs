@@ -1,6 +1,5 @@
-//! Ablation benches for the offline-mapping design choices called out in
-//! DESIGN.md: dynamic versus static scheduling and the incomplete-node
-//! occupancy limit.
+//! Ablation benches for two offline-mapping design choices: dynamic
+//! versus static scheduling and the incomplete-node occupancy limit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_circuit::{benchmarks, ProgramGraph};

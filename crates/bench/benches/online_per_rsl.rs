@@ -1,13 +1,10 @@
 //! Criterion bench behind Fig. 14(a): online processing cost of a single
 //! resource-state layer as the RSL grows — full renormalization beside the
-//! path-free `spans_target` verdict the reshaping engine runs — plus the
-//! `flat_vs_hash` A/B group comparing the flat-grid renormalizer against
-//! the preserved hash-based baseline.
+//! path-free `spans_target` verdict the reshaping engine runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use oneperc_bench::baseline::hash_renormalize;
 use oneperc_hardware::{FusionEngine, HardwareConfig, PhysicalLayer};
-use oneperc_percolation::{renormalize, Renormalizer};
+use oneperc_percolation::Renormalizer;
 
 fn layers_for(rsl: usize, count: u64) -> Vec<PhysicalLayer> {
     (0..count)
@@ -63,43 +60,5 @@ fn bench_online_per_rsl(c: &mut Criterion) {
     group.finish();
 }
 
-/// A/B: dense flat-index engine vs. the hash-based baseline it replaced.
-fn bench_flat_vs_hash(c: &mut Criterion) {
-    let mut group = c.benchmark_group("flat_vs_hash");
-    group.sample_size(10);
-    for &rsl in &[24usize, 40, 96] {
-        let node_size = rsl / 4;
-        let layers = layers_for(rsl, 8);
-        group.bench_with_input(BenchmarkId::new("flat", rsl), &rsl, |b, _| {
-            let mut renormalizer = Renormalizer::new();
-            let mut i = 0usize;
-            b.iter(|| {
-                let layer = &layers[i % layers.len()];
-                i += 1;
-                std::hint::black_box(renormalizer.renormalize(layer, node_size).node_count())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("flat_oneoff", rsl), &rsl, |b, _| {
-            // One-off calls pay the scratch allocation per layer; this is
-            // what `renormalize()` free-function users get.
-            let mut i = 0usize;
-            b.iter(|| {
-                let layer = &layers[i % layers.len()];
-                i += 1;
-                std::hint::black_box(renormalize(layer, node_size).node_count())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("hash", rsl), &rsl, |b, _| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let layer = &layers[i % layers.len()];
-                i += 1;
-                std::hint::black_box(hash_renormalize(layer, node_size).node_count())
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_online_per_rsl, bench_flat_vs_hash);
+criterion_group!(benches, bench_online_per_rsl);
 criterion_main!(benches);

@@ -5,24 +5,10 @@
 use std::time::Instant;
 
 use oneperc::CompilerConfig;
-use oneperc_bench::{run_oneperc_with_config, ExperimentArgs};
+use oneperc_bench::{renorm_success_rate, run_oneperc_with_config, ExperimentArgs};
 use oneperc_circuit::benchmarks::Benchmark;
 use oneperc_hardware::{FusionEngine, HardwareConfig};
 use oneperc_percolation::{renormalize, ModularConfig, ModularRenormalizer, Renormalizer};
-
-/// Success-rate estimate of renormalizing an `n x n` RSL at probability `p`
-/// to the given average node size, over `trials` independent layers.
-fn renorm_success_rate(n: usize, p: f64, node_size: usize, trials: u64, seed: u64) -> f64 {
-    let mut ok = 0;
-    for t in 0..trials {
-        let mut engine = FusionEngine::new(HardwareConfig::new(n, 7, p), seed + t);
-        let layer = engine.generate_layer();
-        if renormalize(&layer, node_size).is_success() {
-            ok += 1;
-        }
-    }
-    ok as f64 / trials as f64
-}
 
 /// Smallest average node size whose renormalization success rate reaches
 /// (approximately) one — the quantity plotted in Fig. 13(a).

@@ -1,9 +1,7 @@
 //! Fig. 16: 2D renormalization success rate vs average node size, for fusion
 //! success probabilities 0.66–0.78 (200x200 RSL in the paper).
 
-use oneperc_bench::ExperimentArgs;
-use oneperc_hardware::{FusionEngine, HardwareConfig};
-use oneperc_percolation::renormalize;
+use oneperc_bench::{renorm_success_rate, ExperimentArgs};
 
 fn main() {
     let args = ExperimentArgs::from_env("fig16");
@@ -27,15 +25,7 @@ fn main() {
     for &node_size in &node_sizes {
         print!("{:>10}", node_size);
         for &p in &probabilities {
-            let mut ok = 0;
-            for t in 0..trials {
-                let mut engine = FusionEngine::new(HardwareConfig::new(rsl, 7, p), args.seed + t);
-                let layer = engine.generate_layer();
-                if renormalize(&layer, node_size).is_success() {
-                    ok += 1;
-                }
-            }
-            let rate = ok as f64 / trials as f64;
+            let rate = renorm_success_rate(rsl, p, node_size, trials, args.seed);
             print!(" {:>8.2}", rate);
             rows.push(format!("{p},{rsl},{node_size},{rate:.4}"));
         }

@@ -1,6 +1,6 @@
 //! The pre-bit-packed, `Vec<bool>` layer representation plus a reference
-//! layer generator, preserved as the A/B baseline for the PR-5 word
-//! refactor (next to the hash-lattice baseline in [`crate::baseline`]).
+//! layer generator, preserved as the A/B baseline for the bit-packed
+//! `PhysicalLayer`.
 //!
 //! [`DenseBoolLayer`] stores the four per-site planes exactly as
 //! `PhysicalLayer` did before PR 5: one byte per site. The

@@ -1,18 +1,50 @@
 //! Shared utilities for the experiment harness.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary
-//! in `src/bin/` (see DESIGN.md for the experiment index). This library
-//! holds the pieces they share: command-line handling, CSV output and the
-//! standard way of running OnePerc and the OneQ baseline on a benchmark.
+//! in `src/bin/`. This library holds the pieces they share: command-line
+//! handling, CSV output, the standard way of running OnePerc and the OneQ
+//! baseline on a benchmark, and the renormalization success estimate.
 //!
 //! Default experiment sizes are reduced so every binary finishes on a
 //! laptop in seconds to a couple of minutes; pass `--full` to use the
 //! paper's sizes (hours of CPU time, exactly like the original artifact).
+//!
+//! # Experiment index
+//!
+//! | Binary | Paper result |
+//! |---|---|
+//! | `table2` | Table 2: `#RSL` and `#fusion`, OnePerc vs OneQ |
+//! | `table3` | Table 3: `#RSL` with and without refresh under a RAM budget |
+//! | `fig12` | Fig. 12: `#RSL` vs resource-state size, RSL size and fusion probability |
+//! | `fig13` | Fig. 13: suitable node size, PL ratio, modular renormalized size |
+//! | `fig14` | Fig. 14: online time per RSL vs program size and RSL size |
+//! | `fig15` | Fig. 15: offline compile time vs program and virtual-hardware size |
+//! | `fig16` | Fig. 16: renormalization success rate vs average node size |
+//!
+//! | Criterion bench | Measures |
+//! |---|---|
+//! | `online_per_rsl` | per-RSL renormalize, `spans_target` and generate + renormalize (Fig. 14(a)) |
+//! | `modular_renorm` | modular vs non-modular renormalization of one layer (Figs. 13(c), 14(b)) |
+//! | `offline_mapping` | mapping time vs program size and virtual-hardware size (Fig. 15) |
+//! | `mapper_ablation` | dynamic vs static scheduling and the incomplete-node occupancy limit |
+//! | `baseline_retry` | OneQ repeat-until-success simulation cost vs fusion probability (Table 2) |
+//!
+//! # References
+//!
+//! One preserved reference pins each stage of the production pipeline:
+//!
+//! - generation stream: [`dense::DenseReferenceEngine`], site for site;
+//! - lattices and modular joins: [`dense::ScalarRenormalizer`] and
+//!   [`dense::scalar_modular_outcome`], in `tests/layer_equivalence.rs`;
+//! - offline mapper: [`reference_mapper`], in `tests/mapper_equivalence.rs`.
+//!
+//! [`dense::DenseScalarEngine`] is the distributional reference: the
+//! pre-batching per-attempt generator, kept for the day generation moves
+//! from stream identity to a distributional contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod dense;
 pub mod reference_mapper;
 
@@ -22,7 +54,9 @@ use std::path::PathBuf;
 
 use oneperc::{CompilerConfig, ExecutionReport, Session};
 use oneperc_circuit::benchmarks::Benchmark;
+use oneperc_hardware::{FusionEngine, HardwareConfig};
 use oneperc_oneq::{OneqCompiler, OneqConfig, OneqReport};
+use oneperc_percolation::renormalize;
 
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone)]
@@ -149,6 +183,20 @@ pub fn run_oneq(
         .unwrap_or_else(|e| panic!("OneQ failed on {bench}-{qubits}: {e}"))
 }
 
+/// Fraction of `trials` random `n x n` layers (7-qubit resource states,
+/// fusion probability `p`, seeds `seed..seed + trials`) whose
+/// renormalization to `node_size` realizes every coarse node: the
+/// success rate of Figs. 13(a) and 16.
+pub fn renorm_success_rate(n: usize, p: f64, node_size: usize, trials: u64, seed: u64) -> f64 {
+    let ok = (0..trials)
+        .filter(|&t| {
+            let layer = FusionEngine::new(HardwareConfig::new(n, 7, p), seed + t).generate_layer();
+            renormalize(&layer, node_size).is_success()
+        })
+        .count();
+    ok as f64 / trials as f64
+}
+
 /// Formats a Table 2 cell of the OneQ baseline: the plain value for a run
 /// that finished, `"≥ value"` for one cut at the RSL cap. A saturated run
 /// stops after charging `value` in the cell's own unit (RSLs, fusions or
@@ -177,12 +225,12 @@ mod tests {
 
     #[test]
     fn csv_writing_roundtrip() {
-        let args = ExperimentArgs {
-            out_dir: std::env::temp_dir().join("oneperc-bench-test"),
-            ..ExperimentArgs::default()
-        };
+        let out_dir = std::env::temp_dir()
+            .join(format!("oneperc-bench-test-{}", std::process::id()));
+        let args = ExperimentArgs { out_dir: out_dir.clone(), ..ExperimentArgs::default() };
         let path = args.write_csv("t.csv", "a,b", &["1,2".to_string()]);
         let text = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_dir_all(&out_dir).unwrap();
         assert!(text.starts_with("a,b\n1,2\n"));
     }
 

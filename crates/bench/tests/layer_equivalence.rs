@@ -1,22 +1,27 @@
 //! Equivalence harness for the word-parallel hot paths: the bit-packed
 //! `PhysicalLayer` generation must be site-for-site identical to the dense
-//! `Vec<bool>` reference, and (since PR 6) the word-frontier BFS
-//! renormalizer and span-scan modular joiner must be outcome-identical to
-//! the preserved scalar implementations — across lattice sizes (including
+//! `Vec<bool>` reference, and the word-frontier BFS renormalizer and
+//! span-scan modular joiner must be outcome-identical to the preserved
+//! scalar implementations — across lattice sizes (including
 //! word-boundary-hostile ones), merging factors, probability sweeps,
-//! degenerate one-site bands, and `reset_blank` buffer reuse.
+//! degenerate one-site bands, production band widths, off-origin regions
+//! and `reset_blank` buffer reuse.
 //!
-//! This is the pin that lets the word-parallel hot path evolve: any
-//! indexing, trailing-mask or draw-ordering bug in the packed
-//! representation shows up as a coordinate-addressed mismatch here, and
-//! any frontier-expansion or tie-break divergence in the renormalizer
-//! shows up as the first differing node or path.
+//! This is the only lattice oracle: every renormalized lattice is compared
+//! with `ScalarLattice::mismatch` (target side, band geometry, every node
+//! site, every path site by site; success, node and path counts and
+//! consumed sites all follow from those) and every modular run with
+//! `ScalarModularOutcome::mismatch`. Any indexing, trailing-mask or
+//! draw-ordering bug in the packed representation shows up as a
+//! coordinate-addressed mismatch here, and any frontier-expansion or
+//! tie-break divergence in the renormalizer shows up as the first
+//! differing node or path.
 
 use oneperc_bench::dense::{
     scalar_modular_outcome, DenseBoolLayer, DenseReferenceEngine, ScalarRenormalizer,
 };
 use oneperc_hardware::{FusionEngine, HardwareConfig, PhysicalLayer};
-use oneperc_percolation::{ModularConfig, ModularRenormalizer, Renormalizer};
+use oneperc_percolation::{renormalize, ModularConfig, ModularRenormalizer, Renormalizer};
 
 /// Lattice sides straddling the 64-bit word geometry: sub-word, exact
 /// power-of-two, a side whose square (1089) is word-unaligned, an exact
@@ -175,6 +180,84 @@ fn word_frontier_region_bfs_matches_scalar_reference_off_origin() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Panics with `context` when a scalar-reference comparison found a
+/// differing field.
+fn check(mismatch: Option<String>, context: &str) {
+    if let Some(msg) = mismatch {
+        panic!("{context}: {msg}");
+    }
+}
+
+/// Streams three layers per seed through both a reused renormalizer and
+/// the free `renormalize` (fresh scratch), against the scalar reference.
+fn check_seeded_stream(side: usize, degree: usize, p: f64, node_size: usize, seeds: &[u64]) {
+    let mut word = Renormalizer::new();
+    let mut scalar = ScalarRenormalizer::new();
+    for &seed in seeds {
+        let mut engine = FusionEngine::new(HardwareConfig::new(side, degree, p), seed);
+        for layer_no in 0..3 {
+            let layer = engine.generate_layer();
+            let want = scalar.renormalize(&layer, node_size);
+            let context = format!("L={side} d={degree} p={p} seed={seed} layer={layer_no}");
+            check(want.mismatch(&word.renormalize(&layer, node_size)), &context);
+            check(want.mismatch(&renormalize(&layer, node_size)), &context);
+        }
+    }
+}
+
+#[test]
+fn word_frontier_bfs_matches_scalar_reference_at_production_band_widths() {
+    // Node size L/4 with 7-qubit states: the band widths the online pass
+    // actually runs, next to the matrix's word-geometry extremes.
+    for side in [24usize, 36, 40, 48] {
+        for p in [0.66, 0.75, 0.9] {
+            check_seeded_stream(side, 7, p, side / 4, &[0, 1, 2, 3]);
+        }
+    }
+}
+
+#[test]
+fn word_frontier_bfs_matches_scalar_reference_on_merged_low_degree_layers() {
+    // 4-qubit states: the merging phase leaves sparser site patterns that
+    // stress the BFS gating.
+    check_seeded_stream(32, 4, 0.7, 8, &[0, 1, 2, 3, 4, 5]);
+}
+
+#[test]
+fn free_renormalize_matches_scalar_reference_on_degenerate_layers() {
+    // Every band percolates, and no band does.
+    let mut scalar = ScalarRenormalizer::new();
+    for (name, layer, node_size) in [
+        ("fully connected", PhysicalLayer::fully_connected(30, 30), 6),
+        ("blank", PhysicalLayer::blank(20, 20), 5),
+    ] {
+        let want = scalar.renormalize(&layer, node_size);
+        check(want.mismatch(&renormalize(&layer, node_size)), name);
+    }
+}
+
+#[test]
+fn word_frontier_region_bfs_matches_scalar_reference_on_module_regions() {
+    // Module-sized regions at and away from the origin of one layer, with
+    // one renormalizer reused across regions and seeds.
+    let mut word = Renormalizer::new();
+    let mut scalar = ScalarRenormalizer::new();
+    for seed in 0..4u64 {
+        let mut engine = FusionEngine::new(HardwareConfig::new(48, 7, 0.78), seed);
+        let layer = engine.generate_layer();
+        for (origin, w, h, node_size) in
+            [((0usize, 0usize), 24usize, 24usize, 6usize), ((12, 12), 24, 24, 8), ((20, 8), 20, 30, 5)]
+        {
+            let got = word.renormalize_region(&layer, origin, w, h, node_size);
+            let want = scalar.renormalize_region(&layer, origin, w, h, node_size);
+            check(
+                want.mismatch(&got),
+                &format!("seed={seed} origin={origin:?} {w}x{h} node_size={node_size}"),
+            );
         }
     }
 }
