@@ -1,6 +1,8 @@
 //! Criterion bench behind Fig. 14(a): online processing cost of a single
 //! resource-state layer as the RSL grows — full renormalization beside the
-//! path-free `spans_target` verdict the reshaping engine runs.
+//! path-free `spans_target` verdict the reshaping engine runs — and layer
+//! generation alone at the Table-1 RSL size for merged 4-qubit states
+//! (m = 3) and unmerged 7-qubit states (the whole-row path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_hardware::{FusionEngine, HardwareConfig, PhysicalLayer};
@@ -60,5 +62,24 @@ fn bench_online_per_rsl(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_online_per_rsl);
+/// Steady-state generation of one layer at L = 120: 4-qubit states merged
+/// three at a time (the Table-1 preset) and 7-qubit states (m = 1).
+fn bench_generate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("generate");
+    group.sample_size(10);
+    for &size in &[4usize, 7] {
+        let rsl = 120;
+        group.bench_with_input(BenchmarkId::new(format!("{size}q"), rsl), &rsl, |b, &rsl| {
+            let mut engine = FusionEngine::new(HardwareConfig::new(rsl, size, 0.75), 7);
+            let mut layer = PhysicalLayer::blank(rsl, rsl);
+            b.iter(|| {
+                engine.generate_layer_into(&mut layer);
+                std::hint::black_box(layer.fusions_attempted)
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_online_per_rsl, bench_generate);
 criterion_main!(benches);

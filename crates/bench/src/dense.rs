@@ -1,25 +1,27 @@
-//! The pre-bit-packed, `Vec<bool>` layer representation plus a reference
-//! layer generator, preserved as the A/B baseline for the bit-packed
-//! `PhysicalLayer`.
+//! The pre-bit-packed, `Vec<bool>` layer representation plus two reference
+//! layer generators, one per contract the bit-packed `FusionEngine` keeps.
 //!
 //! [`DenseBoolLayer`] stores the four per-site planes exactly as
-//! `PhysicalLayer` did before PR 5: one byte per site. The
-//! [`DenseReferenceEngine`] replays the fusion strategy of
-//! `FusionEngine::generate_layer_into` — the same `FusionSampler` calls in
-//! the same order, including the word-batched in-plane draws and the
-//! end-of-phase flush — but writes through per-site boolean stores. It
-//! exists for two purposes:
+//! `PhysicalLayer` did before it was bit-packed: one byte per site.
 //!
-//! * the `layer_equivalence` property tests assert the bit-packed engine
-//!   produces **identical** layers site for site (and counter for counter)
-//!   across lattice sizes, merging factors, probability sweeps and
-//!   `reset_blank` reuse;
-//! * [`DenseScalarEngine`] keeps the *verbatim pre-PR-5 generator* —
-//!   per-site boolean planes **and** one scalar per-attempt `sample()`
-//!   draw (one RNG word plus an f64 compare per attempt). Its stream
-//!   differs from the batched engines, so it is the distributional
-//!   reference: the layers it draws follow the fusion strategy's
-//!   per-attempt probabilities by construction.
+//! * [`DenseReferenceEngine`] pins the **stream**. It replays
+//!   `FusionEngine::generate_layer_into` draw for draw but writes through
+//!   per-site boolean stores. On the whole-row path it makes the same
+//!   batched-stream calls; on every other path it decodes the same
+//!   uniform words through the same `MergeLaw` and reads the same four
+//!   outcome planes, then sweeps the bonds with plain unclamped `usize`
+//!   budgets instead of the engine's clamped step table. The
+//!   `layer_equivalence` tests assert the two produce **identical** layers
+//!   site for site (and counter for counter) across lattice sizes,
+//!   merging factors, raised target degrees, probability sweeps and
+//!   `reset_blank` reuse.
+//! * [`DenseScalarEngine`] pins the **law**. It keeps the *verbatim
+//!   pre-bit-packing generator*: per-site boolean planes **and** one scalar
+//!   per-attempt `sample()` draw (one RNG word plus an f64 compare per
+//!   attempt) for every merge and bond attempt. Its stream differs from the
+//!   engine's, so the `generation_law` tests compare per-layer bonds,
+//!   attempts, successes, present sites and ports against it in
+//!   distribution.
 //!
 //! Since PR 6 this module also preserves the **scalar percolation
 //! reference**: [`ScalarRenormalizer`], the pre-word-frontier band BFS of
@@ -37,7 +39,7 @@
 //! point.
 
 use graphstate::DisjointSet;
-use oneperc_hardware::{FusionSampler, HardwareConfig, PhysicalLayer};
+use oneperc_hardware::{FusionSampler, HardwareConfig, MergeLaw, PhysicalLayer};
 use oneperc_percolation::{ModularConfig, ModularOutcome, RenormalizedLattice};
 
 /// One random physical layer in the dense one-`bool`-per-site
@@ -194,18 +196,23 @@ impl DenseBoolLayer {
 
 /// Reference layer generator: the fusion strategy of
 /// `FusionEngine::generate_layer_into`, transcribed onto the dense
-/// representation. Draw-for-draw identical sampler usage — merging phase
-/// and retries on the per-attempt stream, in-plane bonds on the
-/// word-batched stream (including the whole-row first-attempt words of
-/// the never-exhausting fast path), one `flush_batch` at the end of the
-/// bond phase — so a given seed must yield exactly the layer the
-/// bit-packed engine yields.
+/// representation with draw-for-draw identical sampler usage, so a given
+/// seed must yield exactly the layer the bit-packed engine yields.
+///
+/// - Whole-row configurations (merging factor 1, degree ≥ 6): each row's
+///   first attempts are pre-drawn as batched words, retries read the
+///   batched stream bit by bit, and one `flush_batch` ends the layer.
+/// - Every other configuration: one uniform word per site decoded through
+///   the same [`MergeLaw`], then the four outcome planes (east first, north
+///   first, east retry, north retry), then a plain scalar budget sweep over
+///   unclamped `usize` budgets. This is the engine's step-table kernel
+///   without the table and without the clamp.
 #[derive(Debug, Clone)]
 pub struct DenseReferenceEngine {
     config: HardwareConfig,
     sampler: FusionSampler,
+    merge_law: MergeLaw,
     raw_rsl_consumed: u64,
-    site_leaves: Vec<usize>,
     inplane_budget: Vec<usize>,
     /// Pre-drawn first-attempt words for one row of east/north bonds
     /// (mirrors the engine's whole-row fast path draw order).
@@ -217,11 +224,12 @@ impl DenseReferenceEngine {
     /// Creates a reference engine for the given configuration and seed
     /// (mirrors `FusionEngine::new`).
     pub fn new(config: HardwareConfig, seed: u64) -> Self {
+        let p = config.effective_fusion_prob();
         DenseReferenceEngine {
             config,
-            sampler: FusionSampler::new(config.effective_fusion_prob(), seed),
+            sampler: FusionSampler::new(p, seed),
+            merge_law: MergeLaw::new(config.resource_state_degree(), config.merging_factor(), p),
             raw_rsl_consumed: 0,
-            site_leaves: Vec::new(),
             inplane_budget: Vec::new(),
             row_east: Vec::new(),
             row_north: Vec::new(),
@@ -249,69 +257,106 @@ impl DenseReferenceEngine {
         layer.reset_blank(n, n);
         layer.raw_rsl_consumed = m;
         self.raw_rsl_consumed += m as u64;
-
-        // Phase 1: root-leaf merging on the per-attempt stream.
-        self.site_leaves.clear();
-        for _ in 0..(n * n) {
-            let mut cluster = base_degree;
-            for _ in 0..(m - 1) {
-                let mut incoming = base_degree;
-                loop {
-                    if cluster == 0 || incoming == 0 {
-                        break;
-                    }
-                    if self.sampler.sample().is_success() {
-                        cluster = cluster - 1 + incoming;
-                        break;
-                    }
-                    cluster -= 1;
-                    incoming -= 1;
-                }
-            }
-            self.site_leaves.push(cluster);
+        if m == 1 && base_degree >= 6 {
+            self.generate_whole_row(layer);
+        } else {
+            self.generate_merged(layer);
         }
 
-        // Temporal-port reservation and presence, one boolean store each.
+        let stats_after = self.sampler.stats();
+        layer.fusions_attempted = stats_after.attempted - stats_before.attempted;
+        layer.fusions_succeeded = stats_after.succeeded - stats_before.succeeded;
+    }
+
+    /// Merged path: one alias draw per site, four outcome planes, then the
+    /// scalar budget sweep, one boolean store at a time.
+    fn generate_merged(&mut self, layer: &mut DenseBoolLayer) {
+        let n = self.config.rsl_size;
+        let total = n * n;
+        let mut stats = oneperc_hardware::FusionStats::default();
+
+        let mut words = vec![0u64; total];
+        self.sampler.fill_uniform(&mut words);
         self.inplane_budget.clear();
-        for (i, &leaves) in self.site_leaves.iter().enumerate() {
-            let forward = leaves >= 1;
+        for (i, &word) in words.iter().enumerate() {
+            let (outcome, _) = self.merge_law.outcomes()[self.merge_law.pick(word)];
+            stats.attempted += u64::from(outcome.attempts);
+            stats.succeeded += u64::from(outcome.successes);
+            let forward = outcome.leaves >= 1;
             layer.temporal_port[i] = forward;
-            layer.site_present[i] = leaves >= 2;
-            self.inplane_budget.push(leaves - usize::from(forward));
+            layer.site_present[i] = outcome.leaves >= 2;
+            self.inplane_budget.push(outcome.leaves - usize::from(forward));
         }
 
-        // Phase 2: in-plane bonds on the word-batched stream, stored one
-        // boolean at a time. The draw *order* must match the bit-packed
-        // engine exactly, including its whole-row first-attempt fast path
-        // for never-exhausting configurations (merging factor 1, degree
-        // >= 6): a row's east then north first attempts are pre-drawn as
-        // packed words, and only the data-dependent retries consume the
-        // stream bit by bit during the sweep.
+        let plane_words = total.div_ceil(64);
+        let mut planes = vec![0u64; 4 * plane_words];
+        self.sampler.fill_outcome_words(&mut planes);
+        let bit =
+            |plane: usize, i: usize| planes[plane * plane_words + i / 64] >> (i % 64) & 1 == 1;
+
         let idx = |x: usize, y: usize| y * n + x;
-        let remaining_bonds = |x: usize, y: usize| -> usize {
-            let mut c = 0;
-            if x + 1 < n {
-                c += 1;
-            }
-            if y + 1 < n {
-                c += 1;
-            }
-            c
-        };
-        let whole_row = m == 1 && base_degree >= 6;
+        let remaining_bonds = |x: usize, y: usize| usize::from(x + 1 < n) + usize::from(y + 1 < n);
         for y in 0..n {
-            if whole_row {
-                self.row_east.clear();
-                for cx in 0..(n - 1).div_ceil(64) {
-                    let cnt = 64.min(n - 1 - cx * 64) as u32;
-                    self.row_east.push(self.sampler.sample_batched_word(cnt));
-                }
-                self.row_north.clear();
-                if y + 1 < n {
-                    for cx in 0..n.div_ceil(64) {
-                        let cnt = 64.min(n - cx * 64) as u32;
-                        self.row_north.push(self.sampler.sample_batched_word(cnt));
+            for x in 0..n {
+                for east in [true, false] {
+                    let (bx, by) = if east { (x + 1, y) } else { (x, y + 1) };
+                    if bx >= n || by >= n {
+                        continue;
                     }
+                    let a = idx(x, y);
+                    let b = idx(bx, by);
+                    if self.inplane_budget[a] == 0 || self.inplane_budget[b] == 0 {
+                        continue;
+                    }
+                    let (first_plane, retry_plane) = if east { (0, 2) } else { (1, 3) };
+                    self.inplane_budget[a] -= 1;
+                    self.inplane_budget[b] -= 1;
+                    stats.attempted += 1;
+                    let mut ok = bit(first_plane, a);
+                    if !ok
+                        && self.inplane_budget[a] > remaining_bonds(x, y)
+                        && self.inplane_budget[b] > remaining_bonds(bx, by)
+                    {
+                        self.inplane_budget[a] -= 1;
+                        self.inplane_budget[b] -= 1;
+                        stats.attempted += 1;
+                        ok = bit(retry_plane, a);
+                    }
+                    if ok {
+                        stats.succeeded += 1;
+                        if east {
+                            layer.bond_east[a] = true;
+                        } else {
+                            layer.bond_north[a] = true;
+                        }
+                    }
+                }
+            }
+        }
+        self.sampler.record(stats);
+    }
+
+    /// Whole-row path: a row's east then north first attempts are
+    /// pre-drawn as packed words, and only the data-dependent retries
+    /// consume the batched stream bit by bit during the sweep.
+    fn generate_whole_row(&mut self, layer: &mut DenseBoolLayer) {
+        let n = self.config.rsl_size;
+        self.inplane_budget.clear();
+        self.inplane_budget.resize(n * n, self.config.resource_state_degree() - 1);
+
+        let idx = |x: usize, y: usize| y * n + x;
+        let remaining_bonds = |x: usize, y: usize| usize::from(x + 1 < n) + usize::from(y + 1 < n);
+        for y in 0..n {
+            self.row_east.clear();
+            for cx in 0..(n - 1).div_ceil(64) {
+                let cnt = 64.min(n - 1 - cx * 64) as u32;
+                self.row_east.push(self.sampler.sample_batched_word(cnt));
+            }
+            self.row_north.clear();
+            if y + 1 < n {
+                for cx in 0..n.div_ceil(64) {
+                    let cnt = 64.min(n - cx * 64) as u32;
+                    self.row_north.push(self.sampler.sample_batched_word(cnt));
                 }
             }
             for x in 0..n {
@@ -322,22 +367,10 @@ impl DenseReferenceEngine {
                     }
                     let a = idx(x, y);
                     let b = idx(bx, by);
-                    if !whole_row {
-                        if !layer.site_present[a] || !layer.site_present[b] {
-                            continue;
-                        }
-                        if self.inplane_budget[a] == 0 || self.inplane_budget[b] == 0 {
-                            continue;
-                        }
-                    }
                     self.inplane_budget[a] -= 1;
                     self.inplane_budget[b] -= 1;
-                    let mut ok = if whole_row {
-                        let row = if east { &self.row_east } else { &self.row_north };
-                        row[x / 64] >> (x % 64) & 1 == 1
-                    } else {
-                        self.sampler.sample_batched().is_success()
-                    };
+                    let row = if east { &self.row_east } else { &self.row_north };
+                    let mut ok = row[x / 64] >> (x % 64) & 1 == 1;
                     if !ok {
                         let spare_a = self.inplane_budget[a] > remaining_bonds(x, y);
                         let spare_b = self.inplane_budget[b] > remaining_bonds(bx, by);
@@ -358,10 +391,6 @@ impl DenseReferenceEngine {
             }
         }
         self.sampler.flush_batch();
-
-        let stats_after = self.sampler.stats();
-        layer.fusions_attempted = stats_after.attempted - stats_before.attempted;
-        layer.fusions_succeeded = stats_after.succeeded - stats_before.succeeded;
     }
 }
 
@@ -369,9 +398,9 @@ impl DenseReferenceEngine {
 /// scalar per-attempt [`FusionSampler::sample`] draw per fusion, exactly
 /// as `FusionEngine::generate_layer_into` worked before the word refactor
 /// (including the in-plane presence checks the budget test has since
-/// subsumed). Its stochastic stream therefore differs from the batched
-/// engines — it is the distributional reference for the layer stream
-/// (per-attempt draws, no batching), not a site-for-site equivalence
+/// subsumed). Its stochastic stream therefore differs from the engine's —
+/// it is the distributional reference for the layer law (per-attempt
+/// draws, no batching, no tables), not a site-for-site equivalence
 /// reference.
 #[derive(Debug, Clone)]
 pub struct DenseScalarEngine {

@@ -23,7 +23,7 @@
 //!
 //! | Criterion bench | Measures |
 //! |---|---|
-//! | `online_per_rsl` | per-RSL renormalize, `spans_target` and generate + renormalize (Fig. 14(a)) |
+//! | `online_per_rsl` | per-RSL renormalize, `spans_target` and generate + renormalize (Fig. 14(a)); generation alone at L = 120 for merged 4-qubit and unmerged 7-qubit states |
 //! | `modular_renorm` | modular vs non-modular renormalization of one layer (Figs. 13(c), 14(b)) |
 //! | `offline_mapping` | mapping time vs program size and virtual-hardware size (Fig. 15) |
 //! | `mapper_ablation` | dynamic vs static scheduling and the incomplete-node occupancy limit |
@@ -31,16 +31,16 @@
 //!
 //! # References
 //!
-//! One preserved reference pins each stage of the production pipeline:
+//! One preserved reference pins each contract of the production pipeline:
 //!
-//! - generation stream: [`dense::DenseReferenceEngine`], site for site;
+//! - generation stream: [`dense::DenseReferenceEngine`], site for site, in
+//!   `tests/layer_equivalence.rs`;
+//! - generation law: [`dense::DenseScalarEngine`], the per-attempt
+//!   generator, by per-layer z tests in `tests/generation_law.rs` (beside
+//!   chi-square tests of the merge law against the per-attempt automaton);
 //! - lattices and modular joins: [`dense::ScalarRenormalizer`] and
 //!   [`dense::scalar_modular_outcome`], in `tests/layer_equivalence.rs`;
 //! - offline mapper: [`reference_mapper`], in `tests/mapper_equivalence.rs`.
-//!
-//! [`dense::DenseScalarEngine`] is the distributional reference: the
-//! pre-batching per-attempt generator, kept for the day generation moves
-//! from stream identity to a distributional contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

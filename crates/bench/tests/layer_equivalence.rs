@@ -20,7 +20,7 @@
 use oneperc_bench::dense::{
     scalar_modular_outcome, DenseBoolLayer, DenseReferenceEngine, ScalarRenormalizer,
 };
-use oneperc_hardware::{FusionEngine, HardwareConfig, PhysicalLayer};
+use oneperc_hardware::{FusionEngine, HardwareConfig, MergeLaw, PhysicalLayer};
 use oneperc_percolation::{renormalize, ModularConfig, ModularRenormalizer, Renormalizer};
 
 /// Lattice sides straddling the 64-bit word geometry: sub-word, exact
@@ -48,6 +48,31 @@ fn assert_equivalent(dense: &DenseBoolLayer, packed: &PhysicalLayer, context: &s
     );
 }
 
+/// Generates `layers` layers from a fresh packed engine and a fresh dense
+/// reference at `(cfg, seed)` and asserts they match site for site, layer
+/// by layer and in the cumulative counters.
+fn assert_streams_match(cfg: HardwareConfig, seed: u64, layers: usize, context: &str) {
+    let mut packed_engine = FusionEngine::new(cfg, seed);
+    let mut dense_engine = DenseReferenceEngine::new(cfg, seed);
+    let mut packed = PhysicalLayer::blank(1, 1);
+    let mut dense = DenseBoolLayer::blank(1, 1);
+    for layer_no in 0..layers {
+        packed_engine.generate_layer_into(&mut packed);
+        dense_engine.generate_layer_into(&mut dense);
+        assert_equivalent(&dense, &packed, &format!("{context} layer={layer_no}"));
+    }
+    assert_eq!(
+        packed_engine.fusion_stats(),
+        dense_engine.fusion_stats(),
+        "{context}: cumulative stats"
+    );
+    assert_eq!(
+        packed_engine.raw_rsl_consumed(),
+        dense_engine.raw_rsl_consumed(),
+        "{context}: raw RSLs"
+    );
+}
+
 #[test]
 fn packed_generation_matches_dense_reference_across_configs() {
     for &side in &SIDES {
@@ -55,29 +80,42 @@ fn packed_generation_matches_dense_reference_across_configs() {
             for &p in &PROBS {
                 for seed in [1u64, 42] {
                     let cfg = HardwareConfig::new(side, degree, p);
-                    let mut packed_engine = FusionEngine::new(cfg, seed);
-                    let mut dense_engine = DenseReferenceEngine::new(cfg, seed);
-                    let mut packed = PhysicalLayer::blank(1, 1);
-                    let mut dense = DenseBoolLayer::blank(1, 1);
-                    for layer_no in 0..2 {
-                        packed_engine.generate_layer_into(&mut packed);
-                        dense_engine.generate_layer_into(&mut dense);
-                        assert_equivalent(
-                            &dense,
-                            &packed,
-                            &format!("L={side} d={degree} p={p} seed={seed} layer={layer_no}"),
-                        );
-                    }
-                    assert_eq!(
-                        packed_engine.fusion_stats(),
-                        dense_engine.fusion_stats(),
-                        "L={side} d={degree} p={p} seed={seed}: cumulative stats"
-                    );
-                    assert_eq!(
-                        packed_engine.raw_rsl_consumed(),
-                        dense_engine.raw_rsl_consumed(),
-                        "L={side} d={degree} p={p} seed={seed}: raw RSLs"
-                    );
+                    let context = format!("L={side} d={degree} p={p} seed={seed}");
+                    assert_streams_match(cfg, seed, 2, &context);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn packed_generation_matches_dense_reference_past_the_budget_clamp() {
+    // Raised target degrees merge more stars per site: 6-qubit states at
+    // target 10 (m = 3, up to 13 leaves) and 14 (m = 4, up to 17 leaves)
+    // start sites with in-plane budgets beyond the engine's clamp of 10,
+    // and 3-qubit states at target 8 (m = 7) run the longest merge chains.
+    // The dense reference sweeps unclamped budgets with no step table, so
+    // agreement here pins the clamp and the table together.
+    let raised = [(6usize, 10usize), (6, 14), (3, 8)];
+    for &(size, target) in &raised {
+        let probe = HardwareConfig::new(24, size, 0.75).with_target_degree(target);
+        let law = MergeLaw::new(
+            probe.resource_state_degree(),
+            probe.merging_factor(),
+            probe.effective_fusion_prob(),
+        );
+        let max_budget =
+            law.outcomes().iter().map(|(o, _)| o.leaves.saturating_sub(1)).max().unwrap_or(0);
+        if size == 6 {
+            let context = format!("{size}-qubit states at target {target}");
+            assert!(max_budget > 10, "{context}: budget {max_budget} never exceeds the clamp");
+        }
+        for &side in &[7usize, 24, 33, 65] {
+            for &p in &PROBS {
+                for seed in [1u64, 42] {
+                    let cfg = HardwareConfig::new(side, size, p).with_target_degree(target);
+                    let context = format!("L={side} size={size} target={target} p={p} seed={seed}");
+                    assert_streams_match(cfg, seed, 3, &context);
                 }
             }
         }

@@ -6,7 +6,9 @@
 //!
 //! prints one `assert_stream(...)` line per pinned (probability, seed,
 //! stream) combination, in the same order and encoding as the test file
-//! (outcome `k` at bit `k % 64` of word `k / 64`). When a sampler or RNG
+//! (outcome `k` at bit `k % 64` of word `k / 64`), then one
+//! `assert_uniform(...)` line per seed for the raw words of
+//! `FusionSampler::fill_uniform`. When a sampler or RNG
 //! change intentionally shifts a stream, paste the printed lines over the
 //! pinned ones and say so loudly in the commit — every seeded result in
 //! the repository shifts with them. When a change is supposed to leave
@@ -35,6 +37,12 @@ fn stream_words(p: f64, seed: u64, batched: bool) -> [u64; 4] {
     words
 }
 
+fn uniform_words(seed: u64) -> [u64; 4] {
+    let mut words = [0u64; 4];
+    FusionSampler::new(0.75, seed).fill_uniform(&mut words);
+    words
+}
+
 fn main() {
     for (batched, label) in [(false, "per-attempt"), (true, "batched")] {
         for p in [0.75f64, 0.66] {
@@ -47,5 +55,13 @@ fn main() {
                 );
             }
         }
+    }
+    println!("// uniform words");
+    for seed in [1u64, 7, 42, 2024] {
+        let w = uniform_words(seed);
+        println!(
+            "assert_uniform({seed}, [{:#018x}, {:#018x}, {:#018x}, {:#018x}]);",
+            w[0], w[1], w[2], w[3]
+        );
     }
 }

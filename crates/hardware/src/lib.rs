@@ -14,6 +14,8 @@
 //!   lattice, root-leaf fusions merge several RSLs when the resource states
 //!   lack sufficient degree, failures trigger local-complementation recovery
 //!   and collective retries.
+//! * [`MergeLaw`] — the exact per-site law of the root-leaf merging phase,
+//!   drawn by the engine with one alias-table lookup per site.
 //! * [`PhysicalLayer`] — the random physical graph state produced for one
 //!   (merged) resource-state layer, in the site-lattice representation
 //!   consumed by the online reshaping pass.
@@ -43,6 +45,7 @@ mod delay;
 mod engine;
 pub mod exact;
 mod layer;
+mod merge;
 mod sampler;
 
 pub use bitmap::Bitmap;
@@ -50,4 +53,5 @@ pub use config::HardwareConfig;
 pub use delay::DelayLine;
 pub use engine::{FusionEngine, FusionStrategy};
 pub use layer::PhysicalLayer;
+pub use merge::{MergeLaw, MergeOutcome};
 pub use sampler::{FusionSampler, FusionStats};

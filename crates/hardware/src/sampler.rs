@@ -117,11 +117,6 @@ impl FusionSampler {
         }
     }
 
-    /// The configured success probability.
-    pub fn success_prob(&self) -> f64 {
-        self.success_prob
-    }
-
     /// Samples one heralded fusion outcome.
     #[inline]
     pub fn sample(&mut self) -> FusionOutcome {
@@ -132,18 +127,6 @@ impl FusionSampler {
         } else {
             FusionOutcome::Failure
         }
-    }
-
-    /// Samples a fusion that is retried on failure up to `retries` extra
-    /// times (each retry consumes a fresh attempt). Returns the final
-    /// outcome.
-    pub fn sample_with_retries(&mut self, retries: usize) -> FusionOutcome {
-        for _ in 0..=retries {
-            if self.sample().is_success() {
-                return FusionOutcome::Success;
-            }
-        }
-        FusionOutcome::Failure
     }
 
     /// Draws 64 independent Bernoulli(`success_prob`) outcome bits in one
@@ -172,9 +155,8 @@ impl FusionSampler {
     /// one bit per call, so attempt accounting stays exact under
     /// data-dependent control flow (an attempt is only counted — and a
     /// buffered bit only consumed — when the caller actually samples). The
-    /// layer generator's in-plane bond phase runs on this stream; the
-    /// merging-phase retry loop and time-like fusions stay on the
-    /// per-attempt [`FusionSampler::sample`] stream.
+    /// layer generator's whole-row bond phase runs on this stream; time-like
+    /// fusions stay on the per-attempt [`FusionSampler::sample`] stream.
     ///
     /// Callers that interleave batched and per-attempt draws must call
     /// [`FusionSampler::flush_batch`] at the end of each batched phase so
@@ -242,14 +224,42 @@ impl FusionSampler {
         self.batch_len = 0;
     }
 
+    /// Fills `out` with uniform random words straight from the RNG, for
+    /// table-driven draws (the layer generator's merge-law alias table).
+    /// Nothing is accounted: the caller records the attempts its draws
+    /// stand for with [`FusionSampler::record`].
+    #[inline]
+    pub fn fill_uniform(&mut self, out: &mut [u64]) {
+        for w in out {
+            *w = self.rng.next_u64();
+        }
+    }
+
+    /// Fills `out` with bit-sliced Bernoulli(`success_prob`) outcome words:
+    /// every bit is an independent heralded outcome, drawn by the same
+    /// construction (and, from a fresh sampler, as the same bits) as the
+    /// word-batched stream. Nothing is accounted, because the layer
+    /// generator pre-draws one bit per *possible* attempt and records with
+    /// [`FusionSampler::record`] only the attempts it makes. The pending
+    /// batch of [`FusionSampler::sample_batched`] is neither read nor
+    /// advanced.
+    pub fn fill_outcome_words(&mut self, out: &mut [u64]) {
+        for w in out {
+            *w = self.draw_block();
+        }
+    }
+
+    /// Accounts attempts resolved from words drawn by
+    /// [`FusionSampler::fill_uniform`] or
+    /// [`FusionSampler::fill_outcome_words`].
+    #[inline]
+    pub fn record(&mut self, stats: FusionStats) {
+        self.stats.absorb(stats);
+    }
+
     /// Accumulated attempt statistics.
     pub fn stats(&self) -> FusionStats {
         self.stats
-    }
-
-    /// Resets the attempt statistics (the RNG stream is unaffected).
-    pub fn reset_stats(&mut self) {
-        self.stats = FusionStats::default();
     }
 
     /// Draws a uniform random number in `[0, 1)`; exposed for strategy code
@@ -292,16 +302,6 @@ mod tests {
         assert!((rate - 0.75).abs() < 0.02, "rate {rate}");
         assert_eq!(s.stats().attempted, 20_000);
         assert_eq!(s.stats().failed(), s.stats().attempted - s.stats().succeeded);
-    }
-
-    #[test]
-    fn retries_count_attempts() {
-        let mut s = FusionSampler::new(0.999, 1);
-        let out = s.sample_with_retries(3);
-        assert!(out.is_success());
-        assert_eq!(s.stats().attempted, 1);
-        s.reset_stats();
-        assert_eq!(s.stats().attempted, 0);
     }
 
     #[test]
@@ -408,6 +408,24 @@ mod tests {
         }
         assert_eq!(mixed_out, plain_out);
         assert_eq!(mixed.stats(), plain.stats());
+    }
+
+    #[test]
+    fn outcome_words_are_the_batched_stream_unaccounted() {
+        // From a fresh sampler, `fill_outcome_words` hands out exactly the
+        // words the batched stream would, and counts none of them.
+        for &p in &[0.75f64, 0.66, 1.0] {
+            let mut planes = FusionSampler::new(p, 21);
+            let mut batched = FusionSampler::new(p, 21);
+            let mut words = [0u64; 5];
+            planes.fill_outcome_words(&mut words);
+            for (i, &w) in words.iter().enumerate() {
+                assert_eq!(w, batched.sample_batched_word(64), "p {p}: word {i}");
+            }
+            assert_eq!(planes.stats(), FusionStats::default());
+            planes.record(FusionStats { attempted: 3, succeeded: 2 });
+            assert_eq!(planes.stats(), FusionStats { attempted: 3, succeeded: 2 });
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Golden pin of the `FusionSampler` stochastic streams.
 //!
-//! The merging-phase retry loop, the time-like fusions of the reshaping
-//! pass and the OneQ baseline all consume the per-attempt
-//! [`FusionSampler::sample`] stream; the layer generator's in-plane bond
-//! phase consumes the word-batched [`FusionSampler::sample_batched`]
-//! stream. Any sampler refactor that silently shifts either stream would
-//! change every compiled program while still passing the self-consistent
-//! determinism suites — so the first 256 outcomes of both streams are
-//! pinned here at fixed seeds, for the practical dyadic probability
-//! (p = 0.75, two bit-sliced digits) and a non-dyadic one (p = 0.66,
-//! full-depth expansion).
+//! The time-like fusions of the reshaping pass and the OneQ baseline
+//! consume the per-attempt [`FusionSampler::sample`] stream; the layer
+//! generator's whole-row bond phase consumes the word-batched
+//! [`FusionSampler::sample_batched`] stream, and merged layers draw raw
+//! [`FusionSampler::fill_uniform`] words (one per site, decoded by the
+//! merge-law alias table) and bit-sliced outcome planes. Any sampler
+//! refactor that silently shifts a stream would change every compiled
+//! program while still passing the self-consistent determinism suites — so
+//! the first 256 outcomes of the two outcome streams are pinned here at
+//! fixed seeds, for the practical dyadic probability (p = 0.75, two
+//! bit-sliced digits) and a non-dyadic one (p = 0.66, full-depth
+//! expansion), together with the first four uniform words.
 //!
 //! Encoding: outcome `k` (success = 1) is bit `k % 64` of word `k / 64`.
 //!
@@ -18,9 +20,10 @@
 //! checked-in tool (`cargo run -p oneperc-hardware --example regen_pins`
 //! prints them in paste-ready form) and say so loudly in the commit —
 //! every seeded result in the repository shifts with them. The word-
-//! granular [`FusionSampler::sample_batched_word`] draw is a view of the
-//! batched stream pinned here (its agreement is enforced by the sampler's
-//! unit tests), so it needs no pin of its own.
+//! granular [`FusionSampler::sample_batched_word`] draw and the outcome
+//! planes of [`FusionSampler::fill_outcome_words`] are views of the
+//! batched stream pinned here (their agreement is enforced by the
+//! sampler's unit tests), so they need no pin of their own.
 
 use oneperc_hardware::FusionSampler;
 
@@ -163,6 +166,34 @@ fn batched_stream_is_pinned_at_p066() {
         2024,
         true,
         [0xf7f6b9fbf92f73f7, 0xf8d9bc5fbeddf24f, 0x0fff77fd218a71df, 0xffe9b3d9b597bc6b],
+    );
+}
+
+fn assert_uniform(seed: u64, expected: [u64; 4]) {
+    let mut sampler = FusionSampler::new(0.75, seed);
+    let mut got = [0u64; 4];
+    sampler.fill_uniform(&mut got);
+    assert_eq!(got, expected, "uniform words shifted at seed {seed}");
+    assert_eq!(sampler.stats().attempted, 0, "raw words account no attempt");
+}
+
+#[test]
+fn uniform_words_are_pinned() {
+    assert_uniform(
+        1,
+        [0xcfc5d07f6f03c29b, 0xbf424132963fe08d, 0x19a37d5757aaf520, 0xbf08119f05cd56d6],
+    );
+    assert_uniform(
+        7,
+        [0x0e2c1a002aae913d, 0x2c0fc8ddfa4e9e14, 0xb7b311b3b0d45872, 0x6d5d9f6a6318013c],
+    );
+    assert_uniform(
+        42,
+        [0xd0764d4f4476689f, 0x519e4174576f3791, 0xfbe07cfb0c24ed8c, 0xb37d9f600cd835b8],
+    );
+    assert_uniform(
+        2024,
+        [0x8641253f8fed82d1, 0x4b7eeec62af66af9, 0x3e595fe9cf746b2a, 0x6bf1aa430346476c],
     );
 }
 
