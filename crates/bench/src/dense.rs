@@ -6,22 +6,23 @@
 //!
 //! * [`DenseReferenceEngine`] pins the **stream**. It replays
 //!   `FusionEngine::generate_layer_into` draw for draw but writes through
-//!   per-site boolean stores. On the whole-row path it makes the same
-//!   batched-stream calls; on every other path it decodes the same
-//!   uniform words through the same `MergeLaw` and reads the same four
-//!   outcome planes, then sweeps the bonds with plain unclamped `usize`
-//!   budgets instead of the engine's clamped step table. The
-//!   `layer_equivalence` tests assert the two produce **identical** layers
-//!   site for site (and counter for counter) across lattice sizes,
-//!   merging factors, raised target degrees, probability sweeps and
-//!   `reset_blank` reuse.
+//!   per-site boolean stores. Like the engine, it draws layer `i` of a run
+//!   from a fresh sampler seeded with `layer_key(seed, i)`. On the
+//!   whole-row path it makes the same batched-stream calls; on every
+//!   other path it decodes the same uniform words through the same
+//!   `MergeLaw` and reads the same four outcome planes, then sweeps the
+//!   bonds with plain unclamped `usize` budgets instead of the engine's
+//!   clamped step table. The `layer_equivalence` tests assert the two
+//!   produce **identical** layers site for site (and counter for counter)
+//!   across lattice sizes, merging factors, raised target degrees,
+//!   probability sweeps and `reset_blank` reuse.
 //! * [`DenseScalarEngine`] pins the **law**. It keeps the *verbatim
 //!   pre-bit-packing generator*: per-site boolean planes **and** one scalar
 //!   per-attempt `sample()` draw (one RNG word plus an f64 compare per
-//!   attempt) for every merge and bond attempt. Its stream differs from the
-//!   engine's, so the `generation_law` tests compare per-layer bonds,
-//!   attempts, successes, present sites and ports against it in
-//!   distribution.
+//!   attempt) for every merge and bond attempt, on the same keyed
+//!   per-layer samplers. Its stream differs from the engine's, so the
+//!   `generation_law` tests compare per-layer bonds, attempts, successes,
+//!   present sites and ports against it in distribution.
 //!
 //! Since PR 6 this module also preserves the **scalar percolation
 //! reference**: [`ScalarRenormalizer`], the pre-word-frontier band BFS of
@@ -39,7 +40,9 @@
 //! point.
 
 use graphstate::DisjointSet;
-use oneperc_hardware::{FusionSampler, HardwareConfig, MergeLaw, PhysicalLayer};
+use oneperc_hardware::{
+    layer_key, FusionSampler, FusionStats, HardwareConfig, MergeLaw, PhysicalLayer,
+};
 use oneperc_percolation::{ModularConfig, ModularOutcome, RenormalizedLattice};
 
 /// One random physical layer in the dense one-`bool`-per-site
@@ -199,9 +202,12 @@ impl DenseBoolLayer {
 /// representation with draw-for-draw identical sampler usage, so a given
 /// seed must yield exactly the layer the bit-packed engine yields.
 ///
+/// Each layer draws from its own sampler, seeded with
+/// `layer_key(seed, index)`.
+///
 /// - Whole-row configurations (merging factor 1, degree ≥ 6): each row's
-///   first attempts are pre-drawn as batched words, retries read the
-///   batched stream bit by bit, and one `flush_batch` ends the layer.
+///   first attempts are pre-drawn as batched words, and retries read the
+///   batched stream bit by bit.
 /// - Every other configuration: one uniform word per site decoded through
 ///   the same [`MergeLaw`], then the four outcome planes (east first, north
 ///   first, east retry, north retry), then a plain scalar budget sweep over
@@ -210,7 +216,12 @@ impl DenseBoolLayer {
 #[derive(Debug, Clone)]
 pub struct DenseReferenceEngine {
     config: HardwareConfig,
+    seed: u64,
+    /// Index of the next layer of the run.
+    next_index: u64,
+    /// The current layer's sampler.
     sampler: FusionSampler,
+    stats: FusionStats,
     merge_law: MergeLaw,
     raw_rsl_consumed: u64,
     inplane_budget: Vec<usize>,
@@ -227,7 +238,10 @@ impl DenseReferenceEngine {
         let p = config.effective_fusion_prob();
         DenseReferenceEngine {
             config,
-            sampler: FusionSampler::new(p, seed),
+            seed,
+            next_index: 0,
+            sampler: FusionSampler::new(p, layer_key(seed, 0)),
+            stats: FusionStats::default(),
             merge_law: MergeLaw::new(config.resource_state_degree(), config.merging_factor(), p),
             raw_rsl_consumed: 0,
             inplane_budget: Vec::new(),
@@ -242,17 +256,20 @@ impl DenseReferenceEngine {
     }
 
     /// Accumulated fusion-attempt statistics.
-    pub fn fusion_stats(&self) -> oneperc_hardware::FusionStats {
-        self.sampler.stats()
+    pub fn fusion_stats(&self) -> FusionStats {
+        self.stats
     }
 
-    /// Executes the fusion strategy for one effective layer into `layer`.
+    /// Executes the fusion strategy for the next layer of the run into
+    /// `layer`.
     pub fn generate_layer_into(&mut self, layer: &mut DenseBoolLayer) {
         let cfg = self.config;
         let n = cfg.rsl_size;
         let m = cfg.merging_factor();
         let base_degree = cfg.resource_state_degree();
-        let stats_before = self.sampler.stats();
+        let key = layer_key(self.seed, self.next_index);
+        self.next_index += 1;
+        self.sampler = FusionSampler::new(cfg.effective_fusion_prob(), key);
 
         layer.reset_blank(n, n);
         layer.raw_rsl_consumed = m;
@@ -263,9 +280,10 @@ impl DenseReferenceEngine {
             self.generate_merged(layer);
         }
 
-        let stats_after = self.sampler.stats();
-        layer.fusions_attempted = stats_after.attempted - stats_before.attempted;
-        layer.fusions_succeeded = stats_after.succeeded - stats_before.succeeded;
+        let stats = self.sampler.stats();
+        layer.fusions_attempted = stats.attempted;
+        layer.fusions_succeeded = stats.succeeded;
+        self.stats.absorb(stats);
     }
 
     /// Merged path: one alias draw per site, four outcome planes, then the
@@ -273,7 +291,7 @@ impl DenseReferenceEngine {
     fn generate_merged(&mut self, layer: &mut DenseBoolLayer) {
         let n = self.config.rsl_size;
         let total = n * n;
-        let mut stats = oneperc_hardware::FusionStats::default();
+        let mut stats = FusionStats::default();
 
         let mut words = vec![0u64; total];
         self.sampler.fill_uniform(&mut words);
@@ -390,7 +408,6 @@ impl DenseReferenceEngine {
                 }
             }
         }
-        self.sampler.flush_batch();
     }
 }
 
@@ -398,14 +415,20 @@ impl DenseReferenceEngine {
 /// scalar per-attempt [`FusionSampler::sample`] draw per fusion, exactly
 /// as `FusionEngine::generate_layer_into` worked before the word refactor
 /// (including the in-plane presence checks the budget test has since
-/// subsumed). Its stochastic stream therefore differs from the engine's —
-/// it is the distributional reference for the layer law (per-attempt
-/// draws, no batching, no tables), not a site-for-site equivalence
-/// reference.
+/// subsumed), with one change: like the engine, it draws layer `i` of a run
+/// from a fresh sampler seeded with `layer_key(seed, i)`. Its stochastic
+/// stream still differs from the engine's — it is the distributional
+/// reference for the layer law (per-attempt draws, no batching, no
+/// tables), not a site-for-site equivalence reference.
 #[derive(Debug, Clone)]
 pub struct DenseScalarEngine {
     config: HardwareConfig,
+    seed: u64,
+    /// Index of the next layer of the run.
+    next_index: u64,
+    /// The current layer's sampler.
     sampler: FusionSampler,
+    stats: FusionStats,
     site_leaves: Vec<usize>,
     inplane_budget: Vec<usize>,
 }
@@ -416,24 +439,29 @@ impl DenseScalarEngine {
     pub fn new(config: HardwareConfig, seed: u64) -> Self {
         DenseScalarEngine {
             config,
-            sampler: FusionSampler::new(config.effective_fusion_prob(), seed),
+            seed,
+            next_index: 0,
+            sampler: FusionSampler::new(config.effective_fusion_prob(), layer_key(seed, 0)),
+            stats: FusionStats::default(),
             site_leaves: Vec::new(),
             inplane_budget: Vec::new(),
         }
     }
 
     /// Accumulated fusion-attempt statistics.
-    pub fn fusion_stats(&self) -> oneperc_hardware::FusionStats {
-        self.sampler.stats()
+    pub fn fusion_stats(&self) -> FusionStats {
+        self.stats
     }
 
-    /// Executes the pre-PR-5 fusion strategy for one effective layer.
+    /// Executes the pre-PR-5 fusion strategy for the next layer of the run.
     pub fn generate_layer_into(&mut self, layer: &mut DenseBoolLayer) {
         let cfg = self.config;
         let n = cfg.rsl_size;
         let m = cfg.merging_factor();
         let base_degree = cfg.resource_state_degree();
-        let stats_before = self.sampler.stats();
+        let key = layer_key(self.seed, self.next_index);
+        self.next_index += 1;
+        self.sampler = FusionSampler::new(cfg.effective_fusion_prob(), key);
 
         layer.reset_blank(n, n);
         layer.raw_rsl_consumed = m;
@@ -519,9 +547,10 @@ impl DenseScalarEngine {
             }
         }
 
-        let stats_after = self.sampler.stats();
-        layer.fusions_attempted = stats_after.attempted - stats_before.attempted;
-        layer.fusions_succeeded = stats_after.succeeded - stats_before.succeeded;
+        let stats = self.sampler.stats();
+        layer.fusions_attempted = stats.attempted;
+        layer.fusions_succeeded = stats.succeeded;
+        self.stats.absorb(stats);
     }
 }
 

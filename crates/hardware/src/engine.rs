@@ -1,5 +1,17 @@
 //! The semi-static fusion strategy (Section 4) and the layer generator.
 //!
+//! # Keyed layer streams
+//!
+//! Each RSG cycle yields an independent random layer, so the generator
+//! gives every layer of a run its own sampler, seeded with
+//! [`layer_key`]`(seed, index)`. Layer `i` is then a pure function of
+//! `(config, seed, i)`. Generation is split along the same line: a
+//! [`GenerationPlan`] holds what the configuration fixes (the merge-law
+//! alias table, the per-outcome site set-up, the whole-row flag) and is
+//! shared between threads, and a [`GenerationScratch`] holds the
+//! per-thread buffers. [`FusionEngine`] pairs the two with a cursor for
+//! callers that want a run's layers in order.
+//!
 //! # Generating a merged layer
 //!
 //! A layer is generated in two phases. In the merging phase every site
@@ -20,7 +32,7 @@
 //! - **Merging.** Sites share nothing in this phase, so a site's
 //!   `(leaves, attempts, successes)` is one draw from the exact law that
 //!   [`MergeLaw`] enumerates. The engine draws it with one uniform word per
-//!   site from a power-of-two alias table built once per engine.
+//!   site from a power-of-two alias table built once per plan.
 //! - **Bonds.** Four outcome planes are drawn per layer with the bit-sliced
 //!   Bernoulli words: east first attempts, north first attempts, east
 //!   retries, north retries, one bit per bond each. The sweep then runs one
@@ -172,43 +184,53 @@ struct SiteInit {
     successes: u64,
 }
 
-/// Generates random physical graph state layers by executing the fusion
-/// strategy against a stochastic fusion sampler.
+/// The sampler seed of layer `index` of the run seeded with `seed`.
 ///
-/// # Example
-///
-/// ```
-/// use oneperc_hardware::{FusionEngine, HardwareConfig};
-///
-/// let mut engine = FusionEngine::new(HardwareConfig::new(16, 7, 0.75), 1);
-/// let layer = engine.generate_layer();
-/// assert!(layer.bond_count() > 0);
-/// assert_eq!(engine.raw_rsl_consumed(), 1);
-/// ```
+/// Every layer of a run draws from its own sampler started from this key,
+/// so layer `i` is a pure function of `(config, seed, i)` and layers can be
+/// generated in any order, on any thread. The key is word `index` of a
+/// splitmix64 stream whose state starts at the finalized seed, so keys of
+/// neighboring seeds and indices are unrelated.
+pub fn layer_key(seed: u64, index: u64) -> u64 {
+    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |mut z: u64| {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    mix(mix(seed).wrapping_add(index.wrapping_add(1).wrapping_mul(GOLDEN)))
+}
+
+/// The immutable half of layer generation: everything one hardware
+/// configuration fixes, built once and shared (as `Arc`) by every thread
+/// that generates layers for it.
 #[derive(Debug, Clone)]
-pub struct FusionEngine {
+pub struct GenerationPlan {
     strategy: FusionStrategy,
-    sampler: FusionSampler,
-    raw_rsl_consumed: u64,
     /// Merging factor 1 and degree ≥ 6: the whole-row path.
     whole_row: bool,
     /// The merging phase's exact law, and what each of its outcomes sets up
-    /// for a site. Built once per engine; [`FusionEngine::reseed`] keeps it.
+    /// for a site.
     merge_law: MergeLaw,
     site_init: Vec<SiteInit>,
-    /// Per-site scratch reused across layers, so the steady-state per-RSL
-    /// loop allocates nothing: clamped in-plane budgets, the four outcome
-    /// planes of the merged path, and the whole-row path's first-attempt
-    /// words for one row of east/north bonds.
+}
+
+/// The per-thread half of layer generation: scratch reused across layers,
+/// so the steady-state per-RSL loop allocates nothing. It holds the
+/// clamped in-plane budgets, the four outcome planes of the merged path,
+/// and the whole-row path's first-attempt words for one row of east/north
+/// bonds. Any plan can use any scratch.
+#[derive(Debug, Clone, Default)]
+pub struct GenerationScratch {
     budget: Vec<u8>,
     planes: Vec<u64>,
     row_east: Vec<u64>,
     row_north: Vec<u64>,
 }
 
-impl FusionEngine {
-    /// Creates an engine for the given configuration and RNG seed.
-    pub fn new(config: HardwareConfig, seed: u64) -> Self {
+impl GenerationPlan {
+    /// Builds the plan of a hardware configuration.
+    pub fn new(config: HardwareConfig) -> Self {
         let m = config.merging_factor();
         let degree = config.resource_state_degree();
         let merge_law = MergeLaw::new(degree, m, config.effective_fusion_prob());
@@ -223,17 +245,11 @@ impl FusionEngine {
                 successes: u64::from(o.successes),
             })
             .collect();
-        FusionEngine {
+        GenerationPlan {
             strategy: FusionStrategy::new(config),
-            sampler: FusionSampler::new(config.effective_fusion_prob(), seed),
-            raw_rsl_consumed: 0,
             whole_row: m == 1 && degree >= 6,
             merge_law,
             site_init,
-            budget: Vec::new(),
-            planes: Vec::new(),
-            row_east: Vec::new(),
-            row_north: Vec::new(),
         }
     }
 
@@ -242,82 +258,51 @@ impl FusionEngine {
         &self.strategy
     }
 
-    /// Restarts the engine's stochastic stream from `seed`, exactly as if
-    /// the engine had been freshly constructed with that seed — the sampler
-    /// stream, the attempt statistics and the raw-RSL counter all start
-    /// over — while keeping the per-site scratch allocations and the
-    /// merge-law tables warm. Long-lived execution contexts use this to run
-    /// many seeded experiments through one engine without paying
-    /// construction cost per run.
-    pub fn reseed(&mut self, seed: u64) {
-        let config = *self.config();
-        self.sampler = FusionSampler::new(config.effective_fusion_prob(), seed);
-        self.raw_rsl_consumed = 0;
-    }
-
     /// The hardware configuration in use.
     pub fn config(&self) -> &HardwareConfig {
         self.strategy.config()
     }
 
-    /// Total raw RSLs consumed so far (the paper's `#RSL` metric counts
-    /// these).
-    pub fn raw_rsl_consumed(&self) -> u64 {
-        self.raw_rsl_consumed
-    }
-
-    /// Total fusion-attempt statistics so far (the `#fusion` metric).
-    pub fn fusion_stats(&self) -> FusionStats {
-        self.sampler.stats()
-    }
-
-    /// Samples one ad-hoc fusion outside the layer pattern (used by the
-    /// reshaping pass for time-like fusions); the attempt is accounted for
-    /// in [`FusionEngine::fusion_stats`].
-    pub fn sample_fusion(&mut self) -> graphstate::FusionOutcome {
-        self.sampler.sample()
-    }
-
-    /// Executes the fusion strategy for one effective layer and returns the
-    /// resulting random physical graph state in site-lattice form.
-    pub fn generate_layer(&mut self) -> PhysicalLayer {
-        let n = self.config().rsl_size;
-        let mut layer = PhysicalLayer::blank(n, n);
-        self.generate_layer_into(&mut layer);
-        layer
-    }
-
-    /// Executes the fusion strategy for one effective layer, writing the
-    /// result into `layer` (resized and reset as needed). Combined with the
-    /// engine-held per-site scratch this makes steady-state layer generation
-    /// allocation-free, which is what the online per-RSL loop of the
-    /// reshaping pass uses.
-    pub fn generate_layer_into(&mut self, layer: &mut PhysicalLayer) {
-        let cfg = *self.config();
+    /// Executes the fusion strategy for layer `index` of the run seeded
+    /// with `seed`, writing the result into `layer` (resized and reset as
+    /// needed). The layer's sampler starts from [`layer_key`], so the
+    /// result depends on nothing but the configuration, `seed` and
+    /// `index`: not on the scratch, the buffer's previous contents, the
+    /// thread, or which layers were generated before.
+    pub fn generate_into(
+        &self,
+        seed: u64,
+        index: u64,
+        scratch: &mut GenerationScratch,
+        layer: &mut PhysicalLayer,
+    ) {
+        let cfg = self.config();
         let n = cfg.rsl_size;
-        let m = cfg.merging_factor();
-        let stats_before = self.sampler.stats();
-
+        let mut sampler = FusionSampler::new(cfg.effective_fusion_prob(), layer_key(seed, index));
         layer.reset_blank(n, n);
-        layer.raw_rsl_consumed = m;
-        self.raw_rsl_consumed += m as u64;
+        layer.raw_rsl_consumed = cfg.merging_factor();
         if self.whole_row {
-            self.generate_whole_row(layer);
+            self.generate_whole_row(&mut sampler, scratch, layer);
         } else {
-            self.generate_merged(layer);
+            self.generate_merged(&mut sampler, scratch, layer);
         }
-
-        let stats_after = self.sampler.stats();
-        layer.fusions_attempted = stats_after.attempted - stats_before.attempted;
-        layer.fusions_succeeded = stats_after.succeeded - stats_before.succeeded;
+        let stats = sampler.stats();
+        layer.fusions_attempted = stats.attempted;
+        layer.fusions_succeeded = stats.succeeded;
     }
 
     /// The word-parallel path (see the module docs): one alias draw per
     /// site, four outcome planes, one step-table lookup per bond.
-    fn generate_merged(&mut self, layer: &mut PhysicalLayer) {
+    fn generate_merged(
+        &self,
+        sampler: &mut FusionSampler,
+        scratch: &mut GenerationScratch,
+        layer: &mut PhysicalLayer,
+    ) {
         let n = self.config().rsl_size;
         let total = n * n;
-        let FusionEngine { sampler, merge_law, site_init, budget, planes, .. } = self;
+        let GenerationPlan { merge_law, site_init, .. } = self;
+        let GenerationScratch { budget, planes, .. } = scratch;
         let mut stats = FusionStats::default();
 
         // Merging phase. The RNG words of a 64-site chunk go into a local
@@ -428,10 +413,15 @@ impl FusionEngine {
     ///
     /// The dense reference engine consumes this stream in exactly the same
     /// order, so site-for-site equivalence pins the layers.
-    fn generate_whole_row(&mut self, layer: &mut PhysicalLayer) {
-        let cfg = *self.config();
+    fn generate_whole_row(
+        &self,
+        sampler: &mut FusionSampler,
+        scratch: &mut GenerationScratch,
+        layer: &mut PhysicalLayer,
+    ) {
+        let cfg = self.config();
         let n = cfg.rsl_size;
-        let FusionEngine { sampler, budget, row_east, row_north, .. } = self;
+        let GenerationScratch { budget, row_east, row_north, .. } = scratch;
         // Every site holds `degree ≥ 6` leaves, so `reset_blank`'s
         // all-present, all-ports planes are already right.
         let start = (cfg.resource_state_degree() - 1).min(BUDGET_CAP) as u8;
@@ -490,9 +480,91 @@ impl FusionEngine {
                 }
             }
         }
-        // Discard leftover pre-drawn bits so any time-like fusion reads the
-        // per-attempt stream from a deterministic state.
-        sampler.flush_batch();
+    }
+}
+
+/// Generates the layers of one seeded run in order: a [`GenerationPlan`]
+/// with its own [`GenerationScratch`], a cursor into the run's keyed
+/// layer stream, and the run's cumulative `#RSL` and `#fusion` counters.
+///
+/// # Example
+///
+/// ```
+/// use oneperc_hardware::{FusionEngine, HardwareConfig};
+///
+/// let mut engine = FusionEngine::new(HardwareConfig::new(16, 7, 0.75), 1);
+/// let layer = engine.generate_layer();
+/// assert!(layer.bond_count() > 0);
+/// assert_eq!(engine.raw_rsl_consumed(), 1);
+/// ```
+#[derive(Debug, Clone)]
+pub struct FusionEngine {
+    plan: GenerationPlan,
+    scratch: GenerationScratch,
+    seed: u64,
+    /// Index of the next layer of the run.
+    next_index: u64,
+    raw_rsl_consumed: u64,
+    stats: FusionStats,
+}
+
+impl FusionEngine {
+    /// Creates an engine for the given configuration and RNG seed.
+    pub fn new(config: HardwareConfig, seed: u64) -> Self {
+        FusionEngine {
+            plan: GenerationPlan::new(config),
+            scratch: GenerationScratch::default(),
+            seed,
+            next_index: 0,
+            raw_rsl_consumed: 0,
+            stats: FusionStats::default(),
+        }
+    }
+
+    /// The fusion strategy in use.
+    pub fn strategy(&self) -> &FusionStrategy {
+        self.plan.strategy()
+    }
+
+    /// The hardware configuration in use.
+    pub fn config(&self) -> &HardwareConfig {
+        self.plan.config()
+    }
+
+    /// Total raw RSLs consumed so far (the paper's `#RSL` metric counts
+    /// these).
+    pub fn raw_rsl_consumed(&self) -> u64 {
+        self.raw_rsl_consumed
+    }
+
+    /// Total fusion-attempt statistics so far (the `#fusion` metric).
+    pub fn fusion_stats(&self) -> FusionStats {
+        self.stats
+    }
+
+    /// Executes the fusion strategy for the next layer of the run and
+    /// returns the resulting random physical graph state in site-lattice
+    /// form.
+    pub fn generate_layer(&mut self) -> PhysicalLayer {
+        let n = self.config().rsl_size;
+        let mut layer = PhysicalLayer::blank(n, n);
+        self.generate_layer_into(&mut layer);
+        layer
+    }
+
+    /// Executes the fusion strategy for the next layer of the run, writing
+    /// the result into `layer` (resized and reset as needed), without
+    /// allocating in the steady state. Equal to
+    /// [`GenerationPlan::generate_into`] at the run's seed and the next
+    /// index.
+    pub fn generate_layer_into(&mut self, layer: &mut PhysicalLayer) {
+        self.plan.generate_into(self.seed, self.next_index, &mut self.scratch, layer);
+        self.next_index += 1;
+        self.raw_rsl_consumed += layer.raw_rsl_consumed as u64;
+        self.stats.absorb(FusionStats {
+            attempted: layer.fusions_attempted,
+            succeeded: layer.fusions_succeeded,
+        });
     }
 }
 
@@ -576,8 +648,7 @@ mod tests {
         let l2 = engine.generate_layer();
         let total = engine.fusion_stats();
         assert_eq!(total.attempted, l1.fusions_attempted + l2.fusions_attempted);
-        let _ = engine.sample_fusion();
-        assert_eq!(engine.fusion_stats().attempted, total.attempted + 1);
+        assert_eq!(total.succeeded, l1.fusions_succeeded + l2.fusions_succeeded);
     }
 
     #[test]
@@ -613,20 +684,24 @@ mod tests {
     }
 
     #[test]
-    fn reseeded_engine_matches_fresh_engine() {
-        let cfg = HardwareConfig::new(14, 4, 0.7);
-        let mut warm = FusionEngine::new(cfg, 1);
-        // Advance the warm engine arbitrarily far before reseeding.
-        for _ in 0..3 {
-            let _ = warm.generate_layer();
+    fn layers_are_pure_functions_of_their_key() {
+        // Layer `i` of a run depends only on `(config, seed, i)`: a plan
+        // generating the indices out of order, on one dirty scratch and
+        // buffer, reproduces the in-order run layer for layer — on both
+        // the merged and the whole-row path.
+        for cfg in [HardwareConfig::new(14, 4, 0.7), HardwareConfig::new(14, 7, 0.7)] {
+            let mut engine = FusionEngine::new(cfg, 99);
+            let in_order: Vec<PhysicalLayer> = (0..4).map(|_| engine.generate_layer()).collect();
+            let plan = GenerationPlan::new(cfg);
+            let mut scratch = GenerationScratch::default();
+            let mut layer = PhysicalLayer::fully_connected(20, 20);
+            for index in [3u64, 0, 2, 1] {
+                plan.generate_into(99, index, &mut scratch, &mut layer);
+                assert_eq!(layer, in_order[index as usize], "{cfg:?} layer {index}");
+            }
+            plan.generate_into(98, 0, &mut scratch, &mut layer);
+            assert_ne!(layer, in_order[0], "another seed gives another layer");
         }
-        warm.reseed(99);
-        let mut fresh = FusionEngine::new(cfg, 99);
-        for _ in 0..4 {
-            assert_eq!(warm.generate_layer(), fresh.generate_layer());
-        }
-        assert_eq!(warm.raw_rsl_consumed(), fresh.raw_rsl_consumed());
-        assert_eq!(warm.fusion_stats(), fresh.fusion_stats());
     }
 
     #[test]

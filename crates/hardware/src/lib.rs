@@ -14,6 +14,11 @@
 //!   lattice, root-leaf fusions merge several RSLs when the resource states
 //!   lack sufficient degree, failures trigger local-complementation recovery
 //!   and collective retries.
+//! * [`GenerationPlan`] / [`GenerationScratch`] — the two halves of the
+//!   layer generator: what a configuration fixes, shared between threads,
+//!   and per-thread buffers. Layer `i` of a run draws from its own sampler
+//!   seeded with [`layer_key`]`(seed, i)`, so any thread can generate any
+//!   layer; [`FusionEngine`] walks a run's layers in order.
 //! * [`MergeLaw`] — the exact per-site law of the root-leaf merging phase,
 //!   drawn by the engine with one alias-table lookup per site.
 //! * [`PhysicalLayer`] — the random physical graph state produced for one
@@ -51,7 +56,7 @@ mod sampler;
 pub use bitmap::Bitmap;
 pub use config::HardwareConfig;
 pub use delay::DelayLine;
-pub use engine::{FusionEngine, FusionStrategy};
+pub use engine::{layer_key, FusionEngine, FusionStrategy, GenerationPlan, GenerationScratch};
 pub use layer::PhysicalLayer;
 pub use merge::{MergeLaw, MergeOutcome};
 pub use sampler::{FusionSampler, FusionStats};

@@ -24,8 +24,12 @@
 //! planes of [`FusionSampler::fill_outcome_words`] are views of the
 //! batched stream pinned here (their agreement is enforced by the
 //! sampler's unit tests), so they need no pin of their own.
+//!
+//! Layer generation seeds one sampler per layer with `layer_key(seed,
+//! index)`; the keys are pinned here too, so the layer streams are pinned
+//! end to end.
 
-use oneperc_hardware::FusionSampler;
+use oneperc_hardware::{layer_key, FusionSampler};
 
 const N: usize = 256;
 
@@ -195,6 +199,20 @@ fn uniform_words_are_pinned() {
         2024,
         [0x8641253f8fed82d1, 0x4b7eeec62af66af9, 0x3e595fe9cf746b2a, 0x6bf1aa430346476c],
     );
+}
+
+fn assert_layer_key(seed: u64, index: u64, expected: u64) {
+    assert_eq!(layer_key(seed, index), expected, "layer key ({seed}, {index}) shifted");
+}
+
+#[test]
+fn layer_keys_are_pinned() {
+    assert_layer_key(0, 0, 0xe220a8397b1dcdaf);
+    assert_layer_key(0, 1, 0x6e789e6aa1b965f4);
+    assert_layer_key(1, 0, 0xbfef8030ddc2d772);
+    assert_layer_key(1, 1, 0x5f552ce482f2aa47);
+    assert_layer_key(42, 7, 0x272404a0a3926552);
+    assert_layer_key(2024, 1000, 0x00abd86cddc59cc2);
 }
 
 #[test]

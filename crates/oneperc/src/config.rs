@@ -68,14 +68,14 @@ pub struct CompilerConfig {
     pub temporal_redundancy: usize,
     /// RNG seed shared by the stochastic components.
     pub seed: u64,
-    /// Renormalization worker threads of the online pass (`0` = decide
-    /// every layer in-thread). Layer generation always stays in the lane
-    /// thread; with workers, the lane hands each merged layer's
-    /// renormalization verdict to a persistent [`WorkerPool`] shared
-    /// across the lanes of a [`Session`](crate::Session), generates the
-    /// next layers while the pool decides, and consumes the verdicts in
-    /// stream order, so reports are byte-identical for every worker count;
-    /// only the wall-clock changes.
+    /// Worker threads of the online pass (`0` = generate and decide every
+    /// layer in the lane thread). With workers, each merged layer becomes
+    /// one job (generate the layer from its key, decide whether it
+    /// renormalizes) on a persistent [`WorkerPool`] shared across the
+    /// lanes of a [`Session`](crate::Session). The lane keeps a window of
+    /// upcoming layer jobs queued, runs queued jobs itself while it waits,
+    /// and consumes the answers in stream order, so reports are
+    /// byte-identical for every worker count; only the wall-clock changes.
     ///
     /// [`WorkerPool`]: oneperc_percolation::WorkerPool
     pub renorm_workers: usize,
@@ -142,7 +142,7 @@ impl CompilerConfig {
     }
 
     /// Sets [`CompilerConfig::renorm_workers`], the size of a session's
-    /// shared renormalization pool (`0` = renormalize in-thread).
+    /// shared worker pool (`0` = generate and decide layers in-thread).
     #[must_use]
     pub fn with_renorm_workers(mut self, workers: usize) -> Self {
         self.renorm_workers = workers;

@@ -14,11 +14,13 @@
 //! RNG seeds to characterize the hardware's randomness. [`Session`] is
 //! built for exactly that shape. It owns the warm
 //! execution context — persistent lane threads with reseedable reshaping
-//! engines and a shared renormalization
-//! [`WorkerPool`](oneperc_percolation::WorkerPool) sized by
-//! [`CompilerConfig::renorm_workers`] — and multiplexes every execution
-//! through it, so a seed sweep pays thread and allocation startup once
-//! instead of per run.
+//! engines and a shared [`WorkerPool`](oneperc_percolation::WorkerPool)
+//! sized by [`CompilerConfig::renorm_workers`] — and multiplexes every
+//! execution through it, so a seed sweep pays thread and allocation
+//! startup once instead of per run. Each merged layer of a run is a pure
+//! function of `(config, seed, layer index)`, so with workers every layer
+//! is one pool job (generate, then decide whether it renormalizes) that
+//! any thread can run, the waiting lane included.
 //!
 //! Quickstart — build a session, compile once, batch-execute a sweep:
 //!
@@ -126,7 +128,7 @@
 //!
 //! Every synchronization primitive behind this tier (the admission
 //! semaphore, the single-flight cache protocol, job futures, cancel
-//! tokens, the renormalization worker pool) is model-checked: the
+//! tokens, the layer and renormalization worker pool) is model-checked: the
 //! in-tree bounded model checker `oneperc-verify` exhaustively explores
 //! their interleavings under `--cfg oneperc_model`, and
 //! `cargo xtask lint-sync` keeps raw `std::sync` out of production code

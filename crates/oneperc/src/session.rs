@@ -7,12 +7,13 @@
 //! * Each of the session's **lanes** is a persistent worker thread owning a
 //!   warm [`ReshapeEngine`]; between executions the engine is
 //!   [`reset`](ReshapeEngine::reset) to the request's seed instead of being
-//!   reconstructed, so the layer buffer and the renormalization scratch
-//!   survive from one run to the next.
+//!   reconstructed, so the generation plan and the job scratch survive
+//!   from one run to the next.
 //! * With [`CompilerConfig::renorm_workers`] > 0 the session owns a single
 //!   [`WorkerPool`] shared by every lane: each lane engine streams its
-//!   layers through its own [`PoolClient`], and the pool multiplexes the
-//!   interleaved jobs without ever mixing results between lanes.
+//!   layer jobs through its own [`PoolClient`] (and runs queued jobs while
+//!   it waits), and the pool multiplexes the interleaved jobs without ever
+//!   mixing results between lanes.
 //! * [`Session::execute_batch`] sweeps many seeds through the same compiled
 //!   program — the bread-and-butter experiment shape of the paper's
 //!   evaluation — and [`Session::submit`] exposes the underlying
@@ -183,7 +184,7 @@ impl Lane {
             .spawn(move || {
                 // The warm state of the lane: constructed once, reseeded
                 // per request. With a shared pool the engine streams its
-                // renormalization through the session-wide workers.
+                // layer jobs through the session-wide workers.
                 let base = reshape_config(&config);
                 let build_engine = || match &pool {
                     Some(pool) => ReshapeEngine::with_renorm_client(base, pool.client()),

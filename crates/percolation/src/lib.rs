@@ -18,13 +18,14 @@
 //!   independently-processed modules separated by joining intervals,
 //!   trading a small resource overhead for a large reduction in real-time
 //!   latency (Fig. 10, Fig. 13(c), Fig. 14(b)).
-//! * [`WorkerPool`] — persistent, channel-fed renormalization workers,
+//! * [`WorkerPool`] — persistent workers fed from one shared queue,
 //!   amortizing thread startup across the RSL stream. A job is either a
-//!   region lattice (the modular renormalizer) or a whole-layer verdict
-//!   (the reshaping engine). The pool multiplexes any number of
-//!   submitters: each [`PoolClient`] has a private reply channel and slot
-//!   sequence, so concurrent batches interleave on the workers without
-//!   ever mixing results.
+//!   region lattice (the modular renormalizer) or one merged layer,
+//!   generated from its key and decided (the reshaping engine). The pool
+//!   multiplexes any number of submitters: each [`PoolClient`] has a
+//!   private reply channel and slot sequence, so concurrent batches
+//!   interleave on the workers without ever mixing results, and a client
+//!   waiting for a result runs queued jobs itself.
 //! * [`ReshapeEngine`] — the (2+1)-D driver that consumes a stream of RSLs,
 //!   classifies them into logical and routing layers, and establishes the
 //!   adjacent-layer and cross-layer time-like connections requested by the
@@ -33,9 +34,9 @@
 //!   path; [`ReshapeEngine::last_logical_lattice`] renormalizes the kept
 //!   logical layer only when asked. Built with
 //!   [`ReshapeEngine::with_renorm_client`], the engine overlaps its
-//!   stages: layers are generated in the driving thread, decided on a
-//!   shared worker pool a few layers ahead, and connected in the driving
-//!   thread. [`ReshapeEngine::reset`] restarts
+//!   stages: layers are generated and decided on a shared worker pool a
+//!   window ahead (the waiting engine helps), and connected in the
+//!   driving thread. [`ReshapeEngine::reset`] restarts
 //!   the stochastic stream for a new seed while keeping every thread and
 //!   allocation warm — the primitive behind the `oneperc` session API.
 //!
@@ -53,17 +54,21 @@
 //! reports and byte-identical [`RenormalizedLattice`]s to the fully serial
 //! path, for any worker count:
 //!
-//! * **Stream fan-out** (`ReshapeEngine::with_renorm_client`):
-//!   upcoming layers are submitted to a [`WorkerPool`] as whole-layer
-//!   verdict jobs, a bounded lookahead ahead of consumption, and their
-//!   verdicts are collected strictly in stream order. Every layer is
-//!   consumed in generation order whatever its logical/routing fate, so
-//!   the prefetched verdict is never speculative waste. Time-like
-//!   fusion outcomes draw from their own seeded sampler, which is what
-//!   keeps the layer-pattern RNG stream independent of the lookahead.
+//! * **Stream fan-out** (`ReshapeEngine::with_renorm_client`): layer `i`
+//!   of a run is a pure function of `(config, seed, i)`
+//!   ([`oneperc_hardware::layer_key`]), so each upcoming layer is one pool
+//!   job that generates it into the running thread's own buffer and
+//!   decides it. A bounded window of jobs runs ahead of consumption, the
+//!   answers (counters and verdict, never the layer) are collected
+//!   strictly in stream order, and the engine runs queued jobs while it
+//!   waits. Every layer is consumed in order whatever its logical/routing
+//!   fate, so a job submitted ahead is wasted only when a run ends.
+//!   Time-like fusion outcomes draw from their own seeded sampler in the
+//!   engine thread, the only stream that runs through the layers in
+//!   order.
 //! * **Module fan-out** (`ModularRenormalizer` on a [`WorkerPool`]):
-//!   modules of one layer are renormalized by persistent workers fed over
-//!   a channel. Each worker permanently owns one `Renormalizer` (and thus
+//!   modules of one layer are renormalized by persistent workers fed from
+//!   a queue. Each worker permanently owns one `Renormalizer` (and thus
 //!   one [`ScratchPool`]); layers are shared with workers as
 //!   `Arc<PhysicalLayer>` for the duration of a batch only, and results
 //!   are written back by slot so worker scheduling cannot reorder them.

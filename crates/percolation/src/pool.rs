@@ -1,50 +1,50 @@
-//! Persistent worker pool for renormalization jobs.
+//! Persistent worker pool for the online pass's jobs.
 //!
-//! The modular renormalizer used to spawn one scoped OS thread per module
-//! per layer; across an RSL stream that pays the full thread-startup cost
-//! on every single layer. [`WorkerPool`] instead keeps a fixed set of
-//! workers alive for the lifetime of the pool, feeding them jobs over a
-//! channel. Each worker owns its own [`Renormalizer`] (and thus its own
-//! `ScratchPool`), so the per-worker scratch memory is sized once and
-//! reused for every job the pool ever processes.
+//! [`WorkerPool`] keeps a fixed set of workers alive for the lifetime of
+//! the pool, fed from one shared queue. Each worker owns its scratch (a
+//! [`Renormalizer`], a [`GenerationScratch`] and a layer buffer), sized once
+//! and reused for every job. A job is one of two kinds:
+//!
+//! * a **region job** renormalizes one region of a layer shared as
+//!   `Arc<PhysicalLayer>` (the modular renormalizer's modules); the
+//!   reference is dropped before the reply, so the caller again holds the
+//!   only references it created;
+//! * a **layer job** generates layer `index` of a reshaping run's `seed`
+//!   stream into the running thread's own buffer, decides it with
+//!   [`Renormalizer::spans_target`] and answers with the layer's counters
+//!   and verdict. Keyed layer streams make it a pure function of the plan,
+//!   the seed and the index, so layers never cross threads.
 //!
 //! # Multiplexing and determinism rules
 //!
-//! The pool multiplexes work from **multiple concurrent submitters**: every
-//! submitter obtains its own [`PoolClient`], and every job carries a reply
-//! sender pointing back at the client that submitted it. Workers draw jobs
-//! from one shared FIFO queue but answer each submitter on its private
-//! channel, so batches from different clients can interleave freely on the
-//! workers without their results ever mixing. This is what lets several
-//! warm reshaping engines (one per session lane) share a single pool.
+//! Every submitter obtains its own [`PoolClient`], and every job carries a
+//! reply sender pointing back at its client, so batches from several
+//! clients (one per session lane) interleave without their results ever
+//! mixing. Jobs wait in a `Mutex<VecDeque>`; idle workers sleep on a
+//! condvar, never inside the lock. Every job is tagged with its
+//! submitter-local slot, and a client reorders arrivals back into
+//! submission order. Jobs are pure functions of their parameters (scratch
+//! reuse is observationally reset-free), so any worker count produces
+//! byte-identical results in identical order.
 //!
-//! * Layers are shared with the workers as `Arc<PhysicalLayer>`; the pool
-//!   never mutates a layer. When a job's result has been received, the
-//!   caller again holds the only strong references it created, so buffer
-//!   recycling (dropping or reusing the layer allocation) stays in the
-//!   caller's hands.
-//! * Every job is tagged with its submitter-local slot. A client hands out
-//!   slots monotonically and reorders arrivals back into submission order,
-//!   so the outcome of a batch is independent of worker scheduling: any
-//!   worker count — including a single worker, or more workers than jobs —
-//!   produces byte-identical lattices in identical order.
-//! * A job states what it computes: a region lattice (the modular
-//!   renormalizer's shape) or a whole-layer verdict — whether the layer
-//!   spans a `target_side` lattice (the reshaping engine's shape). Both
-//!   are pure functions of the layer and the job's parameters; workers
-//!   keep no cross-job state other than their scratch pool, whose epoch
-//!   stamps make reuse observationally reset-free. A job that panics is
-//!   reported back to its submitter and the worker replaces its (possibly
-//!   mid-search) scratch with a fresh one, so one submitter's failure never
-//!   corrupts another's batch.
+//! **Helping.** A client waiting for a result that has not arrived takes
+//! queued jobs, its own or any other client's, runs them on its own scratch
+//! and replies to each job's owner. A waiting reshaping engine thereby
+//! adds its thread to the pool, and a job a client waits for completes
+//! whether or not a worker is left to take it. Helpers never take a
+//! shutdown sentinel, so teardown still ends every worker.
+//!
+//! A job that panics is reported back to its submitter, and the thread that
+//! ran it replaces its (possibly mid-search) scratch, so one submitter's
+//! failure never corrupts another's batch.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::sync::mpsc::{channel, Receiver, Sender};
 use crate::sync::thread::{self, JoinHandle};
-use crate::sync::{Arc, Mutex};
+use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use oneperc_hardware::PhysicalLayer;
+use oneperc_hardware::{GenerationPlan, GenerationScratch, PhysicalLayer};
 
 use crate::renormalize::{RenormalizedLattice, Renormalizer};
 
@@ -67,45 +67,188 @@ impl ModuleRegion {
     }
 }
 
-/// What a job computes from its layer.
-#[derive(Debug, Clone, Copy)]
+/// One merged layer of a reshaping run: generate layer `index` of the
+/// `seed` stream and decide whether it spans a `target_side` lattice at
+/// this node size.
+#[derive(Debug, Clone)]
+pub(crate) struct LayerJob {
+    pub(crate) plan: Arc<GenerationPlan>,
+    pub(crate) seed: u64,
+    pub(crate) index: u64,
+    pub(crate) node_size: usize,
+    pub(crate) target_side: usize,
+}
+
+/// What the reshaping engine needs of one merged layer: its counters and
+/// its verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LayerSummary {
+    /// Raw RSLs merged into the layer.
+    pub(crate) raw_rsl: u64,
+    /// Fusions attempted while generating the layer.
+    pub(crate) attempted: u64,
+    /// Fusions that succeeded.
+    pub(crate) succeeded: u64,
+    /// Sites of the layer.
+    pub(crate) sites: u64,
+    /// Whether the layer renormalizes to the target lattice.
+    pub(crate) spans: bool,
+}
+
+impl LayerJob {
+    /// Generates the layer into `scratch`'s buffer and decides it. The one
+    /// generate-and-decide path: pool workers, helping clients and the
+    /// reshaping engine's in-thread backend all run it.
+    pub(crate) fn run(&self, scratch: &mut JobScratch) -> LayerSummary {
+        let JobScratch { renorm, generation, layer } = scratch;
+        self.plan.generate_into(self.seed, self.index, generation, layer);
+        LayerSummary {
+            raw_rsl: layer.raw_rsl_consumed as u64,
+            attempted: layer.fusions_attempted,
+            succeeded: layer.fusions_succeeded,
+            sites: layer.site_count() as u64,
+            spans: renorm.spans_target(layer, self.node_size, self.target_side),
+        }
+    }
+}
+
+/// The scratch of one thread running jobs.
+#[derive(Debug)]
+pub(crate) struct JobScratch {
+    renorm: Renormalizer,
+    generation: GenerationScratch,
+    layer: PhysicalLayer,
+}
+
+impl JobScratch {
+    pub(crate) fn new() -> Self {
+        JobScratch {
+            renorm: Renormalizer::new(),
+            generation: GenerationScratch::default(),
+            layer: PhysicalLayer::blank(1, 1),
+        }
+    }
+}
+
+/// What a job computes.
+#[derive(Debug)]
 enum Task {
-    /// The renormalized lattice of one region
+    /// The renormalized lattice of one region of a shared layer
     /// ([`Renormalizer::renormalize_region`]).
-    Region { region: ModuleRegion, node_size: usize },
-    /// Whether the whole layer spans a `target_side` lattice
-    /// ([`Renormalizer::spans_target`]).
-    Verdict { node_size: usize, target_side: usize },
+    Region { layer: Arc<PhysicalLayer>, region: ModuleRegion, node_size: usize },
+    /// One merged layer, generated and decided.
+    Layer(LayerJob),
+}
+
+impl Task {
+    /// Runs the task, consuming it: a region job's layer reference is gone
+    /// by the time the answer exists.
+    fn run(self, scratch: &mut JobScratch) -> Answer {
+        match self {
+            Task::Region { layer, region, node_size } => {
+                Answer::Lattice(scratch.renorm.renormalize_region(
+                    &layer,
+                    region.origin,
+                    region.width,
+                    region.height,
+                    node_size,
+                ))
+            }
+            Task::Layer(job) => Answer::Layer(job.run(scratch)),
+        }
+    }
 }
 
 /// The result of a [`Task`].
 #[derive(Debug)]
 enum Answer {
     Lattice(RenormalizedLattice),
-    Verdict(bool),
+    Layer(LayerSummary),
 }
 
-/// A worker's answer for one job: the slot plus the result, or the panic
-/// message of a job that blew up. Panics must travel back explicitly — a
-/// silently swallowed panic would leave the submitter waiting forever.
+/// The answer for one job: the slot plus the result, or the panic message
+/// of a job that blew up. Panics must travel back explicitly — a silently
+/// swallowed panic would leave the submitter waiting forever.
 type JobReply = (usize, Result<Answer, String>);
 
-/// One unit of work: run a task on a shared layer and answer the
-/// submitting client on its private reply channel.
+/// One unit of work: a task plus the submitting client's slot and private
+/// reply channel.
+#[derive(Debug)]
 struct WorkItem {
-    layer: Arc<PhysicalLayer>,
     task: Task,
     slot: usize,
     reply: Sender<JobReply>,
 }
 
-/// Messages on the shared job queue. `Shutdown` is injected once per worker
+impl WorkItem {
+    /// Runs the job on `scratch` and answers its owner.
+    fn run(self, scratch: &mut JobScratch) {
+        let WorkItem { task, slot, reply } = self;
+        let outcome = catch_unwind(AssertUnwindSafe(|| task.run(scratch)));
+        let result = outcome.map_err(|payload| {
+            // The scratch may be mid-search; replace it rather than retiring
+            // the thread, so one submitter's bad job cannot shrink the pool
+            // for everyone else.
+            *scratch = JobScratch::new();
+            panic_message(payload)
+        });
+        // A dead reply channel only means the submitter abandoned its jobs
+        // (its engine was dropped or reset); other submitters still need
+        // this thread.
+        let _ = reply.send((slot, result));
+    }
+}
+
+/// Entries of the shared job queue. `Shutdown` is queued once per worker
 /// when the pool is dropped; each worker consumes exactly one and exits,
-/// which makes teardown independent of how many [`PoolClient`]s still hold
-/// a sender.
+/// which makes teardown independent of how many [`PoolClient`]s are alive.
+#[derive(Debug)]
 enum Job {
     Work(Box<WorkItem>),
     Shutdown,
+}
+
+/// The shared job queue: a deque under a mutex, and a condvar on which idle
+/// workers wait for it to become non-empty.
+#[derive(Debug, Default)]
+struct Queue {
+    jobs: Mutex<VecDeque<Job>>,
+    ready: Condvar,
+}
+
+impl Queue {
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        // Nothing runs under the lock but deque operations.
+        self.jobs.lock().expect("job queue poisoned")
+    }
+
+    /// Appends a job and wakes one idle worker.
+    fn push(&self, job: Job) {
+        self.lock().push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// Takes the oldest job, sleeping while the queue is empty (workers).
+    fn pop(&self) -> Job {
+        let mut jobs = self.lock();
+        loop {
+            if let Some(job) = jobs.pop_front() {
+                return job;
+            }
+            jobs = self.ready.wait(jobs).expect("job queue poisoned");
+        }
+    }
+
+    /// Takes the oldest work item without waiting, passing over shutdown
+    /// sentinels (helping clients).
+    fn take_work(&self) -> Option<Box<WorkItem>> {
+        let mut jobs = self.lock();
+        let at = jobs.iter().position(|job| matches!(job, Job::Work(_)))?;
+        match jobs.remove(at) {
+            Some(Job::Work(item)) => Some(item),
+            _ => unreachable!("position found a work item"),
+        }
+    }
 }
 
 /// Best-effort extraction of a panic payload's message. Shared with the
@@ -121,16 +264,15 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// A persistent pool of renormalization workers fed over a shared queue.
+/// A persistent pool of workers fed from a shared queue.
 ///
 /// Obtain per-submitter handles with [`WorkerPool::client`]; the one-shot
 /// [`WorkerPool::renormalize_modules`] batch entry point remains for
 /// callers that process one layer at a time (the modular renormalizer).
 ///
-/// Dropping the pool injects one shutdown message per worker and joins all
-/// of them. In-flight jobs finish first; jobs submitted by clients that
-/// outlive the pool are never processed, so clients must not be used after
-/// their pool is gone.
+/// Dropping the pool queues one shutdown sentinel per worker and joins all
+/// of them. Jobs queued ahead of the sentinels are run by the workers;
+/// jobs behind them are left to the clients that wait for them.
 ///
 /// # Example
 ///
@@ -151,7 +293,7 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// ```
 #[derive(Debug)]
 pub struct WorkerPool {
-    job_tx: Sender<Job>,
+    queue: Arc<Queue>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
 }
@@ -164,70 +306,19 @@ impl WorkerPool {
     /// Panics when `workers` is zero.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "worker pool needs at least one worker");
-        let (job_tx, job_rx) = channel::<Job>();
-        // mpsc receivers are single-consumer; the workers share the queue
-        // through a mutex, locking only for the dequeue itself.
-        let job_rx = Arc::new(Mutex::new(job_rx));
+        let queue = Arc::new(Queue::default());
         let handles = (0..workers)
             .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
+                let queue = Arc::clone(&queue);
                 thread::spawn(move || {
-                    let mut renorm = Renormalizer::new();
-                    loop {
-                        // Release the queue lock before renormalizing so
-                        // other workers can pick up the next job.
-                        let job = match job_rx.lock().expect("job queue poisoned").recv() {
-                            Ok(job) => job,
-                            Err(_) => break, // pool and every client dropped
-                        };
-                        let item = match job {
-                            Job::Work(item) => item,
-                            Job::Shutdown => break,
-                        };
-                        let WorkItem { layer, task, slot, reply } = *item;
-                        // A panicking job must reach its submitter as a
-                        // message, or that batch would wait forever while
-                        // the worker moved on.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| match task {
-                            Task::Region { region, node_size } => {
-                                Answer::Lattice(renorm.renormalize_region(
-                                    &layer,
-                                    region.origin,
-                                    region.width,
-                                    region.height,
-                                    node_size,
-                                ))
-                            }
-                            Task::Verdict { node_size, target_side } => {
-                                Answer::Verdict(renorm.spans_target(&layer, node_size, target_side))
-                            }
-                        }));
-                        // Release the layer before replying: once the
-                        // submitter has the result, it again holds the only
-                        // references it created.
-                        drop(layer);
-                        match outcome {
-                            Ok(answer) => {
-                                // A dead reply channel only means the
-                                // submitter abandoned its jobs (its engine
-                                // was dropped or reset); other submitters
-                                // still need this worker.
-                                let _ = reply.send((slot, Ok(answer)));
-                            }
-                            Err(payload) => {
-                                // The scratch may be mid-search; replace it
-                                // rather than retiring the worker, so one
-                                // submitter's bad job cannot shrink the
-                                // pool for everyone else.
-                                renorm = Renormalizer::new();
-                                let _ = reply.send((slot, Err(panic_message(payload))));
-                            }
-                        }
+                    let mut scratch = JobScratch::new();
+                    while let Job::Work(item) = queue.pop() {
+                        item.run(&mut scratch);
                     }
                 })
             })
             .collect();
-        WorkerPool { job_tx, handles, workers }
+        WorkerPool { queue, handles, workers }
     }
 
     /// Number of worker threads in the pool.
@@ -239,20 +330,8 @@ impl WorkerPool {
     /// has a private reply channel and its own slot sequence, so any number
     /// of clients (across threads) can stream batches through the shared
     /// workers concurrently.
-    ///
-    /// A client must not be used after its pool has been dropped — jobs
-    /// submitted to a dead pool are never processed.
     pub fn client(&self) -> PoolClient {
-        let (reply_tx, reply_rx) = channel::<JobReply>();
-        PoolClient {
-            job_tx: self.job_tx.clone(),
-            reply_tx,
-            reply_rx,
-            pool_workers: self.workers,
-            next_slot: 0,
-            next_result: 0,
-            reordered: BTreeMap::new(),
-        }
+        PoolClient::new(Arc::clone(&self.queue), self.workers)
     }
 
     /// Renormalizes every region of `layer` on the pool and returns the
@@ -284,11 +363,11 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // One shutdown message per worker: each consumes exactly one and
-        // exits, even while clients still hold job senders. In-flight work
-        // ahead of the sentinels completes first.
+        // One sentinel per worker: each consumes exactly one and exits,
+        // even while clients are alive. Work queued ahead of the sentinels
+        // completes first.
         for _ in 0..self.workers {
-            let _ = self.job_tx.send(Job::Shutdown);
+            self.queue.push(Job::Shutdown);
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -298,16 +377,16 @@ impl Drop for WorkerPool {
 
 /// A per-submitter handle onto a [`WorkerPool`].
 ///
-/// `submit` enqueues a region-renormalization job and `submit_verdict` a
-/// whole-layer verdict job, each assigned the next slot of this client's
-/// stream; `recv_next` / `recv_next_verdict` return results strictly in
-/// submission order, buffering any that arrive early. One client therefore
-/// behaves like a private pipeline through the shared workers: results come
-/// back in the order the work went in, independent of the worker count and
-/// of what other clients are doing.
+/// `submit` enqueues a region job and the crate's reshaping engine enqueues
+/// layer jobs, each assigned the next slot of this client's stream;
+/// `recv_next` returns results strictly in submission order, buffering any
+/// that arrive early, and helps run queued jobs while it waits. One client
+/// therefore behaves like a private pipeline through the shared workers:
+/// results come back in the order the work went in, independent of the
+/// worker count and of what other clients are doing.
 #[derive(Debug)]
 pub struct PoolClient {
-    job_tx: Sender<Job>,
+    queue: Arc<Queue>,
     reply_tx: Sender<JobReply>,
     reply_rx: Receiver<JobReply>,
     /// Worker count of the pool this client submits to.
@@ -318,14 +397,36 @@ pub struct PoolClient {
     next_result: usize,
     /// Results that arrived ahead of `next_result`.
     reordered: BTreeMap<usize, Result<Answer, String>>,
+    /// Scratch for the jobs this client runs while it waits.
+    scratch: Box<JobScratch>,
+    /// Jobs run on `scratch` so far; the tests observe helping through it.
+    #[cfg(test)]
+    helped: usize,
 }
 
 impl PoolClient {
+    fn new(queue: Arc<Queue>, pool_workers: usize) -> Self {
+        let (reply_tx, reply_rx) = channel::<JobReply>();
+        PoolClient {
+            queue,
+            reply_tx,
+            reply_rx,
+            pool_workers,
+            next_slot: 0,
+            next_result: 0,
+            reordered: BTreeMap::new(),
+            scratch: Box::new(JobScratch::new()),
+            #[cfg(test)]
+            helped: 0,
+        }
+    }
+
     /// Worker count of the pool behind this client — what a submitter
     /// should size its in-flight window against.
     pub fn pool_workers(&self) -> usize {
         self.pool_workers
     }
+
     /// Enqueues one region job and returns its slot in this client's
     /// stream; receive its lattice with [`PoolClient::recv_next`].
     pub fn submit(
@@ -334,64 +435,52 @@ impl PoolClient {
         region: ModuleRegion,
         node_size: usize,
     ) -> usize {
-        self.enqueue(layer, Task::Region { region, node_size })
+        self.enqueue(Task::Region { layer: Arc::clone(layer), region, node_size })
     }
 
-    /// Enqueues one whole-layer verdict job — does `layer` span a
-    /// `target_side` lattice at this node size, per
-    /// [`Renormalizer::spans_target`] — and returns its slot; receive the
-    /// verdict with [`PoolClient::recv_next_verdict`].
-    pub fn submit_verdict(
-        &mut self,
-        layer: &Arc<PhysicalLayer>,
-        node_size: usize,
-        target_side: usize,
-    ) -> usize {
-        self.enqueue(layer, Task::Verdict { node_size, target_side })
+    /// Enqueues one layer job and returns its slot; receive its summary
+    /// with [`PoolClient::recv_next_layer`].
+    pub(crate) fn submit_layer(&mut self, job: LayerJob) -> usize {
+        self.enqueue(Task::Layer(job))
     }
 
-    fn enqueue(&mut self, layer: &Arc<PhysicalLayer>, task: Task) -> usize {
+    fn enqueue(&mut self, task: Task) -> usize {
         let slot = self.next_slot;
         self.next_slot += 1;
-        let item = WorkItem { layer: Arc::clone(layer), task, slot, reply: self.reply_tx.clone() };
-        self.job_tx.send(Job::Work(Box::new(item))).expect("worker pool hung up");
+        let item = WorkItem { task, slot, reply: self.reply_tx.clone() };
+        self.queue.push(Job::Work(Box::new(item)));
         slot
     }
 
-    /// Number of submitted jobs whose results have not been received yet.
+    /// Number of submitted jobs whose results have not been received yet,
+    /// including results that arrived early and wait in the reorder
+    /// buffer.
     pub fn in_flight(&self) -> usize {
-        self.next_slot - self.next_result - self.reordered.len()
+        self.next_slot - self.next_result
     }
 
     /// Receives the lattice of the oldest outstanding job, blocking until
-    /// it is available.
-    ///
-    /// The pool must outlive the client's outstanding work: jobs submitted
-    /// before the pool is dropped are always processed (the teardown
-    /// sentinels queue behind them), but a job racing the teardown can be
-    /// left unprocessed, and this call would then block forever — there is
-    /// no other thread left to answer. Submitting to an already-torn-down
-    /// pool fails loudly in [`PoolClient::submit`] instead.
+    /// it is available. While the result has not arrived, the client runs
+    /// queued jobs itself, so the wait ends even when no worker is left to
+    /// take the job.
     ///
     /// # Panics
     ///
     /// Panics when no job is outstanding, when the job itself panicked
-    /// (the worker's message is relayed), or when the oldest job is a
-    /// verdict job.
+    /// (the message is relayed), or when the oldest job is a layer job.
     pub fn recv_next(&mut self) -> RenormalizedLattice {
         match self.recv_answer() {
             Answer::Lattice(lattice) => lattice,
-            Answer::Verdict(_) => panic!("the oldest outstanding job is a verdict job"),
+            Answer::Layer(_) => panic!("the oldest outstanding job is a layer job"),
         }
     }
 
-    /// Receives the verdict of the oldest outstanding job, blocking until
-    /// it is available; the blocking and panic rules of
-    /// [`PoolClient::recv_next`] apply, with the oldest job required to be
-    /// a verdict job.
-    pub fn recv_next_verdict(&mut self) -> bool {
+    /// Receives the summary of the oldest outstanding job; the blocking,
+    /// helping and panic rules of [`PoolClient::recv_next`] apply, with the
+    /// oldest job required to be a layer job.
+    pub(crate) fn recv_next_layer(&mut self) -> LayerSummary {
         match self.recv_answer() {
-            Answer::Verdict(spans) => spans,
+            Answer::Layer(summary) => summary,
             Answer::Lattice(_) => panic!("the oldest outstanding job is a region job"),
         }
     }
@@ -403,9 +492,25 @@ impl PoolClient {
             if let Some(result) = self.reordered.remove(&want) {
                 break result;
             }
-            // The channel cannot hang up while `self` holds a sender; a
-            // worker answers every job it dequeues, panicking included.
-            let (slot, result) = self.reply_rx.recv().expect("reply channel is open");
+            // The channel cannot hang up while `self` holds a sender. If
+            // nothing has arrived, help: run a queued job (possibly the
+            // wanted one). Only with the queue empty is the wanted job
+            // certainly running elsewhere, so only then block; whoever
+            // took it answers every job it takes, panicking included.
+            let (slot, result) = match self.reply_rx.try_recv() {
+                Ok(reply) => reply,
+                Err(_) => match self.queue.take_work() {
+                    Some(item) => {
+                        item.run(&mut self.scratch);
+                        #[cfg(test)]
+                        {
+                            self.helped += 1;
+                        }
+                        continue;
+                    }
+                    None => self.reply_rx.recv().expect("reply channel is open"),
+                },
+            };
             if slot == want {
                 break result;
             }
@@ -456,6 +561,50 @@ mod model_tests {
             let lattice = client.recv_next();
             assert!(lattice.is_success());
             drop(pool);
+        });
+        assert!(report.complete, "exploration must be exhaustive");
+    }
+
+    /// A client waiting on its own queued job never deadlocks with the
+    /// pool's only worker, and in the schedules where that worker sits
+    /// idle the client runs the job itself. (An idle worker used to block
+    /// on the queue while holding its lock, so a waiting client could not
+    /// reach the job.)
+    #[test]
+    fn model_waiting_client_runs_its_queued_job_itself() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static HELPED: AtomicUsize = AtomicUsize::new(0);
+        let report = oneperc_verify::model(|| {
+            let pool = WorkerPool::new(1);
+            let layer = Arc::new(PhysicalLayer::fully_connected(4, 4));
+            let mut client = pool.client();
+            client.submit(&layer, ModuleRegion::whole_layer(&layer), 2);
+            assert!(client.recv_next().is_success());
+            assert!(client.helped <= 1);
+            HELPED.fetch_add(client.helped, Ordering::Relaxed);
+            drop(pool);
+        });
+        assert!(report.complete, "exploration must be exhaustive");
+        assert!(HELPED.load(Ordering::Relaxed) > 0, "no schedule let the client help");
+    }
+
+    /// A helping client never consumes a shutdown sentinel: with the pool
+    /// torn down while a client submits and waits, every schedule still
+    /// joins the worker (a stolen sentinel would hang the drop) and still
+    /// answers the client (a job queued behind the sentinel is run by the
+    /// client itself).
+    #[test]
+    fn model_helping_client_never_takes_a_shutdown_sentinel() {
+        let report = oneperc_verify::model(|| {
+            let pool = WorkerPool::new(1);
+            let layer = Arc::new(PhysicalLayer::fully_connected(4, 4));
+            let mut client = pool.client();
+            let waiter = thread::spawn(move || {
+                client.submit(&layer, ModuleRegion::whole_layer(&layer), 2);
+                client.recv_next().is_success()
+            });
+            drop(pool);
+            assert!(waiter.join().expect("waiting client"));
         });
         assert!(report.complete, "exploration must be exhaustive");
     }
@@ -599,40 +748,94 @@ mod tests {
         assert_eq!(client.in_flight(), 0);
     }
 
-    #[test]
-    fn verdict_jobs_interleave_with_region_jobs_in_slot_order() {
-        use oneperc_hardware::{FusionEngine, HardwareConfig};
-        let layers: Vec<Arc<PhysicalLayer>> = (0..6)
-            .map(|seed| {
-                let hw = HardwareConfig::new(24, 7, 0.66);
-                Arc::new(FusionEngine::new(hw, seed).generate_layer())
+    /// Layer jobs of one seeded run of 24-site layers of 7-qubit states,
+    /// near the threshold so that some layers span and some do not.
+    fn layer_jobs(count: u64) -> Vec<LayerJob> {
+        use oneperc_hardware::HardwareConfig;
+        let plan = Arc::new(GenerationPlan::new(HardwareConfig::new(24, 7, 0.66)));
+        (0..count)
+            .map(|index| LayerJob {
+                plan: Arc::clone(&plan),
+                seed: 3,
+                index,
+                node_size: 6,
+                target_side: 4,
             })
-            .collect();
-        let pool = WorkerPool::new(3);
-        let mut client = pool.client();
-        for layer in &layers {
-            client.submit_verdict(layer, 6, 4);
+            .collect()
+    }
+
+    /// The layer a layer job generates.
+    fn layer_of(job: &LayerJob) -> Arc<PhysicalLayer> {
+        let mut layer = PhysicalLayer::blank(1, 1);
+        job.plan.generate_into(job.seed, job.index, &mut GenerationScratch::default(), &mut layer);
+        Arc::new(layer)
+    }
+
+    /// Submits a layer job and a whole-layer region job per layer, then
+    /// checks every answer, in slot order, against a private in-thread
+    /// run.
+    fn check_interleaved(client: &mut PoolClient) {
+        let jobs = layer_jobs(6);
+        let layers: Vec<Arc<PhysicalLayer>> = jobs.iter().map(layer_of).collect();
+        for (job, layer) in jobs.iter().zip(&layers) {
+            client.submit_layer(job.clone());
             client.submit(layer, ModuleRegion::whole_layer(layer), 6);
         }
+        let mut scratch = JobScratch::new();
         let mut reference = Renormalizer::new();
         let mut verdicts = Vec::new();
-        for layer in &layers {
-            let spans = client.recv_next_verdict();
-            assert_eq!(spans, reference.spans_target(layer, 6, 4));
+        for (job, layer) in jobs.iter().zip(&layers) {
+            let summary = client.recv_next_layer();
+            assert_eq!(summary, job.run(&mut scratch));
+            assert_eq!(summary.spans, reference.spans_target(layer, 6, 4));
             assert_eq!(client.recv_next(), reference.renormalize(layer, 6));
-            verdicts.push(spans);
+            verdicts.push(summary.spans);
         }
         assert_eq!(client.in_flight(), 0);
         assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
     }
 
     #[test]
-    #[should_panic(expected = "verdict job")]
-    fn receiving_a_verdict_as_a_lattice_panics() {
+    fn layer_jobs_interleave_with_region_jobs_in_slot_order() {
+        let pool = WorkerPool::new(3);
+        check_interleaved(&mut pool.client());
+    }
+
+    #[test]
+    fn layer_and_region_jobs_interleave_in_slot_order_under_helping() {
+        // A client of a queue no worker serves runs every job itself, in
+        // queue order, and still answers in slot order.
+        let mut client = PoolClient::new(Arc::new(Queue::default()), 0);
+        check_interleaved(&mut client);
+        assert_eq!(client.helped, 12);
+    }
+
+    #[test]
+    fn in_flight_counts_results_buffered_out_of_order() {
+        let mut client = PoolClient::new(Arc::new(Queue::default()), 0);
         let layer = Arc::new(PhysicalLayer::fully_connected(8, 8));
+        for _ in 0..3 {
+            client.submit(&layer, ModuleRegion::whole_layer(&layer), 4);
+        }
+        // Slot 1 finishes first, as on a faster thread: its answer is
+        // waiting when slot 0 is received, and is buffered.
+        let second = client.queue.lock().remove(1);
+        let Some(Job::Work(second)) = second else { panic!("slot 1 is queued work") };
+        second.run(&mut JobScratch::new());
+        let _ = client.recv_next();
+        assert_eq!(client.reordered.len(), 1, "slot 1's answer is buffered");
+        assert_eq!(client.in_flight(), 2, "a buffered answer is still in flight");
+        let _ = client.recv_next();
+        let _ = client.recv_next();
+        assert_eq!(client.in_flight(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer job")]
+    fn receiving_a_layer_summary_as_a_lattice_panics() {
         let pool = WorkerPool::new(1);
         let mut client = pool.client();
-        client.submit_verdict(&layer, 4, 2);
+        client.submit_layer(layer_jobs(1).remove(0));
         let _ = client.recv_next();
     }
 

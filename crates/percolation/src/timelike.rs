@@ -23,31 +23,38 @@
 //! # Overlapping the stages
 //!
 //! The per-layer loop has three steps: *generate* (the fusion strategy
-//! samples the next random layer), *decide* and *connect*. Only the
-//! connect step carries state from one layer to the next, so an engine
-//! built with [`ReshapeEngine::with_renorm_client`] generates upcoming
-//! layers in-thread and decides them on a shared
-//! [`WorkerPool`](crate::WorkerPool) a few layers ahead, while it connects
-//! the current one.
+//! samples the next random layer), *decide* and *connect*. Only the connect
+//! step carries state from one layer to the next: layer `i` of a run is a
+//! pure function of `(config, seed, i)` ([`oneperc_hardware::layer_key`]),
+//! just as each RSG cycle of the hardware yields an independent layer. So
+//! generate and decide form one job per layer, and an engine built with
+//! [`ReshapeEngine::with_renorm_client`] keeps a window of upcoming layer
+//! jobs on a shared [`WorkerPool`](crate::WorkerPool) while it connects the
+//! current layer. Each job generates its layer into the running thread's
+//! own buffer and answers with the layer's counters and verdict only;
+//! layers never cross threads. While the engine waits for the oldest
+//! answer it runs queued jobs itself, so one worker plus the engine keep
+//! two cores busy.
 //!
-//! Determinism is preserved by construction: layers are generated from
-//! the same seeded sampler in the same order whatever the worker count,
-//! verdicts are consumed in stream order, and time-like fusion outcomes
-//! come from a *separate* sampler seeded from the configuration, so
-//! deciding ahead never reorders RNG draws. With a fixed seed the pooled
+//! Determinism is preserved by construction: every job is a pure function
+//! of its key, answers are consumed in stream order, and time-like fusion
+//! outcomes come from a *separate* sampler seeded from the configuration
+//! and drawn only in the engine thread. With a fixed seed the pooled
 //! engine therefore produces identical [`LogicalLayerReport`]s and
 //! byte-identical on-demand [`RenormalizedLattice`]s to the in-thread
-//! engine — the contract enforced by `tests/pipeline_determinism.rs`.
+//! engine, which runs the same job function in-thread — the contract
+//! enforced by `tests/pipeline_determinism.rs`.
 
-use std::collections::VecDeque;
 use crate::sync::Arc;
 
 use graphstate::FusionOutcome;
-use oneperc_hardware::{DelayLine, FusionEngine, FusionSampler, HardwareConfig, PhysicalLayer};
+use oneperc_hardware::{
+    DelayLine, FusionSampler, GenerationPlan, GenerationScratch, HardwareConfig, PhysicalLayer,
+};
 
 use crate::cancel::CancelToken;
-use crate::pool::PoolClient;
-use crate::renormalize::{renormalize, RenormalizedLattice, Renormalizer};
+use crate::pool::{JobScratch, LayerJob, LayerSummary, PoolClient};
+use crate::renormalize::{renormalize, RenormalizedLattice};
 
 /// One time-like edge requested by the IR program for the layer currently
 /// being formed.
@@ -140,8 +147,8 @@ impl ReshapeConfig {
     }
 
     /// Seed of the dedicated time-like fusion sampler. Time-like hops draw
-    /// from their own stream so that generating layers ahead for the pool
-    /// never reorders the layer-pattern draws.
+    /// from their own stream, the only one that runs through the layers in
+    /// order.
     fn timelike_seed(&self) -> u64 {
         // Fixed odd multiplier decorrelates the two streams per seed.
         self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x5EED)
@@ -218,15 +225,11 @@ impl ReshapeStats {
 #[derive(Debug)]
 pub struct ReshapeEngine {
     config: ReshapeConfig,
-    /// Generates the merged layers, in-thread. Boxed to keep the engine
-    /// small to move.
-    generator: Box<FusionEngine>,
-    /// Reusable layer buffer: each merged layer is generated in place, so
-    /// the steady-state per-RSL loop performs no layer allocation.
-    buf: Option<PhysicalLayer>,
-    /// Dedicated sampler for time-like fusion outcomes. Kept separate from
-    /// the layer-pattern stream so the pooled backend can generate ahead
-    /// without reordering any RNG draw.
+    /// What the configuration fixes about layer generation, shared with
+    /// every layer job.
+    plan: Arc<GenerationPlan>,
+    /// Dedicated sampler for time-like fusion outcomes, drawn in the engine
+    /// thread only.
     timelike: FusionSampler,
     delay: DelayLine<(usize, usize)>,
     stats: ReshapeStats,
@@ -238,77 +241,42 @@ pub struct ReshapeEngine {
     bulk_attempted: u64,
     bulk_succeeded: u64,
     /// Layer-pattern fusions accumulated from *consumed* layers. Counting
-    /// at consumption (not generation) keeps the in-thread and pooled
-    /// totals identical even while the pool's lookahead runs ahead.
+    /// at consumption (not submission) keeps the in-thread and pooled
+    /// totals identical even while the pool's window runs ahead.
     layer_attempted: u64,
     layer_succeeded: u64,
-    /// The most recent logical layer (if any), kept for
-    /// [`ReshapeEngine::last_logical_lattice`]. Forming the next logical
-    /// layer swaps it back into the buffer rotation, so keeping it costs
-    /// one layer allocation and no copy.
-    last_logical: Option<LayerHolder>,
-    /// Where verdicts come from: the in-thread gate or the worker pool fed
-    /// a few layers ahead. Scratch memory (or the pool's workers) is reused
-    /// across every RSL this engine consumes — and across
-    /// [`ReshapeEngine::reset`]s.
+    /// Index of the next layer of the stream to consume.
+    consumed: u64,
+    /// Index of the most recent logical layer, if any; it is regenerated
+    /// from its key for [`ReshapeEngine::last_logical_lattice`].
+    last_logical: Option<u64>,
+    /// Where layer jobs run: in-thread, or on the worker pool a window
+    /// ahead. Scratch memory (or the pool's workers) is reused across every
+    /// RSL this engine consumes — and across [`ReshapeEngine::reset`]s.
     renorm: RenormBackend,
 }
 
-/// A merged layer travelling through the engine: owned when generated
-/// in-thread, shared while the worker pool may still hold job clones.
-#[derive(Debug)]
-enum LayerHolder {
-    Owned(PhysicalLayer),
-    Shared(Arc<PhysicalLayer>),
-}
-
-impl LayerHolder {
-    fn layer(&self) -> &PhysicalLayer {
-        match self {
-            LayerHolder::Owned(layer) => layer,
-            LayerHolder::Shared(layer) => layer,
-        }
-    }
-
-    /// Reclaims the allocation for recycling when nothing else holds it.
-    fn into_owned(self) -> Option<PhysicalLayer> {
-        match self {
-            LayerHolder::Owned(layer) => Some(layer),
-            // The pool drops its clones before replying, so by consumption
-            // time the engine normally holds the only reference; a shared
-            // count > 1 just means the buffer cannot be recycled this time.
-            LayerHolder::Shared(layer) => Arc::try_unwrap(layer).ok(),
-        }
-    }
-}
-
-/// Origin of the per-layer verdict stream.
+/// Where the engine's layer jobs run.
 #[derive(Debug)]
 enum RenormBackend {
-    /// Decide each layer in-thread on one reusable scratch.
-    Local(Renormalizer),
-    /// Submit upcoming layers to a worker pool as verdict jobs and consume
-    /// the verdicts in stream order. `queue` holds the layers whose jobs
-    /// are in flight, oldest first; its length is kept at `lookahead` so
-    /// the pool always has work while the engine connects the current
-    /// layer.
-    Pooled {
-        client: PoolClient,
-        queue: VecDeque<Arc<PhysicalLayer>>,
-        lookahead: usize,
-    },
+    /// In-thread, on one reusable scratch.
+    Local(Box<JobScratch>),
+    /// On a worker pool: jobs for layers `consumed..submitted` are in
+    /// flight, and the engine keeps `lookahead` of them there so the pool
+    /// always has work while the engine connects the current layer.
+    Pooled { client: PoolClient, submitted: u64, lookahead: u64 },
 }
 
 impl ReshapeEngine {
-    /// Creates an engine that decides layers in-thread; use
-    /// [`ReshapeEngine::with_renorm_client`] to decide them on a worker
-    /// pool instead.
+    /// Creates an engine that generates and decides layers in-thread; use
+    /// [`ReshapeEngine::with_renorm_client`] to run them on a worker pool
+    /// instead.
     pub fn new(config: ReshapeConfig) -> Self {
-        Self::with_backend(config, RenormBackend::Local(Renormalizer::new()))
+        Self::with_backend(config, RenormBackend::Local(Box::new(JobScratch::new())))
     }
 
-    /// Creates an engine whose per-layer verdicts run on a worker pool
-    /// through `client` (obtained from
+    /// Creates an engine whose layer jobs (generate and decide) run on a
+    /// worker pool through `client` (obtained from
     /// [`WorkerPool::client`](crate::WorkerPool::client)). Several
     /// engines — e.g. one per session lane — can stream through one pool
     /// concurrently; results are byte-identical to the in-thread
@@ -317,22 +285,22 @@ impl ReshapeEngine {
     /// The pool must outlive this engine.
     pub fn with_renorm_client(config: ReshapeConfig, client: PoolClient) -> Self {
         let lookahead = Self::lookahead_for(client.pool_workers());
-        let renorm = RenormBackend::Pooled { client, queue: VecDeque::new(), lookahead };
+        let renorm = RenormBackend::Pooled { client, submitted: 0, lookahead };
         Self::with_backend(config, renorm)
     }
 
-    /// In-flight depth of the pooled verdict stage: one job per
-    /// worker plus one so a worker never idles while the engine connects
-    /// the current layer, capped to keep prefetch memory bounded.
-    fn lookahead_for(workers: usize) -> usize {
-        (workers.max(1) + 1).min(8)
+    /// In-flight window of the pooled backend: two jobs for each worker
+    /// and for the helping engine, so a thread that finishes a job always
+    /// finds another queued. Capped to bound the work thrown away when a
+    /// run ends with jobs in flight.
+    fn lookahead_for(workers: usize) -> u64 {
+        (2 * (workers as u64 + 1)).min(8)
     }
 
     fn with_backend(config: ReshapeConfig, renorm: RenormBackend) -> Self {
         ReshapeEngine {
             config,
-            generator: Box::new(FusionEngine::new(config.hardware, config.seed)),
-            buf: None,
+            plan: Arc::new(GenerationPlan::new(config.hardware)),
             timelike: FusionSampler::new(
                 config.hardware.effective_fusion_prob(),
                 config.timelike_seed(),
@@ -346,6 +314,7 @@ impl ReshapeEngine {
             bulk_succeeded: 0,
             layer_attempted: 0,
             layer_succeeded: 0,
+            consumed: 0,
             last_logical: None,
             renorm,
         }
@@ -358,32 +327,26 @@ impl ReshapeEngine {
 
     /// Restarts the engine's stochastic execution from `seed`, exactly as
     /// if it had been freshly constructed with that seed, while keeping
-    /// every warm resource alive: the fusion engine is reseeded in place,
-    /// the renormalization scratch — or the worker pool — is retained, and
-    /// the layer buffer is reused. This is what makes a long-lived session
-    /// lane cheap: repeated seeded executions pay no thread or allocation
-    /// startup.
+    /// every warm resource alive: the generation plan, the job scratch —
+    /// or the worker pool — are retained. This is what makes a long-lived
+    /// session lane cheap: repeated seeded executions pay no thread or
+    /// allocation startup.
     ///
     /// Byte-for-byte equivalence with a cold engine is the contract tested
     /// by `warm_reset_matches_cold_engine` and the session determinism
     /// suite.
     pub fn reset(&mut self, seed: u64) {
-        // Drain the pooled lookahead first: in-flight jobs belong to the
-        // old stream. Their verdicts are discarded, a layer buffer kept
-        // for the (about-to-be-reseeded) generator.
-        if let RenormBackend::Pooled { client, queue, .. } = &mut self.renorm {
-            while let Some(layer) = queue.pop_front() {
-                let _ = client.recv_next_verdict();
-                if let Ok(buf) = Arc::try_unwrap(layer) {
-                    self.buf = Some(buf);
-                }
+        // Drain the pooled window first: its jobs belong to the old stream,
+        // and their answers must not reach the new one.
+        if let RenormBackend::Pooled { client, submitted, .. } = &mut self.renorm {
+            for _ in self.consumed..*submitted {
+                let _ = client.recv_next_layer();
             }
-        }
-        if let Some(holder) = self.last_logical.take() {
-            self.recycle_holder(holder);
+            *submitted = 0;
         }
         self.config.seed = seed;
-        self.generator.reseed(seed);
+        self.consumed = 0;
+        self.last_logical = None;
         self.timelike = FusionSampler::new(
             self.config.hardware.effective_fusion_prob(),
             self.config.timelike_seed(),
@@ -405,67 +368,56 @@ impl ReshapeEngine {
     }
 
     /// The renormalized lattice realizing the most recent logical layer,
-    /// built on demand: the engine keeps that layer and renormalizes it
-    /// here with a fresh [`Renormalizer`]. Every target node
+    /// built on demand: the engine regenerates that layer from its key and
+    /// renormalizes it here with fresh scratch. Every target node
     /// `(i, j)`, `i, j < target_side`, of the result is realized.
     pub fn last_logical_lattice(&self) -> Option<RenormalizedLattice> {
-        let node_size = self.config.node_size;
-        self.last_logical.as_ref().map(|holder| renormalize(holder.layer(), node_size))
+        let index = self.last_logical?;
+        let mut layer = PhysicalLayer::blank(1, 1);
+        let mut scratch = GenerationScratch::default();
+        self.plan.generate_into(self.config.seed, index, &mut scratch, &mut layer);
+        Some(renormalize(&layer, self.config.node_size))
     }
 
-    /// Produces the next merged layer of the stream together with its
-    /// verdict: does it renormalize to the target lattice.
+    /// The summary of the next layer of the stream: its counters and its
+    /// verdict, whether it renormalizes to the target lattice.
     ///
-    /// On the pooled backend the engine first tops the lookahead window up
-    /// — generating upcoming layers and submitting them as whole-layer
-    /// verdict jobs — then blocks on the oldest job's result. Because every
-    /// layer of the stream is consumed in generation order whatever its
-    /// logical/routing fate, deciding ahead is never speculative waste, and
-    /// because the verdict is a pure per-layer function collected in
-    /// submission order, the verdicts match the in-thread path for any
+    /// On the pooled backend the engine first tops the window up with the
+    /// jobs of upcoming layers, then waits for the oldest answer (running
+    /// queued jobs while it waits). Every layer of the stream is consumed
+    /// in order whatever its logical/routing fate, so a job submitted
+    /// ahead is wasted only when the run ends, and because the answers are
+    /// consumed in submission order they match the in-thread path for any
     /// worker count.
-    fn next_decided(&mut self) -> (LayerHolder, bool) {
-        let ReshapeEngine { config, generator, buf, renorm, .. } = self;
-        let (rsl_size, node_size, target_side) =
-            (config.hardware.rsl_size, config.node_size, config.target_side);
-        let mut next_layer = || {
-            let mut layer = buf.take().unwrap_or_else(|| PhysicalLayer::blank(rsl_size, rsl_size));
-            generator.generate_layer_into(&mut layer);
-            layer
+    fn next_summary(&mut self) -> LayerSummary {
+        let ReshapeEngine { config, plan, consumed, renorm, .. } = self;
+        let index = *consumed;
+        *consumed += 1;
+        let job = |index| LayerJob {
+            plan: Arc::clone(plan),
+            seed: config.seed,
+            index,
+            node_size: config.node_size,
+            target_side: config.target_side,
         };
         match renorm {
-            RenormBackend::Local(renormalizer) => {
-                let layer = next_layer();
-                let spans = renormalizer.spans_target(&layer, node_size, target_side);
-                (LayerHolder::Owned(layer), spans)
-            }
-            RenormBackend::Pooled { client, queue, lookahead } => {
-                while queue.len() < *lookahead {
-                    let layer = Arc::new(next_layer());
-                    let _ = client.submit_verdict(&layer, node_size, target_side);
-                    queue.push_back(layer);
+            RenormBackend::Local(scratch) => job(index).run(scratch),
+            RenormBackend::Pooled { client, submitted, lookahead } => {
+                while *submitted < index + *lookahead {
+                    client.submit_layer(job(*submitted));
+                    *submitted += 1;
                 }
-                let spans = client.recv_next_verdict();
-                let layer = queue.pop_front().expect("lookahead queue is non-empty");
-                (LayerHolder::Shared(layer), spans)
+                client.recv_next_layer()
             }
-        }
-    }
-
-    /// Keeps a consumed layer's allocation for the next layer when the
-    /// engine holds it exclusively again.
-    fn recycle_holder(&mut self, holder: LayerHolder) {
-        if let Some(buf) = holder.into_owned() {
-            self.buf = Some(buf);
         }
     }
 
     /// Consumes resource-state layers until one of them becomes a logical
     /// layer satisfying `requirement`, or the safety cap is hit.
     ///
-    /// On the pooled backend a layer renormalized ahead but not yet consumed
-    /// when a logical layer forms simply waits in the lookahead queue and is
-    /// the first layer of the next call, so the stream order matches the
+    /// On the pooled backend a layer decided ahead but not yet consumed
+    /// when a logical layer forms simply waits in the window and is the
+    /// first layer of the next call, so the stream order matches the
     /// in-thread path exactly.
     pub fn advance_logical_layer(&mut self, requirement: &LayerRequirement) -> LogicalLayerReport {
         self.advance_logical_layer_impl(requirement, None)
@@ -505,25 +457,23 @@ impl ReshapeEngine {
                 return report;
             }
             // Generate + decide: in-thread, or collected from the worker
-            // pool that was fed this layer a few steps ago.
-            let (holder, target_reached) = self.next_decided();
-            let layer = holder.layer();
+            // pool that was given this layer's job a few steps ago.
+            let layer = self.next_summary();
             report.merged_layers += 1;
-            report.raw_rsl += layer.raw_rsl_consumed as u64;
+            report.raw_rsl += layer.raw_rsl;
             self.stats.merged_layers += 1;
-            self.stats.raw_rsl += layer.raw_rsl_consumed as u64;
-            self.layer_attempted += layer.fusions_attempted;
-            self.layer_succeeded += layer.fusions_succeeded;
+            self.stats.raw_rsl += layer.raw_rsl;
+            self.layer_attempted += layer.attempted;
+            self.layer_succeeded += layer.succeeded;
             // Every merged layer advances the delay-line clock by the number
             // of raw RSG cycles it took to produce.
-            for _ in 0..layer.raw_rsl_consumed {
+            for _ in 0..layer.raw_rsl {
                 self.stats.delay_line_expired += self.delay.advance_cycle() as u64;
             }
 
-            if !target_reached {
+            if !layer.spans {
                 report.renorm_failures += 1;
-                self.absorb_routing_layer(holder.layer());
-                self.recycle_holder(holder);
+                self.absorb_routing_layer(&layer);
                 self.update_fusion_totals();
                 continue;
             }
@@ -541,8 +491,7 @@ impl ReshapeEngine {
 
             if !all_ok {
                 report.timelike_failures += 1;
-                self.absorb_routing_layer(holder.layer());
-                self.recycle_holder(holder);
+                self.absorb_routing_layer(&layer);
                 self.update_fusion_totals();
                 continue;
             }
@@ -564,11 +513,7 @@ impl ReshapeEngine {
 
             self.stats.logical_layers += 1;
             self.routing_since_logical = 0;
-            // Keep this layer for `last_logical_lattice`; the previous
-            // logical layer's buffer goes back into the rotation.
-            if let Some(previous) = self.last_logical.replace(holder) {
-                self.recycle_holder(previous);
-            }
+            self.last_logical = Some(self.consumed - 1);
             self.update_fusion_totals();
             report.formed = true;
             return report;
@@ -618,10 +563,10 @@ impl ReshapeEngine {
     /// temporal ports are fused forward to the next RSL (grey fusions of
     /// Fig. 9(c)). The fusions are accounted in bulk to avoid per-site
     /// sampling cost on large RSLs.
-    fn absorb_routing_layer(&mut self, layer: &oneperc_hardware::PhysicalLayer) {
+    fn absorb_routing_layer(&mut self, layer: &LayerSummary) {
         self.routing_since_logical += 1;
         self.stats.routing_layers += 1;
-        let forward = layer.site_count() as u64;
+        let forward = layer.sites;
         self.bulk_attempted += forward;
         self.bulk_succeeded +=
             (forward as f64 * self.config.hardware.effective_fusion_prob()).round() as u64;
@@ -669,19 +614,20 @@ mod tests {
     #[test]
     fn last_logical_lattice_renormalizes_the_formed_layer() {
         for workers in [0usize, 2] {
-            let config = small_config(0.66, 41);
+            let config = small_config(0.62, 41);
             let pool = (workers > 0).then(|| WorkerPool::new(workers));
             let mut engine = engine_on(config, pool.as_ref());
-            // Replays the layer stream to recover each logical layer.
-            let mut replay = FusionEngine::new(config.hardware, config.seed);
-            let mut layer = PhysicalLayer::blank(36, 36);
+            // Regenerates each logical layer from its key: it is the last
+            // merged layer consumed so far.
+            let plan = GenerationPlan::new(config.hardware);
+            let mut scratch = GenerationScratch::default();
+            let mut layer = PhysicalLayer::blank(1, 1);
             assert!(engine.last_logical_lattice().is_none());
             for _ in 0..4 {
                 let report = engine.advance_logical_layer(&LayerRequirement::none());
                 assert!(report.formed);
-                for _ in 0..report.merged_layers {
-                    replay.generate_layer_into(&mut layer);
-                }
+                let index = engine.stats().merged_layers - 1;
+                plan.generate_into(config.seed, index, &mut scratch, &mut layer);
                 let lattice = engine.last_logical_lattice().expect("a logical layer formed");
                 assert_eq!(lattice, renormalize(&layer, config.node_size), "workers={workers}");
                 assert!(lattice.is_success(), "workers={workers}");
@@ -815,8 +761,8 @@ mod tests {
 
     #[test]
     fn pipelined_engine_drops_cleanly_with_prefetched_layer() {
-        // The pooled backend renormalizes a few layers ahead; dropping the
-        // engine while lookahead jobs are still in flight, then the pool,
+        // The pooled backend runs layer jobs a window ahead; dropping the
+        // engine while those jobs are still in flight, then the pool,
         // must join the pool's workers, not hang.
         let pool = WorkerPool::new(2);
         let mut engine = ReshapeEngine::with_renorm_client(small_config(0.85, 3), pool.client());

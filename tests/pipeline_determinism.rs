@@ -1,12 +1,12 @@
 //! Determinism contract of the pipelined RSL stream: with a fixed seed,
-//! the engines that decide layers on a worker pool must produce
+//! the engines that generate and decide layers on a worker pool must produce
 //! byte-identical outputs to the serial path — the same on-demand
 //! logical-layer `RenormalizedLattice`s (down to every path site), the
 //! same `LogicalLayerReport`s and the same cumulative statistics — for any
 //! worker count and at every tested `(L, g, p)` point.
 //!
-//! Any scheduling leak in the worker pool or RNG reordering by the
-//! lookahead shows up here as a diff on long streams.
+//! Any scheduling leak in the worker pool (including the jobs the waiting
+//! engine runs itself) shows up here as a diff on long streams.
 
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ use oneperc_suite::percolation::{
     TemporalRequirement, WorkerPool,
 };
 
-/// Drives a serial reshaping engine and one renormalizing a few layers
+/// Drives a serial reshaping engine and one running layer jobs a window
 /// ahead on a worker pool through the same requirement stream until both
 /// consumed at least `min_layers` merged layers, comparing every report
 /// and every logical lattice.
