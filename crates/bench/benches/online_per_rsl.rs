@@ -1,8 +1,9 @@
 //! Criterion bench behind Fig. 14(a): online processing cost of a single
 //! resource-state layer as the RSL grows — full renormalization beside the
 //! path-free `spans_target` verdict the reshaping engine runs — and layer
-//! generation alone at the Table-1 RSL size for merged 4-qubit states
-//! (m = 3) and unmerged 7-qubit states (the whole-row path).
+//! generation alone for merged 4-qubit states (m = 3) and unmerged 7-qubit
+//! states (the whole-row path), at the Table-1 preset and at the
+//! `fleet-mixed` tenants' shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_hardware::{FusionEngine, HardwareConfig, PhysicalLayer};
@@ -62,21 +63,26 @@ fn bench_online_per_rsl(c: &mut Criterion) {
     group.finish();
 }
 
-/// Steady-state generation of one layer at L = 120: 4-qubit states merged
-/// three at a time (the Table-1 preset) and 7-qubit states (m = 1).
+/// Steady-state generation of one layer, on both bit sources of the bond
+/// sweep: 4-qubit states merged three at a time (the merged path's outcome
+/// planes) and 7-qubit states (m = 1, the whole-row path's batched stream).
+/// L = 120 at p = 0.75 is the Table-1 preset; L = 36 at p = 0.9 is the
+/// shape of the two `fleet-mixed` tenants.
 fn bench_generate(c: &mut Criterion) {
     let mut group = c.benchmark_group("generate");
     group.sample_size(10);
-    for &size in &[4usize, 7] {
-        let rsl = 120;
-        group.bench_with_input(BenchmarkId::new(format!("{size}q"), rsl), &rsl, |b, &rsl| {
-            let mut engine = FusionEngine::new(HardwareConfig::new(rsl, size, 0.75), 7);
-            let mut layer = PhysicalLayer::blank(rsl, rsl);
-            b.iter(|| {
-                engine.generate_layer_into(&mut layer);
-                std::hint::black_box(layer.fusions_attempted)
+    for (rsl, p, label) in [(120usize, 0.75, ""), (36, 0.9, "_p0.9")] {
+        for &size in &[4usize, 7] {
+            let id = BenchmarkId::new(format!("{size}q{label}"), rsl);
+            group.bench_with_input(id, &rsl, |b, &rsl| {
+                let mut engine = FusionEngine::new(HardwareConfig::new(rsl, size, p), 7);
+                let mut layer = PhysicalLayer::blank(rsl, rsl);
+                b.iter(|| {
+                    engine.generate_layer_into(&mut layer);
+                    std::hint::black_box(layer.fusions_attempted)
+                });
             });
-        });
+        }
     }
     group.finish();
 }

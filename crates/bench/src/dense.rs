@@ -11,8 +11,10 @@
 //!   whole-row path it makes the same batched-stream calls; on every
 //!   other path it decodes the same uniform words through the same
 //!   `MergeLaw` and reads the same four outcome planes, then sweeps the
-//!   bonds with plain unclamped `usize` budgets instead of the engine's
-//!   clamped step table. The `layer_equivalence` tests assert the two
+//!   bonds one at a time with plain unclamped `usize` budgets instead of
+//!   the engine's clamped, bit-sliced row sweep. (On the whole-row path it
+//!   draws each retry as soon as its bond is decided, where the engine
+//!   decides a whole row first.) The `layer_equivalence` tests assert the two
 //!   produce **identical** layers site for site (and counter for counter)
 //!   across lattice sizes, merging factors, raised target degrees,
 //!   probability sweeps and `reset_blank` reuse.
@@ -211,8 +213,8 @@ impl DenseBoolLayer {
 /// - Every other configuration: one uniform word per site decoded through
 ///   the same [`MergeLaw`], then the four outcome planes (east first, north
 ///   first, east retry, north retry), then a plain scalar budget sweep over
-///   unclamped `usize` budgets. This is the engine's step-table kernel
-///   without the table and without the clamp.
+///   unclamped `usize` budgets. It makes the decisions of the engine's
+///   bit-sliced row sweep one bond at a time, without the clamp.
 #[derive(Debug, Clone)]
 pub struct DenseReferenceEngine {
     config: HardwareConfig,

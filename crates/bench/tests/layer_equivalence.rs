@@ -24,9 +24,11 @@ use oneperc_hardware::{FusionEngine, HardwareConfig, MergeLaw, PhysicalLayer};
 use oneperc_percolation::{renormalize, ModularConfig, ModularRenormalizer, Renormalizer};
 
 /// Lattice sides straddling the 64-bit word geometry: sub-word, exact
-/// power-of-two, a side whose square (1089) is word-unaligned, an exact
-/// one-word row, and a row that spills a single column into a second word.
-const SIDES: [usize; 7] = [1, 2, 7, 16, 33, 64, 65];
+/// power-of-two, a side whose square (1089) is word-unaligned, a row one
+/// lane short of a word, an exact one-word row, a row that spills a single
+/// column into a second word, the Table-1 side (rows straddle flat words),
+/// an exact two-word row, and a three-word row.
+const SIDES: [usize; 11] = [1, 2, 7, 16, 33, 63, 64, 65, 120, 128, 129];
 
 /// Resource-state sizes covering merging factors 3, 2 and 1.
 const DEGREES: [usize; 3] = [4, 5, 7];
@@ -94,8 +96,8 @@ fn packed_generation_matches_dense_reference_past_the_budget_clamp() {
     // target 10 (m = 3, up to 13 leaves) and 14 (m = 4, up to 17 leaves)
     // start sites with in-plane budgets beyond the engine's clamp of 10,
     // and 3-qubit states at target 8 (m = 7) run the longest merge chains.
-    // The dense reference sweeps unclamped budgets with no step table, so
-    // agreement here pins the clamp and the table together.
+    // The dense reference sweeps unclamped budgets one bond at a time, so
+    // agreement here pins the clamp and the bit-sliced sweep together.
     let raised = [(6usize, 10usize), (6, 14), (3, 8)];
     for &(size, target) in &raised {
         let probe = HardwareConfig::new(24, size, 0.75).with_target_degree(target);

@@ -138,15 +138,21 @@ impl Bitmap {
         self.words.get(wi).copied().unwrap_or(0)
     }
 
-    /// ORs `bits` into storage word `wi`. The caller must only set bits
+    /// ORs `bits` in starting at bit `lo` (bit `j` lands at `lo + j`), the
+    /// write twin of [`Bitmap::word_at`]. The caller must only set bits
     /// below `len`; debug builds verify the invariant.
     #[inline]
-    pub(crate) fn or_word(&mut self, wi: usize, bits: u64) {
+    pub(crate) fn or_word_at(&mut self, lo: usize, bits: u64) {
         debug_assert!(
-            wi + 1 < self.words.len() || (wi + 1 == self.words.len() && bits & !trailing_mask(self.len) == 0),
+            lo + WORD_BITS - bits.leading_zeros() as usize <= self.len,
             "word write past the canonical trailing mask"
         );
-        self.words[wi] |= bits;
+        let wi = word_index(lo);
+        let shift = bit_index(lo);
+        self.words[wi] |= bits << shift;
+        if shift > 0 && wi + 1 < self.words.len() {
+            self.words[wi + 1] |= bits >> (WORD_BITS as u32 - shift);
+        }
     }
 
     /// Replaces storage word `wi` with `bits`, masking the trailing word so

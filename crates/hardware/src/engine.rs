@@ -35,9 +35,8 @@
 //!   site from a power-of-two alias table built once per plan.
 //! - **Bonds.** Four outcome planes are drawn per layer with the bit-sliced
 //!   Bernoulli words: east first attempts, north first attempts, east
-//!   retries, north retries, one bit per bond each. The sweep then runs one
-//!   lookup per bond in a constant step table keyed by both budgets, both
-//!   `remaining` counts and the bond's two bits.
+//!   retries, north retries, one bit per bond each. The bit-sliced sweep
+//!   below reads them a row word at a time.
 //!
 //! **Why the law is unchanged.** Whether a bond is attempted, and whether
 //! it is retried, depends only on the merging outcomes and on bonds swept
@@ -49,22 +48,67 @@
 //! multiples of `2^-64`. Only the stream differs: a seed maps to
 //! different layers than under per-attempt draws.
 //!
-//! **Why budgets fit in a `u8` clamped to 10.** The sweep compares a budget
-//! only with 0 (may the bond be attempted) and with `remaining ≤ 2` (may it
-//! be retried). A site has at most four bonds, and each spends at most two
-//! leaves, so at most 6 leaves are gone before its last first attempt and
-//! at most 7 before its last retry test. A clamped budget of 10 is then
-//! still at least 4 at every zero test and at least 3 at every retry test,
-//! exactly as the true budget `≥ 10` is, so every comparison comes out the
-//! same. A budget therefore takes one of 11 values, and the step table
-//! covers every pair.
+//! # The bit-sliced bond sweep
+//!
+//! Both paths sweep the bonds with one kernel that takes a row at a time,
+//! 64 sites per word, and makes exactly the decisions of the scalar sweep
+//! (east then north, site by site in row-major order). Budgets are held as
+//! four bit-planes per row word: bit `j` of plane `b` is bit `b` of site
+//! `j`'s budget. "Budget `≥ k`" for a constant `k` is then a few word
+//! operations, and spending leaves is a borrow subtract.
+//!
+//! **Three classes.** Let `R ≤ 2` be a site's own outgoing-bond count
+//! (east neighbor, north neighbor), its `remaining`. Each of its bonds
+//! tests its budget twice at most: `> 0` (may the bond be attempted) and,
+//! after a failed first attempt, `− 1 > R` (may it be retried). So a
+//! site's budget matters to its next bond only through its class: 0,
+//! `1..=R+1` (attempt, no retry) or `≥ R+2` (attempt, retry allowed).
+//!
+//! **The east chain is a prefix.** East bond `x` joins site `x`, whose
+//! budget after its west bond depends on the whole row to its left, and
+//! site `x + 1`, which still holds its row-start budget `b`. The class `c`
+//! of site `x` decides how many leaves the bond takes from site `x + 1`:
+//! none for `c = 0`, one for `c = 1`, and for `c = 2` one or two,
+//! depending on the bond's first bit and on `b ≥ R + 2`. The class of site
+//! `x + 1` after the bond is therefore a map `f_x` of `c` that `b` and the
+//! bit fix: a per-site 3→3 class map, held as three pairs of planes.
+//! Composing a word's maps with a Kogge–Stone prefix (six shift-and-compose
+//! steps) gives every site's class for each of the three classes the
+//! word's first site might have, and the class carried out of the previous
+//! word picks one. With every class known, the east bonds' attempt and
+//! retry masks follow lane by lane, and subtracting what they spent gives
+//! the exact budgets the row's north bonds start from. North bonds of one
+//! row share no site, so they are plain plane arithmetic against the row
+//! above, whose budgets they lower before that row is swept.
+//!
+//! **Why four planes and a clamp at 10 suffice.** The sweep compares a
+//! budget only with small constants: 1, and `R + 2 + k` where `k ≤ 2`
+//! leaves the current bond takes (a class map asks `b − k ≥ R + 2` as
+//! `b ≥ R + 2 + k`). These are the scalar sweep's tests, shifted by what
+//! the bond spends. A site has at most four bonds, and each spends at most
+//! two leaves, so at most 6 leaves are gone before its last first attempt
+//! and at most 7 before its last retry test. A budget clamped to 10 is
+//! then still at least 4 at every zero test, and at least 3 after the first
+//! attempt at every retry test, which passes for any `R ≤ 2`: the same
+//! outcomes as for a true budget `≥ 10`, so every comparison comes out the
+//! same. A clamped budget fits four planes, and no subtraction borrows past
+//! them: a bond spends only leaves its ends hold.
 //!
 //! # The whole-row path
 //!
-//! With merging factor 1 and degree ≥ 6 no budget can run out (see
-//! `generate_whole_row`), and the engine draws from the word-batched
-//! stream instead: each row's first attempts are pre-drawn as packed
-//! words, and the rare retries read that stream bit by bit.
+//! With merging factor 1 and degree ≥ 6 no budget can run out before a
+//! first attempt (see `generate_whole_row`), so the engine draws from the
+//! word-batched stream instead: each row's first attempts are pre-drawn as
+//! packed words, and the retries read that stream bit by bit.
+//!
+//! **Why retries can be drawn after the row's decisions.** A retry's
+//! outcome only decides whether its own bond is realized. Whether any bond
+//! is attempted or retried depends on budgets and first-attempt bits, never
+//! on a retry's bit. So the kernel decides the whole row from its
+//! first-attempt words, then draws exactly the retries its retry masks ask
+//! for, in sweep order (site by site, east before north). That is the order
+//! a per-bond loop draws them in, so each retry reads the same bit of the
+//! stream, and the layer comes out the same.
 
 use crate::config::HardwareConfig;
 use crate::layer::PhysicalLayer;
@@ -123,52 +167,348 @@ impl FusionStrategy {
 /// the clamp changes no comparison of the bond sweep.
 const BUDGET_CAP: usize = 10;
 
-/// Entries of [`STEP`]: 3 × 3 `remaining` pairs, each with a 16 × 16 grid
-/// of budget pairs (11 × 11 used) times 4 outcome-bit pairs.
-const STEP_LEN: usize = 9 << 10;
+/// One row word of budgets as four bit-planes: bit `j` of plane `b` is bit
+/// `b` of lane `j`'s budget.
+type Planes = [u64; 4];
 
-/// Mask of a budget field of a step-table key or entry.
-const BUDGET_FIELD: usize = 0xf << 6;
-
-/// The part of a step-table key fixed by the bond's geometry.
-const fn step_geometry(rem_a: usize, rem_b: usize) -> usize {
-    (rem_a * 3 + rem_b) << 10
+/// The lanes whose value is at least `k` (`k ≤ 15`): a most-significant-
+/// first scan that tracks "greater so far" and "equal so far".
+#[inline(always)]
+fn ge(v: &Planes, k: u32) -> u64 {
+    let (mut gt, mut eq) = (0u64, u64::MAX);
+    for b in (0..4).rev() {
+        if k >> b & 1 == 1 {
+            eq &= v[b];
+        } else {
+            gt |= eq & v[b];
+            eq &= !v[b];
+        }
+    }
+    gt | eq
 }
 
-/// The bond sweep's step function, tabulated. The key is
-/// `geometry | budget_a << 6 | budget_b << 2 | first | retry << 1` for
-/// endpoints `a` and `b` with clamped budgets and `remaining` counts, and
-/// the bond's two outcome bits. The entry is
-/// `ok | budget_a' << 6 | budget_b' << 10 | attempts << 14`: whether the
-/// bond was realized, both budgets after it and how many attempts it made.
-/// `budget_a'` sits where the next key of site `a` wants it, so the sweep
-/// chains lookups with one mask.
-static STEP: [u16; STEP_LEN] = build_step_table();
+/// Subtracts `lo + 2 · hi` from every lane, by borrow propagation. The
+/// caller never takes more than a lane holds.
+#[inline(always)]
+fn sub2(v: &mut Planes, lo: u64, hi: u64) {
+    let borrow0 = !v[0] & lo;
+    v[0] ^= lo;
+    let borrow1 = !v[1] & (hi | borrow0) | hi & borrow0;
+    v[1] ^= hi ^ borrow0;
+    let borrow2 = !v[2] & borrow1;
+    v[2] ^= borrow1;
+    v[3] ^= borrow2;
+}
 
-const fn build_step_table() -> [u16; STEP_LEN] {
-    let mut table = [0u16; STEP_LEN];
-    let mut key = 0;
-    while key < STEP_LEN {
-        let (first, retry) = (key & 1 == 1, key & 2 == 2);
-        let (a, b) = (key >> 6 & 0xf, key >> 2 & 0xf);
-        let (rem_a, rem_b) = ((key >> 10) / 3, (key >> 10) % 3);
-        let (mut a2, mut b2, mut ok, mut attempts) = (a, b, false, 0);
-        if a > 0 && b > 0 {
-            a2 -= 1;
-            b2 -= 1;
-            attempts = 1;
-            ok = first;
-            if !first && a2 > rem_a && b2 > rem_b {
-                a2 -= 1;
-                b2 -= 1;
-                attempts = 2;
-                ok = retry;
+/// A lane-wise map of the three budget classes (see the module docs):
+/// class `c` goes to class 1 on the lanes of `one[c]`, to class 2 on those
+/// of `two[c]`, and to class 0 elsewhere.
+#[derive(Clone, Copy)]
+struct ClassMap {
+    one: [u64; 3],
+    two: [u64; 3],
+}
+
+impl ClassMap {
+    /// `self ∘ inner`, lane by lane: `inner` first.
+    #[inline(always)]
+    fn after(&self, inner: &ClassMap) -> ClassMap {
+        let mut out = ClassMap { one: [0; 3], two: [0; 3] };
+        for c in 0..3 {
+            let (to1, to2) = (inner.one[c], inner.two[c]);
+            let to0 = !(to1 | to2);
+            out.one[c] = to0 & self.one[0] | to1 & self.one[1] | to2 & self.one[2];
+            out.two[c] = to0 & self.two[0] | to1 & self.two[1] | to2 & self.two[2];
+        }
+        out
+    }
+
+    /// The inclusive prefix: lane `j` becomes lane `j` ∘ … ∘ lane 0, by a
+    /// Kogge–Stone scan. Each step composes with the maps `d` lanes below,
+    /// and the `d` lowest lanes compose with the identity.
+    #[inline(always)]
+    fn prefix(self) -> ClassMap {
+        let mut acc = self;
+        for d in [1u32, 2, 4, 8, 16, 32] {
+            let fill = (1u64 << d) - 1;
+            let below = ClassMap {
+                one: [acc.one[0] << d, acc.one[1] << d | fill, acc.one[2] << d],
+                two: [acc.two[0] << d, acc.two[1] << d, acc.two[2] << d | fill],
+            };
+            acc = acc.after(&below);
+        }
+        acc
+    }
+
+    /// The classes a word's lanes enter with, given the prefix maps of the
+    /// word and the class `carry` its first lane enters with: lane `j`
+    /// enters with what lanes `0..j` made of `carry`. Returns the class-1
+    /// and class-2 planes and the class carried into the next word.
+    #[inline(always)]
+    fn classes_in(&self, carry: usize) -> (u64, u64, usize) {
+        let (one, two) = (self.one[carry], self.two[carry]);
+        let carry_out = (one >> 63 | (two >> 63) << 1) as usize;
+        (one << 1 | u64::from(carry == 1), two << 1 | u64::from(carry == 2), carry_out)
+    }
+}
+
+/// The class of one budget for a site with `remaining` outgoing bonds.
+fn class_of(budget: u32, remaining: u32) -> usize {
+    match budget {
+        0 => 0,
+        b if b >= remaining + 2 => 2,
+        _ => 1,
+    }
+}
+
+/// The decisions of one row word of the bond sweep: which bonds got a
+/// first attempt, and which of those were retried.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowMasks {
+    east: u64,
+    east_retry: u64,
+    north: u64,
+    north_retry: u64,
+}
+
+/// The bond sweep's row buffers, one entry per row word (`⌈L/64⌉`).
+#[derive(Debug, Clone, Default)]
+struct SweepRows {
+    /// Budgets of the row being swept.
+    cur: Vec<Planes>,
+    /// Budgets of the row above it, lowered by its north bonds.
+    above: Vec<Planes>,
+    /// First-attempt outcome words of the row's east and north bonds.
+    east: Vec<u64>,
+    north: Vec<u64>,
+    /// The row's decisions.
+    masks: Vec<RowMasks>,
+}
+
+impl SweepRows {
+    fn reset(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        self.cur.resize(words, [0; 4]);
+        self.above.resize(words, [0; 4]);
+        self.east.resize(words, 0);
+        self.north.resize(words, 0);
+        self.masks.resize(words, RowMasks::default());
+    }
+}
+
+/// The lanes of row word `w` that hold one of the row's first `len` sites.
+fn lanes_below(len: usize, w: usize) -> u64 {
+    match len.saturating_sub(64 * w) {
+        0 => 0,
+        k if k >= 64 => u64::MAX,
+        k => (1u64 << k) - 1,
+    }
+}
+
+/// Packs one row of budget bytes into planes, eight lanes per
+/// multiply-gather.
+fn pack_budgets(row: &[u8], out: &mut [Planes]) {
+    for (planes, lanes) in out.iter_mut().zip(row.chunks(64)) {
+        *planes = [0; 4];
+        for (k, chunk) in lanes.chunks(8).enumerate() {
+            let mut bytes = [0u8; 8];
+            bytes[..chunk.len()].copy_from_slice(chunk);
+            let bytes = u64::from_le_bytes(bytes);
+            for (b, plane) in planes.iter_mut().enumerate() {
+                // Bit `b` of each byte, gathered into the top byte.
+                let spread = bytes >> b & 0x0101_0101_0101_0101;
+                *plane |= (spread.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
             }
         }
-        table[key] = (ok as usize | a2 << 6 | b2 << 10 | attempts << 14) as u16;
-        key += 1;
     }
-    table
+}
+
+/// Fills a row's planes with the same budget on each of its `n` sites.
+fn fill_budgets(budget: u8, n: usize, out: &mut [Planes]) {
+    for (w, planes) in out.iter_mut().enumerate() {
+        let lanes = lanes_below(n, w);
+        *planes = std::array::from_fn(|b| if budget >> b & 1 == 1 { lanes } else { 0 });
+    }
+}
+
+/// The 64 bits of a flat plane starting at bit `lo`, zero past its end.
+#[inline]
+fn flat_word(words: &[u64], lo: usize) -> u64 {
+    let (wi, shift) = (lo / 64, lo % 64);
+    let low = words.get(wi).map_or(0, |&w| w >> shift);
+    match words.get(wi + 1) {
+        Some(&high) if shift > 0 => low | high << (64 - shift),
+        _ => low,
+    }
+}
+
+/// Decides the bonds of row `y` of an `n`-sided layer: reads the row's
+/// budgets (`rows.cur`) and first-attempt words, writes the decisions to
+/// `rows.masks`, and lowers the budgets of the row above (`rows.above`) by
+/// what its north bonds spent. See the module docs.
+fn sweep_row(n: usize, y: usize, rows: &mut SweepRows) {
+    let SweepRows { cur, above, east, north, masks } = rows;
+    let up = y + 1 < n;
+    let up_next = y + 2 < n;
+    // `remaining` of every site but the row's last, which has no east bond.
+    let r = 1 + usize::from(up);
+    let last = n - 1;
+    let lane_bit = |x: usize, w: usize| if x / 64 == w { 1u64 << (x % 64) } else { 0 };
+    let site0 = (0..4).map(|b| (cur[0][b] as u32 & 1) << b).sum();
+    let mut carry = class_of(site0, u32::from(n > 1) + u32::from(up));
+    let (mut spent_lo, mut spent_hi) = (0u64, 0u64);
+    for w in 0..cur.len() {
+        let lanes = lanes_below(n, w);
+        let east_lanes = lanes_below(last, w);
+        let last_bit = lane_bit(last, w);
+        // Lane `x` of `b` is site `x + 1`, the far end of east bond `x`,
+        // whose `remaining` is one less when it is the row's last site.
+        let pre_last = if n >= 2 { lane_bit(n - 2, w) } else { 0 };
+        let next = cur.get(w + 1).copied().unwrap_or([0; 4]);
+        let b: Planes = std::array::from_fn(|p| cur[w][p] >> 1 | next[p] << 63);
+        let at_least: [u64; 7] = std::array::from_fn(|k| ge(&b, k as u32));
+        // Lanes where `b − k ≥ R + 2` for the far end's `R`.
+        let spare = |k: usize| at_least[r + 2 + k] & !pre_last | at_least[r + 1 + k] & pre_last;
+        let spare_k = [spare(0), spare(1), spare(2)];
+        let pos_k = [at_least[1], at_least[2], at_least[3]];
+        let one_k: [u64; 3] = std::array::from_fn(|k| pos_k[k] & !spare_k[k]);
+        // A near end of class 2 takes a second leaf after a failed first
+        // attempt when the far end can spare it.
+        let retry = !east[w] & spare_k[0];
+        let map = ClassMap {
+            one: [one_k[0], one_k[1], one_k[2] & retry | one_k[1] & !retry],
+            two: [spare_k[0], spare_k[1], spare_k[2] & retry | spare_k[1] & !retry],
+        };
+        let (class1, class2, carry_out) = map.prefix().classes_in(carry);
+        carry = carry_out;
+        let east_att = east_lanes & (class1 | class2) & pos_k[0];
+        let east_ret = east_att & class2 & retry;
+        let (lo, hi) = (east_att & !east_ret, east_ret);
+        // What each site has left after its west and east bonds.
+        let mut left = cur[w];
+        sub2(&mut left, lo << 1 | spent_lo, hi << 1 | spent_hi);
+        sub2(&mut left, lo, hi);
+        (spent_lo, spent_hi) = (lo >> 63, hi >> 63);
+        let (mut north_att, mut north_ret) = (0, 0);
+        if up {
+            let top = &mut above[w];
+            north_att = lanes & ge(&left, 1) & ge(top, 1);
+            let left_spare = ge(&left, 4) & !last_bit | ge(&left, 3) & last_bit;
+            let top_r = 1 + u32::from(up_next);
+            let top_spare = ge(top, top_r + 2) & !last_bit | ge(top, top_r + 1) & last_bit;
+            north_ret = north_att & !north[w] & left_spare & top_spare;
+            sub2(top, north_att & !north_ret, north_ret);
+        }
+        masks[w] = RowMasks {
+            east: east_att,
+            east_retry: east_ret,
+            north: north_att,
+            north_retry: north_ret,
+        };
+    }
+}
+
+/// Where the bond sweep takes its row-start budgets and outcome bits.
+enum BondSource<'a> {
+    /// The merged path: the merging phase's budgets, one byte per site, and
+    /// the four pre-drawn outcome planes.
+    Planes { budget: &'a [u8], planes: &'a [u64] },
+    /// The whole-row path: every site starts at `start`. Each row's first
+    /// attempts are batched words, and its retries are drawn one by one
+    /// after its decisions.
+    Stream { start: u8, sampler: &'a mut FusionSampler },
+}
+
+/// Sweeps every bond of an `n`-sided layer, ORs the realized ones into
+/// `layer`, and returns the sweep's attempts and successes. (A stream
+/// source's sampler has counted its draws already.)
+fn sweep_bonds(
+    n: usize,
+    mut source: BondSource<'_>,
+    rows: &mut SweepRows,
+    layer: &mut PhysicalLayer,
+) -> FusionStats {
+    rows.reset(n);
+    let words = rows.cur.len();
+    let plane_words = (n * n).div_ceil(64);
+    match &source {
+        BondSource::Planes { budget, .. } => pack_budgets(&budget[..n], &mut rows.cur),
+        BondSource::Stream { start, .. } => fill_budgets(*start, n, &mut rows.cur),
+    }
+    let mut stats = FusionStats::default();
+    for y in 0..n {
+        let up = y + 1 < n;
+        let row = y * n;
+        match &mut source {
+            BondSource::Planes { budget, planes } => {
+                if up {
+                    pack_budgets(&budget[row + n..row + 2 * n], &mut rows.above);
+                }
+                for w in 0..words {
+                    rows.east[w] = flat_word(planes, row + 64 * w);
+                    rows.north[w] = flat_word(&planes[plane_words..], row + 64 * w);
+                }
+            }
+            BondSource::Stream { start, sampler } => {
+                if up {
+                    fill_budgets(*start, n, &mut rows.above);
+                }
+                for w in 0..words {
+                    rows.east[w] = sampler.sample_batched_word(lanes_below(n - 1, w).count_ones());
+                }
+                for w in 0..words {
+                    rows.north[w] = if up {
+                        sampler.sample_batched_word(lanes_below(n, w).count_ones())
+                    } else {
+                        0
+                    };
+                }
+            }
+        }
+        sweep_row(n, y, rows);
+        for w in 0..words {
+            let m = rows.masks[w];
+            let (east_retried, north_retried) = match &mut source {
+                BondSource::Planes { planes, .. } => (
+                    m.east_retry & flat_word(&planes[2 * plane_words..], row + 64 * w),
+                    m.north_retry & flat_word(&planes[3 * plane_words..], row + 64 * w),
+                ),
+                BondSource::Stream { sampler, .. } => {
+                    debug_assert!(
+                        m.east == lanes_below(n - 1, w)
+                            && m.north == if up { lanes_below(n, w) } else { 0 },
+                        "the whole-row path drew a first attempt for a skipped bond"
+                    );
+                    let (mut east_ok, mut north_ok) = (0u64, 0u64);
+                    let mut pending = m.east_retry | m.north_retry;
+                    while pending != 0 {
+                        let bit = pending & pending.wrapping_neg();
+                        if m.east_retry & bit != 0 && sampler.sample_batched().is_success() {
+                            east_ok |= bit;
+                        }
+                        if m.north_retry & bit != 0 && sampler.sample_batched().is_success() {
+                            north_ok |= bit;
+                        }
+                        pending ^= bit;
+                    }
+                    (east_ok, north_ok)
+                }
+            };
+            let east_ok = m.east & rows.east[w] | east_retried;
+            let north_ok = m.north & rows.north[w] | north_retried;
+            stats.attempted += u64::from(
+                m.east.count_ones()
+                    + m.east_retry.count_ones()
+                    + m.north.count_ones()
+                    + m.north_retry.count_ones(),
+            );
+            stats.succeeded += u64::from(east_ok.count_ones() + north_ok.count_ones());
+            layer.or_bond_east_row_word(y, 64 * w, east_ok);
+            layer.or_bond_north_row_word(y, 64 * w, north_ok);
+        }
+        std::mem::swap(&mut rows.cur, &mut rows.above);
+    }
+    stats
 }
 
 /// What one merging outcome sets up for its site.
@@ -216,16 +556,14 @@ pub struct GenerationPlan {
 }
 
 /// The per-thread half of layer generation: scratch reused across layers,
-/// so the steady-state per-RSL loop allocates nothing. It holds the
-/// clamped in-plane budgets, the four outcome planes of the merged path,
-/// and the whole-row path's first-attempt words for one row of east/north
-/// bonds. Any plan can use any scratch.
+/// so the steady-state per-RSL loop allocates nothing. It holds the merged
+/// path's clamped budgets and four outcome planes, and the bond sweep's
+/// row buffers. Any plan can use any scratch.
 #[derive(Debug, Clone, Default)]
 pub struct GenerationScratch {
     budget: Vec<u8>,
     planes: Vec<u64>,
-    row_east: Vec<u64>,
-    row_north: Vec<u64>,
+    rows: SweepRows,
 }
 
 impl GenerationPlan {
@@ -292,7 +630,7 @@ impl GenerationPlan {
     }
 
     /// The word-parallel path (see the module docs): one alias draw per
-    /// site, four outcome planes, one step-table lookup per bond.
+    /// site, four outcome planes, then the bit-sliced bond sweep.
     fn generate_merged(
         &self,
         sampler: &mut FusionSampler,
@@ -302,7 +640,7 @@ impl GenerationPlan {
         let n = self.config().rsl_size;
         let total = n * n;
         let GenerationPlan { merge_law, site_init, .. } = self;
-        let GenerationScratch { budget, planes, .. } = scratch;
+        let GenerationScratch { budget, planes, rows } = scratch;
         let mut stats = FusionStats::default();
 
         // Merging phase. The RNG words of a 64-site chunk go into a local
@@ -328,72 +666,10 @@ impl GenerationPlan {
         }
 
         // Bond phase: east first, north first, east retry, north retry.
-        let plane_words = total.div_ceil(64);
         planes.clear();
-        planes.resize(4 * plane_words, 0);
+        planes.resize(4 * total.div_ceil(64), 0);
         sampler.fill_outcome_words(planes);
-        let (first, retry) = planes.split_at(2 * plane_words);
-        let (east1, north1) = first.split_at(plane_words);
-        let (east2, north2) = retry.split_at(plane_words);
-
-        // The sweep runs one step-table lookup per bond. The budget of the
-        // site being swept travels in `cur`, already in key position: its
-        // east bond hands the east neighbor's new budget on as the next
-        // `cur`, and its north bond writes the northern neighbor's back.
-        // The outcome bits of the site's bonds are shifted out of the four
-        // plane words one site at a time, and the realized bonds are
-        // gathered into one word per plane before they are stored.
-        let mut attempted = 0usize;
-        let (mut east_word, mut north_word) = (0u64, 0u64);
-        let (mut e1, mut e2, mut n1, mut n2) = (0u64, 0u64, 0u64, 0u64);
-        for y in 0..n {
-            let row = y * n;
-            let up = usize::from(y + 1 < n);
-            let up_next = usize::from(y + 2 < n);
-            // `remaining` of both ends: inner bonds, then the last column's.
-            let east_inner = step_geometry(1 + up, 1 + up);
-            let east_last = step_geometry(1 + up, up);
-            let north_inner = step_geometry(2, 1 + up_next);
-            let north_last = step_geometry(1, up_next);
-            let mut cur = usize::from(budget[row]) << 6;
-            for x in 0..n {
-                let a = row + x;
-                let s = a % 64;
-                if s == 0 {
-                    let w = a / 64;
-                    (e1, e2, n1, n2) = (east1[w], east2[w], north1[w], north2[w]);
-                }
-                let mut next = 0;
-                if x + 1 < n {
-                    let geometry = if x + 2 < n { east_inner } else { east_last };
-                    let bits = (e1 & 1 | (e2 & 1) << 1) as usize;
-                    let key = geometry | cur | usize::from(budget[a + 1]) << 2 | bits;
-                    let e = usize::from(STEP[key]);
-                    attempted += e >> 14;
-                    east_word |= ((e & 1) as u64) << s;
-                    cur = e & BUDGET_FIELD;
-                    next = e >> 4 & BUDGET_FIELD;
-                }
-                if up == 1 {
-                    let geometry = if x + 1 < n { north_inner } else { north_last };
-                    let bits = (n1 & 1 | (n2 & 1) << 1) as usize;
-                    let key = geometry | cur | usize::from(budget[a + n]) << 2 | bits;
-                    let e = usize::from(STEP[key]);
-                    budget[a + n] = (e >> 10 & 0xf) as u8;
-                    attempted += e >> 14;
-                    north_word |= ((e & 1) as u64) << s;
-                }
-                (e1, e2, n1, n2) = (e1 >> 1, e2 >> 1, n1 >> 1, n2 >> 1);
-                if s == 63 || a + 1 == total {
-                    layer.or_bond_east_word(a / 64, east_word);
-                    layer.or_bond_north_word(a / 64, north_word);
-                    stats.succeeded += u64::from(east_word.count_ones() + north_word.count_ones());
-                    (east_word, north_word) = (0, 0);
-                }
-                cur = next;
-            }
-        }
-        stats.attempted += attempted as u64;
+        stats.absorb(sweep_bonds(n, BondSource::Planes { budget, planes }, rows, layer));
         sampler.record(stats);
     }
 
@@ -420,66 +696,10 @@ impl GenerationPlan {
         layer: &mut PhysicalLayer,
     ) {
         let cfg = self.config();
-        let n = cfg.rsl_size;
-        let GenerationScratch { budget, row_east, row_north, .. } = scratch;
         // Every site holds `degree ≥ 6` leaves, so `reset_blank`'s
         // all-present, all-ports planes are already right.
         let start = (cfg.resource_state_degree() - 1).min(BUDGET_CAP) as u8;
-        budget.clear();
-        budget.resize(n * n, start);
-
-        let idx = |x: usize, y: usize| y * n + x;
-        let remaining_bonds = |x: usize, y: usize| u8::from(x + 1 < n) + u8::from(y + 1 < n);
-        for y in 0..n {
-            row_east.clear();
-            for cx in 0..(n - 1).div_ceil(64) {
-                let cnt = 64.min(n - 1 - cx * 64) as u32;
-                row_east.push(sampler.sample_batched_word(cnt));
-            }
-            row_north.clear();
-            if y + 1 < n {
-                for cx in 0..n.div_ceil(64) {
-                    let cnt = 64.min(n - cx * 64) as u32;
-                    row_north.push(sampler.sample_batched_word(cnt));
-                }
-            }
-            for x in 0..n {
-                let a = idx(x, y);
-                for east in [true, false] {
-                    let (bx, by) = if east { (x + 1, y) } else { (x, y + 1) };
-                    if bx >= n || by >= n {
-                        continue;
-                    }
-                    let b = idx(bx, by);
-                    debug_assert!(
-                        budget[a] > 0 && budget[b] > 0,
-                        "whole-row fast path drew a first attempt for a skipped bond"
-                    );
-                    budget[a] -= 1;
-                    budget[b] -= 1;
-                    let row = if east { &*row_east } else { &*row_north };
-                    let mut ok = row[x / 64] >> (x % 64) & 1 == 1;
-                    if !ok {
-                        // Collective retry with redundant degrees.
-                        let spare_a = budget[a] > remaining_bonds(x, y);
-                        let spare_b = budget[b] > remaining_bonds(bx, by);
-                        if spare_a && spare_b {
-                            budget[a] -= 1;
-                            budget[b] -= 1;
-                            ok = sampler.sample_batched().is_success();
-                        }
-                    }
-                    if ok {
-                        let bit = 1u64 << (a % 64);
-                        if east {
-                            layer.or_bond_east_word(a / 64, bit);
-                        } else {
-                            layer.or_bond_north_word(a / 64, bit);
-                        }
-                    }
-                }
-            }
-        }
+        sweep_bonds(cfg.rsl_size, BondSource::Stream { start, sampler }, &mut scratch.rows, layer);
     }
 }
 
@@ -610,6 +830,104 @@ mod tests {
                 layer.fusions_attempted
             );
             assert!(layer.fusions_attempted <= 2 * planned.max(1));
+        }
+    }
+
+    #[test]
+    fn budget_planes_compare_and_subtract_like_scalars() {
+        // One lane per (budget, amount) pair with amount ≤ budget, for every
+        // budget the clamp allows.
+        let pairs: Vec<(u32, u32)> =
+            (0..=10).flat_map(|v| (0..=v.min(2)).map(move |k| (v, k))).collect();
+        assert!(pairs.len() <= 64);
+        let mut planes: Planes = [0; 4];
+        let (mut lo, mut hi) = (0u64, 0u64);
+        for (j, &(v, k)) in pairs.iter().enumerate() {
+            for (b, plane) in planes.iter_mut().enumerate() {
+                *plane |= u64::from(v >> b & 1) << j;
+            }
+            lo |= u64::from(k & 1) << j;
+            hi |= u64::from(k >> 1) << j;
+        }
+        for k in 0..=15 {
+            let at_least = ge(&planes, k);
+            for (j, &(v, _)) in pairs.iter().enumerate() {
+                assert_eq!(at_least >> j & 1 == 1, v >= k, "budget {v} ≥ {k}");
+            }
+        }
+        let mut left = planes;
+        sub2(&mut left, lo, hi);
+        for (j, &(v, k)) in pairs.iter().enumerate() {
+            let lane = (0..4).map(|b| (left[b] >> j & 1) << b).sum::<u64>();
+            assert_eq!(lane, u64::from(v - k), "budget {v} − {k}");
+        }
+        assert!(left.iter().all(|&p| p >> pairs.len() == 0), "idle lanes stay zero");
+    }
+
+    #[test]
+    fn class_map_prefix_matches_a_scalar_fold() {
+        // Random lane maps over three words, chained through the carry the
+        // way the east sweep chains them, from a nonzero carry-in.
+        for seed in 0..20u64 {
+            let maps: Vec<[usize; 3]> = (0..192)
+                .map(|i| std::array::from_fn(|c| (layer_key(seed, 3 * i + c as u64) % 3) as usize))
+                .collect();
+            let mut carry = 1 + (seed % 2) as usize;
+            let mut scalar = carry;
+            for (w, word) in maps.chunks(64).enumerate() {
+                let mut map = ClassMap { one: [0; 3], two: [0; 3] };
+                for (j, f) in word.iter().enumerate() {
+                    for (c, &to) in f.iter().enumerate() {
+                        map.one[c] |= u64::from(to == 1) << j;
+                        map.two[c] |= u64::from(to == 2) << j;
+                    }
+                }
+                let (one, two, carry_out) = map.prefix().classes_in(carry);
+                for (j, f) in word.iter().enumerate() {
+                    let lane = (one >> j & 1) as usize + 2 * (two >> j & 1) as usize;
+                    assert_eq!(lane, scalar, "seed {seed}: word {w} lane {j}");
+                    scalar = f[scalar];
+                }
+                assert_eq!(carry_out, scalar, "seed {seed}: carry out of word {w}");
+                carry = carry_out;
+            }
+        }
+    }
+
+    #[test]
+    fn whole_row_sweep_attempts_every_bond() {
+        // The non-exhaustion proof behind the whole-row path, at a low
+        // probability that retries often and from the smallest whole-row
+        // budget (6-qubit states): every row's attempt masks cover every
+        // bond of the row.
+        for side in [1usize, 2, 7, 33, 63, 64, 65, 120, 129] {
+            let mut sampler = FusionSampler::new(0.3, side as u64);
+            let mut rows = SweepRows::default();
+            rows.reset(side);
+            fill_budgets(5, side, &mut rows.cur);
+            let mut retries = 0;
+            for y in 0..side {
+                let up = y + 1 < side;
+                fill_budgets(5, side, &mut rows.above);
+                for w in 0..rows.cur.len() {
+                    rows.east[w] = sampler.sample_batched_word(64);
+                    rows.north[w] = sampler.sample_batched_word(64);
+                }
+                sweep_row(side, y, &mut rows);
+                for (w, m) in rows.masks.iter().enumerate() {
+                    assert_eq!(m.east, lanes_below(side - 1, w), "L={side} row {y} word {w}");
+                    let north = if up { lanes_below(side, w) } else { 0 };
+                    assert_eq!(m.north, north, "L={side} row {y} word {w}");
+                }
+                retries += rows
+                    .masks
+                    .iter()
+                    .map(|m| m.east_retry | m.north_retry)
+                    .filter(|&r| r != 0)
+                    .count();
+                std::mem::swap(&mut rows.cur, &mut rows.above);
+            }
+            assert!(side < 7 || retries > 0, "L={side}: no row retried a bond");
         }
     }
 

@@ -342,18 +342,20 @@ impl PhysicalLayer {
         self.temporal_port.store_word(wi, bits);
     }
 
-    /// ORs accumulated east-bond bits into word `wi`. The caller must not
-    /// set last-column bits.
+    /// ORs 64 east-bond bits in starting at `(x0, y)`, the write twin of
+    /// [`PhysicalLayer::bond_east_row_word`]. The caller must not set bits
+    /// past the row end.
     #[inline]
-    pub(crate) fn or_bond_east_word(&mut self, wi: usize, bits: u64) {
-        self.bond_east.or_word(wi, bits);
+    pub(crate) fn or_bond_east_row_word(&mut self, y: usize, x0: usize, bits: u64) {
+        self.bond_east.or_word_at(y * self.width + x0, bits);
     }
 
-    /// ORs accumulated north-bond bits into word `wi`. The caller must not
-    /// set last-row bits.
+    /// ORs 64 north-bond bits in starting at `(x0, y)`, the write twin of
+    /// [`PhysicalLayer::bond_north_row_word`]. The caller must not set bits
+    /// past the row end.
     #[inline]
-    pub(crate) fn or_bond_north_word(&mut self, wi: usize, bits: u64) {
-        self.bond_north.or_word(wi, bits);
+    pub(crate) fn or_bond_north_row_word(&mut self, y: usize, x0: usize, bits: u64) {
+        self.bond_north.or_word_at(y * self.width + x0, bits);
     }
 
     /// Returns `true` when two adjacent sites are connected by a present

@@ -157,11 +157,6 @@ impl FusionSampler {
     /// buffered bit only consumed — when the caller actually samples). The
     /// layer generator's whole-row bond phase runs on this stream; time-like
     /// fusions stay on the per-attempt [`FusionSampler::sample`] stream.
-    ///
-    /// Callers that interleave batched and per-attempt draws must call
-    /// [`FusionSampler::flush_batch`] at the end of each batched phase so
-    /// the underlying RNG stream stays a deterministic function of the
-    /// sampled sequence.
     #[inline]
     pub fn sample_batched(&mut self) -> FusionOutcome {
         if self.batch_len == 0 {
@@ -214,14 +209,6 @@ impl FusionSampler {
         self.stats.attempted += u64::from(count);
         self.stats.succeeded += u64::from(out.count_ones());
         out
-    }
-
-    /// Discards any pre-drawn batched outcomes. Called at the end of a
-    /// batched sampling phase (deterministically, independent of data) so
-    /// subsequent per-attempt draws never observe leftover batch state.
-    pub fn flush_batch(&mut self) {
-        self.batch = 0;
-        self.batch_len = 0;
     }
 
     /// Fills `out` with uniform random words straight from the RNG, for
@@ -348,8 +335,6 @@ mod tests {
         // Only the five consumed outcomes count, not the 64-outcome block
         // drawn behind them.
         assert_eq!(s.stats().attempted, 5);
-        s.flush_batch();
-        assert_eq!(s.stats().attempted, 5, "flush discards bits, not stats");
     }
 
     #[test]
@@ -383,10 +368,10 @@ mod tests {
     }
 
     #[test]
-    fn word_draws_interleave_with_single_draws_and_flushes() {
-        // A mixed consumer (words, single bits, flush, per-attempt draws)
-        // sees the same stream as a pure single-bit consumer of the same
-        // pattern: the word draw is a view of the stream, not a fork.
+    fn word_draws_interleave_with_single_draws() {
+        // A mixed consumer (words, single bits, per-attempt draws) sees the
+        // same stream as a pure single-bit consumer of the same pattern:
+        // the word draw is a view of the stream, not a fork.
         let mut mixed = FusionSampler::new(0.75, 9);
         let mut plain = FusionSampler::new(0.75, 9);
         let mut mixed_out = Vec::new();
@@ -401,8 +386,6 @@ mod tests {
                 mixed_out.push(mixed.sample_batched().is_success());
                 plain_out.push(plain.sample_batched().is_success());
             }
-            mixed.flush_batch();
-            plain.flush_batch();
             mixed_out.push(mixed.sample().is_success());
             plain_out.push(plain.sample().is_success());
         }
@@ -437,28 +420,5 @@ mod tests {
         // sampler's first word.
         let mut fresh = FusionSampler::new(0.75, 4);
         assert_eq!(s.sample_batched_word(64), fresh.sample_batched_word(64));
-    }
-
-    #[test]
-    fn flushed_batches_keep_the_stream_deterministic() {
-        // Two samplers consuming the same (batched-phase, per-attempt)
-        // pattern see identical streams, regardless of how many bits each
-        // batched phase left unconsumed before its flush.
-        let run = |seed: u64| {
-            let mut s = FusionSampler::new(0.75, seed);
-            let mut outcomes = Vec::new();
-            for phase in 0..4 {
-                for _ in 0..(7 + phase * 13) {
-                    outcomes.push(s.sample_batched());
-                }
-                s.flush_batch();
-                for _ in 0..3 {
-                    outcomes.push(s.sample());
-                }
-            }
-            outcomes
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43));
     }
 }
