@@ -17,8 +17,8 @@
 //!
 //! If a change to the RNG shim, the bit-slicing construction or the scalar
 //! `gen_bool` path is *intentional*, regenerate these constants with the
-//! checked-in tool (`cargo run -p oneperc-hardware --example regen_pins`
-//! prints them in paste-ready form) and say so loudly in the commit —
+//! checked-in tool (`cargo run --release -p oneperc --example regen_pins`
+//! prints them in paste-ready form, beside the report pins) and say so loudly in the commit —
 //! every seeded result in the repository shifts with them. The word-
 //! granular [`FusionSampler::sample_batched_word`] draw and the outcome
 //! planes of [`FusionSampler::fill_outcome_words`] are views of the
