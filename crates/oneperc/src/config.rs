@@ -128,8 +128,14 @@ impl CompilerConfig {
     }
 
     /// Overrides the resource-state size.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `size < 3`, as [`HardwareConfig::new`] does: a smaller
+    /// star has no leaf to spare for merging.
     #[must_use]
     pub fn with_resource_state_size(mut self, size: usize) -> Self {
+        assert!(size >= 3, "resource states need at least 3 qubits (degree 2)");
         self.hardware.resource_state_size = size;
         self
     }
@@ -252,6 +258,14 @@ mod tests {
         assert_eq!(cfg.renorm_workers, 0, "in-thread verdicts by default");
         let cfg = cfg.with_renorm_workers(3);
         assert_eq!(cfg.renorm_workers, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 3 qubits")]
+    fn undersized_resource_states_are_rejected_by_the_setter() {
+        // Size 2 would divide by zero in `merging_factor`, and smaller
+        // sizes underflow the degree.
+        let _ = CompilerConfig::for_qubits(4, 0.75, 1).with_resource_state_size(2);
     }
 
     #[test]
