@@ -2,8 +2,8 @@
 //! resource-state layer as the RSL grows — full renormalization beside the
 //! path-free `spans_target` verdict the reshaping engine runs — and layer
 //! generation alone for merged 4-qubit states (m = 3) and unmerged 7-qubit
-//! states (the whole-row path), at the Table-1 preset and at the
-//! `fleet-mixed` tenants' shape.
+//! states (m = 1, the one-outcome merge law), at the Table-1 preset and at
+//! the `fleet-mixed` tenants' shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_hardware::{FusionEngine, HardwareConfig, PhysicalLayer};
@@ -63,9 +63,9 @@ fn bench_online_per_rsl(c: &mut Criterion) {
     group.finish();
 }
 
-/// Steady-state generation of one layer, on both bit sources of the bond
-/// sweep: 4-qubit states merged three at a time (the merged path's outcome
-/// planes) and 7-qubit states (m = 1, the whole-row path's batched stream).
+/// Steady-state generation of one layer: 4-qubit states merged three at a
+/// time (an 8-outcome merge law) and 7-qubit states (m = 1, where merging
+/// draws nothing and the four bond outcome planes are all the draws).
 /// L = 120 at p = 0.75 is the Table-1 preset; L = 36 at p = 0.9 is the
 /// shape of the two `fleet-mixed` tenants.
 fn bench_generate(c: &mut Criterion) {

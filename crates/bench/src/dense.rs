@@ -4,20 +4,20 @@
 //! [`DenseBoolLayer`] stores the four per-site planes exactly as
 //! `PhysicalLayer` did before it was bit-packed: one byte per site.
 //!
-//! * [`DenseReferenceEngine`] pins the **stream**. It replays
-//!   `FusionEngine::generate_layer_into` draw for draw but writes through
-//!   per-site boolean stores. Like the engine, it draws layer `i` of a run
-//!   from a fresh sampler seeded with `layer_key(seed, i)`. On the
-//!   whole-row path it makes the same batched-stream calls; on every
-//!   other path it decodes the same uniform words through the same
-//!   `MergeLaw` and reads the same four outcome planes, then sweeps the
-//!   bonds one at a time with plain unclamped `usize` budgets instead of
-//!   the engine's clamped, bit-sliced row sweep. (On the whole-row path it
-//!   draws each retry as soon as its bond is decided, where the engine
-//!   decides a whole row first.) The `layer_equivalence` tests assert the two
-//!   produce **identical** layers site for site (and counter for counter)
-//!   across lattice sizes, merging factors, raised target degrees,
-//!   probability sweeps and `reset_blank` reuse.
+//! * [`DenseReferenceEngine`] pins the **stream**. It reads the RNG words
+//!   `FusionEngine::generate_layer_into` reads, in the same order, but
+//!   decodes them one lane at a time and writes through per-site boolean
+//!   stores. Like the engine, it draws layer `i` of a run from a fresh
+//!   `StdRng` seeded with `layer_key(seed, i)`, the engine's sampler's
+//!   stream. It decodes each site's merging outcome by a scalar
+//!   most-significant-bit-first comparison of the site's uniform against
+//!   the `MergeLaw` cut points, decodes the four outcome planes the same
+//!   way against the single cut `p·2^64`, then sweeps the bonds one at a
+//!   time with plain unclamped `usize` budgets instead of the engine's
+//!   clamped, bit-sliced row sweep. The `layer_equivalence` tests assert
+//!   the two produce **identical** layers site for site (and counter for
+//!   counter) across lattice sizes, merging factors, raised target
+//!   degrees, probability sweeps and `reset_blank` reuse.
 //! * [`DenseScalarEngine`] pins the **law**. It keeps the *verbatim
 //!   pre-bit-packing generator*: per-site boolean planes **and** one scalar
 //!   per-attempt `sample()` draw (one RNG word plus an f64 compare per
@@ -46,6 +46,8 @@ use oneperc_hardware::{
     layer_key, FusionSampler, FusionStats, HardwareConfig, MergeLaw, PhysicalLayer,
 };
 use oneperc_percolation::{ModularConfig, ModularOutcome, RenormalizedLattice};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 /// One random physical layer in the dense one-`bool`-per-site
 /// representation (the pre-PR-5 `PhysicalLayer` storage).
@@ -201,36 +203,59 @@ impl DenseBoolLayer {
 
 /// Reference layer generator: the fusion strategy of
 /// `FusionEngine::generate_layer_into`, transcribed onto the dense
-/// representation with draw-for-draw identical sampler usage, so a given
-/// seed must yield exactly the layer the bit-packed engine yields.
+/// representation over the same RNG words, so a given seed must yield
+/// exactly the layer the bit-packed engine yields.
 ///
-/// Each layer draws from its own sampler, seeded with
-/// `layer_key(seed, index)`.
-///
-/// - Whole-row configurations (merging factor 1, degree ≥ 6): each row's
-///   first attempts are pre-drawn as batched words, and retries read the
-///   batched stream bit by bit.
-/// - Every other configuration: one uniform word per site decoded through
-///   the same [`MergeLaw`], then the four outcome planes (east first, north
-///   first, east retry, north retry), then a plain scalar budget sweep over
-///   unclamped `usize` budgets. It makes the decisions of the engine's
-///   bit-sliced row sweep one bond at a time, without the clamp.
+/// Each layer reads the words of its own `StdRng`, seeded with
+/// `layer_key(seed, index)`, in the engine's order: one group of words
+/// per 64-site chunk for the merging outcomes, then the east first, north
+/// first, east retry and north retry outcome planes, one group per 64
+/// bonds. Each site decodes its own bits of a group by a scalar comparison
+/// (see [`scalar_thresholds`]); a plain scalar budget sweep over unclamped
+/// `usize` budgets then makes the decisions of the engine's bit-sliced row
+/// sweep one bond at a time, without the clamp.
 #[derive(Debug, Clone)]
 pub struct DenseReferenceEngine {
     config: HardwareConfig,
     seed: u64,
     /// Index of the next layer of the run.
     next_index: u64,
-    /// The current layer's sampler.
-    sampler: FusionSampler,
     stats: FusionStats,
     merge_law: MergeLaw,
     raw_rsl_consumed: u64,
     inplane_budget: Vec<usize>,
-    /// Pre-drawn first-attempt words for one row of east/north bonds
-    /// (mirrors the engine's whole-row fast path draw order).
-    row_east: Vec<u64>,
-    row_north: Vec<u64>,
+}
+
+/// For each of `lanes` lanes, how many of the ascending `cuts` its uniform
+/// 64-bit value is at least, compared one lane and one cut at a time, most
+/// significant bit first. Bit `63 - j` of lane `l` is bit `l` of word `j`
+/// of the group, and word `j` is drawn from `rng` only when some
+/// comparison reaches it: a comparison ends at the first differing bit, or
+/// where the cut's remaining bits are all zero (the lane is then at least
+/// the cut).
+pub fn scalar_thresholds(rng: &mut StdRng, cuts: &[u64], lanes: usize) -> Vec<usize> {
+    let mut words: Vec<u64> = Vec::new();
+    let mut counts = vec![0; lanes];
+    for (lane, count) in counts.iter_mut().enumerate() {
+        for &cut in cuts {
+            let mut at_least = true;
+            for j in 0..64 {
+                if cut << j == 0 {
+                    break;
+                }
+                if j == words.len() {
+                    words.push(rng.next_u64());
+                }
+                let (bit, cut_bit) = (words[j] >> lane & 1, cut >> (63 - j) & 1);
+                if bit != cut_bit {
+                    at_least = bit > cut_bit;
+                    break;
+                }
+            }
+            *count += usize::from(at_least);
+        }
+    }
+    counts
 }
 
 impl DenseReferenceEngine {
@@ -242,13 +267,10 @@ impl DenseReferenceEngine {
             config,
             seed,
             next_index: 0,
-            sampler: FusionSampler::new(p, layer_key(seed, 0)),
             stats: FusionStats::default(),
             merge_law: MergeLaw::new(config.resource_state_degree(), config.merging_factor(), p),
             raw_rsl_consumed: 0,
             inplane_budget: Vec::new(),
-            row_east: Vec::new(),
-            row_north: Vec::new(),
         }
     }
 
@@ -263,56 +285,50 @@ impl DenseReferenceEngine {
     }
 
     /// Executes the fusion strategy for the next layer of the run into
-    /// `layer`.
+    /// `layer`: per-site merging outcomes, four outcome planes, then the
+    /// scalar budget sweep, one boolean store at a time.
     pub fn generate_layer_into(&mut self, layer: &mut DenseBoolLayer) {
         let cfg = self.config;
         let n = cfg.rsl_size;
+        let total = n * n;
         let m = cfg.merging_factor();
-        let base_degree = cfg.resource_state_degree();
-        let key = layer_key(self.seed, self.next_index);
+        let mut rng = StdRng::seed_from_u64(layer_key(self.seed, self.next_index));
         self.next_index += 1;
-        self.sampler = FusionSampler::new(cfg.effective_fusion_prob(), key);
-
         layer.reset_blank(n, n);
         layer.raw_rsl_consumed = m;
         self.raw_rsl_consumed += m as u64;
-        if m == 1 && base_degree >= 6 {
-            self.generate_whole_row(layer);
-        } else {
-            self.generate_merged(layer);
-        }
-
-        let stats = self.sampler.stats();
-        layer.fusions_attempted = stats.attempted;
-        layer.fusions_succeeded = stats.succeeded;
-        self.stats.absorb(stats);
-    }
-
-    /// Merged path: one alias draw per site, four outcome planes, then the
-    /// scalar budget sweep, one boolean store at a time.
-    fn generate_merged(&mut self, layer: &mut DenseBoolLayer) {
-        let n = self.config.rsl_size;
-        let total = n * n;
         let mut stats = FusionStats::default();
 
-        let mut words = vec![0u64; total];
-        self.sampler.fill_uniform(&mut words);
         self.inplane_budget.clear();
-        for (i, &word) in words.iter().enumerate() {
-            let (outcome, _) = self.merge_law.outcomes()[self.merge_law.pick(word)];
-            stats.attempted += u64::from(outcome.attempts);
-            stats.succeeded += u64::from(outcome.successes);
-            let forward = outcome.leaves >= 1;
-            layer.temporal_port[i] = forward;
-            layer.site_present[i] = outcome.leaves >= 2;
-            self.inplane_budget.push(outcome.leaves - usize::from(forward));
+        for chunk in (0..total).step_by(64) {
+            let lanes = 64.min(total - chunk);
+            for (lane, index) in
+                scalar_thresholds(&mut rng, self.merge_law.cuts(), lanes).into_iter().enumerate()
+            {
+                let (outcome, _) = self.merge_law.outcomes()[index];
+                stats.attempted += u64::from(outcome.attempts);
+                stats.succeeded += u64::from(outcome.successes);
+                let forward = outcome.leaves >= 1;
+                layer.temporal_port[chunk + lane] = forward;
+                layer.site_present[chunk + lane] = outcome.leaves >= 2;
+                self.inplane_budget.push(outcome.leaves - usize::from(forward));
+            }
         }
 
-        let plane_words = total.div_ceil(64);
-        let mut planes = vec![0u64; 4 * plane_words];
-        self.sampler.fill_outcome_words(&mut planes);
-        let bit =
-            |plane: usize, i: usize| planes[plane * plane_words + i / 64] >> (i % 64) & 1 == 1;
+        // A bond succeeds when its uniform lies below the cut p·2^64; at
+        // p = 1 there is no cut and every bond succeeds.
+        let p = cfg.effective_fusion_prob();
+        let cut = [(p * 2f64.powi(64)) as u64];
+        let cuts: &[u64] = if p < 1.0 { &cut } else { &[] };
+        let planes: Vec<Vec<bool>> = (0..4)
+            .map(|_| {
+                (0..total)
+                    .step_by(64)
+                    .flat_map(|chunk| scalar_thresholds(&mut rng, cuts, 64.min(total - chunk)))
+                    .map(|above| above == 0)
+                    .collect()
+            })
+            .collect();
 
         let idx = |x: usize, y: usize| y * n + x;
         let remaining_bonds = |x: usize, y: usize| usize::from(x + 1 < n) + usize::from(y + 1 < n);
@@ -332,7 +348,7 @@ impl DenseReferenceEngine {
                     self.inplane_budget[a] -= 1;
                     self.inplane_budget[b] -= 1;
                     stats.attempted += 1;
-                    let mut ok = bit(first_plane, a);
+                    let mut ok = planes[first_plane][a];
                     if !ok
                         && self.inplane_budget[a] > remaining_bonds(x, y)
                         && self.inplane_budget[b] > remaining_bonds(bx, by)
@@ -340,7 +356,7 @@ impl DenseReferenceEngine {
                         self.inplane_budget[a] -= 1;
                         self.inplane_budget[b] -= 1;
                         stats.attempted += 1;
-                        ok = bit(retry_plane, a);
+                        ok = planes[retry_plane][a];
                     }
                     if ok {
                         stats.succeeded += 1;
@@ -353,63 +369,10 @@ impl DenseReferenceEngine {
                 }
             }
         }
-        self.sampler.record(stats);
-    }
 
-    /// Whole-row path: a row's east then north first attempts are
-    /// pre-drawn as packed words, and only the data-dependent retries
-    /// consume the batched stream bit by bit during the sweep.
-    fn generate_whole_row(&mut self, layer: &mut DenseBoolLayer) {
-        let n = self.config.rsl_size;
-        self.inplane_budget.clear();
-        self.inplane_budget.resize(n * n, self.config.resource_state_degree() - 1);
-
-        let idx = |x: usize, y: usize| y * n + x;
-        let remaining_bonds = |x: usize, y: usize| usize::from(x + 1 < n) + usize::from(y + 1 < n);
-        for y in 0..n {
-            self.row_east.clear();
-            for cx in 0..(n - 1).div_ceil(64) {
-                let cnt = 64.min(n - 1 - cx * 64) as u32;
-                self.row_east.push(self.sampler.sample_batched_word(cnt));
-            }
-            self.row_north.clear();
-            if y + 1 < n {
-                for cx in 0..n.div_ceil(64) {
-                    let cnt = 64.min(n - cx * 64) as u32;
-                    self.row_north.push(self.sampler.sample_batched_word(cnt));
-                }
-            }
-            for x in 0..n {
-                for east in [true, false] {
-                    let (bx, by) = if east { (x + 1, y) } else { (x, y + 1) };
-                    if bx >= n || by >= n {
-                        continue;
-                    }
-                    let a = idx(x, y);
-                    let b = idx(bx, by);
-                    self.inplane_budget[a] -= 1;
-                    self.inplane_budget[b] -= 1;
-                    let row = if east { &self.row_east } else { &self.row_north };
-                    let mut ok = row[x / 64] >> (x % 64) & 1 == 1;
-                    if !ok {
-                        let spare_a = self.inplane_budget[a] > remaining_bonds(x, y);
-                        let spare_b = self.inplane_budget[b] > remaining_bonds(bx, by);
-                        if spare_a && spare_b {
-                            self.inplane_budget[a] -= 1;
-                            self.inplane_budget[b] -= 1;
-                            ok = self.sampler.sample_batched().is_success();
-                        }
-                    }
-                    if ok {
-                        if east {
-                            layer.bond_east[a] = true;
-                        } else {
-                            layer.bond_north[a] = true;
-                        }
-                    }
-                }
-            }
-        }
+        layer.fusions_attempted = stats.attempted;
+        layer.fusions_succeeded = stats.succeeded;
+        self.stats.absorb(stats);
     }
 }
 

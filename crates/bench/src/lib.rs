@@ -23,7 +23,7 @@
 //!
 //! | Criterion bench | Measures |
 //! |---|---|
-//! | `online_per_rsl` | per-RSL renormalize, `spans_target` and generate + renormalize (Fig. 14(a)); generation alone at L = 120 for merged 4-qubit and unmerged 7-qubit states |
+//! | `online_per_rsl` | per-RSL renormalize, `spans_target` and generate + renormalize (Fig. 14(a)); generation alone for merged 4-qubit and unmerged 7-qubit states, at L = 120 (p = 0.75) and L = 36 (p = 0.9) |
 //! | `modular_renorm` | modular vs non-modular renormalization of one layer (Figs. 13(c), 14(b)) |
 //! | `offline_mapping` | mapping time vs program size and virtual-hardware size (Fig. 15) |
 //! | `mapper_ablation` | dynamic vs static scheduling and the incomplete-node occupancy limit |
@@ -33,11 +33,13 @@
 //!
 //! One preserved reference pins each contract of the production pipeline:
 //!
-//! - generation stream: [`dense::DenseReferenceEngine`], site for site, in
-//!   `tests/layer_equivalence.rs`;
+//! - generation stream: [`dense::DenseReferenceEngine`], which decodes the
+//!   engine's RNG words one site at a time by scalar comparisons, site for
+//!   site, in `tests/layer_equivalence.rs`;
 //! - generation law: [`dense::DenseScalarEngine`], the per-attempt
 //!   generator, by per-layer z tests in `tests/generation_law.rs` (beside
-//!   chi-square tests of the merge law against the per-attempt automaton);
+//!   chi-square tests of the merge law against the per-attempt automaton
+//!   and of the threshold draws against the enumerated law);
 //! - lattices and modular joins: [`dense::ScalarRenormalizer`] and
 //!   [`dense::scalar_modular_outcome`], in `tests/layer_equivalence.rs`;
 //! - offline mapper: [`reference_mapper`], in `tests/mapper_equivalence.rs`.

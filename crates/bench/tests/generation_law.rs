@@ -1,16 +1,17 @@
 //! Distributional contract of the word-parallel layer generator.
 //!
-//! For merged resource states `FusionEngine` draws each site's merging
-//! outcome from an alias table over its exact law, and each bond's outcomes
-//! from pre-drawn planes. Its stream therefore differs from the
-//! per-attempt automaton's, and `layer_equivalence` can pin it only against
-//! a reference that makes the same draws. This suite checks the *law*
-//! instead, against references that share no code with the engine's
-//! kernels:
+//! `FusionEngine` draws each site's merging outcome with one bit-sliced
+//! threshold draw per 64 sites against the cut points of its exact law,
+//! and each bond's outcomes from pre-drawn planes of single-cut threshold
+//! draws. Its stream therefore differs from the per-attempt automaton's,
+//! and `layer_equivalence` can pin it only against a reference that makes
+//! the same draws. This suite checks the *law* instead, against references
+//! that share no code with the engine's kernels:
 //!
 //! - the enumerated [`MergeLaw`] against a Monte Carlo of the per-attempt
-//!   merging automaton, and the alias-table draws against the enumerated
-//!   law, each by a chi-square test;
+//!   merging automaton, and the threshold draws against the enumerated
+//!   law (the merge laws, the one-outcome law and a single cut at
+//!   p = 0.9), each by a chi-square test;
 //! - per-layer bonds, attempted and succeeded fusions, present sites and
 //!   temporal ports against [`DenseScalarEngine`], the per-attempt
 //!   generator, by a two-sample z test of the means over 6,000 layers per
@@ -119,25 +120,58 @@ fn enumerated_merge_law_matches_the_per_attempt_automaton() {
     }
 }
 
-#[test]
-fn alias_draws_follow_the_enumerated_merge_law() {
-    const SITES: usize = 200_000;
-    for &(degree, m, p) in &MERGE_POINTS {
-        let law = MergeLaw::new(degree, m, p);
-        let mut words = vec![0u64; SITES];
-        FusionSampler::new(p, 77).fill_uniform(&mut words);
-        let mut counts = vec![0u64; law.outcomes().len()];
-        for &w in &words {
-            counts[law.pick(w)] += 1;
+/// How many of `sites` uniforms, drawn 64 lanes at a time by threshold
+/// draws, land at each outcome of `cuts`: outcome `i` counts the lanes at
+/// or above cut `i - 1` and below cut `i`.
+fn threshold_counts(cuts: &[u64], sites: usize, seed: u64) -> Vec<u64> {
+    let mut sampler = FusionSampler::new(0.5, seed);
+    let mut masks = vec![0u64; cuts.len()];
+    let mut counts = vec![0u64; cuts.len() + 1];
+    for chunk in (0..sites).step_by(64) {
+        let lanes = u64::MAX >> (64 - (sites - chunk).min(64));
+        sampler.threshold_masks(cuts, lanes, &mut masks);
+        let mut at_or_above = lanes;
+        for (i, count) in counts.iter_mut().enumerate() {
+            let above = masks.get(i).copied().unwrap_or(0);
+            *count += u64::from((at_or_above & !above).count_ones());
+            at_or_above = above;
         }
-        let probs: Vec<f64> = law.outcomes().iter().map(|&(_, q)| q).collect();
-        let (stat, df) = chi_square(&counts, &probs, SITES as u64);
+    }
+    counts
+}
+
+#[test]
+fn threshold_draws_follow_the_enumerated_law() {
+    const SITES: usize = 200_000;
+    let mut laws: Vec<(String, Vec<u64>, Vec<f64>)> = MERGE_POINTS
+        .iter()
+        .map(|&(degree, m, p)| {
+            let law = MergeLaw::new(degree, m, p);
+            let probs = law.outcomes().iter().map(|&(_, q)| q).collect();
+            (format!("merge law ({degree}, {m}, {p})"), law.cuts().to_vec(), probs)
+        })
+        .collect();
+    // A bond plane at p = 0.9: success below the single cut p·2^64.
+    laws.push(("single cut at p = 0.9".into(), vec![(0.9 * 2f64.powi(64)) as u64], vec![0.9, 0.1]));
+    for (name, cuts, probs) in &laws {
+        let counts = threshold_counts(cuts, SITES, 77);
+        assert_eq!(counts.iter().sum::<u64>(), SITES as u64, "{name}: every site drawn once");
+        let (stat, df) = chi_square(&counts, probs, SITES as u64);
+        assert!(df >= 1, "{name}: too few cells");
         assert!(
             stat < chi2_bound(df),
-            "({degree}, {m}, {p}): chi-square {stat:.2} on {df} df exceeds {:.2}",
+            "{name}: chi-square {stat:.2} on {df} df exceeds {:.2}",
             chi2_bound(df)
         );
     }
+    // The one-outcome law (m = 1) has no cut: every site draws it, and no
+    // RNG word is spent.
+    let unmerged = MergeLaw::new(6, 1, 0.75);
+    assert!(unmerged.cuts().is_empty());
+    assert_eq!(threshold_counts(unmerged.cuts(), SITES, 77), vec![SITES as u64]);
+    let (mut drawn, mut fresh) = (FusionSampler::new(0.5, 77), FusionSampler::new(0.5, 77));
+    drawn.threshold_masks(unmerged.cuts(), u64::MAX, &mut []);
+    assert_eq!(drawn.uniform(), fresh.uniform(), "the one-outcome law drew a word");
 }
 
 /// Per-layer observables: bonds, attempted, succeeded, present sites,
@@ -202,15 +236,20 @@ fn dense_observables(layer: &DenseBoolLayer) -> [usize; 5] {
 #[test]
 fn merged_layers_match_the_per_attempt_generator_in_law() {
     // Table-1 states (m = 3) at two probabilities, 5-qubit states (m = 2),
-    // 6-qubit states at target 14 (m = 4, budgets past the clamp) and
-    // 3-qubit states at target 8 (m = 7). Small sides put most sites near
-    // an edge, where the retry gate's `remaining` counts differ.
+    // 6-qubit states at target 14 (m = 4, budgets past the clamp),
+    // 3-qubit states at target 8 (m = 7), and three unmerged (m = 1)
+    // configs: 7-qubit states at p = 0.75 and p = 0.9, and 5-qubit states
+    // at target 4, whose budget of 3 can run out. Small sides put most
+    // sites near an edge, where the retry gate's `remaining` counts differ.
     let configs = [
         HardwareConfig::new(10, 4, 0.75),
         HardwareConfig::new(10, 4, 0.66),
         HardwareConfig::new(9, 5, 0.9),
         HardwareConfig::new(8, 6, 0.75).with_target_degree(14),
         HardwareConfig::new(8, 3, 0.8).with_target_degree(8),
+        HardwareConfig::new(10, 7, 0.75),
+        HardwareConfig::new(10, 7, 0.9),
+        HardwareConfig::new(9, 5, 0.75).with_target_degree(4),
     ];
     for cfg in configs {
         let mut engine = FusionEngine::new(cfg, 11);

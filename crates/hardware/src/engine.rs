@@ -6,13 +6,13 @@
 //! gives every layer of a run its own sampler, seeded with
 //! [`layer_key`]`(seed, index)`. Layer `i` is then a pure function of
 //! `(config, seed, i)`. Generation is split along the same line: a
-//! [`GenerationPlan`] holds what the configuration fixes (the merge-law
-//! alias table, the per-outcome site set-up, the whole-row flag) and is
-//! shared between threads, and a [`GenerationScratch`] holds the
-//! per-thread buffers. [`FusionEngine`] pairs the two with a cursor for
-//! callers that want a run's layers in order.
+//! [`GenerationPlan`] holds what the configuration fixes (the merge law
+//! and its cut points) and is shared between threads, and a
+//! [`GenerationScratch`] holds the per-thread buffers. [`FusionEngine`]
+//! pairs the two with a cursor for callers that want a run's layers in
+//! order.
 //!
-//! # Generating a merged layer
+//! # Generating a layer
 //!
 //! A layer is generated in two phases. In the merging phase every site
 //! fuses its `m` stacked resource states into one cluster (root-leaf
@@ -26,17 +26,23 @@
 //! own outgoing bonds need (`budget > remaining`, where `remaining ≤ 2` is
 //! a per-site constant).
 //!
-//! Every configuration except the whole-row one below draws both phases
-//! word-parallel.
+//! Every configuration takes one path, and both phases draw from one
+//! primitive, [`FusionSampler::threshold_masks`]: 64 lanes' uniforms
+//! compared against sorted cut points, one RNG word per bit plane, most
+//! significant first, stopping once every lane is decided.
 //!
 //! - **Merging.** Sites share nothing in this phase, so a site's
 //!   `(leaves, attempts, successes)` is one draw from the exact law that
-//!   [`MergeLaw`] enumerates. The engine draws it with one uniform word per
-//!   site from a power-of-two alias table built once per plan.
-//! - **Bonds.** Four outcome planes are drawn per layer with the bit-sliced
-//!   Bernoulli words: east first attempts, north first attempts, east
-//!   retries, north retries, one bit per bond each. The bit-sliced sweep
-//!   below reads them a row word at a time.
+//!   [`MergeLaw`] enumerates. One threshold draw against the law's cuts
+//!   settles 64 sites: outcome `i` holds the lanes at or above cut `i - 1`
+//!   and below cut `i`. The present and port masks and the sweep's four
+//!   budget planes are unions of these outcome masks, and attempts and
+//!   successes are popcounts. With merging factor 1 the law has one
+//!   outcome and no cut, so this phase draws nothing.
+//! - **Bonds.** Four outcome planes are drawn per layer: east first
+//!   attempts, north first attempts, east retries, north retries, one bit
+//!   per bond each. Each word is a threshold draw with the single cut
+//!   `p·2^64`. The bit-sliced sweep below reads them a row word at a time.
 //!
 //! **Why the law is unchanged.** Whether a bond is attempted, and whether
 //! it is retried, depends only on the merging outcomes and on bonds swept
@@ -44,15 +50,24 @@
 //! read (and its attempts counted) only when an attempt is made. So every
 //! attempt's outcome is a fresh Bernoulli(`p`) trial, and the layers,
 //! `#fusion` and `#RSL` follow exactly the law of the per-attempt scalar
-//! generator, up to the alias table's rounding of probabilities to
-//! multiples of `2^-64`. Only the stream differs: a seed maps to
-//! different layers than under per-attempt draws.
+//! generator, up to the rounding of probabilities to multiples of `2^-64`.
+//! Only the stream differs: a seed maps to different layers than under
+//! per-attempt draws.
+//!
+//! **Why stopping early keeps every attempt fresh.** A threshold draw
+//! returns exactly the masks the lanes' full 64-bit uniforms would give:
+//! it stops only when no bit left undrawn could change a comparison. When
+//! it stops depends only on the words drawn so far, so the next draw
+//! starts on words independent of everything before. Each lane therefore
+//! carries its own uniform, independent of every other lane and draw, and
+//! a bond's bit is a Bernoulli(`p`) trial however many words its
+//! neighbors' lanes needed.
 //!
 //! # The bit-sliced bond sweep
 //!
-//! Both paths sweep the bonds with one kernel that takes a row at a time,
-//! 64 sites per word, and makes exactly the decisions of the scalar sweep
-//! (east then north, site by site in row-major order). Budgets are held as
+//! One kernel sweeps the bonds a row at a time, 64 sites per word, and
+//! makes exactly the decisions of the scalar sweep (east then north, site
+//! by site in row-major order). Budgets are held as
 //! four bit-planes per row word: bit `j` of plane `b` is bit `b` of site
 //! `j`'s budget. "Budget `≥ k`" for a constant `k` is then a few word
 //! operations, and spending leaves is a borrow subtract.
@@ -93,22 +108,6 @@
 //! outcomes as for a true budget `≥ 10`, so every comparison comes out the
 //! same. A clamped budget fits four planes, and no subtraction borrows past
 //! them: a bond spends only leaves its ends hold.
-//!
-//! # The whole-row path
-//!
-//! With merging factor 1 and degree ≥ 6 no budget can run out before a
-//! first attempt (see `generate_whole_row`), so the engine draws from the
-//! word-batched stream instead: each row's first attempts are pre-drawn as
-//! packed words, and the retries read that stream bit by bit.
-//!
-//! **Why retries can be drawn after the row's decisions.** A retry's
-//! outcome only decides whether its own bond is realized. Whether any bond
-//! is attempted or retried depends on budgets and first-attempt bits, never
-//! on a retry's bit. So the kernel decides the whole row from its
-//! first-attempt words, then draws exactly the retries its retry masks ask
-//! for, in sweep order (site by site, east before north). That is the order
-//! a per-bond loop draws them in, so each retry reads the same bit of the
-//! stream, and the layer comes out the same.
 
 use crate::config::HardwareConfig;
 use crate::layer::PhysicalLayer;
@@ -305,41 +304,13 @@ fn lanes_below(len: usize, w: usize) -> u64 {
     }
 }
 
-/// Packs one row of budget bytes into planes, eight lanes per
-/// multiply-gather.
-fn pack_budgets(row: &[u8], out: &mut [Planes]) {
-    for (planes, lanes) in out.iter_mut().zip(row.chunks(64)) {
-        *planes = [0; 4];
-        for (k, chunk) in lanes.chunks(8).enumerate() {
-            let mut bytes = [0u8; 8];
-            bytes[..chunk.len()].copy_from_slice(chunk);
-            let bytes = u64::from_le_bytes(bytes);
-            for (b, plane) in planes.iter_mut().enumerate() {
-                // Bit `b` of each byte, gathered into the top byte.
-                let spread = bytes >> b & 0x0101_0101_0101_0101;
-                *plane |= (spread.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
-            }
-        }
-    }
-}
-
-/// Fills a row's planes with the same budget on each of its `n` sites.
-fn fill_budgets(budget: u8, n: usize, out: &mut [Planes]) {
-    for (w, planes) in out.iter_mut().enumerate() {
-        let lanes = lanes_below(n, w);
-        *planes = std::array::from_fn(|b| if budget >> b & 1 == 1 { lanes } else { 0 });
-    }
-}
-
-/// The 64 bits of a flat plane starting at bit `lo`, zero past its end.
+/// The 64 bits of a flat plane starting at bit `lo`. A plane ends in one
+/// zero word past its last bit (see [`plane_stride`]), so the word after
+/// `lo`'s always exists.
 #[inline]
-fn flat_word(words: &[u64], lo: usize) -> u64 {
+fn flat_word(plane: &[u64], lo: usize) -> u64 {
     let (wi, shift) = (lo / 64, lo % 64);
-    let low = words.get(wi).map_or(0, |&w| w >> shift);
-    match words.get(wi + 1) {
-        Some(&high) if shift > 0 => low | high << (64 - shift),
-        _ => low,
-    }
+    plane[wi] >> shift | plane[wi + 1] << 1 << (63 - shift)
 }
 
 /// Decides the bonds of row `y` of an `n`-sided layer: reads the row's
@@ -408,94 +379,58 @@ fn sweep_row(n: usize, y: usize, rows: &mut SweepRows) {
     }
 }
 
-/// Where the bond sweep takes its row-start budgets and outcome bits.
-enum BondSource<'a> {
-    /// The merged path: the merging phase's budgets, one byte per site, and
-    /// the four pre-drawn outcome planes.
-    Planes { budget: &'a [u8], planes: &'a [u64] },
-    /// The whole-row path: every site starts at `start`. Each row's first
-    /// attempts are batched words, and its retries are drawn one by one
-    /// after its decisions.
-    Stream { start: u8, sampler: &'a mut FusionSampler },
+/// The flat planes of one layer, [`plane_stride`] words each, in this
+/// order: the four budget bit-planes of the merging phase, then the bond
+/// phase's east first, north first, east retry and north retry outcome
+/// planes.
+const PLANES: usize = 8;
+const EAST: usize = 4;
+const NORTH: usize = 5;
+const EAST_RETRY: usize = 6;
+const NORTH_RETRY: usize = 7;
+
+/// Words per flat plane of an `n`-sided layer: one per 64 sites, and a
+/// zero word past the end.
+fn plane_stride(n: usize) -> usize {
+    (n * n).div_ceil(64) + 1
 }
 
-/// Sweeps every bond of an `n`-sided layer, ORs the realized ones into
-/// `layer`, and returns the sweep's attempts and successes. (A stream
-/// source's sampler has counted its draws already.)
+/// Sweeps every bond of an `n`-sided layer over the flat `planes` (see
+/// [`PLANES`]), ORs the realized ones into `layer`, and returns the
+/// sweep's attempts and successes.
 fn sweep_bonds(
     n: usize,
-    mut source: BondSource<'_>,
+    planes: &[u64],
     rows: &mut SweepRows,
     layer: &mut PhysicalLayer,
 ) -> FusionStats {
     rows.reset(n);
-    let words = rows.cur.len();
-    let plane_words = (n * n).div_ceil(64);
-    match &source {
-        BondSource::Planes { budget, .. } => pack_budgets(&budget[..n], &mut rows.cur),
-        BondSource::Stream { start, .. } => fill_budgets(*start, n, &mut rows.cur),
-    }
+    let stride = plane_stride(n);
+    let plane = |k: usize| &planes[k * stride..(k + 1) * stride];
+    // The row-start budgets of row `y`.
+    let load_budgets = |y: usize, out: &mut [Planes]| {
+        for (w, budget) in out.iter_mut().enumerate() {
+            let lanes = lanes_below(n, w);
+            *budget = std::array::from_fn(|b| flat_word(plane(b), y * n + 64 * w) & lanes);
+        }
+    };
+    load_budgets(0, &mut rows.cur);
     let mut stats = FusionStats::default();
     for y in 0..n {
-        let up = y + 1 < n;
         let row = y * n;
-        match &mut source {
-            BondSource::Planes { budget, planes } => {
-                if up {
-                    pack_budgets(&budget[row + n..row + 2 * n], &mut rows.above);
-                }
-                for w in 0..words {
-                    rows.east[w] = flat_word(planes, row + 64 * w);
-                    rows.north[w] = flat_word(&planes[plane_words..], row + 64 * w);
-                }
-            }
-            BondSource::Stream { start, sampler } => {
-                if up {
-                    fill_budgets(*start, n, &mut rows.above);
-                }
-                for w in 0..words {
-                    rows.east[w] = sampler.sample_batched_word(lanes_below(n - 1, w).count_ones());
-                }
-                for w in 0..words {
-                    rows.north[w] = if up {
-                        sampler.sample_batched_word(lanes_below(n, w).count_ones())
-                    } else {
-                        0
-                    };
-                }
-            }
+        if y + 1 < n {
+            load_budgets(y + 1, &mut rows.above);
+        }
+        for w in 0..rows.cur.len() {
+            rows.east[w] = flat_word(plane(EAST), row + 64 * w);
+            rows.north[w] = flat_word(plane(NORTH), row + 64 * w);
         }
         sweep_row(n, y, rows);
-        for w in 0..words {
-            let m = rows.masks[w];
-            let (east_retried, north_retried) = match &mut source {
-                BondSource::Planes { planes, .. } => (
-                    m.east_retry & flat_word(&planes[2 * plane_words..], row + 64 * w),
-                    m.north_retry & flat_word(&planes[3 * plane_words..], row + 64 * w),
-                ),
-                BondSource::Stream { sampler, .. } => {
-                    debug_assert!(
-                        m.east == lanes_below(n - 1, w)
-                            && m.north == if up { lanes_below(n, w) } else { 0 },
-                        "the whole-row path drew a first attempt for a skipped bond"
-                    );
-                    let (mut east_ok, mut north_ok) = (0u64, 0u64);
-                    let mut pending = m.east_retry | m.north_retry;
-                    while pending != 0 {
-                        let bit = pending & pending.wrapping_neg();
-                        if m.east_retry & bit != 0 && sampler.sample_batched().is_success() {
-                            east_ok |= bit;
-                        }
-                        if m.north_retry & bit != 0 && sampler.sample_batched().is_success() {
-                            north_ok |= bit;
-                        }
-                        pending ^= bit;
-                    }
-                    (east_ok, north_ok)
-                }
-            };
-            let east_ok = m.east & rows.east[w] | east_retried;
-            let north_ok = m.north & rows.north[w] | north_retried;
+        for (w, m) in rows.masks.iter().enumerate() {
+            let east_ok =
+                m.east & rows.east[w] | m.east_retry & flat_word(plane(EAST_RETRY), row + 64 * w);
+            let north_ok = m.north & rows.north[w]
+                | m.north_retry & flat_word(plane(NORTH_RETRY), row + 64 * w);
             stats.attempted += u64::from(
                 m.east.count_ones()
                     + m.east_retry.count_ones()
@@ -509,19 +444,6 @@ fn sweep_bonds(
         std::mem::swap(&mut rows.cur, &mut rows.above);
     }
     stats
-}
-
-/// What one merging outcome sets up for its site.
-#[derive(Debug, Clone, Copy)]
-struct SiteInit {
-    /// Clamped in-plane budget.
-    budget: u8,
-    /// Site-presence bit (at least two leaves).
-    present: u64,
-    /// Temporal-port bit (at least one leaf).
-    port: u64,
-    attempts: u64,
-    successes: u64,
 }
 
 /// The sampler seed of layer `index` of the run seeded with `seed`.
@@ -547,21 +469,17 @@ pub fn layer_key(seed: u64, index: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct GenerationPlan {
     strategy: FusionStrategy,
-    /// Merging factor 1 and degree ≥ 6: the whole-row path.
-    whole_row: bool,
-    /// The merging phase's exact law, and what each of its outcomes sets up
-    /// for a site.
+    /// The merging phase's exact law and its cut points.
     merge_law: MergeLaw,
-    site_init: Vec<SiteInit>,
 }
 
 /// The per-thread half of layer generation: scratch reused across layers,
-/// so the steady-state per-RSL loop allocates nothing. It holds the merged
-/// path's clamped budgets and four outcome planes, and the bond sweep's
-/// row buffers. Any plan can use any scratch.
+/// so the steady-state per-RSL loop allocates nothing. It holds the
+/// merging phase's outcome masks, the layer's flat budget and outcome
+/// planes, and the bond sweep's row buffers. Any plan can use any scratch.
 #[derive(Debug, Clone, Default)]
 pub struct GenerationScratch {
-    budget: Vec<u8>,
+    masks: Vec<u64>,
     planes: Vec<u64>,
     rows: SweepRows,
 }
@@ -569,26 +487,12 @@ pub struct GenerationScratch {
 impl GenerationPlan {
     /// Builds the plan of a hardware configuration.
     pub fn new(config: HardwareConfig) -> Self {
-        let m = config.merging_factor();
-        let degree = config.resource_state_degree();
-        let merge_law = MergeLaw::new(degree, m, config.effective_fusion_prob());
-        let site_init = merge_law
-            .outcomes()
-            .iter()
-            .map(|&(o, _)| SiteInit {
-                budget: o.leaves.saturating_sub(1).min(BUDGET_CAP) as u8,
-                present: u64::from(o.leaves >= 2),
-                port: u64::from(o.leaves >= 1),
-                attempts: u64::from(o.attempts),
-                successes: u64::from(o.successes),
-            })
-            .collect();
-        GenerationPlan {
-            strategy: FusionStrategy::new(config),
-            whole_row: m == 1 && degree >= 6,
-            merge_law,
-            site_init,
-        }
+        let merge_law = MergeLaw::new(
+            config.resource_state_degree(),
+            config.merging_factor(),
+            config.effective_fusion_prob(),
+        );
+        GenerationPlan { strategy: FusionStrategy::new(config), merge_law }
     }
 
     /// The fusion strategy in use.
@@ -607,6 +511,9 @@ impl GenerationPlan {
     /// result depends on nothing but the configuration, `seed` and
     /// `index`: not on the scratch, the buffer's previous contents, the
     /// thread, or which layers were generated before.
+    ///
+    /// See the module docs: one threshold draw per 64 sites for merging,
+    /// four outcome planes, then the bit-sliced bond sweep.
     pub fn generate_into(
         &self,
         seed: u64,
@@ -616,90 +523,58 @@ impl GenerationPlan {
     ) {
         let cfg = self.config();
         let n = cfg.rsl_size;
+        let total = n * n;
+        let stride = plane_stride(n);
         let mut sampler = FusionSampler::new(cfg.effective_fusion_prob(), layer_key(seed, index));
         layer.reset_blank(n, n);
         layer.raw_rsl_consumed = cfg.merging_factor();
-        if self.whole_row {
-            self.generate_whole_row(&mut sampler, scratch, layer);
-        } else {
-            self.generate_merged(&mut sampler, scratch, layer);
-        }
-        let stats = sampler.stats();
-        layer.fusions_attempted = stats.attempted;
-        layer.fusions_succeeded = stats.succeeded;
-    }
-
-    /// The word-parallel path (see the module docs): one alias draw per
-    /// site, four outcome planes, then the bit-sliced bond sweep.
-    fn generate_merged(
-        &self,
-        sampler: &mut FusionSampler,
-        scratch: &mut GenerationScratch,
-        layer: &mut PhysicalLayer,
-    ) {
-        let n = self.config().rsl_size;
-        let total = n * n;
-        let GenerationPlan { merge_law, site_init, .. } = self;
-        let GenerationScratch { budget, planes, rows } = scratch;
+        let GenerationScratch { masks, planes, rows } = scratch;
+        planes.resize(PLANES * stride, 0);
         let mut stats = FusionStats::default();
 
-        // Merging phase. The RNG words of a 64-site chunk go into a local
-        // buffer first, so the RNG state stays in registers instead of
-        // being spilled around every per-site store.
-        budget.clear();
-        budget.resize(total, 0);
-        let mut words = [0u64; 64];
-        for (wi, chunk) in budget.chunks_mut(64).enumerate() {
-            let words = &mut words[..chunk.len()];
-            sampler.fill_uniform(words);
-            let (mut present, mut port) = (0u64, 0u64);
-            for (j, (b, &w)) in chunk.iter_mut().zip(words.iter()).enumerate() {
-                let init = &site_init[merge_law.pick(w)];
-                *b = init.budget;
-                present |= init.present << j;
-                port |= init.port << j;
-                stats.attempted += init.attempts;
-                stats.succeeded += init.successes;
+        // Merging phase: outcome `i` holds the lanes at or above cut
+        // `i - 1` and below cut `i`.
+        let cuts = self.merge_law.cuts();
+        masks.resize(cuts.len(), 0);
+        for w in 0..stride - 1 {
+            let lanes = lanes_below(total, w);
+            sampler.threshold_masks(cuts, lanes, masks);
+            let (mut present, mut port, mut budget) = (0u64, 0u64, [0u64; 4]);
+            let mut at_or_above = lanes;
+            for (i, &(outcome, _)) in self.merge_law.outcomes().iter().enumerate() {
+                let above = if i < masks.len() { masks[i] } else { 0 };
+                let exact = at_or_above & !above;
+                at_or_above = above;
+                let all_if = |yes: bool| 0u64.wrapping_sub(u64::from(yes));
+                let clamped = outcome.leaves.saturating_sub(1).min(BUDGET_CAP);
+                for (b, plane) in budget.iter_mut().enumerate() {
+                    *plane |= exact & all_if(clamped >> b & 1 == 1);
+                }
+                present |= exact & all_if(outcome.leaves >= 2);
+                port |= exact & all_if(outcome.leaves >= 1);
+                let sites = u64::from(exact.count_ones());
+                stats.attempted += sites * u64::from(outcome.attempts);
+                stats.succeeded += sites * u64::from(outcome.successes);
             }
-            layer.store_site_word(wi, present);
-            layer.store_port_word(wi, port);
+            for (plane, bits) in planes.chunks_exact_mut(stride).zip(budget) {
+                plane[w] = bits;
+            }
+            layer.store_site_word(w, present);
+            layer.store_port_word(w, port);
         }
 
         // Bond phase: east first, north first, east retry, north retry.
-        planes.clear();
-        planes.resize(4 * total.div_ceil(64), 0);
-        sampler.fill_outcome_words(planes);
-        stats.absorb(sweep_bonds(n, BondSource::Planes { budget, planes }, rows, layer));
-        sampler.record(stats);
-    }
-
-    /// Whole-row first-attempt path. With merging factor 1 the merging
-    /// phase draws nothing and every site starts with `degree - 1 ≥ 5`
-    /// in-plane leaves, and that budget provably never reaches zero before
-    /// a first attempt: retries are gated on `budget > remaining` (a
-    /// per-site constant, at most 2), so each retry leaves at least that
-    /// many leaves behind, and the worst-case drain before a site's last
-    /// outgoing first attempt (two neighbor bonds with retries, then the
-    /// own east bond) still leaves one leaf when starting from five. Every
-    /// bond's first attempt is therefore unconditional, and a whole row of
-    /// them can be pre-drawn as packed words — one `sample_batched_word`
-    /// per 64 bonds with one stats update, instead of per-bit consumption —
-    /// while the data-dependent retries keep reading the same batched
-    /// stream bit by bit right after the row's words.
-    ///
-    /// The dense reference engine consumes this stream in exactly the same
-    /// order, so site-for-site equivalence pins the layers.
-    fn generate_whole_row(
-        &self,
-        sampler: &mut FusionSampler,
-        scratch: &mut GenerationScratch,
-        layer: &mut PhysicalLayer,
-    ) {
-        let cfg = self.config();
-        // Every site holds `degree ≥ 6` leaves, so `reset_blank`'s
-        // all-present, all-ports planes are already right.
-        let start = (cfg.resource_state_degree() - 1).min(BUDGET_CAP) as u8;
-        sweep_bonds(cfg.rsl_size, BondSource::Stream { start, sampler }, &mut scratch.rows, layer);
+        for k in EAST..PLANES {
+            for w in 0..stride - 1 {
+                planes[k * stride + w] = sampler.bernoulli_word(lanes_below(total, w));
+            }
+        }
+        for k in 0..PLANES {
+            planes[(k + 1) * stride - 1] = 0;
+        }
+        stats.absorb(sweep_bonds(n, planes, rows, layer));
+        layer.fusions_attempted = stats.attempted;
+        layer.fusions_succeeded = stats.succeeded;
     }
 }
 
@@ -811,13 +686,11 @@ mod tests {
     }
 
     #[test]
-    fn whole_row_fast_path_attempts_every_bond() {
-        // Merging factor 1 with degree >= 6: budgets provably never
-        // exhaust, so every lattice bond gets exactly one first attempt
-        // (pre-drawn by the whole-row words) and attempts beyond the
-        // planned bond count are retries, at most one per bond. The
-        // fast path's debug assertion cross-checks the non-exhaustion
-        // proof on every generated layer.
+    fn unmerged_high_degree_layers_attempt_every_bond() {
+        // Merging factor 1 with degree >= 6: no budget runs out before a
+        // first attempt (see `high_budget_sweep_attempts_every_bond`), so
+        // every lattice bond gets exactly one first attempt and attempts
+        // beyond the planned bond count are retries, at most one per bond.
         for side in [1usize, 2, 7, 33, 64, 65] {
             let cfg = HardwareConfig::new(side, 7, 0.7);
             assert_eq!(cfg.merging_factor(), 1);
@@ -895,23 +768,31 @@ mod tests {
     }
 
     #[test]
-    fn whole_row_sweep_attempts_every_bond() {
-        // The non-exhaustion proof behind the whole-row path, at a low
-        // probability that retries often and from the smallest whole-row
-        // budget (6-qubit states): every row's attempt masks cover every
-        // bond of the row.
+    fn high_budget_sweep_attempts_every_bond() {
+        // Every site starting at budget 5 (6-qubit states, m = 1), at a low
+        // probability that retries often: retries are gated on
+        // `budget > remaining`, so each leaves at least `remaining` leaves
+        // behind, and even two neighbor bonds with retries before a site's
+        // own east bond leave it a leaf. Every row's attempt masks cover
+        // every bond of the row.
         for side in [1usize, 2, 7, 33, 63, 64, 65, 120, 129] {
             let mut sampler = FusionSampler::new(0.3, side as u64);
             let mut rows = SweepRows::default();
             rows.reset(side);
-            fill_budgets(5, side, &mut rows.cur);
+            let fives = |out: &mut [Planes]| {
+                for (w, planes) in out.iter_mut().enumerate() {
+                    let lanes = lanes_below(side, w);
+                    *planes = [lanes, 0, lanes, 0];
+                }
+            };
+            fives(&mut rows.cur);
             let mut retries = 0;
             for y in 0..side {
                 let up = y + 1 < side;
-                fill_budgets(5, side, &mut rows.above);
+                fives(&mut rows.above);
                 for w in 0..rows.cur.len() {
-                    rows.east[w] = sampler.sample_batched_word(64);
-                    rows.north[w] = sampler.sample_batched_word(64);
+                    rows.east[w] = sampler.bernoulli_word(u64::MAX);
+                    rows.north[w] = sampler.bernoulli_word(u64::MAX);
                 }
                 sweep_row(side, y, &mut rows);
                 for (w, m) in rows.masks.iter().enumerate() {
@@ -1005,8 +886,8 @@ mod tests {
     fn layers_are_pure_functions_of_their_key() {
         // Layer `i` of a run depends only on `(config, seed, i)`: a plan
         // generating the indices out of order, on one dirty scratch and
-        // buffer, reproduces the in-order run layer for layer — on both
-        // the merged and the whole-row path.
+        // buffer, reproduces the in-order run layer for layer — for merged
+        // states and for the one-outcome law of unmerged ones.
         for cfg in [HardwareConfig::new(14, 4, 0.7), HardwareConfig::new(14, 7, 0.7)] {
             let mut engine = FusionEngine::new(cfg, 99);
             let in_order: Vec<PhysicalLayer> = (0..4).map(|_| engine.generate_layer()).collect();

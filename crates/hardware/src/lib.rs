@@ -7,8 +7,10 @@
 //!
 //! * [`HardwareConfig`] — the knobs of the simulated machine: RSL size,
 //!   resource-state size, fusion success probability, photon loss.
-//! * [`FusionSampler`] — seeded stochastic fusion outcomes with attempt
-//!   accounting (the `#fusion` metric of the evaluation).
+//! * [`FusionSampler`] — seeded stochastic fusion outcomes: per-attempt
+//!   draws with attempt accounting (the `#fusion` metric of the
+//!   evaluation), and bit-sliced threshold draws that settle 64 lanes
+//!   against sorted cut points at once.
 //! * [`FusionStrategy`] / [`FusionEngine`] — the semi-static fusion strategy
 //!   of Section 4: leaf-leaf fusions arrange (merged) resource states into a
 //!   lattice, root-leaf fusions merge several RSLs when the resource states
@@ -20,7 +22,8 @@
 //!   seeded with [`layer_key`]`(seed, i)`, so any thread can generate any
 //!   layer; [`FusionEngine`] walks a run's layers in order.
 //! * [`MergeLaw`] — the exact per-site law of the root-leaf merging phase,
-//!   drawn by the engine with one alias-table lookup per site.
+//!   and its cut points: the engine draws it with one threshold draw per
+//!   64 sites, the same primitive that draws the bond outcome planes.
 //! * [`PhysicalLayer`] — the random physical graph state produced for one
 //!   (merged) resource-state layer, in the site-lattice representation
 //!   consumed by the online reshaping pass.

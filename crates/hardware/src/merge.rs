@@ -1,5 +1,5 @@
-//! The exact per-site law of the root-leaf merging phase, and an alias
-//! table that draws it with one uniform word per site.
+//! The exact per-site law of the root-leaf merging phase, and its cut
+//! points for drawing it bit-sliced.
 //!
 //! In the semi-static strategy (Sections 4.1–4.3) every site merges its
 //! `m` stacked resource states on its own: the cluster starts as one
@@ -32,14 +32,14 @@ pub struct MergeOutcome {
 }
 
 /// The exact law of a site's merging phase for one `(degree, merging
-/// factor, p)`, with a power-of-two alias table over it.
+/// factor, p)`, with its cut points on `u64` uniforms.
 ///
-/// The table has `2^k` columns, each holding `2^(64 - k)` units of
-/// probability mass split between the column's own outcome and one alias.
-/// A uniform word draws an outcome branch-free: its top `k` bits pick the
-/// column, its low `64 - k` bits compare against the column's threshold.
-/// Masses are rounded to multiples of `2^-64`, far below any sampling
-/// resolution.
+/// Cut `k` is the mass of outcomes `0..=k` in units of `2^-64`, so a
+/// uniform 64-bit `u` draws outcome `i` exactly when `i` cuts are `≤ u`:
+/// [`FusionSampler::threshold_masks`](crate::FusionSampler::threshold_masks)
+/// draws it for 64 sites at once. Masses are rounded to multiples of
+/// `2^-64`, far below any sampling resolution. A law with one outcome has
+/// no cut and draws nothing.
 ///
 /// # Example
 ///
@@ -48,28 +48,17 @@ pub struct MergeOutcome {
 ///
 /// let law = MergeLaw::new(3, 3, 0.75);
 /// assert_eq!(law.outcomes().len(), 8);
+/// assert_eq!(law.cuts().len(), 7);
 /// let total: f64 = law.outcomes().iter().map(|&(_, p)| p).sum();
 /// assert!((total - 1.0).abs() < 1e-12);
-/// let best = law.outcomes()[law.pick(0)].0;
-/// assert!(best.leaves <= 7);
+/// // Outcomes ascend by leaves, so the top uniforms draw the richest one.
+/// let best = law.outcomes()[law.cuts().len()].0;
+/// assert_eq!(best.leaves, 7);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MergeLaw {
     outcomes: Vec<(MergeOutcome, f64)>,
-    /// `64 - k`: the word's top `k` bits are the column.
-    shift: u32,
-    columns: Vec<Column>,
-}
-
-/// One column of the alias table.
-#[derive(Debug, Clone, Copy)]
-struct Column {
-    /// Mass of the column's own outcome, in units of `2^-64`: a word whose
-    /// low `shift` bits fall below it draws `pick[0]`, any other draws
-    /// `pick[1]`.
-    threshold: u64,
-    /// The column's own outcome, then its alias.
-    pick: [u32; 2],
+    cuts: Vec<u64>,
 }
 
 impl MergeLaw {
@@ -89,35 +78,22 @@ impl MergeLaw {
             })
             .collect();
 
-        let column_count = outcomes.len().next_power_of_two().max(2);
-        let k = column_count.trailing_zeros();
-        let shift = 64 - k;
-        let unit = 1u128 << shift;
-        // Integer masses summing to exactly 2^64, so the alias
-        // construction below closes with no leftover column.
+        // Integer masses summing to exactly 2^64, the heaviest outcome
+        // taking the rounding, so every cut is below 2^64.
         let mut mass: Vec<u128> =
             outcomes.iter().map(|&(_, prob)| (prob * 2f64.powi(64)) as u128).collect();
-        mass.resize(column_count, 0);
-        let heaviest = (0..outcomes.len()).max_by_key(|&i| mass[i]).expect("one outcome");
+        let heaviest = (0..mass.len()).max_by_key(|&i| mass[i]).expect("one outcome");
         let total: u128 = mass.iter().sum();
         mass[heaviest] = mass[heaviest] + (1u128 << 64) - total;
-
-        let mut columns: Vec<Column> = (0..column_count)
-            .map(|c| Column { threshold: unit as u64, pick: [c as u32; 2] })
+        let cuts = mass[..mass.len() - 1]
+            .iter()
+            .scan(0u128, |below, &m| {
+                *below += m;
+                // Only an outcome rounded to no mass at all can reach 2^64.
+                Some((*below).min(u128::from(u64::MAX)) as u64)
+            })
             .collect();
-        let (mut small, mut large): (Vec<usize>, Vec<usize>) =
-            (0..column_count).partition(|&i| mass[i] < unit);
-        while let (Some(s), Some(&l)) = (small.pop(), large.last()) {
-            columns[s].threshold = mass[s] as u64;
-            columns[s].pick[1] = l as u32;
-            mass[l] -= unit - mass[s];
-            if mass[l] < unit {
-                large.pop();
-                small.push(l);
-            }
-        }
-        debug_assert!(small.is_empty(), "integer masses leave no partial column");
-        MergeLaw { outcomes, shift, columns }
+        MergeLaw { outcomes, cuts }
     }
 
     /// Every outcome with positive probability, with that probability, in
@@ -126,14 +102,11 @@ impl MergeLaw {
         &self.outcomes
     }
 
-    /// The index into [`MergeLaw::outcomes`] that the uniform `word`
-    /// draws. The comparison selects an array slot rather than a branch,
-    /// so a stream of draws runs without mispredictions.
-    #[inline]
-    pub fn pick(&self, word: u64) -> usize {
-        let column = &self.columns[(word >> self.shift) as usize];
-        let low = word & ((1u64 << self.shift) - 1);
-        column.pick[usize::from(low >= column.threshold)] as usize
+    /// The ascending cut points between consecutive outcomes (one fewer
+    /// than the outcomes): a uniform `u` draws outcome `i` when exactly
+    /// `i` cuts are `≤ u`.
+    pub fn cuts(&self) -> &[u64] {
+        &self.cuts
     }
 }
 
@@ -201,31 +174,25 @@ mod tests {
         let certain = MergeLaw::new(3, 3, 1.0);
         assert_eq!(certain.outcomes().len(), 1);
         assert_eq!(certain.outcomes()[0].0, MergeOutcome { leaves: 7, attempts: 2, successes: 2 });
-        for word in [0, u64::MAX, 0x8000_0000_0000_0000, 12345] {
-            assert_eq!(unmerged.pick(word), 0);
-            assert_eq!(certain.pick(word), 0);
-        }
+        assert!(unmerged.cuts().is_empty() && certain.cuts().is_empty(), "nothing to draw");
     }
 
     #[test]
-    fn alias_table_carries_each_outcome_mass_exactly() {
-        // Sum each outcome's share of every column in units of 2^-64: the
-        // table must reproduce the rounded law to the unit.
+    fn cuts_carry_each_outcome_mass_exactly() {
+        // The gap between consecutive cuts, in units of 2^-64, is each
+        // outcome's rounded mass; the last outcome takes the rest of 2^64.
         for &(degree, m, p) in &[(3usize, 3usize, 0.75f64), (3, 3, 0.66), (2, 7, 0.9), (5, 4, 0.75)]
         {
             let law = MergeLaw::new(degree, m, p);
-            let unit = 1u128 << law.shift;
-            let mut mass = vec![0u128; law.outcomes().len()];
-            for column in &law.columns {
-                let [own, alias] = column.pick.map(|i| i as usize);
-                if column.threshold > 0 {
-                    mass[own] += u128::from(column.threshold);
-                }
-                mass[alias] += unit - u128::from(column.threshold);
-            }
-            assert_eq!(mass.iter().sum::<u128>(), 1u128 << 64);
+            let cuts = law.cuts();
+            assert_eq!(cuts.len() + 1, law.outcomes().len());
+            assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "({degree}, {m}, {p}): cuts ascend");
+            let edges: Vec<u128> = std::iter::once(0)
+                .chain(cuts.iter().map(|&c| u128::from(c)))
+                .chain(std::iter::once(1u128 << 64))
+                .collect();
             for (i, &(_, prob)) in law.outcomes().iter().enumerate() {
-                let drawn = mass[i] as f64 / 2f64.powi(64);
+                let drawn = (edges[i + 1] - edges[i]) as f64 / 2f64.powi(64);
                 assert!((drawn - prob).abs() < 1e-15, "({degree}, {m}, {p}) outcome {i}");
             }
         }

@@ -36,11 +36,46 @@ impl FusionStats {
     }
 }
 
+/// The lanes of `lanes` whose uniform is at least `cut`: one cut of a
+/// threshold draw (see [`FusionSampler::threshold_masks`]). `plane(j)`
+/// returns plane `j`, bit `63 - j` of every lane; it is called for
+/// `j = 0, 1, ...` only while some lane is still tied with the cut and the
+/// cut has bits left that are not zero.
+#[inline(always)]
+fn at_least_cut(cut: u64, lanes: u64, mut plane: impl FnMut(usize) -> u64) -> u64 {
+    let (mut above, mut tied) = (0u64, lanes);
+    // The cut's bits not compared yet, the next one at the top.
+    let mut rest = cut;
+    let mut j = 0;
+    while tied != 0 && rest != 0 {
+        // A tied lane whose bit differs from the cut's is decided: above
+        // where its bit is 1, below where it is 0.
+        let r = plane(j);
+        let differs = r ^ 0u64.wrapping_sub(rest >> 63);
+        above |= tied & differs & r;
+        tied &= !differs;
+        rest <<= 1;
+        j += 1;
+    }
+    above | tied
+}
+
 /// Seeded source of heralded fusion outcomes.
 ///
 /// Every sampled outcome is counted so the experiment harness can report the
 /// exact number of fusions consumed by a compilation, matching the paper's
 /// `#fusion` metric.
+///
+/// The sampler draws from two streams of the same seeded `StdRng`:
+///
+/// - [`FusionSampler::sample`], one heralded outcome per call (one RNG
+///   word and an `f64` compare). The time-like fusions of the reshaping
+///   pass and the OneQ baseline use it.
+/// - [`FusionSampler::threshold_masks`], which compares the uniforms of 64
+///   lanes against sorted cut points, one RNG word per bit plane. The
+///   layer generator draws every per-site merging outcome and every
+///   leaf-leaf outcome plane with it; [`FusionSampler::bernoulli_word`] is
+///   its single-cut form.
 ///
 /// # Example
 ///
@@ -56,16 +91,12 @@ pub struct FusionSampler {
     success_prob: f64,
     rng: StdRng,
     stats: FusionStats,
-    /// Binary expansion of `success_prob` for the word-batched draw path,
-    /// packed **deepest digit first** (bit `j` holds fractional digit
-    /// `block_depth - j`), truncated to 64 digits. Zero depth means the
-    /// probability is exactly 1.
-    block_digits: u64,
-    block_depth: u32,
-    /// Pre-drawn batched outcomes not yet consumed (next outcome at the
-    /// LSB).
-    batch: u64,
-    batch_len: u32,
+    /// The cut of a Bernoulli(`success_prob`) lane, `p·2^64`: a lane fails
+    /// when its uniform is at least the cut. Empty at `p = 1`.
+    failure_cut: Option<u64>,
+    /// The bit planes of the current threshold draw. Only planes drawn by
+    /// that draw are read, so they need no clearing between draws.
+    planes: [u64; 64],
 }
 
 impl FusionSampler {
@@ -80,40 +111,16 @@ impl FusionSampler {
             success_prob > 0.0 && success_prob <= 1.0,
             "fusion success probability must be in (0, 1]"
         );
-        // Binary expansion of the probability, MSB (weight 1/2) first.
-        // Every f64 in (0, 1) is a dyadic rational, so for practical fusion
-        // probabilities (0.75, 0.5, ...) the expansion terminates after a
-        // few digits; the 64-digit truncation bounds the bias below 2^-64
-        // for the rest (finer than the 2^-53 resolution of the scalar
-        // `gen_bool` path).
-        let mut msb_first = [false; 64];
-        let mut depth = 0u32;
-        if success_prob < 1.0 {
-            let mut frac = success_prob;
-            while frac > 0.0 && depth < 64 {
-                frac *= 2.0;
-                let bit = frac >= 1.0;
-                if bit {
-                    frac -= 1.0;
-                }
-                msb_first[depth as usize] = bit;
-                depth += 1;
-            }
-        }
-        let mut block_digits = 0u64;
-        for j in 0..depth {
-            if msb_first[(depth - 1 - j) as usize] {
-                block_digits |= 1 << j;
-            }
-        }
+        // Every f64 in [2^-12, 1) is a multiple of 2^-64, so for any
+        // practical probability the cut is exact and a lane succeeds with
+        // probability exactly `success_prob`.
+        let failure_cut = (success_prob < 1.0).then(|| (success_prob * 2f64.powi(64)) as u64);
         FusionSampler {
             success_prob,
             rng: StdRng::seed_from_u64(seed),
             stats: FusionStats::default(),
-            block_digits,
-            block_depth: depth,
-            batch: 0,
-            batch_len: 0,
+            failure_cut,
+            planes: [0; 64],
         }
     }
 
@@ -129,119 +136,60 @@ impl FusionSampler {
         }
     }
 
-    /// Draws 64 independent Bernoulli(`success_prob`) outcome bits in one
-    /// word-parallel batch via bit-slicing: one fresh random word per
-    /// binary digit of the probability, combined with an AND/OR ladder from
-    /// the deepest digit up, so 64 outcomes cost `depth` RNG words instead
-    /// of 64 (2 for the practical p = 0.75). Bit `j` of the result is the
-    /// `j`-th outcome.
-    fn draw_block(&mut self) -> u64 {
-        if self.block_depth == 0 {
-            // Probability exactly 1: every outcome succeeds, no RNG draw.
-            return u64::MAX;
-        }
-        let mut acc = 0u64;
-        for j in 0..self.block_depth {
-            let r = self.rng.next_u64();
-            acc = if (self.block_digits >> j) & 1 == 1 { r | acc } else { r & acc };
-        }
-        acc
-    }
-
-    /// Samples one heralded fusion outcome from the word-batched stream.
+    /// Compares 64 lanes' independent uniform 64-bit values `u` against
+    /// the ascending cut points `cuts`, and sets `at_least[k]` to the lanes
+    /// of `lanes` where `u ≥ cuts[k]`. Lanes outside `lanes` are in no mask.
     ///
-    /// Outcomes are pre-drawn 64 at a time with bit-sliced Bernoulli words
-    /// (see the private `draw_block` for the construction) and consumed
-    /// one bit per call, so attempt accounting stays exact under
-    /// data-dependent control flow (an attempt is only counted — and a
-    /// buffered bit only consumed — when the caller actually samples). The
-    /// layer generator's whole-row bond phase runs on this stream; time-like
-    /// fusions stay on the per-attempt [`FusionSampler::sample`] stream.
-    #[inline]
-    pub fn sample_batched(&mut self) -> FusionOutcome {
-        if self.batch_len == 0 {
-            self.batch = self.draw_block();
-            self.batch_len = 64;
-        }
-        let success = self.batch & 1 == 1;
-        self.batch >>= 1;
-        self.batch_len -= 1;
-        self.stats.attempted += 1;
-        if success {
-            self.stats.succeeded += 1;
-            FusionOutcome::Success
-        } else {
-            FusionOutcome::Failure
-        }
-    }
-
-    /// Draws `count` (at most 64) consecutive outcomes of the word-batched
-    /// stream in one call; outcome `j` is bit `j` of the result (success =
-    /// 1), and bits at positions `>= count` are zero.
+    /// The values are read bit-sliced, most significant bit first: RNG
+    /// word `j` holds bit `63 - j` of every lane. A lane is decided against
+    /// a cut at the first bit where the two differ. The draw stops as soon
+    /// as every lane of `lanes` is decided against every cut, or the cuts'
+    /// remaining bits are all zero (an undecided lane is then `≥` the cut
+    /// whatever its remaining bits are). So a single cut at `p = 0.75`
+    /// costs at most two words, and no cut (`p = 1`, or a law with one
+    /// outcome) or no lane costs none.
     ///
-    /// The returned bits are exactly the ones `count` successive
-    /// [`FusionSampler::sample_batched`] calls would have produced — the
-    /// buffered block and the underlying RNG advance identically — so
-    /// callers may mix word-granular and single-bit consumption freely
-    /// without perturbing the stream. All `count` outcomes are accounted
-    /// as attempts at draw time; the layer generator's whole-row bond fast
-    /// path therefore only draws words for bonds it provably attempts.
+    /// The masks are those of the full 64-bit uniforms: the bits never
+    /// drawn could not change any comparison. Stopping depends only on bits
+    /// already drawn, so the next draw starts on fresh words, and lanes
+    /// stay independent of each other and of every other draw. Nothing is
+    /// accounted in [`FusionSampler::stats`]: the masks stand for attempts
+    /// only the caller knows it makes.
     ///
     /// # Panics
     ///
-    /// Panics when `count > 64`.
-    pub fn sample_batched_word(&mut self, count: u32) -> u64 {
-        assert!(count <= 64, "at most one word of outcomes per draw");
-        if count == 0 {
-            return 0;
+    /// Panics when `at_least` is shorter than `cuts`.
+    pub fn threshold_masks(&mut self, cuts: &[u64], lanes: u64, at_least: &mut [u64]) {
+        assert!(at_least.len() >= cuts.len(), "one mask per cut");
+        debug_assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "cuts ascend");
+        // Every cut reads the planes drawn so far from `planes`, and draws
+        // the ones no earlier cut needed.
+        let FusionSampler { rng, planes, .. } = self;
+        let mut drawn = 0;
+        for (&cut, out) in cuts.iter().zip(at_least.iter_mut()) {
+            *out = at_least_cut(cut, lanes, |j| {
+                if j == drawn {
+                    planes[j] = rng.next_u64();
+                    drawn += 1;
+                }
+                planes[j]
+            });
         }
-        let take = self.batch_len.min(count);
-        let mut out = self.batch & lo_mask(take);
-        self.batch = self.batch.checked_shr(take).unwrap_or(0);
-        self.batch_len -= take;
-        if take < count {
-            let rest = count - take;
-            let block = self.draw_block();
-            out |= (block & lo_mask(rest)) << take;
-            self.batch = block.checked_shr(rest).unwrap_or(0);
-            self.batch_len = 64 - rest;
-        }
-        self.stats.attempted += u64::from(count);
-        self.stats.succeeded += u64::from(out.count_ones());
-        out
     }
 
-    /// Fills `out` with uniform random words straight from the RNG, for
-    /// table-driven draws (the layer generator's merge-law alias table).
-    /// Nothing is accounted: the caller records the attempts its draws
-    /// stand for with [`FusionSampler::record`].
+    /// 64 independent Bernoulli(`success_prob`) outcomes on `lanes`
+    /// (success = 1, other lanes 0): the threshold draw with the single
+    /// cut `p·2^64`, where a lane succeeds when its uniform lies below the
+    /// cut. Costs about 7 RNG words per call at `p = 0.9`, 2 at `p = 0.75`
+    /// and none at `p = 1`. Nothing is accounted (see
+    /// [`FusionSampler::threshold_masks`]).
     #[inline]
-    pub fn fill_uniform(&mut self, out: &mut [u64]) {
-        for w in out {
-            *w = self.rng.next_u64();
+    pub fn bernoulli_word(&mut self, lanes: u64) -> u64 {
+        match self.failure_cut {
+            // A single cut reads each plane once, as it draws it.
+            Some(cut) => lanes & !at_least_cut(cut, lanes, |_| self.rng.next_u64()),
+            None => lanes,
         }
-    }
-
-    /// Fills `out` with bit-sliced Bernoulli(`success_prob`) outcome words:
-    /// every bit is an independent heralded outcome, drawn by the same
-    /// construction (and, from a fresh sampler, as the same bits) as the
-    /// word-batched stream. Nothing is accounted, because the layer
-    /// generator pre-draws one bit per *possible* attempt and records with
-    /// [`FusionSampler::record`] only the attempts it makes. The pending
-    /// batch of [`FusionSampler::sample_batched`] is neither read nor
-    /// advanced.
-    pub fn fill_outcome_words(&mut self, out: &mut [u64]) {
-        for w in out {
-            *w = self.draw_block();
-        }
-    }
-
-    /// Accounts attempts resolved from words drawn by
-    /// [`FusionSampler::fill_uniform`] or
-    /// [`FusionSampler::fill_outcome_words`].
-    #[inline]
-    pub fn record(&mut self, stats: FusionStats) {
-        self.stats.absorb(stats);
     }
 
     /// Accumulated attempt statistics.
@@ -253,16 +201,6 @@ impl FusionSampler {
     /// that needs auxiliary randomness tied to the same stream.
     pub fn uniform(&mut self) -> f64 {
         self.rng.gen()
-    }
-}
-
-/// The lowest `k` bits set (`k <= 64`; the full word at `k = 64`).
-#[inline]
-fn lo_mask(k: u32) -> u64 {
-    if k >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << k) - 1
     }
 }
 
@@ -316,109 +254,164 @@ mod tests {
     #[test]
     fn batched_rate_close_to_configured() {
         // Dyadic (2-digit) and non-dyadic (full-depth) probabilities both
-        // come out of the bit-sliced block construction at the right rate.
+        // come out of the single-cut threshold draw at the right rate.
         for &p in &[0.75f64, 0.66, 0.5, 0.9] {
             let mut s = FusionSampler::new(p, 11);
-            let hits = (0..100_000).filter(|_| s.sample_batched().is_success()).count();
-            let rate = hits as f64 / 100_000.0;
+            let hits: u32 = (0..1_600).map(|_| s.bernoulli_word(u64::MAX).count_ones()).sum();
+            let rate = f64::from(hits) / 102_400.0;
             assert!((rate - p).abs() < 0.01, "p {p}: rate {rate}");
-            assert_eq!(s.stats().attempted, 100_000);
         }
-    }
-
-    #[test]
-    fn batched_accounting_is_per_consumed_outcome() {
-        let mut s = FusionSampler::new(0.75, 3);
-        for _ in 0..5 {
-            let _ = s.sample_batched();
-        }
-        // Only the five consumed outcomes count, not the 64-outcome block
-        // drawn behind them.
-        assert_eq!(s.stats().attempted, 5);
     }
 
     #[test]
     fn batched_certain_probability_always_succeeds() {
         let mut s = FusionSampler::new(1.0, 8);
-        assert!((0..200).all(|_| s.sample_batched().is_success()));
-    }
-
-    #[test]
-    fn word_draws_match_the_bit_stream_exactly() {
-        // sample_batched_word(count) must hand out exactly the bits that
-        // `count` successive sample_batched calls would, across word
-        // counts that leave the internal block at every alignment.
-        for &p in &[0.75f64, 0.66, 1.0] {
-            let mut bits = FusionSampler::new(p, 31);
-            let mut words = FusionSampler::new(p, 31);
-            for &count in &[1u32, 63, 64, 7, 40, 64, 13, 64, 5] {
-                let word = words.sample_batched_word(count);
-                assert_eq!(word & !lo_mask(count), 0, "bits past count must be zero");
-                for j in 0..count {
-                    let expect = bits.sample_batched().is_success();
-                    assert_eq!(
-                        word >> j & 1 == 1,
-                        expect,
-                        "p {p}: outcome {j} of a {count}-wide draw diverged"
-                    );
-                }
-            }
-            assert_eq!(bits.stats(), words.stats(), "p {p}: accounting diverged");
-        }
-    }
-
-    #[test]
-    fn word_draws_interleave_with_single_draws() {
-        // A mixed consumer (words, single bits, per-attempt draws) sees the
-        // same stream as a pure single-bit consumer of the same pattern:
-        // the word draw is a view of the stream, not a fork.
-        let mut mixed = FusionSampler::new(0.75, 9);
-        let mut plain = FusionSampler::new(0.75, 9);
-        let mut mixed_out = Vec::new();
-        let mut plain_out = Vec::new();
-        for round in 0..5u32 {
-            let w = mixed.sample_batched_word(23 + round);
-            for j in 0..(23 + round) {
-                mixed_out.push(w >> j & 1 == 1);
-                plain_out.push(plain.sample_batched().is_success());
-            }
-            for _ in 0..3 {
-                mixed_out.push(mixed.sample_batched().is_success());
-                plain_out.push(plain.sample_batched().is_success());
-            }
-            mixed_out.push(mixed.sample().is_success());
-            plain_out.push(plain.sample().is_success());
-        }
-        assert_eq!(mixed_out, plain_out);
-        assert_eq!(mixed.stats(), plain.stats());
+        assert!((0..200).all(|_| s.bernoulli_word(u64::MAX) == u64::MAX));
+        assert_eq!(s.bernoulli_word(0x00f0), 0x00f0, "only the requested lanes");
     }
 
     #[test]
     fn outcome_words_are_the_batched_stream_unaccounted() {
-        // From a fresh sampler, `fill_outcome_words` hands out exactly the
-        // words the batched stream would, and counts none of them.
-        for &p in &[0.75f64, 0.66, 1.0] {
-            let mut planes = FusionSampler::new(p, 21);
-            let mut batched = FusionSampler::new(p, 21);
-            let mut words = [0u64; 5];
-            planes.fill_outcome_words(&mut words);
-            for (i, &w) in words.iter().enumerate() {
-                assert_eq!(w, batched.sample_batched_word(64), "p {p}: word {i}");
+        // A Bernoulli word is the threshold draw with the single cut p·2^64,
+        // negated, on the same words; neither counts an attempt.
+        for &p in &[0.75f64, 0.66, 0.9] {
+            let mut words = FusionSampler::new(p, 21);
+            let mut masks = FusionSampler::new(p, 21);
+            let cut = [(p * 2f64.powi(64)) as u64];
+            for lanes in [u64::MAX, 0x0123_4567_89ab_cdef, 1] {
+                let mut failed = [0u64];
+                masks.threshold_masks(&cut, lanes, &mut failed);
+                assert_eq!(words.bernoulli_word(lanes), lanes & !failed[0], "p {p}");
             }
-            assert_eq!(planes.stats(), FusionStats::default());
-            planes.record(FusionStats { attempted: 3, succeeded: 2 });
-            assert_eq!(planes.stats(), FusionStats { attempted: 3, succeeded: 2 });
+            assert_eq!(words.stats(), FusionStats::default());
+            assert_eq!(masks.stats(), FusionStats::default());
         }
     }
 
     #[test]
     fn zero_width_word_draw_is_free() {
         let mut s = FusionSampler::new(0.75, 4);
-        assert_eq!(s.sample_batched_word(0), 0);
-        assert_eq!(s.stats().attempted, 0, "no outcome consumed, none counted");
-        // The stream is untouched: the next full word matches a fresh
-        // sampler's first word.
+        assert_eq!(s.bernoulli_word(0), 0);
+        let mut masks = [u64::MAX; 3];
+        s.threshold_masks(&[1, 1 << 40, u64::MAX], 0, &mut masks);
+        assert_eq!(masks, [0; 3], "no lane, no mask");
+        // The stream is untouched: the next word matches a fresh sampler's
+        // first word.
         let mut fresh = FusionSampler::new(0.75, 4);
-        assert_eq!(s.sample_batched_word(64), fresh.sample_batched_word(64));
+        assert_eq!(s.bernoulli_word(u64::MAX), fresh.bernoulli_word(u64::MAX));
+    }
+
+    #[test]
+    fn word_draws_interleave_with_single_draws() {
+        // Threshold draws and per-attempt draws read one RNG stream in
+        // turn: a per-attempt draw after a Bernoulli word reads the word
+        // after the planes that word drew, and vice versa.
+        let mut mixed = FusionSampler::new(0.75, 9);
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..50 {
+            let word = mixed.bernoulli_word(u64::MAX);
+            // At p = 0.75 a word is two planes; a lane fails when both of
+            // its bits are set.
+            assert_eq!(word, !(rng.next_u64() & rng.next_u64()));
+            assert_eq!(mixed.sample().is_success(), rng.gen_bool(0.75));
+        }
+        assert_eq!(mixed.stats().attempted, 50, "only the per-attempt draws count");
+    }
+
+    /// RNG words `after` has drawn beyond `before`, a clone of the same
+    /// sampler taken earlier.
+    fn words_drawn(before: &FusionSampler, after: &FusionSampler) -> usize {
+        let next = after.rng.clone().next_u64();
+        let mut probe = before.rng.clone();
+        for k in 0..=64 {
+            if probe.clone().next_u64() == next {
+                return k;
+            }
+            probe.next_u64();
+        }
+        panic!("more than 64 words drawn");
+    }
+
+    #[test]
+    fn threshold_draws_cost_few_words_per_plane() {
+        // The price of a bond plane: at most 2 words at p = 0.75 (the
+        // dyadic cut 0.11b runs out of bits), none at p = 1, and about 8
+        // at p = 0.9, where each word decides about half the undecided
+        // lanes.
+        for (p, bound) in [(0.75, 2), (1.0, 0)] {
+            let mut s = FusionSampler::new(p, 5);
+            for _ in 0..1_000 {
+                let before = s.clone();
+                s.bernoulli_word(u64::MAX);
+                let words = words_drawn(&before, &s);
+                assert!(words <= bound, "p {p}: {words} words for one plane");
+            }
+        }
+        let mut s = FusionSampler::new(0.9, 5);
+        let mut total = 0;
+        for _ in 0..1_000 {
+            let before = s.clone();
+            s.bernoulli_word(u64::MAX);
+            total += words_drawn(&before, &s);
+        }
+        assert!(total < 10_000, "p = 0.9: {total} words for 1,000 planes");
+        // A one-outcome law has no cut, and draws nothing.
+        let before = s.clone();
+        s.threshold_masks(&[], u64::MAX, &mut []);
+        assert_eq!(words_drawn(&before, &s), 0);
+    }
+
+    #[test]
+    fn word_draws_match_the_bit_stream_exactly() {
+        // The word-parallel threshold draw against a scalar decode of the
+        // same RNG stream: each lane's uniform compared with each cut one
+        // bit at a time, most significant first, where word `j` holds bit
+        // `63 - j` of every lane and a word is drawn only when some lane
+        // still needs it.
+        let cut_sets: [&[u64]; 6] = [
+            &[0xc000_0000_0000_0000],
+            &[(0.9 * 2f64.powi(64)) as u64],
+            &[1 << 60, 1 << 62, 1 << 62, 3 << 62],
+            &[0, 5, u64::MAX],
+            &[0x1234_5678_9abc_def0, 0x8000_0000_0000_0001, 0xffff_ffff_0000_0000],
+            &[],
+        ];
+        for (set, cuts) in cut_sets.iter().enumerate() {
+            for seed in 0..20u64 {
+                let lanes = match seed % 3 {
+                    0 => u64::MAX,
+                    1 => 0x0000_ffff_0f0f_0001,
+                    _ => (1 << (seed % 64)) | 1,
+                };
+                let mut s = FusionSampler::new(0.5, seed);
+                let mut masks = vec![0u64; cuts.len()];
+                s.threshold_masks(cuts, lanes, &mut masks);
+
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut planes: Vec<u64> = Vec::new();
+                let mut expected = vec![0u64; cuts.len()];
+                for lane in (0..64).filter(|&l| lanes >> l & 1 == 1) {
+                    for (k, &cut) in cuts.iter().enumerate() {
+                        let mut at_least = true;
+                        for j in 0..64 {
+                            if cut << j == 0 {
+                                break;
+                            }
+                            if j == planes.len() {
+                                planes.push(rng.next_u64());
+                            }
+                            let (u, c) = (planes[j] >> lane & 1, cut >> (63 - j) & 1);
+                            if u != c {
+                                at_least = u > c;
+                                break;
+                            }
+                        }
+                        expected[k] |= u64::from(at_least) << lane;
+                    }
+                }
+                assert_eq!(masks, expected, "cut set {set}, seed {seed}");
+                assert_eq!(s.rng.next_u64(), rng.next_u64(), "cut set {set}, seed {seed}: words");
+            }
+        }
     }
 }

@@ -1,35 +1,33 @@
 //! Golden pin of the `FusionSampler` stochastic streams.
 //!
 //! The time-like fusions of the reshaping pass and the OneQ baseline
-//! consume the per-attempt [`FusionSampler::sample`] stream; the layer
-//! generator's whole-row bond phase consumes the word-batched
-//! [`FusionSampler::sample_batched`] stream, and merged layers draw raw
-//! [`FusionSampler::fill_uniform`] words (one per site, decoded by the
-//! merge-law alias table) and bit-sliced outcome planes. Any sampler
+//! consume the per-attempt [`FusionSampler::sample`] stream. The layer
+//! generator draws everything else with threshold draws
+//! ([`FusionSampler::threshold_masks`]): each 64-site word of merging
+//! outcomes against the cuts of the merge law, and each word of its bond
+//! outcome planes from the batched stream of
+//! [`FusionSampler::bernoulli_word`], the single-cut form. Any sampler
 //! refactor that silently shifts a stream would change every compiled
-//! program while still passing the self-consistent determinism suites — so
-//! the first 256 outcomes of the two outcome streams are pinned here at
-//! fixed seeds, for the practical dyadic probability (p = 0.75, two
-//! bit-sliced digits) and a non-dyadic one (p = 0.66, full-depth
-//! expansion), together with the first four uniform words.
+//! program while still passing the self-consistent determinism suites, so
+//! the first 256 outcomes of the per-attempt and batched streams are pinned
+//! here at fixed seeds, for the practical dyadic probability (p = 0.75, a
+//! two-bit cut) and a non-dyadic one (p = 0.66, a full-depth cut),
+//! together with the masks of one merge-law draw per seed.
 //!
 //! Encoding: outcome `k` (success = 1) is bit `k % 64` of word `k / 64`.
 //!
-//! If a change to the RNG shim, the bit-slicing construction or the scalar
+//! If a change to the RNG shim, the threshold draw or the scalar
 //! `gen_bool` path is *intentional*, regenerate these constants with the
 //! checked-in tool (`cargo run --release -p oneperc --example regen_pins`
-//! prints them in paste-ready form, beside the report pins) and say so loudly in the commit —
-//! every seeded result in the repository shifts with them. The word-
-//! granular [`FusionSampler::sample_batched_word`] draw and the outcome
-//! planes of [`FusionSampler::fill_outcome_words`] are views of the
-//! batched stream pinned here (their agreement is enforced by the
-//! sampler's unit tests), so they need no pin of their own.
+//! prints them in paste-ready form, beside the report pins) and say so
+//! loudly in the commit: every seeded result in the repository shifts with
+//! them.
 //!
 //! Layer generation seeds one sampler per layer with `layer_key(seed,
 //! index)`; the keys are pinned here too, so the layer streams are pinned
 //! end to end.
 
-use oneperc_hardware::{layer_key, FusionSampler};
+use oneperc_hardware::{layer_key, FusionSampler, MergeLaw};
 
 const N: usize = 256;
 
@@ -46,7 +44,7 @@ fn collect(mut next: impl FnMut() -> bool) -> [u64; 4] {
 fn assert_stream(p: f64, seed: u64, batched: bool, expected: [u64; 4]) {
     let mut sampler = FusionSampler::new(p, seed);
     let got = if batched {
-        collect(|| sampler.sample_batched().is_success())
+        std::array::from_fn(|_| sampler.bernoulli_word(u64::MAX))
     } else {
         collect(|| sampler.sample().is_success())
     };
@@ -56,149 +54,58 @@ fn assert_stream(p: f64, seed: u64, batched: bool, expected: [u64; 4]) {
         "{} stream shifted at p = {p}, seed {seed}",
         if batched { "batched" } else { "per-attempt" }
     );
-    assert_eq!(sampler.stats().attempted, N as u64);
+    // Per-attempt draws count themselves; threshold draws leave the
+    // accounting to the caller.
     let succeeded: u32 = expected.iter().map(|w| w.count_ones()).sum();
-    assert_eq!(sampler.stats().succeeded, u64::from(succeeded));
+    let counted = if batched { (0, 0) } else { (N as u64, u64::from(succeeded)) };
+    assert_eq!((sampler.stats().attempted, sampler.stats().succeeded), counted);
 }
 
 #[test]
 fn per_attempt_stream_is_pinned_at_p075() {
-    assert_stream(
-        0.75,
-        1,
-        false,
-        [0xbffff7bbf7dbfbbe, 0x9fe7fddb3befbef9, 0xffd777ffffffed67, 0x7bf39beecfe7f65b],
-    );
-    assert_stream(
-        0.75,
-        7,
-        false,
-        [0x7b5dfebdbeb7feef, 0xebdfdff5bdf6d5ef, 0x7f7feffbfdd69dbe, 0xd5fbaff7fd7d5f3f],
-    );
-    assert_stream(
-        0.75,
-        42,
-        false,
-        [0x1fdefe6bd6dff5ea, 0x87def2ffbbffbe76, 0xffbd93ffff5ffbde, 0xf05f5ffbb7a9cdf6],
-    );
-    assert_stream(
-        0.75,
-        2024,
-        false,
-        [0x6f6fd3fbdffb779f, 0xd3fdcfdd2b8fef77, 0x2bfdc6f961eeee75, 0xe3bafff8bf526fcf],
-    );
+    assert_stream(0.75, 1, false, [0xbffff7bbf7dbfbbe, 0x9fe7fddb3befbef9, 0xffd777ffffffed67, 0x7bf39beecfe7f65b]);
+    assert_stream(0.75, 7, false, [0x7b5dfebdbeb7feef, 0xebdfdff5bdf6d5ef, 0x7f7feffbfdd69dbe, 0xd5fbaff7fd7d5f3f]);
+    assert_stream(0.75, 42, false, [0x1fdefe6bd6dff5ea, 0x87def2ffbbffbe76, 0xffbd93ffff5ffbde, 0xf05f5ffbb7a9cdf6]);
+    assert_stream(0.75, 2024, false, [0x6f6fd3fbdffb779f, 0xd3fdcfdd2b8fef77, 0x2bfdc6f961eeee75, 0xe3bafff8bf526fcf]);
 }
 
 #[test]
 fn per_attempt_stream_is_pinned_at_p066() {
-    assert_stream(
-        0.66,
-        1,
-        false,
-        [0xbffbf71bd7dbfbb4, 0x9ba7fd5b3befbef0, 0x7fd357fffeffed67, 0x7bb39beccee7f25b],
-    );
-    assert_stream(
-        0.66,
-        7,
-        false,
-        [0x5b5dfe3dbea7eeab, 0xe3dfcff5b5f6d4ee, 0x6f7fedfb7dd69db4, 0xd5fbaff7f955593d],
-    );
-    assert_stream(
-        0.66,
-        42,
-        false,
-        [0x1edafe62d6dfe5e2, 0x83de22edabfebe76, 0xbfbc92ffff5ffbde, 0xb0495f5bb720cd76],
-    );
-    assert_stream(
-        0.66,
-        2024,
-        false,
-        [0x6d6fd3f2dfe3770f, 0xd3f9cfdd0b8be772, 0x2bed86f961eeae75, 0x63bafff88b526fce],
-    );
+    assert_stream(0.66, 1, false, [0xbffbf71bd7dbfbb4, 0x9ba7fd5b3befbef0, 0x7fd357fffeffed67, 0x7bb39beccee7f25b]);
+    assert_stream(0.66, 7, false, [0x5b5dfe3dbea7eeab, 0xe3dfcff5b5f6d4ee, 0x6f7fedfb7dd69db4, 0xd5fbaff7f955593d]);
+    assert_stream(0.66, 42, false, [0x1edafe62d6dfe5e2, 0x83de22edabfebe76, 0xbfbc92ffff5ffbde, 0xb0495f5bb720cd76]);
+    assert_stream(0.66, 2024, false, [0x6d6fd3f2dfe3770f, 0xd3f9cfdd0b8be772, 0x2bed86f961eeae75, 0x63bafff88b526fce]);
 }
 
 #[test]
 fn batched_stream_is_pinned_at_p075() {
-    assert_stream(
-        0.75,
-        1,
-        true,
-        [0xffc7d17fff3fe29f, 0xbfab7ddf57eff7f6, 0xbf6f9fcbe7386fe5, 0xfdffe7dd0bf7f727],
-    );
-    assert_stream(
-        0.75,
-        7,
-        true,
-        [0x2e2fdaddfaee9f3d, 0xffff9ffbf3dc597e, 0xf7ba7bf2fd7bc7ff, 0xfd71fbfbfe1fe7a8],
-    );
-    assert_stream(
-        0.75,
-        42,
-        true,
-        [0xd1fe4d7f577f7f9f, 0xfbfdfffb0cfcfdbc, 0xdfaf9f387ed4fe7f, 0xbaff5eff2edaff56],
-    );
-    assert_stream(
-        0.75,
-        2024,
-        true,
-        [0xcf7fefffafffeaf9, 0x7ff9ffebcf766f6e, 0xffedecf7bb2cbfe5, 0xfbb7ff9dfa77ec3f],
-    );
+    assert_stream(0.75, 1, true, [0x70bfbfcdf9fc3f76, 0xe6ffeee8fa77abff, 0xf8fee7b579ffdcfb, 0x7b5d7a7eff9feffe]);
+    assert_stream(0.75, 7, true, [0xf3f3f7ffd5f16feb, 0xdaeeeedddfefffcf, 0x89cfbc9d8bdfffff, 0xefafa6edbfff5eff]);
+    assert_stream(0.75, 42, true, [0xafe9bebbbb99df6e, 0x4c9fe39ff3ffda77, 0x7dfee3ffbbffb58e, 0xfffef7f8fde7feb9]);
+    assert_stream(0.75, 2024, true, [0xfdbfdbf9f51bfd2e, 0xd5aef5befcbbbcd7, 0x7177dbff6ddfefbb, 0x577f6feffffbdfea]);
 }
 
 #[test]
 fn batched_stream_is_pinned_at_p066() {
-    assert_stream(
-        0.66,
-        1,
-        true,
-        [0xdfaf1fd857771cff, 0xfb7c2b5fd7d9bbf5, 0x6ff3afd15df52b6e, 0xfa8e5cb76feafcff],
-    );
-    assert_stream(
-        0.66,
-        7,
-        true,
-        [0x383acb6df51d13b6, 0x7ebcfe11ffbfdc7f, 0xa378da7dc3fefecf, 0xf75ffaee39e6e8f9],
-    );
-    assert_stream(
-        0.66,
-        42,
-        true,
-        [0x7d65ef83dab9af7b, 0x3beefde3fd455c3d, 0x85763ecd3f879ffd, 0xf8b00caf9f7db3f1],
-    );
-    assert_stream(
-        0.66,
-        2024,
-        true,
-        [0xf7f6b9fbf92f73f7, 0xf8d9bc5fbeddf24f, 0x0fff77fd218a71df, 0xffe9b3d9b597bc6b],
-    );
+    assert_stream(0.66, 1, true, [0x70beaf88f8fc3f76, 0x7b5d7a6ef79feffe, 0xd7ffad7f8bdfd74d, 0xd77fdfd7ef1f9115]);
+    assert_stream(0.66, 7, true, [0xf1d3e7ffd5f16fcb, 0xe6af86ecbfef5c7f, 0xf759f77db1af18a4, 0x7d1b1fc5ff5df6dd]);
+    assert_stream(0.66, 42, true, [0x2f89b2b3bb999766, 0x6556b9fdf76f37b9, 0xfd3d17b72fafee97, 0xf7bb99ceffffdf5b]);
+    assert_stream(0.66, 2024, true, [0xf9bedbf8741bfd2e, 0x477f6fefcfeadbea, 0xf62b7c69f7b0b7fa, 0xa7fdf84dfa48f5f7]);
 }
 
-fn assert_uniform(seed: u64, expected: [u64; 4]) {
-    let mut sampler = FusionSampler::new(0.75, seed);
-    let mut got = [0u64; 4];
-    sampler.fill_uniform(&mut got);
-    assert_eq!(got, expected, "uniform words shifted at seed {seed}");
-    assert_eq!(sampler.stats().attempted, 0, "raw words account no attempt");
+fn assert_merge_masks(seed: u64, expected: [u64; 7]) {
+    let law = MergeLaw::new(3, 3, 0.75);
+    let mut got = [0u64; 7];
+    FusionSampler::new(0.75, seed).threshold_masks(law.cuts(), u64::MAX, &mut got);
+    assert_eq!(got, expected, "merge-law masks shifted at seed {seed}");
 }
 
 #[test]
-fn uniform_words_are_pinned() {
-    assert_uniform(
-        1,
-        [0xcfc5d07f6f03c29b, 0xbf424132963fe08d, 0x19a37d5757aaf520, 0xbf08119f05cd56d6],
-    );
-    assert_uniform(
-        7,
-        [0x0e2c1a002aae913d, 0x2c0fc8ddfa4e9e14, 0xb7b311b3b0d45872, 0x6d5d9f6a6318013c],
-    );
-    assert_uniform(
-        42,
-        [0xd0764d4f4476689f, 0x519e4174576f3791, 0xfbe07cfb0c24ed8c, 0xb37d9f600cd835b8],
-    );
-    assert_uniform(
-        2024,
-        [0x8641253f8fed82d1, 0x4b7eeec62af66af9, 0x3e595fe9cf746b2a, 0x6bf1aa430346476c],
-    );
+fn merge_masks_are_pinned() {
+    assert_merge_masks(1, [0xffefffffffffffff, 0xffeffdffffffffff, 0xffeffdffffffffff, 0xffeffdfffffff7ff, 0xffeffdfffffff7ff, 0xffc7d97fffbff7bf, 0xdfc5d17f6f0bc29b]);
+    assert_merge_masks(7, [0xffffffffffffdfff, 0xffffffffffffdf7f, 0xffffffffffffdf7f, 0xfffffffffffedf7f, 0xffffdffffffedf7f, 0xbfbfdbfffafe9f7f, 0x2e2d1a002aae913d]);
+    assert_merge_masks(42, [0xffffffff7fffffff, 0xfbffffff7fffffff, 0xfbffffff7fffffff, 0xfbffffff7fffffff, 0xfbffffff5fffffff, 0xfbfe5d7f5f7f7f9f, 0xd1764d6f44766d9f]);
+    assert_merge_masks(2024, [0xffffffffffffffff, 0xffffffffffffffff, 0xffffffffffffffff, 0xffffffffffffffff, 0xffffffffffffefff, 0xff7fefffafffebf9, 0x8e512f7f8fedc2f9]);
 }
 
 fn assert_layer_key(seed: u64, index: u64, expected: u64) {
@@ -218,12 +125,11 @@ fn layer_keys_are_pinned() {
 #[test]
 fn batched_and_per_attempt_streams_differ_but_share_the_rng() {
     // Sanity on the pin itself: the two streams are different functions of
-    // the same seeded RNG (bit-sliced blocks vs f64 compares), so a
-    // refactor that collapses one into the other cannot slip past the
-    // constants.
+    // the same seeded RNG (threshold draws vs f64 compares), so a refactor
+    // that collapses one into the other cannot slip past the constants.
     let mut a = FusionSampler::new(0.75, 1);
     let mut b = FusionSampler::new(0.75, 1);
-    let per_attempt: Vec<bool> = (0..N).map(|_| a.sample().is_success()).collect();
-    let batched: Vec<bool> = (0..N).map(|_| b.sample_batched().is_success()).collect();
+    let per_attempt = collect(|| a.sample().is_success());
+    let batched: [u64; 4] = std::array::from_fn(|_| b.bernoulli_word(u64::MAX));
     assert_ne!(per_attempt, batched);
 }

@@ -10,7 +10,8 @@
 //! 1. the sampler pins of `crates/hardware/tests/sampler_golden.rs`, one
 //!    `assert_*(...)` line per pinned `(probability, seed, stream)`, in
 //!    the test file's order and encoding (outcome `k` at bit `k % 64` of
-//!    word `k / 64`);
+//!    word `k / 64`), then the masks of one merge-law threshold draw per
+//!    seed;
 //! 2. the `layer_key` pins of the same file, the seed of each layer's
 //!    sampler;
 //! 3. every group of `crates/oneperc/tests/pins/report_cases.rs`, the
@@ -31,7 +32,7 @@
 mod report_cases;
 
 use oneperc::Session;
-use oneperc_hardware::{layer_key, FusionSampler};
+use oneperc_hardware::{layer_key, FusionSampler, MergeLaw};
 use report_cases::{case, shows, Pin, Row, GROUPS};
 
 /// Outcomes pinned per stream (matches `N` in the sampler test file).
@@ -49,28 +50,30 @@ const SEED_SEARCH: std::ops::RangeInclusive<u64> = 1..=64;
 
 fn stream_words(p: f64, seed: u64, batched: bool) -> [u64; 4] {
     let mut sampler = FusionSampler::new(p, seed);
+    if batched {
+        return std::array::from_fn(|_| sampler.bernoulli_word(u64::MAX));
+    }
     let mut words = [0u64; 4];
     for k in 0..N {
-        let success = if batched {
-            sampler.sample_batched().is_success()
-        } else {
-            sampler.sample().is_success()
-        };
-        if success {
+        if sampler.sample().is_success() {
             words[k / 64] |= 1 << (k % 64);
         }
     }
     words
 }
 
-fn uniform_words(seed: u64) -> [u64; 4] {
-    let mut words = [0u64; 4];
-    FusionSampler::new(0.75, seed).fill_uniform(&mut words);
-    words
+/// The masks of one 64-site threshold draw against the cuts of the
+/// Table-1 merge law (4-qubit states, m = 3, p = 0.75).
+fn merge_masks(seed: u64) -> Vec<u64> {
+    let law = MergeLaw::new(3, 3, 0.75);
+    let mut masks = vec![0u64; law.cuts().len()];
+    FusionSampler::new(0.75, seed).threshold_masks(law.cuts(), u64::MAX, &mut masks);
+    masks
 }
 
-fn hex4(w: [u64; 4]) -> String {
-    format!("[{:#018x}, {:#018x}, {:#018x}, {:#018x}]", w[0], w[1], w[2], w[3])
+fn hex(words: &[u64]) -> String {
+    let words: Vec<String> = words.iter().map(|w| format!("{w:#018x}")).collect();
+    format!("[{}]", words.join(", "))
 }
 
 fn print_sampler_pins() {
@@ -78,13 +81,14 @@ fn print_sampler_pins() {
         for p in PROBS {
             println!("// {label} stream at p = {p}");
             for seed in SEEDS {
-                println!("assert_stream({p}, {seed}, {batched}, {});", hex4(stream_words(p, seed, batched)));
+                let words = stream_words(p, seed, batched);
+                println!("assert_stream({p}, {seed}, {batched}, {});", hex(&words));
             }
         }
     }
-    println!("// uniform words");
+    println!("// merge-law masks");
     for seed in SEEDS {
-        println!("assert_uniform({seed}, {});", hex4(uniform_words(seed)));
+        println!("assert_merge_masks({seed}, {});", hex(&merge_masks(seed)));
     }
     println!("// layer keys");
     for (seed, index) in LAYER_KEYS {
@@ -107,41 +111,66 @@ fn run(session: &Session, compiled: &oneperc::CompiledProgram, seed: u64) -> Pin
     )
 }
 
-/// Re-records one row: the same seed when it still shows its case, else
-/// the first seed of the case (not pinned already) that does. Returns the
-/// row and its comment.
-fn rerecord(row: Row, group: &[Row]) -> (Row, String) {
-    let (name, seed, pinned) = row;
-    let (config, circuit) = case(name);
-    let session = Session::new(config);
-    let compiled = session.compile(&circuit).expect("offline pass succeeds");
-    let pin = run(&session, &compiled, seed);
-    if pin.6 == pinned.6 {
-        return ((name, seed, pin), shows(pin.6).to_string());
-    }
-    let taken = |s: u64| group.iter().any(|&(n, t, _)| n == name && t == s);
-    for other in SEED_SEARCH.filter(|&s| !taken(s)) {
-        let candidate = run(&session, &compiled, other);
-        if candidate.6 == pinned.6 {
-            let comment =
-                format!("{} (seed {other} replaces seed {seed}, which now {})", shows(pinned.6), shows(pin.6));
-            return ((name, other, candidate), comment);
+/// Re-records a group's rows, each with a comment naming its case. A row
+/// keeps its seed while the seed still shows the pinned case; otherwise it
+/// takes the first seed of the same case that shows it and that no other
+/// row holds.
+fn rerecord(group: &[Row]) -> Vec<(Row, String)> {
+    let sessions: Vec<_> = group
+        .iter()
+        .map(|&(name, _, _)| {
+            let (config, circuit) = case(name);
+            let session = Session::new(config);
+            let compiled = session.compile(&circuit).expect("offline pass succeeds");
+            (session, compiled)
+        })
+        .collect();
+    let mut out: Vec<(Row, String)> = group
+        .iter()
+        .zip(&sessions)
+        .map(|(&(name, seed, pinned), (session, compiled))| {
+            let pin = run(session, compiled, seed);
+            ((name, seed, pin), shows(pinned.6).to_string())
+        })
+        .collect();
+    let kept = |out: &[(Row, String)], i: usize| out[i].0 .2 .6 == group[i].2 .6;
+    for i in 0..group.len() {
+        if kept(&out, i) {
+            continue;
         }
+        let (name, seed, pinned) = group[i];
+        let lost = out[i].0 .2 .6;
+        let held = |out: &[(Row, String)], s: u64| {
+            (0..group.len()).any(|j| out[j].0 .0 == name && out[j].0 .1 == s && kept(out, j))
+        };
+        let (session, compiled) = &sessions[i];
+        let found = SEED_SEARCH
+            .filter(|&s| !held(&out, s))
+            .map(|s| (s, run(session, compiled, s)))
+            .find(|(_, pin)| pin.6 == pinned.6);
+        out[i] = match found {
+            Some((other, pin)) => {
+                let change = format!("seed {other} replaces seed {seed}, which now {}", shows(lost));
+                ((name, other, pin), format!("{} ({change})", shows(pinned.6)))
+            }
+            None => (
+                out[i].0,
+                format!(
+                    "CASE LOST: seed {seed} now {}, and no seed in {SEED_SEARCH:?} {}",
+                    shows(lost),
+                    shows(pinned.6)
+                ),
+            ),
+        };
     }
-    let comment = format!(
-        "CASE LOST: seed {seed} now {}, and no seed in {SEED_SEARCH:?} {}",
-        shows(pin.6),
-        shows(pinned.6)
-    );
-    ((name, seed, pin), comment)
+    out
 }
 
 fn print_report_pins() {
     for (group_name, rows) in GROUPS {
         println!();
         println!("pub const {group_name}: &[Row] = &[");
-        for &row in rows {
-            let ((name, seed, p), comment) = rerecord(row, rows);
+        for ((name, seed, p), comment) in rerecord(rows) {
             println!("    // {comment}");
             println!(
                 "    ({name:?}, {seed}, ({}, {}, {}, {}, {}, {}, {:?})),",

@@ -71,8 +71,8 @@ pub fn case(name: &str) -> (CompilerConfig, Circuit) {
 pub fn shows(reason: Option<LayerFailureReason>) -> &'static str {
     match reason {
         None => "completes",
-        Some(RenormalizationStarved) => "starved of renormalization",
-        Some(TimelikeStarved) => "starved of time-like connections",
+        Some(RenormalizationStarved) => "starves of renormalization",
+        Some(TimelikeStarved) => "starves of time-like connections",
         Some(_) => "fails for another reason",
     }
 }
@@ -81,57 +81,57 @@ pub fn shows(reason: Option<LayerFailureReason>) -> &'static str {
 
 pub const TABLE1: &[Row] = &[
     // completes
-    ("table1/QAOA", 1, (33, 11, 684239, 11, 0, true, None)),
+    ("table1/QAOA", 1, (33, 11, 684099, 11, 0, true, None)),
     // completes
-    ("table1/QAOA", 2, (36, 12, 761292, 11, 1, true, None)),
+    ("table1/QAOA", 2, (36, 12, 760763, 11, 1, true, None)),
     // completes
-    ("table1/QFT", 1, (63, 21, 1335314, 19, 2, true, None)),
+    ("table1/QFT", 1, (63, 21, 1334900, 19, 2, true, None)),
     // completes
-    ("table1/QFT", 2, (60, 20, 1259160, 19, 1, true, None)),
+    ("table1/QFT", 2, (60, 20, 1258776, 19, 1, true, None)),
     // completes
-    ("table1/RCA", 1, (75, 25, 1598790, 22, 3, true, None)),
+    ("table1/RCA", 1, (75, 25, 1597903, 22, 3, true, None)),
     // completes
-    ("table1/RCA", 2, (69, 23, 1445913, 22, 1, true, None)),
+    ("table1/RCA", 2, (69, 23, 1445483, 22, 1, true, None)),
     // completes
-    ("table1/VQE", 1, (57, 19, 1196305, 18, 1, true, None)),
+    ("table1/VQE", 1, (57, 19, 1195917, 18, 1, true, None)),
     // completes
-    ("table1/VQE", 2, (57, 19, 1196868, 18, 1, true, None)),
+    ("table1/VQE", 2, (57, 19, 1196459, 18, 1, true, None)),
 ];
 
 pub const P090: &[Row] = &[
     // completes
-    ("p090/qaoa-9", 1, (462, 154, 834510, 153, 1, true, None)),
+    ("p090/qaoa-9", 1, (462, 154, 834752, 153, 1, true, None)),
     // completes
-    ("p090/qaoa-9", 2, (459, 153, 828056, 153, 0, true, None)),
+    ("p090/qaoa-9", 2, (459, 153, 828088, 153, 0, true, None)),
 ];
 
 pub const STARVED: &[Row] = &[
-    // starved of renormalization
-    ("starved/qaoa-4", 1, (2100, 2100, 8105519, 13, 2087, false, Some(RenormalizationStarved))),
+    // starves of renormalization
+    ("starved/qaoa-4", 1, (2062, 2062, 7970825, 5, 2057, false, Some(RenormalizationStarved))),
     // completes
-    ("edge/vqe-4", 1, (86, 86, 255495, 59, 27, true, None)),
-    // starved of time-like connections
-    ("edge/vqe-4", 16, (2062, 2062, 7990903, 8, 2054, false, Some(TimelikeStarved))),
+    ("edge/vqe-4", 1, (85, 85, 251599, 59, 26, true, None)),
+    // starves of time-like connections (seed 10 replaces seed 16, which now completes)
+    ("edge/vqe-4", 10, (2080, 2080, 8043198, 22, 2058, false, Some(TimelikeStarved))),
 ];
 
 pub const MERGED: &[Row] = &[
     // completes
-    ("merged/qaoa-4", 3, (258, 86, 1014425, 16, 70, true, None)),
-    // completes
-    ("merged/qaoa-4", 4, (261, 87, 1026693, 16, 71, true, None)),
-    // starved of renormalization
-    ("merged/qaoa-4", 1, (6165, 2055, 25138254, 3, 2052, false, Some(RenormalizationStarved))),
+    ("merged/qaoa-4", 3, (276, 92, 1088200, 16, 76, true, None)),
+    // completes (seed 1 replaces seed 4, which now starves of renormalization)
+    ("merged/qaoa-4", 1, (234, 78, 916830, 16, 62, true, None)),
+    // starves of renormalization (seed 4 replaces seed 1, which now completes)
+    ("merged/qaoa-4", 4, (6282, 2094, 25596137, 12, 2082, false, Some(RenormalizationStarved))),
 ];
 
 pub const COARSE: &[Row] = &[
     // completes
-    ("wide/qft-4", 1, (132, 44, 511394, 29, 15, true, None)),
+    ("wide/qft-4", 1, (117, 39, 445011, 29, 10, true, None)),
     // completes
-    ("wide/qft-4", 2, (105, 35, 391872, 29, 6, true, None)),
+    ("wide/qft-4", 2, (117, 39, 445014, 29, 10, true, None)),
     // completes
-    ("tiny/qaoa-16", 1, (366, 366, 86366, 188, 178, true, None)),
+    ("tiny/qaoa-16", 1, (389, 389, 93037, 188, 201, true, None)),
     // completes
-    ("tiny/qaoa-16", 2, (383, 383, 91189, 188, 195, true, None)),
+    ("tiny/qaoa-16", 2, (361, 361, 84907, 188, 173, true, None)),
 ];
 
 /// Every group of rows, by the name of its constant, in file order.
