@@ -211,7 +211,7 @@ impl DenseBoolLayer {
 /// per 64-site chunk for the merging outcomes, then the east first, north
 /// first, east retry and north retry outcome planes, one group per 64
 /// bonds. Each site decodes its own bits of a group by a scalar comparison
-/// (see [`scalar_thresholds`]); a plain scalar budget sweep over unclamped
+/// (`scalar_thresholds`); a plain scalar budget sweep over unclamped
 /// `usize` budgets then makes the decisions of the engine's bit-sliced row
 /// sweep one bond at a time, without the clamp.
 #[derive(Debug, Clone)]
@@ -233,7 +233,7 @@ pub struct DenseReferenceEngine {
 /// comparison reaches it: a comparison ends at the first differing bit, or
 /// where the cut's remaining bits are all zero (the lane is then at least
 /// the cut).
-pub fn scalar_thresholds(rng: &mut StdRng, cuts: &[u64], lanes: usize) -> Vec<usize> {
+fn scalar_thresholds(rng: &mut StdRng, cuts: &[u64], lanes: usize) -> Vec<usize> {
     let mut words: Vec<u64> = Vec::new();
     let mut counts = vec![0; lanes];
     for (lane, count) in counts.iter_mut().enumerate() {

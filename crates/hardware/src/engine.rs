@@ -304,15 +304,6 @@ fn lanes_below(len: usize, w: usize) -> u64 {
     }
 }
 
-/// The 64 bits of a flat plane starting at bit `lo`. A plane ends in one
-/// zero word past its last bit (see [`plane_stride`]), so the word after
-/// `lo`'s always exists.
-#[inline]
-fn flat_word(plane: &[u64], lo: usize) -> u64 {
-    let (wi, shift) = (lo / 64, lo % 64);
-    plane[wi] >> shift | plane[wi + 1] << 1 << (63 - shift)
-}
-
 /// Decides the bonds of row `y` of an `n`-sided layer: reads the row's
 /// budgets (`rows.cur`) and first-attempt words, writes the decisions to
 /// `rows.masks`, and lowers the budgets of the row above (`rows.above`) by
@@ -406,12 +397,17 @@ fn sweep_bonds(
 ) -> FusionStats {
     rows.reset(n);
     let stride = plane_stride(n);
-    let plane = |k: usize| &planes[k * stride..(k + 1) * stride];
+    // The 64 bits of plane `k` from flat bit `lo` on. A plane ends in a
+    // zero word, so the word after `lo`'s always exists.
+    let bits_from = |k: usize, lo: usize| {
+        let (i, shift) = (k * stride + lo / 64, lo % 64);
+        planes[i] >> shift | planes[i + 1] << 1 << (63 - shift)
+    };
     // The row-start budgets of row `y`.
     let load_budgets = |y: usize, out: &mut [Planes]| {
         for (w, budget) in out.iter_mut().enumerate() {
             let lanes = lanes_below(n, w);
-            *budget = std::array::from_fn(|b| flat_word(plane(b), y * n + 64 * w) & lanes);
+            *budget = std::array::from_fn(|b| bits_from(b, y * n + 64 * w) & lanes);
         }
     };
     load_budgets(0, &mut rows.cur);
@@ -422,15 +418,15 @@ fn sweep_bonds(
             load_budgets(y + 1, &mut rows.above);
         }
         for w in 0..rows.cur.len() {
-            rows.east[w] = flat_word(plane(EAST), row + 64 * w);
-            rows.north[w] = flat_word(plane(NORTH), row + 64 * w);
+            rows.east[w] = bits_from(EAST, row + 64 * w);
+            rows.north[w] = bits_from(NORTH, row + 64 * w);
         }
         sweep_row(n, y, rows);
         for (w, m) in rows.masks.iter().enumerate() {
             let east_ok =
-                m.east & rows.east[w] | m.east_retry & flat_word(plane(EAST_RETRY), row + 64 * w);
-            let north_ok = m.north & rows.north[w]
-                | m.north_retry & flat_word(plane(NORTH_RETRY), row + 64 * w);
+                m.east & rows.east[w] | m.east_retry & bits_from(EAST_RETRY, row + 64 * w);
+            let north_ok =
+                m.north & rows.north[w] | m.north_retry & bits_from(NORTH_RETRY, row + 64 * w);
             stats.attempted += u64::from(
                 m.east.count_ones()
                     + m.east_retry.count_ones()
@@ -552,12 +548,15 @@ impl GenerationPlan {
                 }
                 present |= exact & all_if(outcome.leaves >= 2);
                 port |= exact & all_if(outcome.leaves >= 1);
-                let sites = u64::from(exact.count_ones());
-                stats.attempted += sites * u64::from(outcome.attempts);
-                stats.succeeded += sites * u64::from(outcome.successes);
+                // Unmerged sites attempt nothing, so they need no count.
+                if outcome.attempts > 0 {
+                    let sites = u64::from(exact.count_ones());
+                    stats.attempted += sites * u64::from(outcome.attempts);
+                    stats.succeeded += sites * u64::from(outcome.successes);
+                }
             }
-            for (plane, bits) in planes.chunks_exact_mut(stride).zip(budget) {
-                plane[w] = bits;
+            for (b, bits) in budget.into_iter().enumerate() {
+                planes[b * stride + w] = bits;
             }
             layer.store_site_word(w, present);
             layer.store_port_word(w, port);

@@ -66,7 +66,7 @@ fn at_least_cut(cut: u64, lanes: u64, mut plane: impl FnMut(usize) -> u64) -> u6
 /// exact number of fusions consumed by a compilation, matching the paper's
 /// `#fusion` metric.
 ///
-/// The sampler draws from two streams of the same seeded `StdRng`:
+/// The sampler draws in two ways from one seeded `StdRng`:
 ///
 /// - [`FusionSampler::sample`], one heralded outcome per call (one RNG
 ///   word and an `f64` compare). The time-like fusions of the reshaping
@@ -137,17 +137,18 @@ impl FusionSampler {
     }
 
     /// Compares 64 lanes' independent uniform 64-bit values `u` against
-    /// the ascending cut points `cuts`, and sets `at_least[k]` to the lanes
-    /// of `lanes` where `u ≥ cuts[k]`. Lanes outside `lanes` are in no mask.
+    /// the cut points `cuts` (ascending, for a law's outcomes), and sets
+    /// `at_least[k]` to the lanes of `lanes` where `u ≥ cuts[k]`. Lanes
+    /// outside `lanes` are in no mask.
     ///
     /// The values are read bit-sliced, most significant bit first: RNG
     /// word `j` holds bit `63 - j` of every lane. A lane is decided against
-    /// a cut at the first bit where the two differ. The draw stops as soon
-    /// as every lane of `lanes` is decided against every cut, or the cuts'
-    /// remaining bits are all zero (an undecided lane is then `≥` the cut
-    /// whatever its remaining bits are). So a single cut at `p = 0.75`
-    /// costs at most two words, and no cut (`p = 1`, or a law with one
-    /// outcome) or no lane costs none.
+    /// a cut at the first bit where the two differ. A cut is settled once
+    /// every lane of `lanes` is decided against it, or once its remaining
+    /// bits are all zero (an undecided lane is then `≥` the cut whatever
+    /// its remaining bits are), and the draw stops as soon as every cut is
+    /// settled. So a single cut at `p = 0.75` costs at most two words, and
+    /// no cut (`p = 1`, or a law with one outcome) or no lane costs none.
     ///
     /// The masks are those of the full 64-bit uniforms: the bits never
     /// drawn could not change any comparison. Stopping depends only on bits
@@ -159,9 +160,9 @@ impl FusionSampler {
     /// # Panics
     ///
     /// Panics when `at_least` is shorter than `cuts`.
+    #[inline]
     pub fn threshold_masks(&mut self, cuts: &[u64], lanes: u64, at_least: &mut [u64]) {
         assert!(at_least.len() >= cuts.len(), "one mask per cut");
-        debug_assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "cuts ascend");
         // Every cut reads the planes drawn so far from `planes`, and draws
         // the ones no earlier cut needed.
         let FusionSampler { rng, planes, .. } = self;

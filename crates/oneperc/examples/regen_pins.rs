@@ -18,10 +18,12 @@
 //!    rows `tests/report_pins.rs` checks, as the constants to paste over.
 //!
 //! When a change to the sampler, the RNG or the layer generator shifts a
-//! stream on purpose, paste the printed lines over the pinned ones and
-//! name the break in the commit: every seeded result in the repository
-//! shifts with it. When a change is meant to leave the streams alone, diff
-//! this output against the pinned files to show that nothing moved.
+//! stream on purpose, paste the printed lines over the pinned ones (the
+//! sampler pins are printed one call per line; `rustfmt` lays out the long
+//! ones as the file does) and name the break in the commit: every seeded
+//! result in the repository shifts with it. When a change is meant to
+//! leave the streams alone, diff this output against the pinned files to
+//! show that nothing moved.
 //!
 //! Every report row names its case in a comment: the execution completes,
 //! or starves of renormalization, or of time-like connections. When a
@@ -150,7 +152,8 @@ fn rerecord(group: &[Row]) -> Vec<(Row, String)> {
             .find(|(_, pin)| pin.6 == pinned.6);
         out[i] = match found {
             Some((other, pin)) => {
-                let change = format!("seed {other} replaces seed {seed}, which now {}", shows(lost));
+                let change =
+                    format!("seed {other} replaces seed {seed}, which now {}", shows(lost));
                 ((name, other, pin), format!("{} ({change})", shows(pinned.6)))
             }
             None => (

@@ -52,17 +52,15 @@ pub fn case(name: &str) -> (CompilerConfig, Circuit) {
             (CompilerConfig::for_sensitivity(36, 3, 0.6, 0), benchmarks::qaoa(4, 1))
         }
         "edge/vqe-4" => (CompilerConfig::for_sensitivity(36, 3, 0.64, 0), benchmarks::vqe(4, 1)),
-        "merged/qaoa-4" => (
-            CompilerConfig::new(HardwareConfig::new(48, 4, 0.72), 4, 0),
-            benchmarks::qaoa(4, 1),
-        ),
+        "merged/qaoa-4" => {
+            (CompilerConfig::new(HardwareConfig::new(48, 4, 0.72), 4, 0), benchmarks::qaoa(4, 1))
+        }
         "wide/qft-4" => {
             (CompilerConfig::new(HardwareConfig::new(50, 4, 0.75), 4, 0), benchmarks::qft(4))
         }
-        "tiny/qaoa-16" => (
-            CompilerConfig::new(HardwareConfig::new(10, 7, 0.9), 4, 0),
-            benchmarks::qaoa(16, 1),
-        ),
+        "tiny/qaoa-16" => {
+            (CompilerConfig::new(HardwareConfig::new(10, 7, 0.9), 4, 0), benchmarks::qaoa(16, 1))
+        }
         _ => panic!("unknown report-pin case {name}"),
     }
 }
