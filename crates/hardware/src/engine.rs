@@ -29,7 +29,8 @@
 //! Every configuration takes one path, and both phases draw from one
 //! primitive, [`FusionSampler::threshold_masks`]: 64 lanes' uniforms
 //! compared against sorted cut points, one RNG word per bit plane, most
-//! significant first, stopping once every lane is decided.
+//! significant first, stopping as soon as no undrawn bit could change a
+//! comparison.
 //!
 //! - **Merging.** Sites share nothing in this phase, so a site's
 //!   `(leaves, attempts, successes)` is one draw from the exact law that
