@@ -7,10 +7,11 @@
 //!
 //! A OneQ run cut at the cap prints its cells as lower bounds (`≥ n`): the
 //! RSLs and fusions it charged before the cut, and the improvement ratios
-//! built from them. The CSV keeps the raw counts and the `oneq_saturated`
-//! flag.
+//! built from them. A capped ratio below 1 bounds nothing useful, so it
+//! prints as `inconclusive (cap)`. The CSV keeps the raw counts and the
+//! `oneq_saturated` flag.
 
-use oneperc_bench::{format_capped, run_oneperc, run_oneq, ExperimentArgs};
+use oneperc_bench::{format_capped, format_capped_ratio, run_oneperc, run_oneq, ExperimentArgs};
 use oneperc_circuit::benchmarks::Benchmark;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
 
     println!("Table 2: OnePerc vs OneQ (repeat-until-success), OneQ capped at {cap} RSLs");
     println!(
-        "{:<6} {:<10} {:>12} {:>12} {:>10} {:>14} {:>14} {:>10}",
+        "{:<6} {:<10} {:>12} {:>12} {:>18} {:>14} {:>14} {:>18}",
         "p", "benchmark", "OneQ #RSL", "OnePerc#RSL", "improv", "OneQ #fusion", "OnePerc#fus", "improv"
     );
 
@@ -38,15 +39,15 @@ fn main() {
                 let rsl_improv = baseline.rsl_consumed as f64 / ours.rsl_consumed.max(1) as f64;
                 let fusion_improv = baseline.fusions as f64 / ours.fusions.max(1) as f64;
                 println!(
-                    "{:<6.2} {:<10} {:>12} {:>12} {:>10} {:>14} {:>14} {:>10}",
+                    "{:<6.2} {:<10} {:>12} {:>12} {:>18} {:>14} {:>14} {:>18}",
                     p,
                     format!("{bench}-{qubits}"),
                     format_capped(baseline.rsl_consumed, baseline.saturated),
                     ours.rsl_consumed,
-                    format_capped(format!("{rsl_improv:.2}"), baseline.saturated),
+                    format_capped_ratio(rsl_improv, baseline.saturated),
                     format_capped(baseline.fusions, baseline.saturated),
                     ours.fusions,
-                    format_capped(format!("{fusion_improv:.2}"), baseline.saturated),
+                    format_capped_ratio(fusion_improv, baseline.saturated),
                 );
                 rows.push(format!(
                     "{p},{bench},{qubits},{},{},{},{:.4},{},{},{:.4}",

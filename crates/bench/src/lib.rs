@@ -212,6 +212,19 @@ pub fn format_capped(value: impl fmt::Display, saturated: bool) -> String {
     }
 }
 
+/// Formats a Table 2 improvement ratio (OneQ over OnePerc) to two
+/// decimals. A saturated OneQ run makes the ratio a lower bound, and a
+/// lower bound below 1 supports neither side of the comparison, so such a
+/// cell reads `"inconclusive (cap)"`; a saturated ratio of at least 1
+/// reads `"≥ ratio"`.
+pub fn format_capped_ratio(ratio: f64, saturated: bool) -> String {
+    if saturated && ratio < 1.0 {
+        "inconclusive (cap)".to_string()
+    } else {
+        format_capped(format!("{ratio:.2}"), saturated)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +236,14 @@ mod tests {
         // RSL cap.
         assert_eq!(format_capped(7_000, true), "≥ 7000");
         assert_eq!(format_capped(format!("{:.2}", 12.345), true), "≥ 12.35");
+    }
+
+    #[test]
+    fn capped_ratios_below_one_are_inconclusive() {
+        assert_eq!(format_capped_ratio(0.49, false), "0.49");
+        assert_eq!(format_capped_ratio(0.49, true), "inconclusive (cap)");
+        assert_eq!(format_capped_ratio(12.345, true), "≥ 12.35");
+        assert_eq!(format_capped_ratio(1.0, true), "≥ 1.00");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Every byte-identity guarantee in the workspace — pooled ≡ in-thread
 //! renormalization, warm ≡ cold, cached ≡ uncached, any lane count — is
 //! pinned by hand-written suites over four seed benchmarks. This module
-//! sweeps *sampled* circuits (see [`CorpusSpec`](crate::CorpusSpec))
-//! through the full path matrix instead:
+//! sweeps *sampled* circuits (see [`CorpusSpec`]) through the full path
+//! matrix instead:
 //!
 //! > warm/cold × 0/2 renormalization workers × cached/uncached × 1/2/4 lanes
 //!
@@ -125,8 +125,7 @@ pub struct FuzzStats {
     pub circuits: u64,
     /// Total checked executions (baseline and matrix, warm-ups excluded).
     pub executions: u64,
-    /// Circuits per family, indexed like
-    /// [`FAMILIES`](crate::spec::FAMILIES).
+    /// Circuits per family, indexed like [`FAMILIES`].
     pub family_counts: [u64; 4],
     /// Circuits whose offline pass failed (skipped; compile errors are
     /// deterministic per `(circuit, config)` and carry no stream state).

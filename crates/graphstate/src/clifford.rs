@@ -1,227 +1,18 @@
-//! Single-qubit local-Clifford byproduct frame and measurement bases.
+//! Single-qubit measurement bases.
 //!
-//! Failed root-leaf fusions leave irregular cyclic structures that are fixed
-//! by transforming resource states to their local complementations. The fix
-//! is a product of `exp(±iπ/4 X)` and `exp(±iπ/4 Z)` operators (Section 4.2
-//! of the paper). Implementing those operators in real time is unnecessary:
-//! by Theorems 4.1 and 4.2 they can be commuted through every subsequent
-//! measurement and fusion by adjusting the measurement / fusion bases, and
-//! therefore postponed to the very end of the computation.
-//!
-//! This module provides the machinery for that bookkeeping:
-//!
-//! * [`LocalClifford`] — a single-qubit Clifford represented as a signed
-//!   permutation of the Pauli axes (adequate for products of ±π/2 rotations
-//!   about X and Z, which is all the correction frame ever contains).
-//! * [`MeasBasis`] — a single-qubit measurement direction on the Bloch
-//!   sphere, with the conjugation rule of Theorem 4.1.
-//! * [`Pauli`] — a Pauli axis label, with the conjugation rule used by
-//!   Theorem 4.2 for two-qubit fusion bases.
+//! A program node of the MBQC pattern is measured either along `Z`, which
+//! removes it from the graph state, or on the X-Y equator at an angle set
+//! by the gate it implements. [`MeasBasis`] carries that choice through
+//! the program graph and the FlexLattice IR.
 
 use std::fmt;
-
-/// A Pauli axis label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Pauli {
-    /// The identity (no measurement on this tensor factor).
-    I,
-    /// Pauli X.
-    X,
-    /// Pauli Y.
-    Y,
-    /// Pauli Z.
-    Z,
-}
-
-impl fmt::Display for Pauli {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Pauli::I => "I",
-            Pauli::X => "X",
-            Pauli::Y => "Y",
-            Pauli::Z => "Z",
-        };
-        f.write_str(s)
-    }
-}
-
-/// A signed Pauli axis, used as the image of an axis under conjugation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SignedAxis {
-    /// The axis.
-    pub axis: Pauli,
-    /// `+1` or `-1`.
-    pub sign: i8,
-}
-
-impl SignedAxis {
-    fn new(axis: Pauli, sign: i8) -> Self {
-        debug_assert!(sign == 1 || sign == -1);
-        SignedAxis { axis, sign }
-    }
-}
-
-/// A single-qubit Clifford operator represented by its action on the Pauli
-/// axes under conjugation: `U σ U† = sign · σ'`.
-///
-/// Only signed-permutation Cliffords are representable, which covers the
-/// entire correction frame generated by `exp(±iπ/4 X)` and `exp(±iπ/4 Z)`
-/// (i.e. ±90° rotations about the X and Z axes) and their products.
-///
-/// # Example
-///
-/// ```
-/// use graphstate::{LocalClifford, MeasBasis};
-///
-/// // Propagating exp(+iπ/4 X) through a Z measurement turns it into a -Y
-/// // measurement (Theorem 4.1).
-/// let u = LocalClifford::sqrt_x(true);
-/// let adjusted = MeasBasis::z().conjugated_by(&u);
-/// assert!(adjusted.approx_eq(&MeasBasis::pauli_y().negated()));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LocalClifford {
-    /// Images of (X, Y, Z) under conjugation by the *inverse* propagation
-    /// direction; see [`LocalClifford::conjugate_axis`].
-    image_x: SignedAxis,
-    image_y: SignedAxis,
-    image_z: SignedAxis,
-}
-
-impl Default for LocalClifford {
-    fn default() -> Self {
-        Self::identity()
-    }
-}
-
-impl LocalClifford {
-    /// The identity operator.
-    pub fn identity() -> Self {
-        LocalClifford {
-            image_x: SignedAxis::new(Pauli::X, 1),
-            image_y: SignedAxis::new(Pauli::Y, 1),
-            image_z: SignedAxis::new(Pauli::Z, 1),
-        }
-    }
-
-    /// `exp(+iπ/4 X)` when `positive` is true, `exp(-iπ/4 X)` otherwise.
-    ///
-    /// Conjugation: `X → X`, `Y → ∓Z`, `Z → ±Y`.
-    pub fn sqrt_x(positive: bool) -> Self {
-        let s: i8 = if positive { 1 } else { -1 };
-        LocalClifford {
-            image_x: SignedAxis::new(Pauli::X, 1),
-            image_y: SignedAxis::new(Pauli::Z, -s),
-            image_z: SignedAxis::new(Pauli::Y, s),
-        }
-    }
-
-    /// `exp(+iπ/4 Z)` when `positive` is true, `exp(-iπ/4 Z)` otherwise.
-    ///
-    /// Conjugation: `Z → Z`, `X → ∓Y`, `Y → ±X`.
-    pub fn sqrt_z(positive: bool) -> Self {
-        let s: i8 = if positive { 1 } else { -1 };
-        LocalClifford {
-            image_x: SignedAxis::new(Pauli::Y, -s),
-            image_y: SignedAxis::new(Pauli::X, s),
-            image_z: SignedAxis::new(Pauli::Z, 1),
-        }
-    }
-
-    /// Image of a bare Pauli axis under conjugation by this operator.
-    /// `Pauli::I` maps to itself with positive sign.
-    pub fn conjugate_axis(&self, p: Pauli) -> SignedAxis {
-        match p {
-            Pauli::I => SignedAxis::new(Pauli::I, 1),
-            Pauli::X => self.image_x,
-            Pauli::Y => self.image_y,
-            Pauli::Z => self.image_z,
-        }
-    }
-
-    /// Composition `self ∘ other` (apply `other` first, then `self`).
-    pub fn compose(&self, other: &LocalClifford) -> LocalClifford {
-        let map = |sa: SignedAxis| -> SignedAxis {
-            let img = self.conjugate_axis(sa.axis);
-            SignedAxis::new(img.axis, img.sign * sa.sign)
-        };
-        LocalClifford {
-            image_x: map(other.image_x),
-            image_y: map(other.image_y),
-            image_z: map(other.image_z),
-        }
-    }
-
-    /// The inverse operator.
-    pub fn inverse(&self) -> LocalClifford {
-        // Build the inverse mapping: if X -> s·A then A -> s·X under the
-        // inverse (signed permutations invert by transposition).
-        let mut inv = LocalClifford::identity();
-        for (src, img) in [
-            (Pauli::X, self.image_x),
-            (Pauli::Y, self.image_y),
-            (Pauli::Z, self.image_z),
-        ] {
-            let entry = SignedAxis::new(src, img.sign);
-            match img.axis {
-                Pauli::X => inv.image_x = entry,
-                Pauli::Y => inv.image_y = entry,
-                Pauli::Z => inv.image_z = entry,
-                Pauli::I => unreachable!("signed permutation never maps to I"),
-            }
-        }
-        inv
-    }
-
-    /// Returns `true` when this is the identity.
-    pub fn is_identity(&self) -> bool {
-        *self == Self::identity()
-    }
-
-    /// Conjugation action on a Bloch-sphere direction `(x, y, z)`.
-    pub fn rotate_direction(&self, dir: [f64; 3]) -> [f64; 3] {
-        let mut out = [0.0; 3];
-        let comps = [
-            (dir[0], self.image_x),
-            (dir[1], self.image_y),
-            (dir[2], self.image_z),
-        ];
-        for (c, img) in comps {
-            let idx = match img.axis {
-                Pauli::X => 0,
-                Pauli::Y => 1,
-                Pauli::Z => 2,
-                Pauli::I => continue,
-            };
-            out[idx] += c * f64::from(img.sign);
-        }
-        out
-    }
-}
-
-impl fmt::Display for LocalClifford {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let fmt_axis = |sa: SignedAxis| {
-            let sign = if sa.sign >= 0 { "+" } else { "-" };
-            format!("{sign}{}", sa.axis)
-        };
-        write!(
-            f,
-            "X→{}, Y→{}, Z→{}",
-            fmt_axis(self.image_x),
-            fmt_axis(self.image_y),
-            fmt_axis(self.image_z)
-        )
-    }
-}
 
 /// A single-qubit measurement basis, represented by its Bloch-sphere
 /// direction.
 ///
-/// The MBQC driver only ever needs `Z` measurements, equatorial measurements
-/// `cos(α) X + sin(α) Y`, and whatever those become after commuting the
-/// local-Clifford correction frame through them; the general direction
-/// representation covers all of those.
+/// The MBQC driver only ever needs `Z` measurements and equatorial
+/// measurements `cos(α) X + sin(α) Y`; the direction representation covers
+/// both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasBasis {
     dir: [f64; 3],
@@ -234,16 +25,6 @@ impl MeasBasis {
         MeasBasis { dir: [0.0, 0.0, 1.0] }
     }
 
-    /// A measurement along `+X`.
-    pub fn pauli_x() -> Self {
-        MeasBasis { dir: [1.0, 0.0, 0.0] }
-    }
-
-    /// A measurement along `+Y`.
-    pub fn pauli_y() -> Self {
-        MeasBasis { dir: [0.0, 1.0, 0.0] }
-    }
-
     /// An equatorial measurement `E(α) = cos(α) X + sin(α) Y`.
     pub fn equatorial(alpha: f64) -> Self {
         MeasBasis {
@@ -251,31 +32,9 @@ impl MeasBasis {
         }
     }
 
-    /// Builds a basis from an arbitrary (non-zero) direction; the direction
-    /// is normalized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the direction has (near) zero length.
-    pub fn from_direction(dir: [f64; 3]) -> Self {
-        let norm = (dir[0] * dir[0] + dir[1] * dir[1] + dir[2] * dir[2]).sqrt();
-        assert!(norm > 1e-12, "measurement direction must be non-zero");
-        MeasBasis {
-            dir: [dir[0] / norm, dir[1] / norm, dir[2] / norm],
-        }
-    }
-
     /// The Bloch direction of this basis.
     pub fn direction(&self) -> [f64; 3] {
         self.dir
-    }
-
-    /// The basis measuring the opposite direction (same measurement up to
-    /// outcome relabeling).
-    pub fn negated(&self) -> Self {
-        MeasBasis {
-            dir: [-self.dir[0], -self.dir[1], -self.dir[2]],
-        }
     }
 
     /// Returns `true` when the basis lies (numerically) on the X-Y equator.
@@ -294,15 +53,6 @@ impl MeasBasis {
             Some(self.dir[1].atan2(self.dir[0]))
         } else {
             None
-        }
-    }
-
-    /// The basis obtained by commuting the local operator `u` through this
-    /// measurement (Theorem 4.1): measuring `A` after applying `u` is the
-    /// same as applying `u` after measuring `u† A u`.
-    pub fn conjugated_by(&self, u: &LocalClifford) -> MeasBasis {
-        MeasBasis {
-            dir: u.inverse().rotate_direction(self.dir),
         }
     }
 
@@ -348,81 +98,6 @@ mod tests {
     use std::f64::consts::{FRAC_PI_2, PI};
 
     #[test]
-    fn sqrt_z_conjugation_rules() {
-        // exp(+iπ/4 Z): X → -Y, Y → +X, Z → Z.
-        let u = LocalClifford::sqrt_z(true);
-        assert_eq!(u.conjugate_axis(Pauli::X), SignedAxis::new(Pauli::Y, -1));
-        assert_eq!(u.conjugate_axis(Pauli::Y), SignedAxis::new(Pauli::X, 1));
-        assert_eq!(u.conjugate_axis(Pauli::Z), SignedAxis::new(Pauli::Z, 1));
-    }
-
-    #[test]
-    fn sqrt_x_conjugation_rules() {
-        // exp(+iπ/4 X): X → X, Y → -Z, Z → +Y.
-        let u = LocalClifford::sqrt_x(true);
-        assert_eq!(u.conjugate_axis(Pauli::X), SignedAxis::new(Pauli::X, 1));
-        assert_eq!(u.conjugate_axis(Pauli::Y), SignedAxis::new(Pauli::Z, -1));
-        assert_eq!(u.conjugate_axis(Pauli::Z), SignedAxis::new(Pauli::Y, 1));
-    }
-
-    #[test]
-    fn compose_with_inverse_is_identity() {
-        let a = LocalClifford::sqrt_x(true).compose(&LocalClifford::sqrt_z(false));
-        assert!(a.compose(&a.inverse()).is_identity());
-        assert!(a.inverse().compose(&a).is_identity());
-    }
-
-    #[test]
-    fn fourth_power_of_quarter_rotation_is_identity() {
-        let u = LocalClifford::sqrt_z(true);
-        let u2 = u.compose(&u);
-        let u4 = u2.compose(&u2);
-        assert!(u4.is_identity());
-    }
-
-    #[test]
-    fn theorem_4_1_z_measurement_through_sqrt_z() {
-        // M_Z U±Z = U±Z M_Z : the basis is unchanged.
-        for positive in [true, false] {
-            let u = LocalClifford::sqrt_z(positive);
-            let adj = MeasBasis::z().conjugated_by(&u);
-            assert!(adj.approx_eq(&MeasBasis::z()));
-        }
-    }
-
-    #[test]
-    fn theorem_4_1_z_measurement_through_sqrt_x() {
-        // M_Z U±X = U±X M[∓Y].
-        let plus = MeasBasis::z().conjugated_by(&LocalClifford::sqrt_x(true));
-        assert!(plus.approx_eq(&MeasBasis::pauli_y().negated()));
-        let minus = MeasBasis::z().conjugated_by(&LocalClifford::sqrt_x(false));
-        assert!(minus.approx_eq(&MeasBasis::pauli_y()));
-    }
-
-    #[test]
-    fn theorem_4_1_equatorial_through_sqrt_z() {
-        // M[cosφ X + sinφ Y] U±Z = U±Z M[±(cosφ Y − sinφ X)].
-        let phi = 0.3_f64;
-        let adj = MeasBasis::equatorial(phi).conjugated_by(&LocalClifford::sqrt_z(true));
-        let expect = MeasBasis::from_direction([-phi.sin(), phi.cos(), 0.0]);
-        assert!(adj.approx_eq(&expect), "got {adj}, expected {expect}");
-        let adj_neg = MeasBasis::equatorial(phi).conjugated_by(&LocalClifford::sqrt_z(false));
-        assert!(adj_neg.approx_eq(&expect.negated()));
-    }
-
-    #[test]
-    fn theorem_4_1_equatorial_through_sqrt_x() {
-        // M[cosφ X + sinφ Y] U±X = U±X M[cosφ X ± sinφ Z].
-        let phi = 1.1_f64;
-        let adj = MeasBasis::equatorial(phi).conjugated_by(&LocalClifford::sqrt_x(true));
-        let expect = MeasBasis::from_direction([phi.cos(), 0.0, phi.sin()]);
-        assert!(adj.approx_eq(&expect), "got {adj}, expected {expect}");
-        let adj_neg = MeasBasis::equatorial(phi).conjugated_by(&LocalClifford::sqrt_x(false));
-        let expect_neg = MeasBasis::from_direction([phi.cos(), 0.0, -phi.sin()]);
-        assert!(adj_neg.approx_eq(&expect_neg));
-    }
-
-    #[test]
     fn feed_forward_angle_adjustment() {
         let m = MeasBasis::equatorial(0.7);
         let adj = m.feed_forward(true, true);
@@ -441,18 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn rotate_direction_matches_axis_images() {
-        let u = LocalClifford::sqrt_x(true);
-        let rotated = u.rotate_direction([0.0, 1.0, 0.0]);
-        // Y → -Z.
-        assert!((rotated[2] - (-1.0)).abs() < 1e-12);
-    }
-
-    #[test]
     fn display_formats() {
-        assert_eq!(Pauli::X.to_string(), "X");
-        let u = LocalClifford::identity();
-        assert_eq!(u.to_string(), "X→+X, Y→+Y, Z→+Z");
         let m = MeasBasis::z();
         assert!(m.to_string().contains('Z'));
     }

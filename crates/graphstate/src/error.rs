@@ -11,8 +11,6 @@ pub enum GraphError {
     MissingVertex(usize),
     /// The two vertices passed to a pairwise operation are the same.
     SelfLoop(usize),
-    /// An edge referenced by the operation does not exist.
-    MissingEdge(usize, usize),
 }
 
 impl fmt::Display for GraphError {
@@ -20,7 +18,6 @@ impl fmt::Display for GraphError {
         match self {
             GraphError::MissingVertex(v) => write!(f, "vertex {v} does not exist"),
             GraphError::SelfLoop(v) => write!(f, "self-loop on vertex {v} is not allowed"),
-            GraphError::MissingEdge(a, b) => write!(f, "edge ({a}, {b}) does not exist"),
         }
     }
 }
@@ -37,8 +34,6 @@ mod tests {
         assert_eq!(e.to_string(), "vertex 3 does not exist");
         let e = GraphError::SelfLoop(1);
         assert!(e.to_string().contains("self-loop"));
-        let e = GraphError::MissingEdge(1, 2);
-        assert!(e.to_string().contains("edge (1, 2)"));
     }
 
     #[test]

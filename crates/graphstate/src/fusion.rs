@@ -1,46 +1,12 @@
-//! Type-II fusion rewrite rules on graph states.
+//! Heralded outcomes of type-II fusions.
 //!
 //! A (type-II) fusion is the simultaneous measurement of `X⊗Z` and `Z⊗X` on
 //! two photonic qubits belonging to different entangled states. Both photons
-//! are destroyed regardless of the outcome; what differs is the effect on the
-//! remaining qubits:
-//!
-//! * **success** — the neighborhoods of the two measured qubits become
-//!   pairwise connected (every edge between a former neighbor of one and a
-//!   former neighbor of the other is toggled), merging the two entangled
-//!   states into a larger one;
-//! * **failure** — each measured qubit is removed after a local
-//!   complementation on it, which for a leaf qubit is a plain removal and for
-//!   a root qubit leaves a fully-connected (cyclic) structure on its former
-//!   neighbors, exactly as illustrated in Fig. 8 of the paper.
+//! are destroyed regardless of the outcome. On success the neighborhoods of
+//! the two photons are joined; on failure nothing is joined.
 //!
 //! Failures are *heralded*: the classical control knows which case occurred
 //! and can adjust subsequent operations (collective feed-forward).
-
-use crate::clifford::LocalClifford;
-use crate::error::GraphError;
-use crate::graph::{GraphState, VertexId};
-
-/// Classification of a fusion by the roles of the two photons in their
-/// resource states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FusionKind {
-    /// Fusion between two leaf (degree-1) qubits. Used to join resource
-    /// states into lattice structures.
-    LeafLeaf,
-    /// Fusion between a root (degree > 1) qubit and a leaf qubit. Used to
-    /// merge several resource states into a higher-degree one.
-    RootLeaf,
-}
-
-impl std::fmt::Display for FusionKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FusionKind::LeafLeaf => f.write_str("leaf-leaf"),
-            FusionKind::RootLeaf => f.write_str("root-leaf"),
-        }
-    }
-}
 
 /// The heralded outcome of a fusion attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,268 +24,13 @@ impl FusionOutcome {
     }
 }
 
-impl GraphState {
-    /// Applies a *successful* type-II fusion of qubits `a` and `b`: every
-    /// pair `(u, v)` with `u ∈ N(a) \ {b}` and `v ∈ N(b) \ {a}` has its edge
-    /// toggled, then both `a` and `b` are removed.
-    ///
-    /// Returns the local-Clifford byproducts that the classical frame should
-    /// record for the surviving neighbors (identity in this simplified
-    /// tracking — outcome-dependent Pauli byproducts are absorbed into the
-    /// feed-forward of measurement angles and do not change the graph).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingVertex`] if either qubit does not exist,
-    /// or [`GraphError::SelfLoop`] if `a == b`.
-    pub fn fuse_success(&mut self, a: VertexId, b: VertexId) -> Result<LocalClifford, GraphError> {
-        if a == b {
-            return Err(GraphError::SelfLoop(a));
-        }
-        if !self.contains(a) {
-            return Err(GraphError::MissingVertex(a));
-        }
-        if !self.contains(b) {
-            return Err(GraphError::MissingVertex(b));
-        }
-        let na: Vec<VertexId> = self
-            .neighbors(a)
-            .expect("a exists")
-            .iter()
-            .copied()
-            .filter(|&v| v != b)
-            .collect();
-        let nb: Vec<VertexId> = self
-            .neighbors(b)
-            .expect("b exists")
-            .iter()
-            .copied()
-            .filter(|&v| v != a)
-            .collect();
-        for &u in &na {
-            for &v in &nb {
-                if u != v {
-                    self.toggle_edge(u, v).expect("neighbors are alive");
-                }
-            }
-        }
-        self.remove_vertex(a);
-        self.remove_vertex(b);
-        Ok(LocalClifford::identity())
-    }
-
-    /// Applies a *failed* fusion of qubits `a` and `b`: each qubit is removed
-    /// after a local complementation on it (Section 4.2). The order of the
-    /// two removals does not matter when `a` and `b` belong to different
-    /// connected components, which is the case for fusions between distinct
-    /// resource states.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingVertex`] if either qubit does not exist,
-    /// or [`GraphError::SelfLoop`] if `a == b`.
-    pub fn fuse_failure(&mut self, a: VertexId, b: VertexId) -> Result<(), GraphError> {
-        if a == b {
-            return Err(GraphError::SelfLoop(a));
-        }
-        if !self.contains(a) {
-            return Err(GraphError::MissingVertex(a));
-        }
-        if !self.contains(b) {
-            return Err(GraphError::MissingVertex(b));
-        }
-        self.local_complement(a).expect("a exists");
-        self.remove_vertex(a);
-        self.local_complement(b).expect("b exists");
-        self.remove_vertex(b);
-        Ok(())
-    }
-
-    /// Applies a fusion with the given heralded `outcome`, dispatching to
-    /// [`GraphState::fuse_success`] or [`GraphState::fuse_failure`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of the underlying rewrite.
-    pub fn fuse(
-        &mut self,
-        a: VertexId,
-        b: VertexId,
-        outcome: FusionOutcome,
-    ) -> Result<(), GraphError> {
-        match outcome {
-            FusionOutcome::Success => self.fuse_success(a, b).map(|_| ()),
-            FusionOutcome::Failure => self.fuse_failure(a, b),
-        }
-    }
-
-    /// Recovers a star-like structure after a failed root-leaf fusion.
-    ///
-    /// A failed fusion on a root qubit leaves its former neighbors fully
-    /// connected (Fig. 8 of the paper). Applying a local complementation on
-    /// any one of them, say `center`, restores a star centered at `center`;
-    /// the physical implementation would be the single-qubit operator
-    /// sequence `U_v(G)` whose bookkeeping is handled by
-    /// [`crate::LocalClifford`] corrections, returned here for every affected
-    /// neighbor so the caller can postpone them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingVertex`] when `center` does not exist.
-    pub fn recover_star(
-        &mut self,
-        center: VertexId,
-    ) -> Result<Vec<(VertexId, LocalClifford)>, GraphError> {
-        if !self.contains(center) {
-            return Err(GraphError::MissingVertex(center));
-        }
-        let neighbors: Vec<VertexId> = self.neighbors(center).expect("center exists").to_vec();
-        self.local_complement(center)?;
-        // U_v(G) = exp(-iπ/4 X_v) Π_{u∈N(v)} exp(iπ/4 Z_u)
-        let mut corrections = Vec::with_capacity(neighbors.len() + 1);
-        corrections.push((center, LocalClifford::sqrt_x(false)));
-        for u in neighbors {
-            corrections.push((u, LocalClifford::sqrt_z(true)));
-        }
-        Ok(corrections)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::star::StarState;
-
-    /// Builds two stars of the given sizes in one host graph.
-    fn two_stars(size_a: usize, size_b: usize) -> (GraphState, StarState, StarState) {
-        let mut g = GraphState::new();
-        let a = StarState::instantiate(&mut g, size_a);
-        let b = StarState::instantiate(&mut g, size_b);
-        (g, a, b)
-    }
-
-    #[test]
-    fn leaf_leaf_success_joins_roots() {
-        let (mut g, a, b) = two_stars(4, 4);
-        let la = a.leaves()[0];
-        let lb = b.leaves()[0];
-        g.fuse_success(la, lb).unwrap();
-        // The two roots are now directly connected; the fused leaves are gone.
-        assert!(g.has_edge(a.root(), b.root()));
-        assert!(!g.contains(la));
-        assert!(!g.contains(lb));
-        assert_eq!(g.vertex_count(), 6);
-    }
-
-    #[test]
-    fn leaf_leaf_failure_only_loses_leaves() {
-        let (mut g, a, b) = two_stars(4, 4);
-        let la = a.leaves()[0];
-        let lb = b.leaves()[0];
-        g.fuse_failure(la, lb).unwrap();
-        assert!(!g.contains(la));
-        assert!(!g.contains(lb));
-        assert!(!g.has_edge(a.root(), b.root()));
-        // Remaining stars are intact minus one leaf each.
-        assert_eq!(g.degree(a.root()), Some(2));
-        assert_eq!(g.degree(b.root()), Some(2));
-    }
-
-    #[test]
-    fn root_leaf_success_builds_higher_degree_star() {
-        // Section 4.1: a successful root-leaf fusion between two 4-qubit
-        // stars (degree 3 each) yields a 7-qubit star-like state with a
-        // degree-4... actually degree (3-1)+(3)=5? The paper states a
-        // 7-degree graph state from two 4-degree resource states; with
-        // 4-qubit stars (3 leaves) the fused state has degree
-        // (leaves_of_A - 1) + leaves_of_B attached to the surviving root
-        // when fusing root(B) with a leaf of A.
-        let (mut g, a, b) = two_stars(4, 4);
-        let leaf_a = a.leaves()[0];
-        let root_b = b.root();
-        g.fuse_success(leaf_a, root_b).unwrap();
-        // Surviving root of A now connects to all former leaves of B in
-        // addition to its remaining own leaves.
-        let deg = g.degree(a.root()).unwrap();
-        assert_eq!(deg, 2 + 3, "root degree after root-leaf merge");
-        for &lb in b.leaves() {
-            assert!(g.has_edge(a.root(), lb));
-        }
-    }
-
-    #[test]
-    fn root_leaf_failure_creates_clique_then_recovers() {
-        // Fig. 8: a failed root-leaf fusion turns the root's resource state
-        // into a fully connected cyclic structure; recover_star fixes it.
-        let (mut g, a, b) = two_stars(5, 5);
-        let leaf_a = a.leaves()[0];
-        let root_b = b.root();
-        g.fuse_failure(leaf_a, root_b).unwrap();
-        // B's leaves are now pairwise connected (clique of size 4).
-        let bl = b.leaves();
-        for i in 0..bl.len() {
-            for j in (i + 1)..bl.len() {
-                assert!(g.has_edge(bl[i], bl[j]), "expected clique edge");
-            }
-        }
-        // Recover a star centered at one of the former leaves.
-        let center = bl[0];
-        let corrections = g.recover_star(center).unwrap();
-        assert_eq!(corrections.len(), bl.len());
-        for i in 1..bl.len() {
-            for j in (i + 1)..bl.len() {
-                assert!(
-                    !g.has_edge(bl[i], bl[j]),
-                    "clique edge should be removed by recovery"
-                );
-            }
-            assert!(g.has_edge(center, bl[i]));
-        }
-    }
-
-    #[test]
-    fn fuse_dispatches_on_outcome() {
-        let (mut g, a, b) = two_stars(3, 3);
-        g.fuse(a.leaves()[0], b.leaves()[0], FusionOutcome::Success)
-            .unwrap();
-        assert!(g.has_edge(a.root(), b.root()));
-        let (mut g2, a2, b2) = two_stars(3, 3);
-        g2.fuse(a2.leaves()[0], b2.leaves()[0], FusionOutcome::Failure)
-            .unwrap();
-        assert!(!g2.has_edge(a2.root(), b2.root()));
-    }
-
-    #[test]
-    fn fusion_on_missing_vertices_errors() {
-        let mut g = GraphState::with_vertices(2);
-        assert!(g.fuse_success(0, 5).is_err());
-        assert!(g.fuse_failure(7, 1).is_err());
-        assert!(g.fuse(0, 0, FusionOutcome::Success).is_err());
-    }
 
     #[test]
     fn fusion_outcome_helpers() {
         assert!(FusionOutcome::Success.is_success());
         assert!(!FusionOutcome::Failure.is_success());
-        assert_eq!(FusionKind::LeafLeaf.to_string(), "leaf-leaf");
-        assert_eq!(FusionKind::RootLeaf.to_string(), "root-leaf");
-    }
-
-    #[test]
-    fn chained_fusions_build_linear_cluster() {
-        // Fusing leaves of consecutive stars builds a chain of roots, the
-        // 1D analogue of the lattice construction in Fig. 7(a).
-        let mut g = GraphState::new();
-        let stars: Vec<StarState> = (0..5).map(|_| StarState::instantiate(&mut g, 4)).collect();
-        for w in stars.windows(2) {
-            let left_leaf = w[0].leaves()[0];
-            let right_leaf = w[1].leaves()[1];
-            g.fuse_success(left_leaf, right_leaf).unwrap();
-        }
-        for w in stars.windows(2) {
-            assert!(g.has_edge(w[0].root(), w[1].root()));
-        }
-        // The chain of roots is connected end to end.
-        assert!(g.connected(stars[0].root(), stars[4].root()));
     }
 }

@@ -1,5 +1,5 @@
-//! The [`GraphState`] type: an undirected simple graph with the
-//! stabilizer-formalism rewrite rules used throughout the compiler.
+//! The [`GraphState`] type: an undirected simple graph of photonic qubits
+//! and CZ bonds, with connectivity queries and a [`CsrSnapshot`] view.
 
 use std::collections::VecDeque;
 
@@ -14,10 +14,10 @@ pub type VertexId = usize;
 /// for a CZ entangling operation, so the state is the simultaneous +1
 /// eigenstate of the stabilizers `X_i ⊗ Z_{N(i)}`.
 ///
-/// Vertices are identified by dense `usize` ids. Removing a vertex (for
-/// example by measuring it in the `Z` basis) leaves a hole: ids are never
-/// reused, which keeps ids stable across the lifetime of a layer and lets
-/// callers keep external side tables indexed by [`VertexId`].
+/// Vertices are identified by dense `usize` ids. Removing a vertex leaves
+/// a hole: ids are never reused, which keeps ids stable across the
+/// lifetime of a layer and lets callers keep external side tables indexed
+/// by [`VertexId`].
 ///
 /// Adjacency is stored as **sorted neighbor vectors** rather than hash
 /// sets: membership tests are binary searches, iteration is a cache-friendly
@@ -187,35 +187,6 @@ impl GraphState {
         }
     }
 
-    /// Toggles the edge `(a, b)`: adds it when absent, removes it when
-    /// present. This is the primitive used by local complementation and the
-    /// fusion rewrite rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingVertex`] / [`GraphError::SelfLoop`] on
-    /// invalid endpoints.
-    pub fn toggle_edge(&mut self, a: VertexId, b: VertexId) -> Result<(), GraphError> {
-        if a == b {
-            return Err(GraphError::SelfLoop(a));
-        }
-        if !self.contains(a) {
-            return Err(GraphError::MissingVertex(a));
-        }
-        if !self.contains(b) {
-            return Err(GraphError::MissingVertex(b));
-        }
-        if self.adj_insert(a, b) {
-            self.adj_insert(b, a);
-            self.n_edges += 1;
-        } else {
-            self.adj_remove(a, b);
-            self.adj_remove(b, a);
-            self.n_edges -= 1;
-        }
-        Ok(())
-    }
-
     /// Removes vertex `v` along with all incident edges. Removing an already
     /// removed vertex is a no-op.
     pub fn remove_vertex(&mut self, v: VertexId) {
@@ -229,95 +200,6 @@ impl GraphState {
         }
         self.alive[v] = false;
         self.n_alive -= 1;
-    }
-
-    /// Applies local complementation `τ_v`: the subgraph induced by the
-    /// neighborhood of `v` is complemented (existing edges between neighbors
-    /// are removed, missing ones are added).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingVertex`] when `v` does not exist.
-    pub fn local_complement(&mut self, v: VertexId) -> Result<(), GraphError> {
-        if !self.contains(v) {
-            return Err(GraphError::MissingVertex(v));
-        }
-        let nbrs = self.adj[v].clone();
-        for i in 0..nbrs.len() {
-            for j in (i + 1)..nbrs.len() {
-                // Both endpoints are alive by construction.
-                self.toggle_edge(nbrs[i], nbrs[j])
-                    .expect("neighbors are alive");
-            }
-        }
-        Ok(())
-    }
-
-    /// Measures qubit `v` in the `Z` basis, i.e. removes the vertex and its
-    /// incident edges. This is how redundant qubits are eliminated when a
-    /// random physical graph state is reshaped to a subgraph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingVertex`] when `v` does not exist.
-    pub fn measure_z(&mut self, v: VertexId) -> Result<(), GraphError> {
-        if !self.contains(v) {
-            return Err(GraphError::MissingVertex(v));
-        }
-        self.remove_vertex(v);
-        Ok(())
-    }
-
-    /// Measures qubit `v` in the `Y` basis: local complementation at `v`
-    /// followed by removal of `v`. Up to local Cliffords on the neighborhood,
-    /// this realizes the standard graph-state rewrite rule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingVertex`] when `v` does not exist.
-    pub fn measure_y(&mut self, v: VertexId) -> Result<(), GraphError> {
-        self.local_complement(v)?;
-        self.remove_vertex(v);
-        Ok(())
-    }
-
-    /// Measures qubit `v` in the `X` basis using the standard rule
-    /// `τ_b ∘ τ_v ∘ τ_b` with a designated *special neighbor* `b`, followed by
-    /// removal of `v`.
-    ///
-    /// When `v` is isolated the measurement simply removes it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::MissingVertex`] when `v` does not exist, or
-    /// [`GraphError::MissingEdge`] when `special` is given but is not a
-    /// neighbor of `v`.
-    pub fn measure_x(&mut self, v: VertexId, special: Option<VertexId>) -> Result<(), GraphError> {
-        if !self.contains(v) {
-            return Err(GraphError::MissingVertex(v));
-        }
-        let b = match special {
-            Some(b) => {
-                if !self.has_edge(v, b) {
-                    return Err(GraphError::MissingEdge(v, b));
-                }
-                Some(b)
-            }
-            // Neighbor lists are sorted, so the first entry is the minimum.
-            None => self.adj[v].first().copied(),
-        };
-        match b {
-            None => {
-                self.remove_vertex(v);
-            }
-            Some(b) => {
-                self.local_complement(b).expect("b is alive");
-                self.local_complement(v).expect("v is alive");
-                self.remove_vertex(v);
-                self.local_complement(b).expect("b is alive");
-            }
-        }
-        Ok(())
     }
 
     /// Returns the connected component containing `v` (including `v`), or an
@@ -645,14 +527,12 @@ mod tests {
     fn self_loop_rejected() {
         let mut g = GraphState::with_vertices(2);
         assert_eq!(g.try_add_edge(1, 1), Err(GraphError::SelfLoop(1)));
-        assert_eq!(g.toggle_edge(0, 0), Err(GraphError::SelfLoop(0)));
     }
 
     #[test]
     fn missing_vertex_rejected() {
         let mut g = GraphState::with_vertices(2);
         assert_eq!(g.try_add_edge(0, 5), Err(GraphError::MissingVertex(5)));
-        assert_eq!(g.measure_z(9), Err(GraphError::MissingVertex(9)));
     }
 
     #[test]
@@ -665,70 +545,6 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         assert!(!g.contains(1));
         assert!(!g.has_edge(0, 1));
-    }
-
-    #[test]
-    fn local_complement_on_star_builds_clique() {
-        // Star centered at 0 with leaves 1..4.
-        let mut g = GraphState::with_vertices(5);
-        for leaf in 1..5 {
-            g.add_edge(0, leaf);
-        }
-        g.local_complement(0).unwrap();
-        // Leaves now form a complete graph K4.
-        for i in 1..5 {
-            for j in (i + 1)..5 {
-                assert!(g.has_edge(i, j), "missing edge ({i},{j})");
-            }
-        }
-        // LC is an involution.
-        g.local_complement(0).unwrap();
-        for i in 1..5 {
-            for j in (i + 1)..5 {
-                assert!(!g.has_edge(i, j));
-            }
-        }
-    }
-
-    #[test]
-    fn measure_z_removes_vertex() {
-        let mut g = path(3);
-        g.measure_z(1).unwrap();
-        assert!(!g.contains(1));
-        assert!(!g.has_edge(0, 2));
-        assert_eq!(g.vertex_count(), 2);
-    }
-
-    #[test]
-    fn measure_y_contracts_wire() {
-        let mut g = path(3);
-        g.measure_y(1).unwrap();
-        assert!(g.has_edge(0, 2));
-        assert_eq!(g.vertex_count(), 2);
-    }
-
-    #[test]
-    fn measure_x_on_wire_keeps_endpoint_connectivity() {
-        // X measurement on an interior wire qubit keeps the two ends in the
-        // same connected component (it acts like removing the qubit while
-        // splicing the wire, possibly leaving the special neighbor attached).
-        let mut g = path(4);
-        g.measure_x(1, Some(0)).unwrap();
-        assert!(!g.contains(1));
-        assert!(g.connected(0, 3), "wire broken by X measurement");
-    }
-
-    #[test]
-    fn measure_x_isolated_vertex() {
-        let mut g = GraphState::with_vertices(1);
-        g.measure_x(0, None).unwrap();
-        assert_eq!(g.vertex_count(), 0);
-    }
-
-    #[test]
-    fn measure_x_invalid_special() {
-        let mut g = path(3);
-        assert_eq!(g.measure_x(0, Some(2)), Err(GraphError::MissingEdge(0, 2)));
     }
 
     #[test]

@@ -1,34 +1,39 @@
 //! Graph-state substrate for photonic measurement-based quantum computation.
 //!
-//! This crate provides the low-level machinery that every other layer of the
-//! OnePerc reproduction is built on:
+//! This crate provides the low-level data types the other layers of the
+//! OnePerc reproduction share:
 //!
 //! * [`GraphState`] — an undirected simple graph whose vertices are photonic
-//!   qubits, together with the stabilizer-formalism rewrite rules that matter
-//!   for fusion-based photonic computing: local complementation,
-//!   Pauli measurements (`Z`, `Y`, `X`) and type-II fusions (both successful
-//!   and failed outcomes).
-//! * [`StarState`] — the star-like resource states produced by resource-state
-//!   generators on photonic hardware.
-//! * [`LocalClifford`] / [`MeasBasis`] — the single-qubit byproduct frame and
-//!   the basis-adjustment rules of Theorems 4.1 and 4.2 of the paper, which
-//!   allow local-complementation corrections to be postponed to the end of
-//!   the computation.
+//!   qubits and whose edges are CZ bonds. The program graph of a circuit and
+//!   the graph view of a physical layer are built on it.
+//! * [`CsrSnapshot`] — an immutable compressed-sparse-row view of a graph
+//!   for read-heavy traversals such as component counting.
 //! * [`DisjointSet`] — the union-find structure used by the online pass for
 //!   cheap connectivity checks during percolation and renormalization.
+//! * [`MeasBasis`] — the single-qubit measurement basis a program node
+//!   carries: `Z`, or an equatorial angle.
+//! * [`FusionOutcome`] — the heralded outcome of one fusion attempt, as the
+//!   hardware sampler and the time-like fusions report it.
+//!
+//! The fusion and measurement rules of the paper act on the site lattice
+//! of the hardware model, not on this graph type.
 //!
 //! # Example
 //!
 //! ```
-//! use graphstate::GraphState;
+//! use graphstate::{DisjointSet, GraphState};
 //!
-//! // Build a 3-vertex path graph state 0 - 1 - 2 and measure the middle
-//! // qubit in the Y basis: the result is an edge between 0 and 2.
+//! // A 3-vertex path graph state 0 - 1 - 2: one component, which the
+//! // CSR snapshot and the union-find both see.
 //! let mut g = GraphState::with_vertices(3);
 //! g.add_edge(0, 1);
 //! g.add_edge(1, 2);
-//! g.measure_y(1);
-//! assert!(g.has_edge(0, 2));
+//! assert_eq!(g.snapshot_csr().component_count(), 1);
+//! let mut dsu = DisjointSet::new(g.id_bound());
+//! for (a, b) in g.edges() {
+//!     dsu.union(a, b);
+//! }
+//! assert!(dsu.same_set(0, 2));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,11 +44,9 @@ mod dsu;
 mod error;
 mod fusion;
 mod graph;
-mod star;
 
-pub use clifford::{LocalClifford, MeasBasis, Pauli};
+pub use clifford::MeasBasis;
 pub use dsu::DisjointSet;
 pub use error::GraphError;
-pub use fusion::{FusionKind, FusionOutcome};
+pub use fusion::FusionOutcome;
 pub use graph::{CsrSnapshot, GraphState, VertexId};
-pub use star::StarState;

@@ -49,26 +49,43 @@ impl HardwareConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `rsl_size == 0`, when `resource_state_size < 3`, or when
-    /// the probability is outside `(0, 1]`.
+    /// Panics when [`HardwareConfig::check`] rejects the configuration.
     pub fn new(rsl_size: usize, resource_state_size: usize, fusion_success_prob: f64) -> Self {
-        assert!(rsl_size > 0, "RSL size must be positive");
-        assert!(
-            resource_state_size >= 3,
-            "resource states need at least 3 qubits (degree 2)"
-        );
-        assert!(
-            fusion_success_prob > 0.0 && fusion_success_prob <= 1.0,
-            "fusion success probability must be in (0, 1]"
-        );
-        HardwareConfig {
+        let config = HardwareConfig {
             rsl_size,
             resource_state_size,
             fusion_success_prob,
             photon_loss_rate: 0.0,
             target_degree: Self::DEFAULT_TARGET_DEGREE,
             photon_lifetime_cycles: Self::DEFAULT_PHOTON_LIFETIME,
+        };
+        if let Err(rule) = config.check() {
+            panic!("{rule}");
         }
+        config
+    }
+
+    /// Checks the rules every constructor asserts: `rsl_size > 0`,
+    /// `resource_state_size >= 3` (a smaller star has no leaf to spare for
+    /// merging, and size 2 divides by zero in
+    /// [`HardwareConfig::merging_factor`]) and a fusion success probability
+    /// in `(0, 1]`. The fields are public, so a configuration edited after
+    /// construction can break them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule the configuration breaks.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.rsl_size == 0 {
+            return Err("RSL size must be positive");
+        }
+        if self.resource_state_size < 3 {
+            return Err("resource states need at least 3 qubits (degree 2)");
+        }
+        if !(self.fusion_success_prob > 0.0 && self.fusion_success_prob <= 1.0) {
+            return Err("fusion success probability must be in (0, 1]");
+        }
+        Ok(())
     }
 
     /// Sets the photon loss rate.
@@ -162,6 +179,20 @@ mod tests {
     #[should_panic(expected = "at least 3")]
     fn tiny_resource_state_panics() {
         let _ = HardwareConfig::new(10, 2, 0.75);
+    }
+
+    #[test]
+    fn check_names_the_broken_rule() {
+        let mut cfg = HardwareConfig::new(10, 4, 0.75);
+        assert_eq!(cfg.check(), Ok(()));
+        cfg.resource_state_size = 2;
+        assert!(cfg.check().unwrap_err().contains("at least 3"));
+        cfg.resource_state_size = 4;
+        cfg.fusion_success_prob = f64::NAN;
+        assert!(cfg.check().unwrap_err().contains("probability"));
+        cfg.fusion_success_prob = 0.75;
+        cfg.rsl_size = 0;
+        assert!(cfg.check().unwrap_err().contains("RSL size"));
     }
 
     #[test]

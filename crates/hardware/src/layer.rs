@@ -60,9 +60,9 @@ use crate::bitmap::Bitmap;
 /// site still has photons available for a time-like fusion with a later
 /// layer.
 ///
-/// This is the structure handed to the online reshaping pass; the exact
-/// per-photon graph state it abstracts can be reconstructed for small sizes
-/// with [`crate::exact`].
+/// This is the structure handed to the online reshaping pass. It is the
+/// whole model: no per-photon graph state stands behind it (see the crate
+/// docs for the references it is checked against).
 ///
 /// Equality compares the full site/bond/port state plus the accounting
 /// fields — the byte-identity check the determinism suites use to prove

@@ -27,10 +27,14 @@
 //! * [`PhysicalLayer`] — the random physical graph state produced for one
 //!   (merged) resource-state layer, in the site-lattice representation
 //!   consumed by the online reshaping pass.
-//! * [`exact`] — a small-scale exact construction that plays the same
-//!   strategy directly on a [`graphstate::GraphState`], used to validate the
-//!   site-lattice abstraction against the real rewrite rules.
 //! * [`DelayLine`] — bounded-lifetime storage for photonic qubits.
+//!
+//! The site-lattice abstraction ([`MergeLaw`] plus the bond planes) rests
+//! on two Rust references in `oneperc-bench` alone. `DenseReferenceEngine`
+//! reads the same RNG words and must give the same layer site for site
+//! (`layer_equivalence`). `DenseScalarEngine`, the per-attempt generator,
+//! must give the same layer law (`generation_law`). No photon-level
+//! simulation of the fusions is part of the model.
 //!
 //! # Example
 //!
@@ -51,7 +55,6 @@ pub mod bitmap;
 mod config;
 mod delay;
 mod engine;
-pub mod exact;
 mod layer;
 mod merge;
 mod sampler;

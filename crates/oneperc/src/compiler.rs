@@ -25,6 +25,11 @@ use crate::report::{
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CompileError {
+    /// The configuration breaks a rule of [`CompilerConfig::check`]. Its
+    /// fields are public, so an edit after construction can skip the
+    /// constructors' checks; the offline pass refuses such a configuration
+    /// before it maps anything.
+    InvalidConfig(&'static str),
     /// The offline mapping failed.
     Mapping(MapError),
     /// The online pass gave up on a logical layer
@@ -35,6 +40,7 @@ pub enum CompileError {
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CompileError::InvalidConfig(rule) => write!(f, "invalid configuration: {rule}"),
             CompileError::Mapping(e) => write!(f, "offline mapping failed: {e}"),
             CompileError::Incomplete(failure) => {
                 write!(f, "online execution incomplete: {failure}")
@@ -76,11 +82,13 @@ impl CompiledProgram {
 
 /// Offline pass behind [`Session::compile`](crate::Session::compile) and
 /// the program cache: circuit → program graph state → FlexLattice IR →
-/// instructions.
+/// instructions. It checks the configuration first
+/// ([`CompileError::InvalidConfig`]).
 pub(crate) fn run_offline_pass(
     config: &CompilerConfig,
     circuit: &Circuit,
 ) -> Result<CompiledProgram, CompileError> {
+    config.check().map_err(CompileError::InvalidConfig)?;
     let start = Instant::now();
     let program = ProgramGraph::from_circuit(circuit);
     let mapper_config = MapperConfig::new(config.virtual_hardware())

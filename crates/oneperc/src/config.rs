@@ -86,24 +86,51 @@ impl CompilerConfig {
     ///
     /// # Panics
     ///
-    /// Panics when the virtual hardware does not fit into the RSL.
+    /// Panics when [`CompilerConfig::check`] rejects the configuration,
+    /// for example when the virtual hardware does not fit into the RSL.
     pub fn new(hardware: HardwareConfig, virtual_side: usize, seed: u64) -> Self {
-        assert!(virtual_side > 0, "virtual hardware side must be positive");
-        assert!(
-            virtual_side <= hardware.rsl_size,
-            "virtual hardware of side {virtual_side} cannot fit in an RSL of side {}",
-            hardware.rsl_size
-        );
-        let node_size = hardware.rsl_size / virtual_side;
-        CompilerConfig {
+        let config = CompilerConfig {
             hardware,
             virtual_side,
-            node_size,
+            node_size: hardware.rsl_size.checked_div(virtual_side).unwrap_or(0),
             occupancy_limit: 0.25,
             refresh_period: None,
             temporal_redundancy: 3,
             seed,
             renorm_workers: 0,
+        };
+        if let Err(rule) = config.check() {
+            panic!("{rule}");
+        }
+        config
+    }
+
+    /// Checks the rules every constructor asserts: those of
+    /// [`HardwareConfig::check`], `virtual_side > 0`, and that the virtual
+    /// hardware fits in the RSL (`node_size > 0` and
+    /// `virtual_side * node_size <= rsl_size`). The fields are public, so a
+    /// configuration edited after construction can break them; the offline
+    /// pass calls this first and returns
+    /// [`CompileError::InvalidConfig`](crate::CompileError::InvalidConfig).
+    ///
+    /// Only compiling checks it. A session built on an invalid
+    /// configuration is not refused: its lane threads can die as they
+    /// start, and executing a program compiled elsewhere panics. Rejecting
+    /// such a configuration at the session boundary is left to the
+    /// typed-error work on `Session` and `AsyncSession`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule the configuration breaks.
+    pub fn check(&self) -> Result<(), &'static str> {
+        self.hardware.check()?;
+        if self.virtual_side == 0 {
+            return Err("virtual hardware side must be positive");
+        }
+        match self.virtual_side.checked_mul(self.node_size) {
+            Some(side) if self.node_size > 0 && side <= self.hardware.rsl_size => Ok(()),
+            _ => Err("virtual hardware cannot fit in the RSL: \
+                      it needs node_size > 0 and virtual_side * node_size <= rsl_size"),
         }
     }
 
@@ -131,12 +158,14 @@ impl CompilerConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `size < 3`, as [`HardwareConfig::new`] does: a smaller
-    /// star has no leaf to spare for merging.
+    /// Panics when [`CompilerConfig::check`] rejects the result, as for
+    /// `size < 3`: a smaller star has no leaf to spare for merging.
     #[must_use]
     pub fn with_resource_state_size(mut self, size: usize) -> Self {
-        assert!(size >= 3, "resource states need at least 3 qubits (degree 2)");
         self.hardware.resource_state_size = size;
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
         self
     }
 

@@ -275,8 +275,9 @@ impl AsyncSessionBuilder {
 }
 
 /// The async front-end: a warm [`Session`] behind a bounded admission
-/// window, speaking [`JobFuture`]s. See the [module docs](self) for the
-/// architecture and determinism contract.
+/// window, speaking [`JobFuture`]s. See the
+/// [module docs](crate::service) for the architecture and determinism
+/// contract.
 ///
 /// # Example
 ///

@@ -47,8 +47,8 @@
 //!   [`AsyncSessionBuilder::shared_program_cache`]): one tenant's compile
 //!   is every tenant's hit, byte-identically.
 //! * **Cancellation sheds load.** Dropping a [`JobFuture`] flips the job's
-//!   [`CancelToken`](oneperc_percolation::CancelToken); the lane observes
-//!   it between logical layers and stops, reporting
+//!   [`CancelToken`]; the lane observes it between logical layers and
+//!   stops, reporting
 //!   [`LayerFailureReason::Cancelled`](crate::LayerFailureReason::Cancelled).
 //!   Completed runs are never perturbed — the token is only read at
 //!   checkpoints.

@@ -341,7 +341,7 @@ impl SessionBuilder {
 /// Owns the warm execution context — persistent lane threads with
 /// reseedable [`ReshapeEngine`]s and (optionally) one shared
 /// renormalization [`WorkerPool`] — and multiplexes compile/execute work
-/// through it. See the [module docs](self) for the architecture and
+/// through it. See the [crate docs](crate) for the architecture and
 /// determinism contract, and [`SessionBuilder`] for construction knobs.
 ///
 /// Sessions are the primary entry point of the crate.
@@ -426,8 +426,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Mapping`] when the program cannot be mapped
-    /// onto the configured virtual hardware.
+    /// Returns [`CompileError::InvalidConfig`] when the session's
+    /// configuration breaks a rule of [`CompilerConfig::check`], and
+    /// [`CompileError::Mapping`] when the program cannot be mapped onto the
+    /// configured virtual hardware.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledProgram, CompileError> {
         run_offline_pass(&self.config, circuit)
     }
@@ -558,8 +560,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Mapping`] when the offline pass fails
-    /// (nothing is retained).
+    /// Returns the offline pass's error, [`CompileError::InvalidConfig`]
+    /// or [`CompileError::Mapping`] (nothing is retained).
     pub fn compile_cached(&self, circuit: &Circuit) -> Result<Arc<CompiledProgram>, CompileError> {
         Ok(self.compile_cached_lookup(circuit)?.program)
     }
@@ -570,8 +572,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Mapping`] when the offline pass fails
-    /// (nothing is retained).
+    /// Returns the offline pass's error, [`CompileError::InvalidConfig`]
+    /// or [`CompileError::Mapping`] (nothing is retained).
     pub fn compile_cached_lookup(&self, circuit: &Circuit) -> Result<CacheLookup, CompileError> {
         let key = program_key(&self.config, circuit);
         self.cache.get_or_try_insert_with(key, || run_offline_pass(&self.config, circuit))
@@ -859,6 +861,26 @@ mod tests {
         let inline = Session::new(small_config(0.85, 1)).execute_batch(&compiled, &[3, 4]);
         for (a, b) in pooled.iter().zip(&inline) {
             assert_eq!(a.report().deterministic(), b.report().deterministic());
+        }
+    }
+
+    #[test]
+    fn invalid_configs_are_refused_before_compiling() {
+        // Both break a rule through a public field, after the constructors
+        // have checked them.
+        let mut tiny_states = small_config(0.9, 1);
+        tiny_states.hardware.resource_state_size = 2;
+        let mut oversized = small_config(0.9, 1);
+        oversized.virtual_side = oversized.hardware.rsl_size + 1;
+        let circuit = benchmarks::qaoa(4, 2);
+        for config in [tiny_states, oversized] {
+            let session = Session::new(config);
+            assert!(matches!(session.compile(&circuit), Err(CompileError::InvalidConfig(_))));
+            assert!(matches!(
+                session.compile_cached(&circuit),
+                Err(CompileError::InvalidConfig(_))
+            ));
+            assert!(session.program_cache().is_empty(), "nothing is cached");
         }
     }
 }

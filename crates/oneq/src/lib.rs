@@ -37,4 +37,4 @@ mod plan;
 mod retry;
 
 pub use plan::{LayerPlan, OneqPlan};
-pub use retry::{OneqCompiler, OneqConfig, OneqReport};
+pub use retry::{OneqCompiler, OneqConfig, OneqError, OneqReport};

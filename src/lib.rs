@@ -4,8 +4,8 @@
 //! examples, integration tests and downstream users can depend on a single
 //! crate:
 //!
-//! * [`graphstate`] — graph-state substrate (local complementation,
-//!   measurements, fusions, union-find).
+//! * [`graphstate`] — graph-state substrate (plain graphs, CSR snapshots,
+//!   union-find, measurement bases, fusion outcomes).
 //! * [`circuit`] — circuit IR, benchmark generators and the MBQC
 //!   translation to program graph states.
 //! * [`hardware`] — photonic hardware model and the semi-static fusion
