@@ -53,6 +53,7 @@ pub mod reference_mapper;
 use std::fmt;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use oneperc::{CompilerConfig, ExecutionReport, Session};
 use oneperc_circuit::benchmarks::Benchmark;
@@ -160,7 +161,7 @@ pub fn run_oneperc_with_config(
     let compiled = session
         .compile(&circuit)
         .unwrap_or_else(|e| panic!("OnePerc failed on {bench}-{qubits}: {e}"));
-    session.execute_report(&compiled)
+    session.execute_shared(Arc::new(compiled), config.seed).into_report()
 }
 
 /// Runs the OneQ baseline on a benchmark with the paper's repeat-until-

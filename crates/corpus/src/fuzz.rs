@@ -23,9 +23,10 @@
 //! re-check exactly that circuit through the whole matrix.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oneperc::{CompileError, CompilerConfig, ExecuteOutcome, Session};
+use oneperc::{CompileError, CompilerConfig, ExecuteOutcome, ExecutionRequest, JobFuture, Session};
 use oneperc_circuit::Circuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -296,22 +297,24 @@ fn run_path(
         .lanes(path.lanes)
         .program_cache(if path.cached { 4 } else { 0 })
         .build();
-    if path.warm {
-        let warm = warm_seeds(path.lanes);
-        if path.cached {
-            session.sweep(circuit, &warm)?;
+    // Every seed is submitted before any is waited on, so the jobs fan
+    // out over the lanes.
+    let run = |seeds: &[u64]| -> Result<Vec<ExecuteOutcome>, CompileError> {
+        let jobs = if path.cached {
+            session.sweep(circuit, seeds)?
         } else {
-            let compiled = session.compile(circuit)?;
-            session.execute_batch(&compiled, &warm);
-        }
-    }
-    let outcomes = if path.cached {
-        session.sweep(circuit, seeds)?
-    } else {
-        let compiled = session.compile(circuit)?;
-        session.execute_batch(&compiled, seeds)
+            let compiled = Arc::new(session.compile(circuit)?);
+            seeds
+                .iter()
+                .map(|&seed| session.submit(ExecutionRequest::new(Arc::clone(&compiled), seed)))
+                .collect()
+        };
+        Ok(jobs.into_iter().map(JobFuture::wait).collect())
     };
-    Ok(outcomes.into_iter().map(deterministic_view).collect())
+    if path.warm {
+        run(&warm_seeds(path.lanes))?;
+    }
+    Ok(run(seeds)?.into_iter().map(deterministic_view).collect())
 }
 
 /// The first divergence of one circuit against its baseline, if any.

@@ -33,6 +33,8 @@
 #[path = "../tests/pins/report_cases.rs"]
 mod report_cases;
 
+use std::sync::Arc;
+
 use oneperc::Session;
 use oneperc_hardware::{layer_key, FusionSampler, MergeLaw};
 use report_cases::{case, shows, Pin, Row, GROUPS};
@@ -99,8 +101,8 @@ fn print_sampler_pins() {
 }
 
 /// Runs `seed` of a compiled case and returns its pin.
-fn run(session: &Session, compiled: &oneperc::CompiledProgram, seed: u64) -> Pin {
-    let outcome = session.execute(compiled, seed);
+fn run(session: &Session, compiled: &Arc<oneperc::CompiledProgram>, seed: u64) -> Pin {
+    let outcome = session.execute_shared(Arc::clone(compiled), seed);
     let r = outcome.report();
     (
         r.rsl_consumed,
@@ -123,7 +125,7 @@ fn rerecord(group: &[Row]) -> Vec<(Row, String)> {
         .map(|&(name, _, _)| {
             let (config, circuit) = case(name);
             let session = Session::new(config);
-            let compiled = session.compile(&circuit).expect("offline pass succeeds");
+            let compiled = Arc::new(session.compile(&circuit).expect("offline pass succeeds"));
             (session, compiled)
         })
         .collect();

@@ -226,8 +226,8 @@ mod tests {
     /// configuration's own seed.
     fn run(config: CompilerConfig, circuit: &Circuit) -> ExecutionReport {
         let session = Session::new(config);
-        let compiled = session.compile(circuit).unwrap();
-        session.execute_report(&compiled)
+        let compiled = std::sync::Arc::new(session.compile(circuit).unwrap());
+        session.execute_shared(compiled, config.seed).into_report()
     }
 
     /// Runs the online pass on a fresh engine, optionally cancellable.

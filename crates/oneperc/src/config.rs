@@ -113,11 +113,12 @@ impl CompilerConfig {
     /// pass calls this first and returns
     /// [`CompileError::InvalidConfig`](crate::CompileError::InvalidConfig).
     ///
-    /// Only compiling checks it. A session built on an invalid
-    /// configuration is not refused: its lane threads can die as they
-    /// start, and executing a program compiled elsewhere panics. Rejecting
-    /// such a configuration at the session boundary is left to the
-    /// typed-error work on `Session` and `AsyncSession`.
+    /// A [`Session`](crate::Session) checks it once, when it is built. A
+    /// session on a configuration that breaks a rule is still built, but
+    /// its lanes build no engine: every job it runs completes with the
+    /// broken rule (its future panics with `invalid configuration: …`) and
+    /// the lane stays alive for the next one. Returning the rule as a typed
+    /// error from the session boundary is left to the typed-error work.
     ///
     /// # Errors
     ///

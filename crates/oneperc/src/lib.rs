@@ -22,10 +22,12 @@
 //! is one pool job (generate, then decide whether it renormalizes) that
 //! any thread can run, the waiting lane included.
 //!
-//! Quickstart — build a session, compile once, batch-execute a sweep:
+//! Quickstart — build a session, compile once, execute a seed sweep:
 //!
 //! ```
-//! use oneperc::{CompilerConfig, Session};
+//! use std::sync::Arc;
+//!
+//! use oneperc::{CompilerConfig, ExecutionRequest, Session};
 //! use oneperc_circuit::benchmarks;
 //!
 //! // One warm session per machine configuration.
@@ -34,12 +36,16 @@
 //!
 //! // Offline pass runs once per circuit…
 //! let circuit = benchmarks::qaoa(4, 1);
-//! let compiled = session.compile(&circuit).unwrap();
+//! let compiled = Arc::new(session.compile(&circuit).unwrap());
 //!
-//! // …online pass runs once per seed, through the warm lanes.
-//! let outcomes = session.execute_batch(&compiled, &[1, 2, 3, 4]);
-//! for outcome in &outcomes {
-//!     let report = outcome.report();
+//! // …online pass runs once per seed, through the warm lanes: submit
+//! // every seed, then collect the outcomes.
+//! let jobs: Vec<_> = [1, 2, 3, 4]
+//!     .iter()
+//!     .map(|&seed| session.submit(ExecutionRequest::new(Arc::clone(&compiled), seed)))
+//!     .collect();
+//! for job in jobs {
+//!     let report = job.wait().into_report();
 //!     assert!(report.rsl_consumed > 0);
 //!     assert!(report.logical_layers > 0);
 //! }
@@ -49,32 +55,36 @@
 //! its [`ExecutionReport`], an incomplete one additionally says *which*
 //! logical layer failed to form and why ([`LayerFailure`]). Determinism is
 //! contractual: per `(config, circuit, seed)` the metrics are
-//! byte-identical whatever the lane count, `renorm_workers` setting, batch
-//! size or submission order — `tests/session_determinism.rs` enforces it.
+//! byte-identical whatever the lane count, `renorm_workers` setting, sweep
+//! width or submission order — `tests/session_determinism.rs` enforces it.
 //!
-//! # The service layer: async admission and content-addressed compilation
+//! # The service layer: admission and content-addressed compilation
 //!
-//! On top of sessions, [`service`] adds what an embedding RPC server
-//! needs. [`service::AsyncSession`] fronts a warm session with a bounded
-//! admission window — [`try_submit`](service::AsyncSession::try_submit)
-//! answers [`Busy`](service::SubmitError::Busy) instead of queueing
-//! without limit — and returns [`service::JobFuture`]s: plain
-//! `std::future::Future`s (hand-rolled `Waker` wiring, no runtime
-//! dependency) consumable by any executor or the built-in
-//! [`service::block_on`]. And because the offline pass is deterministic
-//! per `(circuit, config)` while only the online pass consumes
-//! randomness, every circuit-accepting entry point resolves programs
-//! through a content-addressed [`service::ProgramCache`] — keyed by the
-//! circuit's [structural hash](oneperc_circuit::Circuit::structural_hash)
-//! plus the configuration's [fingerprint](CompilerConfig::fingerprint),
-//! seed excluded — so a multi-seed sweep compiles **once**:
+//! The same [`Session`] carries what an embedding RPC server needs, with
+//! the machinery in [`service`]. Every submission returns a
+//! [`JobFuture`]: a plain `std::future::Future` (hand-rolled `Waker`
+//! wiring, no runtime dependency) consumable by any executor, the
+//! built-in [`service::block_on`] or [`JobFuture::wait`]. An optional
+//! admission window, [`SessionBuilder::queue_depth`], bounds the jobs in
+//! flight: [`Session::try_submit`] then answers
+//! [`Busy`](SubmitError::Busy) instead of queueing without limit, and
+//! [`Session::submit_async`] waits for a slot without parking. And because
+//! the offline pass is deterministic per `(circuit, config)` while only
+//! the online pass consumes randomness, the circuit-accepting entry points
+//! resolve programs through a content-addressed [`service::ProgramCache`]
+//! — keyed by the circuit's
+//! [structural hash](oneperc_circuit::Circuit::structural_hash) plus the
+//! configuration's [fingerprint](CompilerConfig::fingerprint), seed
+//! excluded — so a multi-seed sweep compiles **once**:
 //!
 //! ```
-//! use oneperc::service::{block_on, AsyncSession};
-//! use oneperc::CompilerConfig;
+//! use oneperc::service::block_on;
+//! use oneperc::{CompilerConfig, Session};
 //! use oneperc_circuit::benchmarks;
 //!
-//! let service = AsyncSession::new(CompilerConfig::for_qubits(4, 0.9, 1));
+//! let service = Session::builder(CompilerConfig::for_qubits(4, 0.9, 1))
+//!     .queue_depth(2)
+//!     .build();
 //! let circuit = benchmarks::qaoa(4, 1);
 //! let futures = service.sweep(&circuit, &[1, 2, 3, 4]).unwrap();
 //! for future in futures {
@@ -83,9 +93,8 @@
 //! assert_eq!(service.cache_stats().misses, 1, "compiled exactly once");
 //! ```
 //!
-//! The synchronous twin is [`Session::sweep`]; cache hit/miss/eviction
-//! counters surface as [`CacheStats`] on the reports and through
-//! [`Session::cache_stats`].
+//! Cache hit/miss/eviction counters surface as [`CacheStats`] on the
+//! reports and through [`Session::cache_stats`].
 //!
 //! # Multi-tenant fleets: shared cache, cancellation, telemetry
 //!
@@ -107,12 +116,12 @@
 //!     .build();
 //!
 //! tenant_a.compile_cached(&benchmarks::qaoa(4, 1)).unwrap(); // miss
-//! let lookup = tenant_b.compile_cached_lookup(&benchmarks::qaoa(4, 1)).unwrap();
+//! let lookup = tenant_b.compile_cached(&benchmarks::qaoa(4, 1)).unwrap();
 //! assert!(lookup.hit, "tenant A's compile served tenant B");
 //! ```
 //!
 //! Under overload, work is **shed, not finished**: dropping the
-//! [`JobFuture`] that every sync and async submission returns (or calling
+//! [`JobFuture`] that every submission returns (or calling
 //! its `cancel`) flips a [`CancelToken`](service::CancelToken) the lane
 //! polls between logical layers; the run stops at the next checkpoint with
 //! [`LayerFailureReason::Cancelled`]. Runs that complete are never
@@ -159,5 +168,7 @@ pub use report::{
     CacheStats, ExecuteOutcome, ExecutionReport, LayerFailure, LayerFailureReason,
     ServiceTelemetry,
 };
-pub use service::{AsyncSession, AsyncSessionBuilder, JobFuture, SubmitError};
+#[allow(deprecated)]
+pub use service::AsyncSession;
+pub use service::{JobFuture, SubmitError};
 pub use session::{ExecutionRequest, Session, SessionBuilder, DEFAULT_PROGRAM_CACHE_CAPACITY};

@@ -11,8 +11,8 @@ use std::time::Duration;
 ///
 /// A snapshot travels on every [`ExecutionReport`] produced through a
 /// cached entry point ([`Session::sweep`](crate::Session::sweep),
-/// [`AsyncSession::submit_circuit`](crate::service::AsyncSession::submit_circuit),
-/// …) so service callers can observe hit rates in-band; reports from
+/// [`Session::submit_circuit`](crate::Session::submit_circuit)) so service
+/// callers can observe hit rates in-band; reports from
 /// explicit-program paths carry the all-zero default. The counters describe
 /// the session's *traffic history*, not the execution itself —
 /// [`ExecutionReport::deterministic`] therefore clears them along with the
@@ -63,9 +63,9 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Per-tenant scheduling telemetry stamped by the service entry points
-/// ([`Session::sweep`](crate::Session::sweep),
-/// [`AsyncSession::submit`](crate::service::AsyncSession::submit), …).
+/// Per-tenant scheduling telemetry stamped on every session job
+/// ([`Session::submit`](crate::Session::submit),
+/// [`Session::sweep`](crate::Session::sweep), …).
 ///
 /// These fields describe how the *scheduler* treated one job — how deep
 /// the admission queue was when it was accepted, how long it waited for a
@@ -328,8 +328,8 @@ impl ExecuteOutcome {
     }
 
     /// Stamps the report with this lookup's cache counters and whether it
-    /// hit; used by the cached entry points of the session and the async
-    /// service so hit rates are observable in-band. The counters are the
+    /// hit; used by the cached entry points of the session so hit rates
+    /// are observable in-band. The counters are the
     /// lookup's own atomic snapshot, not a post-hoc cache read — traffic
     /// from concurrent tenants (or later lookups of the same sweep) cannot
     /// smear them.

@@ -1,20 +1,18 @@
-//! [`AsyncSession`]: the runtime-agnostic async front-end over a warm
-//! [`Session`].
-//!
-//! The synchronous [`Session::submit`] accepts every job, so lane queues
-//! grow without bound. An embedding RPC server needs non-blocking
-//! admission with explicit backpressure on top of the same
-//! [`JobFuture`] completion. `AsyncSession` provides it:
+//! Admission to a [`Session`]: the bounded window behind
+//! [`SessionBuilder::queue_depth`](crate::SessionBuilder::queue_depth) and
+//! the future that waits for a slot in it.
 //!
 //! * **Bounded admission.** At most `queue_depth` executions may be
-//!   admitted-and-incomplete at once. [`AsyncSession::try_submit`] refuses
-//!   with [`SubmitError::Busy`] when the window is full — the signal an RPC
-//!   layer turns into load-shedding — while [`AsyncSession::submit`] parks
-//!   until a slot frees and [`AsyncSession::submit_async`] returns an
-//!   [`AdmissionFuture`] that *waits for the slot without parking*, so an
-//!   executor thread multiplexing many tenants never blocks inside a
-//!   submission. Admission is released by job *completion*, not by future
-//!   redemption, so an abandoned future never wedges the window.
+//!   admitted-and-incomplete at once. [`Session::try_submit`] refuses
+//!   with [`SubmitError::Busy`](super::SubmitError::Busy) when the window
+//!   is full — the signal an RPC layer turns into load-shedding — while
+//!   [`Session::submit`] parks until a slot frees and
+//!   [`Session::submit_async`] returns an [`AdmissionFuture`] that *waits
+//!   for the slot without parking*, so an executor thread multiplexing
+//!   many tenants never blocks inside a submission. Admission is released
+//!   by job *completion*, not by future redemption, so an abandoned future
+//!   never wedges the window. A session built without a depth admits every
+//!   job at once.
 //! * **Futures, no runtime.** [`JobFuture`] — the one job handle of the
 //!   session tier — is a plain `std::future::Future` wired through
 //!   hand-rolled `Waker` plumbing: the lane thread completes a shared slot
@@ -29,39 +27,24 @@
 //!   will read. [`JobFuture::cancel`] sheds explicitly while keeping the
 //!   future; the partial outcome reports
 //!   [`LayerFailureReason::Cancelled`](crate::LayerFailureReason::Cancelled).
-//! * **Content-addressed compilation.** The circuit-accepting entry points
-//!   ([`AsyncSession::submit_circuit`], [`AsyncSession::sweep`]) resolve
-//!   programs through the underlying session's
-//!   [`ProgramCache`](super::ProgramCache) — shareable across a whole
-//!   fleet via [`AsyncSessionBuilder::shared_program_cache`] — so a
-//!   multi-seed sweep compiles exactly once and every report carries the
-//!   lookup's own hit flag and counter snapshot, plus the scheduler's
-//!   queue-depth / queue-wait stamp
-//!   ([`ExecutionReport::service`](crate::ExecutionReport::service)).
 //!
-//! Determinism is unchanged by the front-end: per `(config, circuit,
-//! seed)` an async execution's report is byte-identical (wall-clock and
-//! cache/service telemetry aside — compare with
+//! Determinism is unchanged by admission: per `(config, circuit, seed)` a
+//! report is byte-identical (wall-clock and cache/service telemetry aside
+//! — compare with
 //! [`ExecutionReport::deterministic`](crate::ExecutionReport::deterministic))
-//! to the synchronous [`Session::execute_batch`] path, whatever the
-//! admission capacity or poll order. Cancellation never perturbs runs that
-//! complete: the token is only ever *read* at checkpoints, so a run that
-//! finishes first is untouched. `tests/service_determinism.rs` pins this.
+//! whatever the admission depth or poll order. Cancellation never
+//! perturbs runs that complete: the token is only ever *read* at
+//! checkpoints, so a run that finishes first is untouched.
+//! `tests/service_determinism.rs` pins this.
 
 use std::future::Future;
 use std::pin::Pin;
 use crate::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Waker};
 
-use oneperc_circuit::Circuit;
+use crate::session::{ExecutionRequest, Session};
 
-use crate::compiler::{CompileError, CompiledProgram};
-use crate::config::CompilerConfig;
-use crate::report::CacheStats;
-use crate::service::cache::ProgramCache;
-use crate::session::{ExecutionRequest, Session, SessionBuilder};
-
-use super::future::{JobFuture, SubmitError};
+use super::future::JobFuture;
 
 /// Guts of the admission window: the slot count plus the wakers of async
 /// submitters waiting for one.
@@ -100,6 +83,7 @@ impl Admission {
         self.capacity
     }
 
+    #[cfg(test)]
     pub(crate) fn in_flight(&self) -> usize {
         self.state.lock().expect("admission window poisoned").in_flight
     }
@@ -170,9 +154,10 @@ impl Drop for AdmissionTicket {
 }
 
 /// Pending admission of one execution: resolves — to the job's
-/// [`JobFuture`] — once the bounded window has a free slot, without ever
-/// parking the polling thread. Produced by [`AsyncSession::submit_async`]
-/// and [`AsyncSession::submit_circuit_async`].
+/// [`JobFuture`] — once the session's admission window has a free slot,
+/// without ever parking the polling thread. Produced by
+/// [`Session::submit_async`]; on an unbounded session the first poll
+/// resolves.
 ///
 /// The request is dispatched to a lane *inside* the poll that wins a
 /// slot, so a dropped `AdmissionFuture` that never resolved holds
@@ -180,12 +165,15 @@ impl Drop for AdmissionTicket {
 #[derive(Debug)]
 #[must_use = "an admission future does nothing until polled; drop it to abandon the submission"]
 pub struct AdmissionFuture<'a> {
-    service: &'a AsyncSession,
+    session: &'a Session,
     /// `Some` until the poll that wins a slot consumes it.
     request: Option<ExecutionRequest>,
-    /// The `(hit, stats)` stamp of the lookup that produced the program,
-    /// for circuit-accepting entry points.
-    stamp: Option<(bool, CacheStats)>,
+}
+
+impl<'a> AdmissionFuture<'a> {
+    pub(crate) fn new(session: &'a Session, request: ExecutionRequest) -> Self {
+        AdmissionFuture { session, request: Some(request) }
+    }
 }
 
 impl Future for AdmissionFuture<'_> {
@@ -193,306 +181,35 @@ impl Future for AdmissionFuture<'_> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        match this.service.admission.poll_acquire(cx) {
+        match this.session.poll_acquire(cx) {
             Poll::Ready(()) => {
                 let request = this
                     .request
                     .take()
                     .expect("admission future polled after completion");
-                Poll::Ready(this.service.dispatch_admitted(request, this.stamp))
+                Poll::Ready(this.session.dispatch(request, None))
             }
             Poll::Pending => Poll::Pending,
         }
     }
 }
 
-/// Configures an [`AsyncSession`] before its threads spawn.
-#[derive(Debug, Clone)]
-#[must_use]
-pub struct AsyncSessionBuilder {
-    inner: SessionBuilder,
-    queue_depth: usize,
-}
-
-/// Default admission-window depth: deep enough to keep a handful of lanes
-/// busy with queued work, shallow enough that backpressure arrives before
-/// queues hide seconds of latency.
-pub const DEFAULT_QUEUE_DEPTH: usize = 16;
-
-impl AsyncSessionBuilder {
-    /// Number of persistent execution lanes of the underlying session.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is zero.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.inner = self.inner.lanes(lanes);
-        self
-    }
-
-    /// Capacity of the compiled-program cache (see
-    /// [`SessionBuilder::program_cache`]).
-    pub fn program_cache(mut self, capacity: usize) -> Self {
-        self.inner = self.inner.program_cache(capacity);
-        self
-    }
-
-    /// Shares an existing [`ProgramCache`] with the underlying session
-    /// (see [`SessionBuilder::shared_program_cache`]): a fleet of sync and
-    /// async sessions can serve every tenant from one content-addressed
-    /// cache.
-    pub fn shared_program_cache(mut self, cache: Arc<ProgramCache>) -> Self {
-        self.inner = self.inner.shared_program_cache(cache);
-        self
-    }
-
-    /// Overrides the classical-memory model of the underlying session.
-    pub fn memory_model(mut self, model: crate::MemoryModel) -> Self {
-        self.inner = self.inner.memory_model(model);
-        self
-    }
-
-    /// Maximum admitted-and-incomplete executions before
-    /// [`AsyncSession::try_submit`] answers [`SubmitError::Busy`]
-    /// (default [`DEFAULT_QUEUE_DEPTH`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `depth` is zero.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "admission window needs at least one slot");
-        self.queue_depth = depth;
-        self
-    }
-
-    /// Spawns the underlying session and wraps it in the async front-end.
-    pub fn build(self) -> AsyncSession {
-        AsyncSession {
-            session: self.inner.build(),
-            admission: Arc::new(Admission::new(self.queue_depth)),
-        }
-    }
-}
-
-/// The async front-end: a warm [`Session`] behind a bounded admission
-/// window, speaking [`JobFuture`]s. See the
-/// [module docs](crate::service) for the architecture and determinism
-/// contract.
-///
-/// # Example
+/// The one session type under its former name: `AsyncSession::builder`
+/// is [`Session::builder`], and the admission window it had by default is
+/// now the opt-in [`SessionBuilder::queue_depth`](crate::SessionBuilder::queue_depth).
 ///
 /// ```
-/// use oneperc::service::{block_on, AsyncSession};
-/// use oneperc::CompilerConfig;
-/// use oneperc_circuit::benchmarks;
+/// # #![allow(deprecated)]
+/// use oneperc::{AsyncSession, CompilerConfig, Session};
 ///
-/// let service = AsyncSession::new(CompilerConfig::for_qubits(4, 0.9, 1));
-/// let circuit = benchmarks::qaoa(4, 1);
-/// // Compiles once (content-addressed), executes per seed.
-/// let futures = service.sweep(&circuit, &[1, 2, 3]).unwrap();
-/// for future in futures {
-///     assert!(block_on(future).is_complete());
-/// }
-/// assert_eq!(service.cache_stats().misses, 1);
+/// let service: Session = AsyncSession::builder(CompilerConfig::for_qubits(4, 0.9, 1))
+///     .lanes(1)
+///     .build();
+/// assert_eq!(service.queue_depth(), None, "unbounded, like any default session");
 /// ```
-#[derive(Debug)]
-pub struct AsyncSession {
-    session: Session,
-    admission: Arc<Admission>,
-}
-
-impl AsyncSession {
-    /// Builds a single-lane async session with default depth and cache
-    /// capacity (see [`AsyncSession::builder`] for the knobs).
-    pub fn new(config: CompilerConfig) -> Self {
-        Self::builder(config).build()
-    }
-
-    /// Starts configuring an async session.
-    pub fn builder(config: CompilerConfig) -> AsyncSessionBuilder {
-        AsyncSessionBuilder { inner: Session::builder(config), queue_depth: DEFAULT_QUEUE_DEPTH }
-    }
-
-    /// The warm session underneath (compile, synchronous batch execution,
-    /// lane/pool introspection).
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CompilerConfig {
-        self.session.config()
-    }
-
-    /// Admission-window capacity.
-    pub fn queue_depth(&self) -> usize {
-        self.admission.capacity()
-    }
-
-    /// Executions currently admitted and not yet complete.
-    pub fn in_flight(&self) -> usize {
-        self.admission.in_flight()
-    }
-
-    /// Counters of the compiled-program cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.session.cache_stats()
-    }
-
-    /// Offline pass through the program cache (see
-    /// [`Session::compile_cached`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Mapping`] when the offline pass fails.
-    pub fn compile_cached(&self, circuit: &Circuit) -> Result<Arc<CompiledProgram>, CompileError> {
-        self.session.compile_cached(circuit)
-    }
-
-    /// Non-blocking admission: claims a window slot and dispatches the
-    /// request to a lane, or refuses immediately when `queue_depth`
-    /// executions are already in flight. The returned future resolves when
-    /// the lane completes the job.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Busy`] when the admission window is full.
-    pub fn try_submit(&self, request: ExecutionRequest) -> Result<JobFuture, SubmitError> {
-        if !self.admission.try_acquire() {
-            return Err(SubmitError::Busy { capacity: self.admission.capacity() });
-        }
-        Ok(self.dispatch_admitted(request, None))
-    }
-
-    /// Blocking admission: parks until a window slot frees, then dispatches
-    /// like [`AsyncSession::try_submit`]. Under an executor prefer
-    /// [`AsyncSession::submit_async`], which waits for the slot without
-    /// parking the thread.
-    pub fn submit(&self, request: ExecutionRequest) -> JobFuture {
-        self.admission.acquire();
-        self.dispatch_admitted(request, None)
-    }
-
-    /// Fully async admission: the returned [`AdmissionFuture`] resolves to
-    /// the job's [`JobFuture`] once the window has a slot, registering a
-    /// waker instead of parking — an executor thread driving hundreds of
-    /// tenants never blocks inside a submission. Typical shape:
-    /// `service.submit_async(request).await.await`.
-    pub fn submit_async(&self, request: ExecutionRequest) -> AdmissionFuture<'_> {
-        AdmissionFuture { service: self, request: Some(request), stamp: None }
-    }
-
-    /// [`AsyncSession::try_submit`] from a circuit: resolves the program
-    /// through the content-addressed cache (compiling only on a miss),
-    /// then admits the `(program, seed)` execution. The resulting report
-    /// carries the lookup's own hit flag and counter snapshot.
-    ///
-    /// Admission stays non-blocking, but the cache lookup is not free on a
-    /// *miss* — the offline pass runs (and is retained) before the window
-    /// check, so a later retry of a refused submission hits. Latency-bound
-    /// callers can [`AsyncSession::compile_cached`] ahead of time and use
-    /// [`AsyncSession::try_submit`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Busy`] when the admission window is full and
-    /// [`SubmitError::Compile`] when the offline pass fails (nothing is
-    /// admitted in either case).
-    pub fn try_submit_circuit(
-        &self,
-        circuit: &Circuit,
-        seed: u64,
-    ) -> Result<JobFuture, SubmitError> {
-        let (compiled, stamp) = self.resolve(circuit)?;
-        if !self.admission.try_acquire() {
-            return Err(SubmitError::Busy { capacity: self.admission.capacity() });
-        }
-        Ok(self.dispatch_admitted(ExecutionRequest::new(compiled, seed), Some(stamp)))
-    }
-
-    /// Blocking-admission twin of [`AsyncSession::try_submit_circuit`],
-    /// with the offline failure surfaced as an error instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Mapping`] when the offline pass fails.
-    pub fn submit_circuit(&self, circuit: &Circuit, seed: u64) -> Result<JobFuture, CompileError> {
-        let (compiled, stamp) = self.resolve(circuit)?;
-        self.admission.acquire();
-        Ok(self.dispatch_admitted(ExecutionRequest::new(compiled, seed), Some(stamp)))
-    }
-
-    /// Async-admission twin of [`AsyncSession::submit_circuit`]: the cache
-    /// lookup (and, on a miss, the offline pass) runs inline, then the
-    /// returned [`AdmissionFuture`] waits for a window slot without
-    /// parking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Mapping`] when the offline pass fails
-    /// (nothing is admitted).
-    pub fn submit_circuit_async(
-        &self,
-        circuit: &Circuit,
-        seed: u64,
-    ) -> Result<AdmissionFuture<'_>, CompileError> {
-        let (compiled, stamp) = self.resolve(circuit)?;
-        Ok(AdmissionFuture {
-            service: self,
-            request: Some(ExecutionRequest::new(compiled, seed)),
-            stamp: Some(stamp),
-        })
-    }
-
-    /// Compile-once-sweep-many, async: one cache lookup, then one admitted
-    /// execution per seed (parking whenever the window is full — with
-    /// `queue_depth` below the sweep width this is the intended steady
-    /// state: lanes drain the window while submission refills it). Futures
-    /// are returned in seed order; every report carries the sweep lookup's
-    /// hit flag and atomic counter snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Mapping`] when the offline pass fails.
-    pub fn sweep(&self, circuit: &Circuit, seeds: &[u64]) -> Result<Vec<JobFuture>, CompileError> {
-        let (compiled, stamp) = self.resolve(circuit)?;
-        Ok(seeds
-            .iter()
-            .map(|&seed| {
-                self.admission.acquire();
-                self.dispatch_admitted(
-                    ExecutionRequest::new(Arc::clone(&compiled), seed),
-                    Some(stamp),
-                )
-            })
-            .collect())
-    }
-
-    /// Cache lookup plus this lookup's `(hit, stats)` stamp — the counter
-    /// snapshot is taken atomically as the lookup resolves, so concurrent
-    /// tenants (or the sweep's own later lookups) cannot smear the numbers
-    /// stamped on a report.
-    fn resolve(
-        &self,
-        circuit: &Circuit,
-    ) -> Result<(Arc<CompiledProgram>, (bool, CacheStats)), CompileError> {
-        let lookup = self.session.compile_cached_lookup(circuit)?;
-        Ok((lookup.program, (lookup.hit, lookup.stats)))
-    }
-
-    /// Dispatches an already-admitted request with its admission ticket;
-    /// the lane stamps cache telemetry when present and drops the ticket
-    /// *before* completing the future, so a woken submitter never observes
-    /// a stale full window.
-    fn dispatch_admitted(
-        &self,
-        request: ExecutionRequest,
-        stamp: Option<(bool, CacheStats)>,
-    ) -> JobFuture {
-        let ticket = AdmissionTicket(Arc::clone(&self.admission));
-        self.session.dispatch(request, stamp, Some(ticket))
-    }
-}
+#[deprecated(note = "use `Session`; this alias goes away in the benchmark change that moves \
+                     `perfbench/src/fleet.rs` onto `Session`")]
+pub type AsyncSession = Session;
 
 /// Exhaustive interleaving checks for the admission semaphore (see
 /// `CONCURRENCY.md`). Run with
@@ -667,11 +384,17 @@ mod model_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiler::{CompileError, CompiledProgram};
+    use crate::config::CompilerConfig;
     use crate::service::block_on;
     use oneperc_circuit::benchmarks;
 
     fn small_config(p: f64, seed: u64) -> CompilerConfig {
         CompilerConfig::for_sensitivity(36, 3, p, seed)
+    }
+
+    fn compiled(session: &Session) -> Arc<CompiledProgram> {
+        session.compile_cached(&benchmarks::qaoa(4, 2)).unwrap().program
     }
 
     #[test]
@@ -709,47 +432,65 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_queue_depth_panics() {
-        let _ = AsyncSession::builder(small_config(0.9, 1)).queue_depth(0);
+        let _ = Session::builder(small_config(0.9, 1)).queue_depth(0);
     }
 
     #[test]
     fn async_submission_resolves_like_sync_execution() {
-        let config = small_config(0.85, 3);
-        let service = AsyncSession::new(config);
-        let circuit = benchmarks::qaoa(4, 2);
-        let compiled = service.compile_cached(&circuit).unwrap();
+        let session = Session::builder(small_config(0.85, 3)).queue_depth(1).build();
+        let compiled = compiled(&session);
 
-        let future = service
+        let future = session
             .try_submit(ExecutionRequest::new(Arc::clone(&compiled), 7))
             .expect("fresh window admits");
         let outcome = block_on(future);
-        let sync = service.session().execute_shared(compiled, 7);
+        let sync = session.execute_shared(compiled, 7);
         assert_eq!(outcome.report().deterministic(), sync.report().deterministic());
-        assert_eq!(service.in_flight(), 0, "completion released admission");
+        assert_eq!(session.in_flight(), 0, "completion released admission");
+    }
+
+    #[test]
+    fn default_session_never_answers_busy() {
+        // Unbounded by default: a burst far past any window is admitted,
+        // queueing on the one lane.
+        let session = Session::new(small_config(0.85, 8));
+        assert_eq!(session.queue_depth(), None);
+        let compiled = compiled(&session);
+        let futures: Vec<JobFuture> = (0..32u64)
+            .map(|seed| {
+                session
+                    .try_submit(ExecutionRequest::new(Arc::clone(&compiled), seed))
+                    .expect("an unbounded session admits every job")
+            })
+            .collect();
+        for future in futures {
+            assert!(future.wait().is_complete());
+        }
+        assert_eq!(session.in_flight(), 0);
     }
 
     #[test]
     fn circuit_submissions_share_one_compile() {
-        let service = AsyncSession::builder(small_config(0.85, 1)).lanes(2).build();
+        let session = Session::builder(small_config(0.85, 1)).lanes(2).queue_depth(16).build();
         let circuit = benchmarks::qaoa(4, 2);
         let futures: Vec<_> = (1..=6u64)
-            .map(|seed| service.submit_circuit(&circuit, seed).unwrap())
+            .map(|seed| session.submit_circuit(&circuit, seed).unwrap())
             .collect();
         for future in futures {
             let outcome = block_on(future);
             assert!(outcome.is_complete());
             assert_eq!(outcome.report().cache.misses, 1, "one compile for the batch");
         }
-        let stats = service.cache_stats();
+        let stats = session.cache_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 5);
     }
 
     #[test]
     fn futures_can_be_redeemed_in_any_order() {
-        let service = AsyncSession::builder(small_config(0.85, 2)).lanes(2).build();
+        let session = Session::builder(small_config(0.85, 2)).lanes(2).queue_depth(16).build();
         let circuit = benchmarks::qft(4);
-        let mut futures = service.sweep(&circuit, &[4, 5, 6]).unwrap();
+        let mut futures = session.sweep(&circuit, &[4, 5, 6]).unwrap();
         futures.reverse();
         let mut seeds: Vec<u64> = Vec::new();
         for future in futures {
@@ -761,33 +502,28 @@ mod tests {
 
     #[test]
     fn dropping_a_future_does_not_wedge_the_window() {
-        let service = AsyncSession::builder(small_config(0.85, 4)).queue_depth(1).build();
-        let circuit = benchmarks::qaoa(4, 2);
-        let compiled = service.compile_cached(&circuit).unwrap();
-        drop(service.submit(ExecutionRequest::new(Arc::clone(&compiled), 1)));
+        let session = Session::builder(small_config(0.85, 4)).queue_depth(1).build();
+        let compiled = compiled(&session);
+        drop(session.submit(ExecutionRequest::new(Arc::clone(&compiled), 1)));
         // The abandoned job completes (cancelled at a checkpoint or run to
         // the end, timing-dependent) and releases its slot either way, so
         // a blocking submit admits without external help.
-        let future = service.submit(ExecutionRequest::new(compiled, 2));
+        let future = session.submit(ExecutionRequest::new(compiled, 2));
         assert!(block_on(future).is_complete());
     }
 
     #[test]
     fn submit_async_resolves_without_parking() {
-        let config = small_config(0.85, 6);
-        let service = AsyncSession::new(config);
-        let circuit = benchmarks::qaoa(4, 2);
-        let compiled = service.compile_cached(&circuit).unwrap();
+        let session = Session::builder(small_config(0.85, 6)).queue_depth(1).build();
+        let compiled = compiled(&session);
         let outcome = block_on(async {
-            let job = service.submit_async(ExecutionRequest::new(compiled, 9)).await;
+            let job = session.submit_async(ExecutionRequest::new(Arc::clone(&compiled), 9)).await;
             job.await
         });
         assert!(outcome.is_complete());
-        let sync = service
-            .session()
-            .execute_shared(service.compile_cached(&circuit).unwrap(), 9);
+        let sync = session.execute_shared(compiled, 9);
         assert_eq!(outcome.report().deterministic(), sync.report().deterministic());
-        assert_eq!(service.in_flight(), 0);
+        assert_eq!(session.in_flight(), 0);
     }
 
     #[test]
@@ -823,34 +559,15 @@ mod tests {
     }
 
     #[test]
-    fn submit_circuit_async_round_trips() {
-        let service = AsyncSession::builder(small_config(0.85, 7)).queue_depth(2).build();
-        let circuit = benchmarks::qft(4);
-        let outcome = block_on(async {
-            let job = service.submit_circuit_async(&circuit, 3).unwrap().await;
-            job.await
-        });
-        assert!(outcome.is_complete());
-        assert!(!outcome.report().service.cache_hit, "first lookup misses");
-        let again = block_on(async {
-            let job = service.submit_circuit_async(&circuit, 4).unwrap().await;
-            job.await
-        });
-        assert!(again.report().service.cache_hit, "second lookup hits");
-        assert_eq!(again.report().cache.misses, 1);
-    }
-
-    #[test]
     fn mapping_failure_surfaces_through_submit_circuit() {
-        // An over-wide circuit on a tiny virtual hardware cannot map; both
-        // circuit-accepting entry points must report that as an error (the
+        // An over-wide circuit on a tiny virtual hardware cannot map; the
+        // circuit-accepting entry point must report that as an error (the
         // RPC shape: untrusted circuits never panic the serving thread).
-        let service = AsyncSession::new(CompilerConfig::for_sensitivity(36, 1, 0.85, 1));
-        let wide = benchmarks::qft(9);
-        let err = service.submit_circuit(&wide, 1);
+        let config = CompilerConfig::for_sensitivity(36, 1, 0.85, 1);
+        let session = Session::builder(config).queue_depth(1).build();
+        let err = session.submit_circuit(&benchmarks::qft(9), 1);
         assert!(matches!(err, Err(CompileError::Mapping(_))));
-        let err = service.try_submit_circuit(&wide, 1);
-        assert!(matches!(err, Err(super::SubmitError::Compile(CompileError::Mapping(_)))));
-        assert_eq!(service.in_flight(), 0, "failed compiles admit nothing");
+        assert_eq!(session.jobs_submitted(), 0, "failed compiles admit nothing");
+        assert_eq!(session.in_flight(), 0);
     }
 }

@@ -113,11 +113,11 @@ impl CacheState {
 /// Owned by — or [shared across](crate::SessionBuilder::shared_program_cache)
 /// — [`Session`](crate::Session)s; the cached entry points
 /// ([`Session::compile_cached`](crate::Session::compile_cached),
-/// [`Session::sweep`](crate::Session::sweep),
-/// [`AsyncSession::submit_circuit`](crate::service::AsyncSession::submit_circuit))
-/// all go through it. Capacity `0` disables caching: every lookup
-/// compiles, nothing is retained (misses are still counted so the
-/// disabled state is observable).
+/// [`Session::submit_circuit`](crate::Session::submit_circuit),
+/// [`Session::sweep`](crate::Session::sweep)) all go through it.
+/// Capacity `0` disables caching: every lookup compiles, nothing is
+/// retained (misses are still counted so the disabled state is
+/// observable).
 #[derive(Debug, Default)]
 pub struct ProgramCache {
     capacity: usize,

@@ -1,13 +1,13 @@
 //! [`JobFuture`]: a pending execution as a `std::future::Future`, plus a
 //! minimal thread-parking executor ([`block_on`]).
 //!
-//! Every session job — [`Session::submit`](crate::Session::submit) and
-//! each [`AsyncSession`](super::AsyncSession) entry point — hands back a
-//! `JobFuture`. The wiring is hand-rolled on std primitives only
-//! (consistent with the workspace's no-crates.io shim policy): a lane
-//! thread completes the shared slot and wakes whatever `Waker` the last
-//! poll registered; a synchronous caller can instead park on the built-in
-//! condvar via [`JobFuture::wait`]. No executor is assumed — the future works under
+//! Every session job — from [`Session::submit`](crate::Session::submit)
+//! and the other submitting entry points — hands back a `JobFuture`. The
+//! wiring is hand-rolled on std primitives only (consistent with the
+//! workspace's no-crates.io shim policy): a lane thread completes the
+//! shared slot and wakes whatever `Waker` the last poll registered; a
+//! synchronous caller can instead park on the built-in condvar via
+//! [`JobFuture::wait`]. No executor is assumed — the future works under
 //! [`block_on`], under any external runtime, or polled by hand.
 
 use std::fmt;
@@ -18,25 +18,21 @@ use std::task::{Context, Poll, Wake, Waker};
 
 use oneperc_percolation::CancelToken;
 
-use crate::compiler::CompileError;
 use crate::report::ExecuteOutcome;
 
 /// Why a submission was refused; see
-/// [`AsyncSession::try_submit`](super::AsyncSession::try_submit).
+/// [`Session::try_submit`](crate::Session::try_submit).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SubmitError {
     /// The bounded admission window is full: `capacity` executions are
     /// admitted and not yet complete. Retry after redeeming (or dropping)
     /// an outstanding future, or use the blocking
-    /// [`AsyncSession::submit`](super::AsyncSession::submit).
+    /// [`Session::submit`](crate::Session::submit).
     Busy {
         /// The admission capacity that was exhausted.
         capacity: usize,
     },
-    /// The offline pass failed before anything was admitted (only the
-    /// circuit-accepting entry points produce this).
-    Compile(CompileError),
 }
 
 impl fmt::Display for SubmitError {
@@ -47,20 +43,11 @@ impl fmt::Display for SubmitError {
                 "admission window full: {capacity} executions in flight; \
                  retry after one completes"
             ),
-            SubmitError::Compile(e) => write!(f, "submission failed to compile: {e}"),
         }
     }
 }
 
-// Like `CompileError`, the cause is inlined in `Display`; `source()` stays
-// `None` so error-chain reporters do not print it twice.
 impl std::error::Error for SubmitError {}
-
-impl From<CompileError> for SubmitError {
-    fn from(e: CompileError) -> Self {
-        SubmitError::Compile(e)
-    }
-}
 
 /// Why a job ended without an outcome.
 #[derive(Debug)]
@@ -69,6 +56,10 @@ pub(crate) enum JobFailure {
     Panicked(String),
     /// The job was dropped unrun: the session was torn down with it queued.
     TornDown,
+    /// The session's configuration breaks this rule of
+    /// [`CompilerConfig::check`](crate::CompilerConfig::check), so its
+    /// lanes have no engine to run the job on.
+    InvalidConfig(&'static str),
 }
 
 /// What a lane delivers into a [`JobSlot`].
@@ -110,8 +101,8 @@ impl JobSlot {
 }
 
 /// A pending session execution, from
-/// [`Session::submit`](crate::Session::submit) or an
-/// [`AsyncSession`](super::AsyncSession) entry point.
+/// [`Session::submit`](crate::Session::submit) or another submitting
+/// entry point of [`Session`](crate::Session).
 ///
 /// Implements [`Future`] — `.await` it under any executor (or the built-in
 /// [`block_on`]) — and offers the synchronous [`JobFuture::wait`] for
@@ -119,8 +110,8 @@ impl JobSlot {
 ///
 /// **Dropping the future cancels the execution**: the lane observes the
 /// token at its next layer checkpoint and sheds the remaining layers (an
-/// already-finished job is unaffected). An async job's admission slot is
-/// released on completion either way, so an abandoned future never wedges
+/// already-finished job is unaffected). A job's admission slot (on a
+/// bounded session) is released on completion either way, so an abandoned future never wedges
 /// the window. Call [`JobFuture::cancel`] to shed work while keeping the
 /// future — it then resolves to the partial outcome with
 /// [`LayerFailureReason::Cancelled`](crate::LayerFailureReason::Cancelled).
@@ -131,7 +122,9 @@ impl JobSlot {
 /// relayed panic message (the lane itself survives with a fresh engine
 /// and keeps serving other jobs). A job whose session was torn down with
 /// the job still queued panics with "session torn down while a job was
-/// pending" instead of hanging.
+/// pending" instead of hanging, and a job on a session whose configuration
+/// breaks a rule of [`CompilerConfig::check`](crate::CompilerConfig::check)
+/// panics with "invalid configuration: " and the rule.
 #[derive(Debug)]
 #[must_use = "a dropped future cancels its job at the next layer checkpoint"]
 pub struct JobFuture {
@@ -194,6 +187,7 @@ fn resolve(outcome: JobResult) -> ExecuteOutcome {
         Ok(outcome) => outcome,
         Err(JobFailure::Panicked(message)) => panic!("session execution panicked: {message}"),
         Err(JobFailure::TornDown) => panic!("session torn down while a job was pending"),
+        Err(JobFailure::InvalidConfig(rule)) => panic!("invalid configuration: {rule}"),
     }
 }
 

@@ -1,11 +1,12 @@
-//! The OnePerc service layer: async admission and content-addressed
-//! compilation over warm [`Session`](crate::Session)s.
+//! The OnePerc service layer: content-addressed compilation, admission
+//! and job futures behind the one [`Session`](crate::Session).
 //!
 //! The paper splits compilation into a deterministic **offline pass**
 //! (circuit → program graph → FlexLattice IR → instructions) and a
 //! randomness-consuming **online pass** (stochastic fusions → percolation →
 //! renormalization). A service sweeping many seeds therefore has two
-//! structural redundancies the raw session API leaves on the table:
+//! structural redundancies a plain compile-then-execute loop leaves on the
+//! table:
 //!
 //! 1. **Repeated compilation.** The offline artifact is a pure function of
 //!    `(circuit, configuration)` — seed excluded — yet every call that
@@ -15,20 +16,23 @@
 //!    with the configuration's
 //!    [fingerprint](crate::CompilerConfig::fingerprint), both stable 64-bit
 //!    hashes. Compile-once-sweep-many becomes automatic for
-//!    [`Session::sweep`](crate::Session::sweep) and every circuit-accepting
-//!    entry point here; hit/miss/eviction counters surface through
+//!    [`Session::sweep`](crate::Session::sweep) and
+//!    [`Session::submit_circuit`](crate::Session::submit_circuit);
+//!    hit/miss/eviction counters surface through
 //!    [`CacheStats`](crate::CacheStats) on the
 //!    [`ExecutionReport`](crate::ExecutionReport).
-//! 2. **Unbounded admission.** `Session::submit` hands jobs to unbounded
-//!    lane queues. [`AsyncSession`] puts a bounded admission window in
-//!    front of them — [`try_submit`](AsyncSession::try_submit) refuses with
-//!    [`SubmitError::Busy`] instead of queueing without limit, and
-//!    [`submit_async`](AsyncSession::submit_async) returns an
+//! 2. **Unbounded admission.** A default session hands every job to its
+//!    lane queues at once. An optional window,
+//!    [`SessionBuilder::queue_depth`](crate::SessionBuilder::queue_depth),
+//!    bounds the jobs in flight: [`try_submit`](crate::Session::try_submit)
+//!    then refuses with [`SubmitError::Busy`] instead of queueing without
+//!    limit, and [`submit_async`](crate::Session::submit_async) returns an
 //!    [`AdmissionFuture`] that waits for a slot without parking the
-//!    executor thread. Both return the same [`JobFuture`]s: plain
-//!    `std::future::Future`s wired through hand-rolled `Waker` plumbing
-//!    (std only, no runtime dependency), consumable by any executor, by
-//!    the built-in [`block_on`], or synchronously via [`JobFuture::wait`].
+//!    executor thread. Every submission returns the same [`JobFuture`]:
+//!    a plain `std::future::Future` wired through hand-rolled `Waker`
+//!    plumbing (std only, no runtime dependency), consumable by any
+//!    executor, by the built-in [`block_on`], or synchronously via
+//!    [`JobFuture::wait`].
 //!
 //! # Multi-tenant serving
 //!
@@ -42,10 +46,9 @@
 //!   the cache keeps serving (no mutex poisoning).
 //! * **One cache, many sessions.** Program keys are process-independent
 //!   stable hashes, so a single `Arc<ProgramCache>` can back a whole
-//!   fleet of sync and async sessions
-//!   ([`SessionBuilder::shared_program_cache`](crate::SessionBuilder::shared_program_cache),
-//!   [`AsyncSessionBuilder::shared_program_cache`]): one tenant's compile
-//!   is every tenant's hit, byte-identically.
+//!   fleet of sessions
+//!   ([`SessionBuilder::shared_program_cache`](crate::SessionBuilder::shared_program_cache)):
+//!   one tenant's compile is every tenant's hit, byte-identically.
 //! * **Cancellation sheds load.** Dropping a [`JobFuture`] flips the job's
 //!   [`CancelToken`]; the lane observes it between logical layers and
 //!   stops, reporting
@@ -60,20 +63,20 @@
 //!   post-hoc read.
 //!
 //! Determinism remains contractual end to end: per `(config, circuit,
-//! seed)` the async path's reports are byte-identical — wall-clock and
-//! cache/service telemetry aside, i.e. under
+//! seed)` the reports are byte-identical — wall-clock and cache/service
+//! telemetry aside, i.e. under
 //! [`ExecutionReport::deterministic`](crate::ExecutionReport::deterministic)
-//! — to the synchronous batch path's, whatever the admission capacity,
-//! cache state, tenant count or poll order.
+//! — whatever the entry point, admission capacity, cache state, tenant
+//! count or poll order.
 //!
 //! # Example
 //!
 //! ```
-//! use oneperc::service::{block_on, AsyncSession};
-//! use oneperc::CompilerConfig;
+//! use oneperc::service::block_on;
+//! use oneperc::{CompilerConfig, Session};
 //! use oneperc_circuit::benchmarks;
 //!
-//! let service = AsyncSession::builder(CompilerConfig::for_qubits(4, 0.9, 1))
+//! let service = Session::builder(CompilerConfig::for_qubits(4, 0.9, 1))
 //!     .lanes(2)
 //!     .queue_depth(8)
 //!     .build();
@@ -91,19 +94,19 @@
 //! Sharing one cache across a fleet:
 //!
 //! ```
-//! use oneperc::service::AsyncSession;
 //! use oneperc::{CompilerConfig, Session};
 //! use oneperc_circuit::benchmarks;
 //!
 //! let config = CompilerConfig::for_qubits(4, 0.9, 1);
 //! let front = Session::new(config);
-//! // A second (async) session serving from the same cache: the compile
+//! // A second, bounded session serving from the same cache: the compile
 //! // below is a hit for it.
-//! let back = AsyncSession::builder(config)
+//! let back = Session::builder(config)
+//!     .queue_depth(4)
 //!     .shared_program_cache(front.program_cache_handle())
 //!     .build();
 //! front.compile_cached(&benchmarks::qaoa(4, 1)).unwrap();
-//! let lookup = back.session().compile_cached_lookup(&benchmarks::qaoa(4, 1)).unwrap();
+//! let lookup = back.compile_cached(&benchmarks::qaoa(4, 1)).unwrap();
 //! assert!(lookup.hit);
 //! ```
 
@@ -111,9 +114,8 @@ pub(crate) mod async_session;
 pub(crate) mod cache;
 pub(crate) mod future;
 
-pub use async_session::{
-    AdmissionFuture, AsyncSession, AsyncSessionBuilder, DEFAULT_QUEUE_DEPTH,
-};
+#[allow(deprecated)]
+pub use async_session::{AdmissionFuture, AsyncSession};
 pub use cache::{program_key, CacheLookup, ProgramCache};
 pub use future::{block_on, JobFuture, SubmitError};
 

@@ -1,5 +1,6 @@
 //! Long-lived compiler service sessions: warm lanes, a shared
-//! renormalization worker pool, and batched multi-seed execution.
+//! renormalization worker pool, an optional admission window, and
+//! multi-seed execution.
 //!
 //! A [`Session`] builds the online execution context — reshaping engines,
 //! worker pool, scratch memory — **once** and multiplexes work through it:
@@ -14,18 +15,23 @@
 //!   layer jobs through its own [`PoolClient`] (and runs queued jobs while
 //!   it waits), and the pool multiplexes the interleaved jobs without ever
 //!   mixing results between lanes.
-//! * [`Session::execute_batch`] sweeps many seeds through the same compiled
-//!   program — the bread-and-butter experiment shape of the paper's
-//!   evaluation — and [`Session::submit`] exposes the underlying
-//!   fire-and-collect job interface: every job, sync or
-//!   [async](crate::service::AsyncSession), is a [`JobFuture`] its lane
-//!   completes.
+//! * Every job is a [`JobFuture`] its lane completes. [`Session::sweep`]
+//!   runs many seeds through the same circuit — the bread-and-butter
+//!   experiment shape of the paper's evaluation — compiling it once
+//!   through the content-addressed program cache, and [`Session::submit`]
+//!   queues one `(program, seed)` execution.
+//! * [`SessionBuilder::queue_depth`] bounds the jobs admitted and not yet
+//!   complete (unbounded by default). On a bounded session `submit` parks
+//!   for a slot, [`Session::try_submit`] refuses with
+//!   [`SubmitError::Busy`] and [`Session::submit_async`] waits for a slot
+//!   without parking the executor thread.
 //!
 //! Determinism is part of the API contract: for a fixed `(config, circuit,
 //! seed)`, the report of a session execution is byte-identical (wall-clock
-//! fields aside — compare with [`ExecutionReport::deterministic`]) to a
+//! fields aside — compare with
+//! [`ExecutionReport::deterministic`](crate::ExecutionReport::deterministic)) to a
 //! run on a fresh single-lane, in-thread session, whatever the lane count,
-//! worker count, batch size or submission order.
+//! worker count, admission depth, sweep width or submission order.
 //! `tests/session_determinism.rs` pins this.
 //!
 //! # Example
@@ -35,10 +41,9 @@
 //! use oneperc_circuit::benchmarks;
 //!
 //! let session = Session::new(CompilerConfig::for_qubits(4, 0.9, 1));
-//! let compiled = session.compile(&benchmarks::qaoa(4, 1)).unwrap();
-//! // Sweep three seeds through the warm lane.
-//! let outcomes = session.execute_batch(&compiled, &[1, 2, 3]);
-//! assert!(outcomes.iter().all(|o| o.is_complete()));
+//! // Sweep three seeds through the warm lane: one compile, three jobs.
+//! let futures = session.sweep(&benchmarks::qaoa(4, 1), &[1, 2, 3]).unwrap();
+//! assert!(futures.into_iter().all(|job| job.wait().is_complete()));
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,6 +51,7 @@ use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::mpsc::{channel, Sender};
 use crate::sync::thread::{self, JoinHandle};
 use crate::sync::Arc;
+use std::task::{Context, Poll};
 use std::time::Instant;
 
 use oneperc_circuit::Circuit;
@@ -56,10 +62,10 @@ use crate::compiler::{
 };
 use crate::config::CompilerConfig;
 use crate::memory::MemoryModel;
-use crate::report::{CacheStats, ExecuteOutcome, ExecutionReport, LayerFailureReason};
-use crate::service::async_session::AdmissionTicket;
+use crate::report::{CacheStats, ExecuteOutcome, LayerFailureReason};
+use crate::service::async_session::{Admission, AdmissionFuture, AdmissionTicket};
 use crate::service::cache::{program_key, CacheLookup, ProgramCache};
-use crate::service::future::{JobFailure, JobFuture, JobResult, JobSlot};
+use crate::service::future::{JobFailure, JobFuture, JobResult, JobSlot, SubmitError};
 
 /// One unit of work for a session: execute a compiled program with a seed.
 ///
@@ -99,7 +105,7 @@ struct LaneRequest {
     /// The `(hit, stats)` stamp of the cache lookup that produced the
     /// program, for the circuit-accepting entry points.
     stamp: Option<(bool, CacheStats)>,
-    /// The async front-end's admission slot, released on completion.
+    /// The admission slot of a bounded session, released on completion.
     ticket: Option<AdmissionTicket>,
     /// The future's completion slot; `None` once completed.
     slot: Option<Arc<JobSlot>>,
@@ -171,9 +177,15 @@ struct Lane {
 }
 
 impl Lane {
+    /// Spawns lane `index`. `checked` is the session's one
+    /// [`CompilerConfig::check`] of `config`: a lane of a configuration
+    /// that breaks a rule builds no engine (it could not: the engine's
+    /// constructors assert the same rules) and completes every job with
+    /// [`JobFailure::InvalidConfig`], staying alive to answer the next.
     fn spawn(
         index: usize,
         config: CompilerConfig,
+        checked: Result<(), &'static str>,
         memory_model: MemoryModel,
         pool: Option<Arc<WorkerPool>>,
         counters: Arc<SessionCounters>,
@@ -185,45 +197,36 @@ impl Lane {
                 // The warm state of the lane: constructed once, reseeded
                 // per request. With a shared pool the engine streams its
                 // layer jobs through the session-wide workers.
-                let base = reshape_config(&config);
-                let build_engine = || match &pool {
-                    Some(pool) => ReshapeEngine::with_renorm_client(base, pool.client()),
-                    None => ReshapeEngine::new(base),
+                let build_engine = || {
+                    let base = reshape_config(&config);
+                    match &pool {
+                        Some(pool) => ReshapeEngine::with_renorm_client(base, pool.client()),
+                        None => ReshapeEngine::new(base),
+                    }
                 };
-                let mut engine = build_engine();
+                let mut engine = checked.map(|()| build_engine());
                 while let Ok(mut request) = request_rx.recv() {
-                    let queue_wait = request.submitted_at.elapsed();
-                    let run_config = config.with_seed(request.seed);
-                    // A panicking execution must not take the lane (and
-                    // with it every queued and future job on this lane)
-                    // down: relay the panic to the one affected future and
-                    // rebuild the engine — its post-panic state (in-flight
-                    // pool jobs included) is not worth salvaging, a fresh
-                    // engine with a fresh pool client is.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        engine.reset(request.seed);
-                        run_online_pass(
-                            &mut engine,
-                            &request.compiled,
-                            &run_config,
-                            &memory_model,
-                            Some(&request.cancel),
-                        )
-                    }));
-                    let result = match outcome {
-                        Ok(outcome) => {
-                            if outcome.failure().map(|f| f.reason)
-                                == Some(LayerFailureReason::Cancelled)
-                            {
-                                counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(outcome.with_queue_telemetry(request.queue_depth, queue_wait))
-                        }
-                        Err(payload) => {
-                            engine = build_engine();
-                            Err(JobFailure::Panicked(panic_message(payload)))
-                        }
+                    let result = match &mut engine {
+                        Ok(engine) => run_on_lane(engine, &request, &config, &memory_model)
+                            .map_err(|message| {
+                                // A panicking execution must not take the
+                                // lane (and with it every queued and future
+                                // job on this lane) down: the panic goes to
+                                // the one affected future, and a fresh
+                                // engine with a fresh pool client replaces
+                                // the post-panic one.
+                                *engine = build_engine();
+                                JobFailure::Panicked(message)
+                            }),
+                        Err(rule) => Err(JobFailure::InvalidConfig(rule)),
                     };
+                    if let Ok(outcome) = &result {
+                        if outcome.failure().map(|f| f.reason)
+                            == Some(LayerFailureReason::Cancelled)
+                        {
+                            counters.cancelled.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
                     counters.completed.fetch_add(1, Ordering::Relaxed);
                     request.complete(result);
                 }
@@ -231,6 +234,26 @@ impl Lane {
             .expect("spawn session lane thread");
         Lane { request_tx: Some(request_tx), handle: Some(handle) }
     }
+}
+
+/// Runs one request on a lane's warm engine, returning the outcome stamped
+/// with its queue telemetry, or the panic message of an execution that
+/// panicked.
+fn run_on_lane(
+    engine: &mut ReshapeEngine,
+    request: &LaneRequest,
+    config: &CompilerConfig,
+    memory_model: &MemoryModel,
+) -> Result<ExecuteOutcome, String> {
+    let queue_wait = request.submitted_at.elapsed();
+    let run_config = config.with_seed(request.seed);
+    catch_unwind(AssertUnwindSafe(|| {
+        engine.reset(request.seed);
+        let cancel = Some(&request.cancel);
+        run_online_pass(engine, &request.compiled, &run_config, memory_model, cancel)
+    }))
+    .map(|outcome| outcome.with_queue_telemetry(request.queue_depth, queue_wait))
+    .map_err(panic_message)
 }
 
 impl Drop for Lane {
@@ -251,6 +274,7 @@ pub struct SessionBuilder {
     memory_model: MemoryModel,
     program_cache: usize,
     shared_cache: Option<Arc<ProgramCache>>,
+    queue_depth: Option<usize>,
 }
 
 /// Default capacity of a session's compiled-program cache. Programs are a
@@ -260,7 +284,7 @@ pub const DEFAULT_PROGRAM_CACHE_CAPACITY: usize = 16;
 
 impl SessionBuilder {
     /// Number of persistent execution lanes (warm engines). More lanes run
-    /// more batch jobs concurrently; results never depend on the count.
+    /// more jobs concurrently; results never depend on the count.
     ///
     /// # Panics
     ///
@@ -279,9 +303,9 @@ impl SessionBuilder {
     }
 
     /// Capacity of the content-addressed compiled-program cache serving
-    /// [`Session::compile_cached`], [`Session::sweep`] and the async
-    /// front-end (default [`DEFAULT_PROGRAM_CACHE_CAPACITY`]). `0` disables
-    /// caching: every cached entry point compiles afresh.
+    /// [`Session::compile_cached`], [`Session::submit_circuit`] and
+    /// [`Session::sweep`] (default [`DEFAULT_PROGRAM_CACHE_CAPACITY`]). `0`
+    /// disables caching: every cached entry point compiles afresh.
     pub fn program_cache(mut self, capacity: usize) -> Self {
         self.program_cache = capacity;
         self
@@ -291,29 +315,53 @@ impl SessionBuilder {
     /// building a private one (overrides
     /// [`SessionBuilder::program_cache`]). Program keys are
     /// process-independent stable hashes of `(circuit structure, config
-    /// fingerprint)`, so any number of sessions — sync and async alike —
-    /// can serve from one cache: a circuit compiled by one tenant's
-    /// session is a hit for every other, and concurrent misses of the
-    /// same key single-flight across the whole fleet.
+    /// fingerprint)`, so any number of sessions can serve from one cache:
+    /// a circuit compiled by one tenant's session is a hit for every
+    /// other, and concurrent misses of the same key single-flight across
+    /// the whole fleet.
     pub fn shared_program_cache(mut self, cache: Arc<ProgramCache>) -> Self {
         self.shared_cache = Some(cache);
         self
     }
 
+    /// Bounds the executions admitted and not yet complete (default:
+    /// unbounded). With `depth` jobs in flight, [`Session::submit`] parks
+    /// until one completes, [`Session::try_submit`] answers
+    /// [`SubmitError::Busy`] and [`Session::submit_async`] waits without
+    /// parking. A slot is released by the job's completion, not by
+    /// redeeming its future, so an abandoned future never wedges the
+    /// window.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `depth` is zero.
+    pub fn queue_depth(mut self, depth: usize) -> Self {
+        assert!(depth > 0, "admission window needs at least one slot");
+        self.queue_depth = Some(depth);
+        self
+    }
+
     /// Spawns the session: the shared worker pool (when
     /// `config.renorm_workers > 0`) and one warm engine per lane.
+    ///
+    /// The configuration is checked here, once. A session on a
+    /// configuration that [`CompilerConfig::check`] rejects is still
+    /// built, but it spawns no pool and its lanes no engine: `compile`
+    /// answers [`CompileError::InvalidConfig`], and every job completes
+    /// with the broken rule, so its future panics with
+    /// `invalid configuration: …` while the lane keeps serving.
     pub fn build(self) -> Session {
-        let pool = if self.config.renorm_workers > 0 {
-            Some(Arc::new(WorkerPool::new(self.config.renorm_workers)))
-        } else {
-            None
-        };
+        let checked = self.config.check();
+        let workers = self.config.renorm_workers;
+        let pool =
+            (checked.is_ok() && workers > 0).then(|| Arc::new(WorkerPool::new(workers)));
         let counters = Arc::new(SessionCounters::default());
         let lanes = (0..self.lanes)
             .map(|index| {
                 Lane::spawn(
                     index,
                     self.config,
+                    checked,
                     self.memory_model,
                     pool.clone(),
                     Arc::clone(&counters),
@@ -327,6 +375,7 @@ impl SessionBuilder {
             config: self.config,
             memory_model: self.memory_model,
             cache,
+            admission: self.queue_depth.map(|depth| Arc::new(Admission::new(depth))),
             lanes,
             next_lane: AtomicUsize::new(0),
             jobs_submitted: AtomicU64::new(0),
@@ -339,21 +388,36 @@ impl SessionBuilder {
 /// A long-lived OnePerc compiler service session.
 ///
 /// Owns the warm execution context — persistent lane threads with
-/// reseedable [`ReshapeEngine`]s and (optionally) one shared
-/// renormalization [`WorkerPool`] — and multiplexes compile/execute work
-/// through it. See the [crate docs](crate) for the architecture and
-/// determinism contract, and [`SessionBuilder`] for construction knobs.
+/// reseedable [`ReshapeEngine`]s, (optionally) one shared renormalization
+/// [`WorkerPool`] and (optionally) a bounded admission window — and
+/// multiplexes compile/execute work through it. See the
+/// [crate docs](crate) for the architecture and determinism contract, and
+/// [`SessionBuilder`] for construction knobs.
 ///
-/// Sessions are the primary entry point of the crate.
+/// Sessions are the primary entry point of the crate. They compile or run
+/// a job in eight ways:
+///
+/// | Entry point | Input | Returns |
+/// |---|---|---|
+/// | [`compile`](Session::compile) | circuit | [`CompiledProgram`] |
+/// | [`compile_cached`](Session::compile_cached) | circuit | [`CacheLookup`] |
+/// | [`submit`](Session::submit) | program, seed | [`JobFuture`], parking for admission |
+/// | [`try_submit`](Session::try_submit) | program, seed | [`JobFuture`] or [`SubmitError::Busy`] |
+/// | [`submit_async`](Session::submit_async) | program, seed | [`AdmissionFuture`] |
+/// | [`submit_circuit`](Session::submit_circuit) | circuit, seed | [`JobFuture`], report stamped with the lookup |
+/// | [`sweep`](Session::sweep) | circuit, seeds | one [`JobFuture`] per seed, one lookup |
+/// | [`execute_shared`](Session::execute_shared) | program, seed | [`ExecuteOutcome`] (`submit(..).wait()`) |
 #[derive(Debug)]
 pub struct Session {
     config: CompilerConfig,
     memory_model: MemoryModel,
     /// Content-addressed compiled-program cache behind the cached entry
-    /// points ([`Session::compile_cached`], [`Session::sweep`], the async
-    /// front-end). `Arc` so it can be
+    /// points. `Arc` so it can be
     /// [shared across sessions](SessionBuilder::shared_program_cache).
     cache: Arc<ProgramCache>,
+    /// The admission window of [`SessionBuilder::queue_depth`]; `None`
+    /// admits every job at once.
+    admission: Option<Arc<Admission>>,
     /// Declared before `pool`: lanes (and their pool clients) must wind
     /// down before the shared pool they submit to.
     lanes: Vec<Lane>,
@@ -364,8 +428,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds a single-lane session for a configuration (see
-    /// [`Session::builder`] for multi-lane setups).
+    /// Builds a single-lane, unbounded session for a configuration (see
+    /// [`Session::builder`] for the knobs).
     pub fn new(config: CompilerConfig) -> Self {
         Self::builder(config).build()
     }
@@ -378,6 +442,7 @@ impl Session {
             memory_model: MemoryModel::default(),
             program_cache: DEFAULT_PROGRAM_CACHE_CAPACITY,
             shared_cache: None,
+            queue_depth: None,
         }
     }
 
@@ -402,13 +467,25 @@ impl Session {
         self.pool.as_deref().map(WorkerPool::worker_count)
     }
 
+    /// Capacity of the admission window ([`SessionBuilder::queue_depth`];
+    /// `None` when unbounded).
+    pub fn queue_depth(&self) -> Option<usize> {
+        self.admission.as_deref().map(Admission::capacity)
+    }
+
+    /// Jobs submitted whose completion has not been delivered yet: a
+    /// gauge, read from the two lifetime counters below.
+    pub fn in_flight(&self) -> u64 {
+        self.jobs_submitted().saturating_sub(self.jobs_completed())
+    }
+
     /// Jobs submitted over the session's lifetime.
     pub fn jobs_submitted(&self) -> u64 {
         self.jobs_submitted.load(Ordering::Relaxed)
     }
 
-    /// Jobs whose completion has been delivered (cancelled and panicked
-    /// ones included).
+    /// Jobs whose completion has been delivered (cancelled, panicked and
+    /// invalid-configuration ones included).
     pub fn jobs_completed(&self) -> u64 {
         self.counters.completed.load(Ordering::Relaxed)
     }
@@ -434,122 +511,6 @@ impl Session {
         run_offline_pass(&self.config, circuit)
     }
 
-    /// Enqueues one `(program, seed)` execution on the next lane
-    /// (round-robin) and returns the [`JobFuture`] that resolves to its
-    /// outcome — `.await` it, [`block_on`](crate::service::block_on) it or
-    /// [`wait`](JobFuture::wait) on it. This is the fire-and-collect
-    /// primitive under [`Session::execute`] and [`Session::execute_batch`];
-    /// use it directly to overlap submission with other work or to
-    /// interleave programs. Dropping the future cancels the job.
-    pub fn submit(&self, request: ExecutionRequest) -> JobFuture {
-        self.dispatch(request, None, None)
-    }
-
-    /// The next round-robin lane. The stored counter is kept in
-    /// `[0, lanes)` by `fetch_update`, so wrapping `usize::MAX` cannot
-    /// skew the rotation for non-power-of-two lane counts the way the old
-    /// `fetch_add(1) % lanes` did (two consecutive jobs on one lane at
-    /// the wrap point).
-    fn next_lane_index(&self) -> usize {
-        let lanes = self.lanes.len();
-        let previous = self
-            .next_lane
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                Some(n.wrapping_add(1) % lanes)
-            })
-            .expect("round-robin closure never declines");
-        previous % lanes
-    }
-
-    /// The one dispatch path under every sync and async entry point:
-    /// queues the job on the next lane with its optional cache stamp and
-    /// admission ticket.
-    pub(crate) fn dispatch(
-        &self,
-        request: ExecutionRequest,
-        stamp: Option<(bool, CacheStats)>,
-        ticket: Option<AdmissionTicket>,
-    ) -> JobFuture {
-        let lane_index = self.next_lane_index();
-        let submitted = self.jobs_submitted.fetch_add(1, Ordering::Relaxed) + 1;
-        // In-flight jobs including this one; `completed` can lag behind
-        // other threads' deliveries, so clamp at 1 — a best-effort gauge,
-        // not an accounting invariant.
-        let queue_depth = submitted
-            .saturating_sub(self.counters.completed.load(Ordering::Relaxed))
-            .max(1);
-        let (lane_request, future) = LaneRequest::new(request, stamp, ticket, queue_depth);
-        self.lanes[lane_index]
-            .request_tx
-            .as_ref()
-            .expect("session is live")
-            .send(lane_request)
-            .expect("session lane hung up");
-        future
-    }
-
-    /// Online pass on the warm session: executes a compiled program with
-    /// the given seed and returns the typed outcome.
-    ///
-    /// Byte-identical (wall-clock aside) to the same execution on a fresh
-    /// single-lane session with `renorm_workers = 0`.
-    ///
-    /// This convenience clones the program into an [`Arc`] per call; when
-    /// sweeping seeds one call at a time, hold the program in an `Arc`
-    /// yourself and use [`Session::execute_shared`] (or
-    /// [`Session::execute_batch`], which shares one clone across the whole
-    /// sweep).
-    pub fn execute(&self, compiled: &CompiledProgram, seed: u64) -> ExecuteOutcome {
-        self.execute_shared(Arc::new(compiled.clone()), seed)
-    }
-
-    /// [`Session::execute`] without the per-call program clone.
-    pub fn execute_shared(&self, compiled: Arc<CompiledProgram>, seed: u64) -> ExecuteOutcome {
-        self.submit(ExecutionRequest::new(compiled, seed)).wait()
-    }
-
-    /// Executes a compiled program once with the session's configured seed.
-    pub fn execute_report(&self, compiled: &CompiledProgram) -> ExecutionReport {
-        self.execute(compiled, self.config.seed).into_report()
-    }
-
-    /// Runs a whole seed sweep through the warm lanes: one execution
-    /// per seed, distributed round-robin over the lanes, outcomes returned
-    /// in seed order. The compiled program is shared (one `Arc`) across
-    /// the batch.
-    ///
-    /// Per seed, the outcome is byte-identical (wall-clock aside) to a
-    /// sequential run — regardless of batch size, lane count, worker count
-    /// or completion order.
-    pub fn execute_batch(&self, compiled: &CompiledProgram, seeds: &[u64]) -> Vec<ExecuteOutcome> {
-        self.execute_batch_shared(Arc::new(compiled.clone()), seeds)
-    }
-
-    /// [`Session::execute_batch`] without the upfront program clone.
-    pub fn execute_batch_shared(
-        &self,
-        compiled: Arc<CompiledProgram>,
-        seeds: &[u64],
-    ) -> Vec<ExecuteOutcome> {
-        self.execute_batch_stamped(compiled, seeds, None)
-    }
-
-    /// Submits one job per seed, then redeems them in seed order.
-    fn execute_batch_stamped(
-        &self,
-        compiled: Arc<CompiledProgram>,
-        seeds: &[u64],
-        stamp: Option<(bool, CacheStats)>,
-    ) -> Vec<ExecuteOutcome> {
-        let futures: Vec<JobFuture> = seeds
-            .iter()
-            .map(|&seed| {
-                self.dispatch(ExecutionRequest::new(Arc::clone(&compiled), seed), stamp, None)
-            })
-            .collect();
-        futures.into_iter().map(JobFuture::wait).collect()
-    }
-
     /// Offline pass through the session's content-addressed program cache:
     /// returns the cached artifact when this `(circuit, config)` pair — by
     /// [structural hash](oneperc_circuit::Circuit::structural_hash) and
@@ -558,25 +519,112 @@ impl Session {
     /// miss. Concurrent lookups of the same key are single-flight: one
     /// compiles, the rest wait and share the result.
     ///
-    /// # Errors
-    ///
-    /// Returns the offline pass's error, [`CompileError::InvalidConfig`]
-    /// or [`CompileError::Mapping`] (nothing is retained).
-    pub fn compile_cached(&self, circuit: &Circuit) -> Result<Arc<CompiledProgram>, CompileError> {
-        Ok(self.compile_cached_lookup(circuit)?.program)
-    }
-
-    /// [`Session::compile_cached`] with the lookup's own telemetry: whether
-    /// it hit, and the counter snapshot taken atomically as it resolved —
-    /// the stamp [`Session::sweep`] puts on reports.
+    /// The [`CacheLookup`] also says whether it hit, with the counter
+    /// snapshot taken atomically as it resolved — the stamp
+    /// [`Session::submit_circuit`] and [`Session::sweep`] put on reports.
     ///
     /// # Errors
     ///
     /// Returns the offline pass's error, [`CompileError::InvalidConfig`]
     /// or [`CompileError::Mapping`] (nothing is retained).
-    pub fn compile_cached_lookup(&self, circuit: &Circuit) -> Result<CacheLookup, CompileError> {
+    pub fn compile_cached(&self, circuit: &Circuit) -> Result<CacheLookup, CompileError> {
         let key = program_key(&self.config, circuit);
         self.cache.get_or_try_insert_with(key, || run_offline_pass(&self.config, circuit))
+    }
+
+    /// Queues one `(program, seed)` execution on the next lane
+    /// (round-robin) and returns the [`JobFuture`] that resolves to its
+    /// outcome — `.await` it, [`block_on`](crate::service::block_on) it or
+    /// [`wait`](JobFuture::wait) on it. On a bounded session it first parks
+    /// until the admission window has a slot; under an executor prefer
+    /// [`Session::submit_async`]. Dropping the future cancels the job.
+    pub fn submit(&self, request: ExecutionRequest) -> JobFuture {
+        self.acquire();
+        self.dispatch(request, None)
+    }
+
+    /// [`Session::submit`] that never parks: on a bounded session with a
+    /// full window it refuses at once — the signal an RPC layer turns into
+    /// load-shedding. An unbounded session admits every job.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SubmitError::Busy`] when the admission window is full.
+    pub fn try_submit(&self, request: ExecutionRequest) -> Result<JobFuture, SubmitError> {
+        if let Some(admission) = &self.admission {
+            if !admission.try_acquire() {
+                return Err(SubmitError::Busy { capacity: admission.capacity() });
+            }
+        }
+        Ok(self.dispatch(request, None))
+    }
+
+    /// Fully async admission: the returned [`AdmissionFuture`] resolves to
+    /// the job's [`JobFuture`] once the window has a slot, registering a
+    /// waker instead of parking — an executor thread driving many tenants
+    /// never blocks inside a submission. Typical shape:
+    /// `session.submit_async(request).await.await`.
+    pub fn submit_async(&self, request: ExecutionRequest) -> AdmissionFuture<'_> {
+        AdmissionFuture::new(self, request)
+    }
+
+    /// [`Session::submit`] from a circuit: resolves the program through the
+    /// content-addressed cache (compiling only on a miss), then admits the
+    /// `(program, seed)` execution. The report carries the lookup's own
+    /// hit flag and counter snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns the offline pass's error (nothing is admitted).
+    pub fn submit_circuit(&self, circuit: &Circuit, seed: u64) -> Result<JobFuture, CompileError> {
+        let lookup = self.compile_cached(circuit)?;
+        self.acquire();
+        let stamp = Some((lookup.hit, lookup.stats));
+        Ok(self.dispatch(ExecutionRequest::new(lookup.program, seed), stamp))
+    }
+
+    /// Compile-once-sweep-many: one cache lookup, then one admitted
+    /// execution per seed, all submitted before this returns (parking
+    /// whenever a bounded window is full: lanes drain it while submission
+    /// refills it). The futures come back in seed order, and every report
+    /// carries this lookup's hit flag and counter snapshot — taken
+    /// atomically as the lookup resolved, so concurrent tenants hammering
+    /// a shared cache cannot smear the numbers. Sweeping the same circuit
+    /// again skips the offline pass entirely.
+    ///
+    /// # Errors
+    ///
+    /// Returns the offline pass's error (nothing is admitted).
+    pub fn sweep(&self, circuit: &Circuit, seeds: &[u64]) -> Result<Vec<JobFuture>, CompileError> {
+        let lookup = self.compile_cached(circuit)?;
+        let stamp = Some((lookup.hit, lookup.stats));
+        Ok(seeds
+            .iter()
+            .map(|&seed| {
+                self.acquire();
+                self.dispatch(ExecutionRequest::new(Arc::clone(&lookup.program), seed), stamp)
+            })
+            .collect())
+    }
+
+    /// Runs one execution to its outcome: `submit(..).wait()`.
+    ///
+    /// Byte-identical (wall-clock aside) to the same execution on a fresh
+    /// single-lane session with `renorm_workers = 0`.
+    pub fn execute_shared(&self, compiled: Arc<CompiledProgram>, seed: u64) -> ExecuteOutcome {
+        self.submit(ExecutionRequest::new(compiled, seed)).wait()
+    }
+
+    /// This session. `AsyncSession` used to wrap a `Session` and hand it
+    /// out here; the method stays, with the [`AsyncSession`] alias, for
+    /// the callers of that shape.
+    ///
+    /// [`AsyncSession`]: crate::AsyncSession
+    #[deprecated(note = "call the methods on the `Session` itself; this goes away with the \
+                         `AsyncSession` alias, in the benchmark change that moves \
+                         `perfbench/src/fleet.rs` onto `Session`")]
+    pub fn session(&self) -> &Session {
+        self
     }
 
     /// Counters of the compiled-program cache.
@@ -597,33 +645,69 @@ impl Session {
         Arc::clone(&self.cache)
     }
 
-    /// Compile-once-sweep-many in one call: resolves the circuit through
-    /// the program cache ([`Session::compile_cached`]), runs one execution
-    /// per seed through the warm lanes, and stamps every report with *this
-    /// lookup's* counters ([`ExecutionReport::cache`](crate::ExecutionReport))
-    /// and hit flag — the snapshot taken atomically as the lookup resolved,
-    /// so concurrent tenants hammering the shared cache can't smear the
-    /// numbers. Sweeping the same circuit again skips the offline pass
-    /// entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::Mapping`] when the offline pass fails.
-    pub fn sweep(
+    /// Parks until the admission window has a slot and claims it; a no-op
+    /// on an unbounded session.
+    fn acquire(&self) {
+        if let Some(admission) = &self.admission {
+            admission.acquire();
+        }
+    }
+
+    /// [`Session::acquire`] for [`AdmissionFuture`]: claims a slot if one
+    /// is free, otherwise registers `cx`'s waker for the next release.
+    pub(crate) fn poll_acquire(&self, cx: &mut Context<'_>) -> Poll<()> {
+        match &self.admission {
+            Some(admission) => admission.poll_acquire(cx),
+            None => Poll::Ready(()),
+        }
+    }
+
+    /// The next round-robin lane. The stored counter is kept in
+    /// `[0, lanes)` by `fetch_update`, so wrapping `usize::MAX` cannot
+    /// skew the rotation for non-power-of-two lane counts the way the old
+    /// `fetch_add(1) % lanes` did (two consecutive jobs on one lane at
+    /// the wrap point).
+    fn next_lane_index(&self) -> usize {
+        let lanes = self.lanes.len();
+        let previous = self
+            .next_lane
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                Some(n.wrapping_add(1) % lanes)
+            })
+            .expect("round-robin closure never declines");
+        previous % lanes
+    }
+
+    /// The one dispatch path under every entry point: queues an admitted
+    /// job on the next lane with its optional cache stamp. On a bounded
+    /// session the caller has claimed the job's slot; the ticket made here
+    /// gives it back when the job completes.
+    pub(crate) fn dispatch(
         &self,
-        circuit: &Circuit,
-        seeds: &[u64],
-    ) -> Result<Vec<ExecuteOutcome>, CompileError> {
-        let lookup = self.compile_cached_lookup(circuit)?;
-        let stamp = Some((lookup.hit, lookup.stats));
-        Ok(self.execute_batch_stamped(lookup.program, seeds, stamp))
+        request: ExecutionRequest,
+        stamp: Option<(bool, CacheStats)>,
+    ) -> JobFuture {
+        let ticket = self.admission.as_ref().map(|window| AdmissionTicket(Arc::clone(window)));
+        let lane_index = self.next_lane_index();
+        let submitted = self.jobs_submitted.fetch_add(1, Ordering::Relaxed) + 1;
+        // In-flight jobs including this one; `completed` can lag behind
+        // other threads' deliveries, so clamp at 1 — a best-effort gauge,
+        // not an accounting invariant.
+        let queue_depth = submitted.saturating_sub(self.jobs_completed()).max(1);
+        let (lane_request, future) = LaneRequest::new(request, stamp, ticket, queue_depth);
+        self.lanes[lane_index]
+            .request_tx
+            .as_ref()
+            .expect("session is live")
+            .send(lane_request)
+            .expect("session lane hung up");
+        future
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::async_session::Admission;
     use crate::service::block_on;
     use oneperc_circuit::benchmarks;
 
@@ -631,11 +715,15 @@ mod tests {
         CompilerConfig::for_sensitivity(36, 3, p, seed)
     }
 
+    fn compile(session: &Session, circuit: &Circuit) -> Arc<CompiledProgram> {
+        Arc::new(session.compile(circuit).unwrap())
+    }
+
     #[test]
     fn session_executes_compiled_programs() {
         let session = Session::new(small_config(0.9, 2));
-        let compiled = session.compile(&benchmarks::qaoa(4, 2)).unwrap();
-        let outcome = session.execute(&compiled, 2);
+        let compiled = compile(&session, &benchmarks::qaoa(4, 2));
+        let outcome = session.execute_shared(compiled, 2);
         assert!(outcome.is_complete());
         let report = outcome.report();
         assert_eq!(report.logical_layers as usize, report.ir_layers);
@@ -648,13 +736,17 @@ mod tests {
         let config = small_config(0.8, 7);
         let circuit = benchmarks::rca(4);
         let session = Session::new(config);
-        let compiled = session.compile(&circuit).unwrap();
+        let compiled = compile(&session, &circuit);
         for seed in [7u64, 8, 1_000_003] {
-            let warm = session.execute(&compiled, seed).into_report().deterministic();
+            let warm = session
+                .execute_shared(Arc::clone(&compiled), seed)
+                .into_report()
+                .deterministic();
             // Cold reference: a fresh 1-lane, in-thread session per seed.
             let fresh = Session::new(config.with_seed(seed).with_renorm_workers(0));
             let cold = fresh
-                .execute_report(&fresh.compile(&circuit).unwrap())
+                .execute_shared(compile(&fresh, &circuit), seed)
+                .into_report()
                 .deterministic();
             assert_eq!(warm, cold, "seed {seed}");
         }
@@ -664,12 +756,14 @@ mod tests {
     fn batch_outcomes_follow_seed_order() {
         let config = small_config(0.85, 1);
         let session = Session::builder(config).lanes(3).build();
-        let compiled = session.compile(&benchmarks::qft(4)).unwrap();
+        let circuit = benchmarks::qft(4);
         let seeds = [5u64, 6, 7, 8, 9, 10];
-        let batch = session.execute_batch(&compiled, &seeds);
+        let batch: Vec<ExecuteOutcome> =
+            session.sweep(&circuit, &seeds).unwrap().into_iter().map(JobFuture::wait).collect();
         assert_eq!(batch.len(), seeds.len());
+        let compiled = session.compile_cached(&circuit).unwrap().program;
         for (i, &seed) in seeds.iter().enumerate() {
-            let solo = session.execute(&compiled, seed);
+            let solo = session.execute_shared(Arc::clone(&compiled), seed);
             assert_eq!(
                 batch[i].report().deterministic(),
                 solo.report().deterministic(),
@@ -682,8 +776,8 @@ mod tests {
     fn submit_interleaves_programs_and_seeds() {
         let config = small_config(0.85, 3);
         let session = Session::builder(config).lanes(2).build();
-        let qaoa = Arc::new(session.compile(&benchmarks::qaoa(4, 3)).unwrap());
-        let qft = Arc::new(session.compile(&benchmarks::qft(4)).unwrap());
+        let qaoa = compile(&session, &benchmarks::qaoa(4, 3));
+        let qft = compile(&session, &benchmarks::qft(4));
         let futures = vec![
             session.submit(ExecutionRequest::new(Arc::clone(&qaoa), 11)),
             session.submit(ExecutionRequest::new(Arc::clone(&qft), 12)),
@@ -696,11 +790,11 @@ mod tests {
         // Same program, same seed, different submission slot → same report.
         assert_eq!(
             outcomes[0].report().deterministic(),
-            session.execute(&qaoa, 11).report().deterministic()
+            session.execute_shared(Arc::clone(&qaoa), 11).report().deterministic()
         );
         assert_eq!(session.jobs_submitted(), 5);
-        // A sync job is a plain future: redeeming it through an executor
-        // gives the same report as parking on it.
+        // A job is a plain future: redeeming it through an executor gives
+        // the same report as parking on it.
         let awaited = block_on(session.submit(ExecutionRequest::new(Arc::clone(&qft), 12)));
         assert_eq!(awaited.report().deterministic(), outcomes[1].report().deterministic());
         assert_eq!(session.jobs_submitted(), 6);
@@ -712,7 +806,7 @@ mod tests {
         // must still complete its future — with the teardown panic, not a
         // hang — and give back its admission slot.
         let session = Session::new(small_config(0.85, 1));
-        let compiled = Arc::new(session.compile(&benchmarks::qaoa(4, 2)).unwrap());
+        let compiled = compile(&session, &benchmarks::qaoa(4, 2));
         let admission = Arc::new(Admission::new(1));
         assert!(admission.try_acquire());
         let ticket = AdmissionTicket(Arc::clone(&admission));
@@ -733,8 +827,8 @@ mod tests {
         // what that needs) must report a typed failure, not just a bool.
         let hw_config = CompilerConfig::for_sensitivity(12, 12, 0.7, 5);
         let session = Session::new(hw_config);
-        let compiled = session.compile(&benchmarks::qaoa(4, 1)).unwrap();
-        let outcome = session.execute(&compiled, 5);
+        let compiled = compile(&session, &benchmarks::qaoa(4, 1));
+        let outcome = session.execute_shared(compiled, 5);
         assert!(!outcome.is_complete());
         let failure = outcome.failure().expect("incomplete outcome carries a failure");
         assert_eq!(failure.layer_index, 0);
@@ -756,10 +850,10 @@ mod tests {
         let session = Session::builder(config)
             .memory_model(MemoryModel::new(u64::MAX))
             .build();
-        let compiled = session.compile(&benchmarks::qaoa(4, 2)).unwrap();
+        let compiled = compile(&session, &benchmarks::qaoa(4, 2));
         for attempt in 0..3u64 {
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                session.execute(&compiled, attempt)
+                session.execute_shared(Arc::clone(&compiled), attempt)
             }));
             if cfg!(debug_assertions) {
                 let payload =
@@ -797,7 +891,7 @@ mod tests {
         let config = small_config(0.85, 4);
         let circuit = benchmarks::qaoa(4, 2);
         let first = Session::new(config);
-        let warmup = first.compile_cached_lookup(&circuit).unwrap();
+        let warmup = first.compile_cached(&circuit).unwrap();
         assert!(!warmup.hit);
 
         // A second session over the same cache hits immediately and shares
@@ -805,7 +899,7 @@ mod tests {
         let second = Session::builder(config)
             .shared_program_cache(first.program_cache_handle())
             .build();
-        let shared = second.compile_cached_lookup(&circuit).unwrap();
+        let shared = second.compile_cached(&circuit).unwrap();
         assert!(shared.hit, "cross-session lookup is a hit");
         assert!(Arc::ptr_eq(&warmup.program, &shared.program));
         assert_eq!(second.cache_stats(), first.cache_stats());
@@ -816,7 +910,7 @@ mod tests {
     #[test]
     fn explicit_cancel_stops_a_submitted_job() {
         let session = Session::new(small_config(0.85, 2));
-        let compiled = Arc::new(session.compile(&benchmarks::qaoa(4, 2)).unwrap());
+        let compiled = compile(&session, &benchmarks::qaoa(4, 2));
         let future = session.submit(ExecutionRequest::new(Arc::clone(&compiled), 3));
         // Cancel before waiting: depending on timing the lane either
         // observed the flag at a checkpoint (Cancelled outcome) or had
@@ -838,8 +932,8 @@ mod tests {
     #[test]
     fn reports_carry_queue_telemetry() {
         let session = Session::new(small_config(0.85, 5));
-        let compiled = session.compile(&benchmarks::qaoa(4, 2)).unwrap();
-        let outcome = session.execute(&compiled, 5);
+        let compiled = compile(&session, &benchmarks::qaoa(4, 2));
+        let outcome = session.execute_shared(compiled, 5);
         let service = outcome.report().service;
         assert!(service.queue_depth >= 1, "an admitted job counts itself");
         assert!(!service.cache_hit, "explicit-program path never consults the cache");
@@ -856,24 +950,33 @@ mod tests {
             .lanes(2)
             .build();
         assert_eq!(session.renorm_pool_workers(), Some(2));
-        let compiled = session.compile(&benchmarks::qaoa(4, 2)).unwrap();
-        let pooled = session.execute_batch(&compiled, &[3, 4]);
-        let inline = Session::new(small_config(0.85, 1)).execute_batch(&compiled, &[3, 4]);
-        for (a, b) in pooled.iter().zip(&inline) {
-            assert_eq!(a.report().deterministic(), b.report().deterministic());
+        let compiled = compile(&session, &benchmarks::qaoa(4, 2));
+        let inline = Session::new(small_config(0.85, 1));
+        let run = |session: &Session| -> Vec<JobFuture> {
+            [3, 4]
+                .iter()
+                .map(|&seed| session.submit(ExecutionRequest::new(Arc::clone(&compiled), seed)))
+                .collect()
+        };
+        for (a, b) in run(&session).into_iter().zip(run(&inline)) {
+            assert_eq!(a.wait().report().deterministic(), b.wait().report().deterministic());
         }
     }
 
-    #[test]
-    fn invalid_configs_are_refused_before_compiling() {
-        // Both break a rule through a public field, after the constructors
-        // have checked them.
+    /// Configurations that break a rule of [`CompilerConfig::check`]
+    /// through a public field, after the constructors have checked them.
+    fn invalid_configs() -> [CompilerConfig; 2] {
         let mut tiny_states = small_config(0.9, 1);
         tiny_states.hardware.resource_state_size = 2;
         let mut oversized = small_config(0.9, 1);
         oversized.virtual_side = oversized.hardware.rsl_size + 1;
+        [tiny_states, oversized]
+    }
+
+    #[test]
+    fn invalid_configs_are_refused_before_compiling() {
         let circuit = benchmarks::qaoa(4, 2);
-        for config in [tiny_states, oversized] {
+        for config in invalid_configs() {
             let session = Session::new(config);
             assert!(matches!(session.compile(&circuit), Err(CompileError::InvalidConfig(_))));
             assert!(matches!(
@@ -881,6 +984,27 @@ mod tests {
                 Err(CompileError::InvalidConfig(_))
             ));
             assert!(session.program_cache().is_empty(), "nothing is cached");
+        }
+    }
+
+    #[test]
+    fn invalid_config_jobs_fail_without_killing_the_lane() {
+        // A program compiled under a valid configuration, run on sessions
+        // whose configuration no engine can be built for: each job fails
+        // with the broken rule, and the lane answers the next one too.
+        let compiled = compile(&Session::new(small_config(0.9, 1)), &benchmarks::qaoa(4, 2));
+        for config in invalid_configs() {
+            let rule = config.check().expect_err("the configuration breaks a rule");
+            let session = Session::builder(config.with_renorm_workers(1)).build();
+            assert_eq!(session.renorm_pool_workers(), None, "no pool is spawned");
+            for attempt in 1..=2u64 {
+                let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    session.execute_shared(Arc::clone(&compiled), attempt)
+                }))
+                .expect_err("a job on an invalid configuration fails");
+                assert_eq!(panic_message(payload), format!("invalid configuration: {rule}"));
+                assert_eq!(session.jobs_completed(), attempt, "the lane completed the job");
+            }
         }
     }
 }

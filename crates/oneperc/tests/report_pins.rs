@@ -17,6 +17,8 @@
 #[path = "pins/report_cases.rs"]
 mod report_cases;
 
+use std::sync::Arc;
+
 use oneperc::Session;
 use report_cases::{case, shows, Row};
 
@@ -29,9 +31,9 @@ fn assert_pinned(rows: &[Row]) {
         let (config, circuit) = case(name);
         for workers in [0, 1, 2] {
             let session = Session::new(config.with_renorm_workers(workers));
-            let compiled = session.compile(&circuit).expect("offline pass succeeds");
+            let compiled = Arc::new(session.compile(&circuit).expect("offline pass succeeds"));
             for &(_, seed, expected) in rows.iter().filter(|row| row.0 == name) {
-                let outcome = session.execute(&compiled, seed);
+                let outcome = session.execute_shared(Arc::clone(&compiled), seed);
                 let r = outcome.report();
                 let got = (
                     r.rsl_consumed,

@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release --example adder_compile`.
 
+use std::sync::Arc;
+
 use oneperc_suite::circuit::{benchmarks, ProgramGraph};
 use oneperc_suite::compiler::{CompilerConfig, Session};
 use oneperc_suite::ir::InstructionInterpreter;
@@ -58,7 +60,7 @@ fn main() {
         compiled.mapping.instructions.len()
     );
 
-    match session.execute(&compiled, config.seed) {
+    match session.execute_shared(Arc::new(compiled), config.seed) {
         outcome if outcome.is_complete() => {
             println!("\nexecution report:\n{}", outcome.report());
         }

@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release --example compare_with_oneq`.
 
+use std::sync::Arc;
+
 use oneperc_suite::circuit::benchmarks::Benchmark;
 use oneperc_suite::compiler::{CompilerConfig, Session};
 use oneperc_suite::oneq::{OneqCompiler, OneqConfig};
@@ -32,7 +34,7 @@ fn main() {
             // OnePerc: randomness-aware compilation through a session.
             let session = Session::new(CompilerConfig::for_qubits(qubits, p, seed));
             let compiled = session.compile(&circuit).expect("oneperc compilation succeeds");
-            let ours = session.execute_report(&compiled);
+            let ours = session.execute_shared(Arc::new(compiled), seed).into_report();
 
             let baseline_rsl = if baseline.saturated {
                 format!("> {cap}")

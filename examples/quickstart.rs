@@ -1,13 +1,17 @@
 //! Quickstart: build a compiler session, compile a small QAOA program
-//! once, batch-execute a seed sweep through the warm pipeline, then let
-//! the content-addressed program cache and the async front-end do the
-//! compile-once bookkeeping automatically.
+//! once, execute a seed sweep through the warm pipeline, then let the
+//! content-addressed program cache do the compile-once bookkeeping, on an
+//! unbounded session and on one with a bounded admission window.
 //!
 //! Run with `cargo run --example quickstart`.
 
+use std::sync::Arc;
+
 use oneperc_suite::circuit::benchmarks;
-use oneperc_suite::compiler::service::{block_on, AsyncSession};
-use oneperc_suite::compiler::{CompilerConfig, Session};
+use oneperc_suite::compiler::service::block_on;
+use oneperc_suite::compiler::{
+    CompilerConfig, ExecuteOutcome, ExecutionRequest, JobFuture, Session,
+};
 
 fn main() {
     // A 4-qubit QAOA max-cut instance on a random graph (the smallest
@@ -25,7 +29,7 @@ fn main() {
 
     // Offline pass, once per circuit: program graph state → FlexLattice IR
     // → instructions.
-    let compiled = session.compile(&circuit).expect("offline mapping succeeds");
+    let compiled = Arc::new(session.compile(&circuit).expect("offline mapping succeeds"));
     println!(
         "offline pass: {} program nodes mapped onto {} virtual-hardware layers, {} instructions",
         compiled.mapping.stats.program_nodes,
@@ -40,9 +44,14 @@ fn main() {
     // Online pass, once per seed: stochastic fusions, percolation,
     // renormalization and time-like connections until every logical layer
     // is formed. The whole sweep reuses the warm engine — only the RNG
-    // stream restarts between runs.
+    // stream restarts between runs. Every seed is submitted first, then
+    // the outcomes are collected in seed order.
     let seeds: Vec<u64> = (42..50).collect();
-    let outcomes = session.execute_batch(&compiled, &seeds);
+    let jobs: Vec<JobFuture> = seeds
+        .iter()
+        .map(|&seed| session.submit(ExecutionRequest::new(Arc::clone(&compiled), seed)))
+        .collect();
+    let outcomes: Vec<ExecuteOutcome> = jobs.into_iter().map(JobFuture::wait).collect();
     println!("\nseed sweep over {} seeds:", seeds.len());
     println!("{:>6} {:>10} {:>12} {:>10}", "seed", "#RSL", "#fusion", "PL ratio");
     for (seed, outcome) in seeds.iter().zip(&outcomes) {
@@ -76,23 +85,26 @@ fn main() {
     // compiles; every later sweep of the same circuit is a cache hit and
     // goes straight to execution.
     let sweep_seeds: Vec<u64> = (100..108).collect();
-    let cached = session.sweep(&circuit, &sweep_seeds).expect("offline mapping succeeds");
-    let again = session.sweep(&circuit, &sweep_seeds).expect("cache hit recompiles nothing");
-    assert_eq!(cached.len(), again.len());
+    for _ in 0..2 {
+        let jobs = session.sweep(&circuit, &sweep_seeds).expect("offline mapping succeeds");
+        let outcomes: Vec<ExecuteOutcome> = jobs.into_iter().map(JobFuture::wait).collect();
+        assert_eq!(outcomes.len(), sweep_seeds.len());
+    }
     println!("\ncached sweeps: program cache {}", session.cache_stats());
 
-    // The async front-end wraps the same warm machinery for embedding in
-    // an RPC server: bounded admission (`try_submit` answers Busy instead
-    // of queueing without limit) and completion as plain std futures —
-    // here drained with the built-in hand-rolled `block_on`.
-    let service = AsyncSession::builder(config).lanes(2).queue_depth(4).build();
+    // For embedding in an RPC server, the same session type takes a
+    // bounded admission window: `try_submit` answers Busy instead of
+    // queueing without limit, `submit` and `sweep` park for a slot, and
+    // every job completes as a plain std future — here drained with the
+    // built-in hand-rolled `block_on`.
+    let service = Session::builder(config).lanes(2).queue_depth(4).build();
     let futures = service.sweep(&circuit, &sweep_seeds).expect("offline mapping succeeds");
     let total_rsl: u64 = futures
         .into_iter()
         .map(|future| block_on(future).report().rsl_consumed)
         .sum();
     println!(
-        "async sweep over {} seeds consumed {total_rsl} RSLs; compiled {} time(s)",
+        "bounded sweep over {} seeds consumed {total_rsl} RSLs; compiled {} time(s)",
         sweep_seeds.len(),
         service.cache_stats().misses
     );

@@ -15,9 +15,9 @@
 //! * [`ir`] — virtual hardware, FlexLattice IR and the instruction set.
 //! * [`mapper`] — the offline mapping pass.
 //! * [`oneq`] — the OneQ baseline with repeat-until-success execution.
-//! * [`compiler`] — the OnePerc compiler service (sessions, batched
-//!   multi-seed execution, the async front-end and content-addressed
-//!   compile cache under `compiler::service`) and its metrics.
+//! * [`compiler`] — the OnePerc compiler service (sessions, multi-seed
+//!   sweeps, the admission window and content-addressed compile cache
+//!   under `compiler::service`) and its metrics.
 //! * [`corpus`] — structured random-circuit corpus (layered, reversible,
 //!   chained-RCA, QFT-adder families) and the cross-path determinism
 //!   fuzzer behind `cargo xtask fuzz-determinism`.
@@ -29,12 +29,12 @@
 //! use oneperc_suite::circuit::benchmarks;
 //!
 //! let session = Session::new(CompilerConfig::for_qubits(4, 0.9, 7));
-//! let compiled = session
-//!     .compile(&benchmarks::vqe(4, 7))
+//! // Compile once, then sweep two seeds through the warm session.
+//! let jobs = session
+//!     .sweep(&benchmarks::vqe(4, 7), &[7, 8])
 //!     .expect("compilation succeeds");
-//! // Sweep two seeds through the warm session.
-//! for outcome in session.execute_batch(&compiled, &[7, 8]) {
-//!     assert!(outcome.report().rsl_consumed > 0);
+//! for job in jobs {
+//!     assert!(job.wait().report().rsl_consumed > 0);
 //! }
 //! ```
 //!

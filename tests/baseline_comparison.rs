@@ -2,6 +2,8 @@
 //! scalable under realistic fusion failure rates while the OneQ baseline
 //! does not.
 
+use std::sync::Arc;
+
 use oneperc_suite::circuit::benchmarks::Benchmark;
 use oneperc_suite::compiler::{CompilerConfig, Session};
 use oneperc_suite::oneq::{OneqCompiler, OneqConfig};
@@ -23,7 +25,7 @@ fn oneperc_rsl(bench: Benchmark, qubits: usize, p: f64) -> u64 {
     let circuit = bench.circuit(qubits, 13);
     let session = Session::new(CompilerConfig::for_qubits(qubits, p, 13));
     let compiled = session.compile(&circuit).expect("oneperc compiles");
-    session.execute_report(&compiled).rsl_consumed
+    session.execute_shared(Arc::new(compiled), 13).report().rsl_consumed
 }
 
 /// At the practical fusion success probability (0.75) the baseline hits the

@@ -15,7 +15,7 @@ use std::time::Duration;
 use oneperc_suite::circuit::benchmarks;
 use oneperc_suite::compiler::service::{program_key, ProgramCache};
 use oneperc_suite::compiler::{
-    CompilerConfig, ExecuteOutcome, ExecutionRequest, LayerFailureReason, Session,
+    CompilerConfig, ExecuteOutcome, ExecutionRequest, JobFuture, LayerFailureReason, Session,
 };
 
 fn small_config(p: f64, seed: u64) -> CompilerConfig {
@@ -118,7 +118,7 @@ fn same_key_tenants_share_one_compile() {
                     .lanes(1)
                     .shared_program_cache(cache)
                     .build();
-                session.compile_cached(&circuit).unwrap()
+                session.compile_cached(&circuit).unwrap().program
             })
         })
         .collect();
@@ -142,7 +142,7 @@ fn dropped_handle_sheds_layers_without_perturbing_neighbours() {
     let circuit = benchmarks::qaoa(4, 2);
 
     let session = Session::builder(config).lanes(1).build();
-    let compiled = session.compile_cached(&circuit).unwrap();
+    let compiled = session.compile_cached(&circuit).unwrap().program;
 
     // Queue depth on the single lane guarantees the victim's token is
     // cancelled long before the lane reaches it.
@@ -177,7 +177,7 @@ fn explicit_cancel_reports_cancelled_outcome() {
     let config = small_config(0.8, 5);
     let circuit = benchmarks::qaoa(4, 2);
     let session = Session::builder(config).lanes(1).build();
-    let compiled = session.compile_cached(&circuit).unwrap();
+    let compiled = session.compile_cached(&circuit).unwrap().program;
 
     // Hold the lane so the victim is still queued when we cancel.
     let blocker = session.submit(ExecutionRequest::new(Arc::clone(&compiled), 1));
@@ -208,9 +208,9 @@ fn shared_cache_cross_session_hit_is_byte_identical() {
         .shared_program_cache(tenant_a.program_cache_handle())
         .build();
 
-    let first = tenant_a.compile_cached_lookup(&circuit).unwrap();
+    let first = tenant_a.compile_cached(&circuit).unwrap();
     assert!(!first.hit);
-    let second = tenant_b.compile_cached_lookup(&circuit).unwrap();
+    let second = tenant_b.compile_cached(&circuit).unwrap();
     assert!(second.hit, "tenant A's compile must serve tenant B");
     assert!(Arc::ptr_eq(&first.program, &second.program));
     assert_eq!(tenant_a.cache_stats(), tenant_b.cache_stats());
@@ -236,9 +236,12 @@ fn sweep_reports_carry_per_lookup_cache_telemetry() {
     let circuit = benchmarks::qaoa(4, 1);
     let session = Session::builder(config).lanes(2).build();
 
-    let cold = session.sweep(&circuit, &[1, 2, 3]).unwrap();
+    let sweep = || -> Vec<ExecuteOutcome> {
+        session.sweep(&circuit, &[1, 2, 3]).unwrap().into_iter().map(JobFuture::wait).collect()
+    };
+    let cold = sweep();
     assert!(cold.iter().all(|o| !o.report().service.cache_hit));
-    let warm = session.sweep(&circuit, &[1, 2, 3]).unwrap();
+    let warm = sweep();
     assert!(warm.iter().all(|o| o.report().service.cache_hit));
 
     for (c, w) in cold.iter().zip(&warm) {

@@ -1,6 +1,8 @@
 //! End-to-end integration tests: circuit → program graph → IR →
 //! instructions → online execution, across crates.
 
+use std::sync::Arc;
+
 use oneperc_suite::circuit::{benchmarks, ProgramGraph};
 use oneperc_suite::compiler::{CompilerConfig, Session};
 use oneperc_suite::ir::InstructionInterpreter;
@@ -12,11 +14,11 @@ fn all_benchmarks_compile_and_execute() {
     for bench in benchmarks::Benchmark::all() {
         let circuit = bench.circuit(4, 3);
         let session = Session::new(CompilerConfig::for_qubits(4, 0.9, 3));
-        let compiled = session.compile(&circuit).expect("offline pass succeeds");
+        let compiled = Arc::new(session.compile(&circuit).expect("offline pass succeeds"));
         assert!(compiled.mapping.complete, "{bench}: mapping incomplete");
         assert!(compiled.mapping.ir.validate().is_ok(), "{bench}: invalid IR");
 
-        let report = session.execute_report(&compiled);
+        let report = session.execute_shared(Arc::clone(&compiled), 3).into_report();
         assert!(report.complete, "{bench}: online pass did not finish");
         assert_eq!(report.logical_layers as usize, compiled.layer_count());
         assert_eq!(report.merged_layers, report.logical_layers + report.routing_layers);
@@ -77,7 +79,7 @@ fn rsl_grows_as_fusion_probability_drops() {
     for p in [0.9, 0.78, 0.7] {
         let session = Session::new(CompilerConfig::for_sensitivity(36, 2, p, 5));
         let compiled = session.compile(&circuit).expect("compilation succeeds");
-        let report = session.execute_report(&compiled);
+        let report = session.execute_shared(Arc::new(compiled), 5).into_report();
         assert!(
             report.rsl_consumed >= previous,
             "p = {p} consumed fewer RSLs ({}) than a higher probability ({previous})",
@@ -94,10 +96,13 @@ fn refresh_preserves_program_and_bounds_memory() {
     let circuit = benchmarks::qft(4);
     let base = CompilerConfig::for_sensitivity(36, 3, 0.85, 4);
     let session = Session::new(base);
-    let plain = session.execute_report(&session.compile(&circuit).unwrap());
+    let plain = session
+        .execute_shared(Arc::new(session.compile(&circuit).unwrap()), 4)
+        .into_report();
     let refreshed_session = Session::new(base.with_refresh_period(Some(6)));
-    let refreshed =
-        refreshed_session.execute_report(&refreshed_session.compile(&circuit).unwrap());
+    let refreshed = refreshed_session
+        .execute_shared(Arc::new(refreshed_session.compile(&circuit).unwrap()), 4)
+        .into_report();
     assert_eq!(plain.program_nodes, refreshed.program_nodes);
     assert!(refreshed.peak_memory_bytes <= plain.peak_memory_bytes);
 }

@@ -1,10 +1,10 @@
 //! Determinism and cache contract of the service layer (the PR-4
-//! tentpole): an [`AsyncSession`] sweep compiles exactly once through the
-//! content-addressed program cache and produces reports byte-identical
-//! (wall-clock and cache telemetry aside, via
-//! `ExecutionReport::deterministic`) to the synchronous
-//! `Session::execute_batch` path — with every `JobFuture` resolving under
-//! a minimal hand-rolled block-on executor.
+//! tentpole): a `Session::sweep` on a bounded session compiles exactly
+//! once through the content-addressed program cache and produces reports
+//! byte-identical (wall-clock and cache telemetry aside, via
+//! `ExecutionReport::deterministic`) to explicitly compiled programs
+//! submitted seed by seed — with every `JobFuture` resolving under a
+//! minimal hand-rolled block-on executor.
 //!
 //! These tests are the lock on the PR-4 acceptance criteria, in the
 //! spirit of `tests/session_determinism.rs` for PR 3.
@@ -14,9 +14,10 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use oneperc_suite::circuit::benchmarks;
-use oneperc_suite::compiler::service::{block_on, AsyncSession};
+use oneperc_suite::circuit::Circuit;
+use oneperc_suite::compiler::service::block_on;
 use oneperc_suite::compiler::{
-    CompilerConfig, ExecuteOutcome, ExecutionReport, ExecutionRequest, Session,
+    CompilerConfig, ExecuteOutcome, ExecutionReport, ExecutionRequest, JobFuture, Session,
 };
 
 const SEEDS: [u64; 16] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597];
@@ -25,23 +26,37 @@ fn deterministic(outcomes: &[ExecuteOutcome]) -> Vec<ExecutionReport> {
     outcomes.iter().map(|o| o.report().deterministic()).collect()
 }
 
-/// The acceptance sweep: ≥16 seeds through the async front-end compile
-/// exactly once (cache counters prove it) and match the synchronous batch
-/// byte for byte.
+fn wait_all(jobs: Vec<JobFuture>) -> Vec<ExecuteOutcome> {
+    jobs.into_iter().map(JobFuture::wait).collect()
+}
+
+/// The explicit-program reference: compiles `circuit` on `session`, submits
+/// one job per seed, then waits for them all, in seed order.
+fn compile_and_submit(session: &Session, circuit: &Circuit, seeds: &[u64]) -> Vec<ExecuteOutcome> {
+    let compiled = Arc::new(session.compile(circuit).unwrap());
+    wait_all(
+        seeds
+            .iter()
+            .map(|&seed| session.submit(ExecutionRequest::new(Arc::clone(&compiled), seed)))
+            .collect(),
+    )
+}
+
+/// The acceptance sweep: ≥16 seeds through a bounded session's sweep
+/// compile exactly once (cache counters prove it) and match the
+/// explicitly compiled reference byte for byte.
 #[test]
 fn async_sweep_compiles_once_and_matches_sync_batch() {
     let circuit = benchmarks::qaoa(4, 2);
     let config = CompilerConfig::for_sensitivity(36, 3, 0.8, 0);
 
-    // Synchronous reference: explicit compile + batch.
-    let session = Session::new(config);
-    let compiled = session.compile(&circuit).unwrap();
-    let sync = deterministic(&session.execute_batch(&compiled, &SEEDS));
+    // Reference: explicit compile, one submission per seed.
+    let sync = deterministic(&compile_and_submit(&Session::new(config), &circuit, &SEEDS));
 
-    // Async path: the sweep resolves the circuit through the cache and the
-    // admission window (narrower than the sweep, so submission exercises
-    // backpressure parking too).
-    let service = AsyncSession::builder(config).lanes(2).queue_depth(4).build();
+    // Cached path: the sweep resolves the circuit through the cache and
+    // the admission window (narrower than the sweep, so submission
+    // exercises backpressure parking too).
+    let service = Session::builder(config).lanes(2).queue_depth(4).build();
     let futures = service.sweep(&circuit, &SEEDS).unwrap();
     assert_eq!(futures.len(), SEEDS.len());
     let outcomes: Vec<ExecuteOutcome> = futures.into_iter().map(block_on).collect();
@@ -72,7 +87,7 @@ fn async_sweep_compiles_once_and_matches_sync_batch() {
 fn per_seed_submissions_share_one_compile() {
     let circuit = benchmarks::qft(4);
     let config = CompilerConfig::for_sensitivity(36, 3, 0.85, 0);
-    let service = AsyncSession::builder(config).lanes(2).build();
+    let service = Session::builder(config).lanes(2).queue_depth(16).build();
 
     let futures: Vec<_> = SEEDS
         .iter()
@@ -85,17 +100,15 @@ fn per_seed_submissions_share_one_compile() {
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.hits, SEEDS.len() as u64 - 1);
 
-    let session = Session::new(config);
-    let compiled = session.compile(&circuit).unwrap();
     assert_eq!(
         deterministic(&outcomes),
-        deterministic(&session.execute_batch(&compiled, &SEEDS))
+        deterministic(&compile_and_submit(&Session::new(config), &circuit, &SEEDS))
     );
 }
 
 /// Cache semantics: hit-vs-miss byte-identity across seeds — executions
 /// from a cached (hit) program equal executions from a freshly compiled
-/// (miss) one, and the synchronous `Session::sweep` shares the contract.
+/// (miss) one.
 #[test]
 fn hit_and_miss_programs_execute_identically() {
     let circuit = benchmarks::rca(4);
@@ -103,12 +116,12 @@ fn hit_and_miss_programs_execute_identically() {
 
     // Fresh session per run → every sweep is a miss.
     let miss_session = Session::new(config);
-    let from_miss = deterministic(&miss_session.sweep(&circuit, &SEEDS[..8]).unwrap());
+    let from_miss = deterministic(&wait_all(miss_session.sweep(&circuit, &SEEDS[..8]).unwrap()));
 
     // One warm session → first sweep misses, second hits.
     let warm = Session::new(config);
-    let first = deterministic(&warm.sweep(&circuit, &SEEDS[..8]).unwrap());
-    let second = deterministic(&warm.sweep(&circuit, &SEEDS[..8]).unwrap());
+    let first = deterministic(&wait_all(warm.sweep(&circuit, &SEEDS[..8]).unwrap()));
+    let second = deterministic(&wait_all(warm.sweep(&circuit, &SEEDS[..8]).unwrap()));
     assert_eq!(warm.cache_stats().hits, 1);
     assert_eq!(warm.cache_stats().misses, 1);
 
@@ -118,7 +131,7 @@ fn hit_and_miss_programs_execute_identically() {
     // The shared artifact really is shared: two cached compiles alias.
     let a = warm.compile_cached(&circuit).unwrap();
     let b = warm.compile_cached(&circuit).unwrap();
-    assert!(Arc::ptr_eq(&a, &b));
+    assert!(Arc::ptr_eq(&a.program, &b.program));
 }
 
 /// Eviction under a tiny capacity: a capacity-1 cache thrashes between two
@@ -131,18 +144,12 @@ fn eviction_under_tiny_capacity_keeps_results_correct() {
     let qft = benchmarks::qft(4);
 
     let reference = Session::new(config);
-    let qaoa_ref = deterministic(&reference.execute_batch(
-        &reference.compile(&qaoa).unwrap(),
-        &SEEDS[..4],
-    ));
-    let qft_ref = deterministic(&reference.execute_batch(
-        &reference.compile(&qft).unwrap(),
-        &SEEDS[..4],
-    ));
+    let qaoa_ref = deterministic(&compile_and_submit(&reference, &qaoa, &SEEDS[..4]));
+    let qft_ref = deterministic(&compile_and_submit(&reference, &qft, &SEEDS[..4]));
 
     for round in 0..2 {
-        let a = deterministic(&tiny.sweep(&qaoa, &SEEDS[..4]).unwrap());
-        let b = deterministic(&tiny.sweep(&qft, &SEEDS[..4]).unwrap());
+        let a = deterministic(&wait_all(tiny.sweep(&qaoa, &SEEDS[..4]).unwrap()));
+        let b = deterministic(&wait_all(tiny.sweep(&qft, &SEEDS[..4]).unwrap()));
         assert_eq!(a, qaoa_ref, "round {round}");
         assert_eq!(b, qft_ref, "round {round}");
     }
@@ -177,13 +184,13 @@ fn config_knobs_split_cache_lines_but_seeds_do_not() {
 
     // And behaviorally: a session re-keyed only by seed keeps hitting…
     let session = Session::new(base);
-    session.sweep(&circuit, &[1]).unwrap();
-    session.sweep(&circuit, &[2, 3]).unwrap();
+    wait_all(session.sweep(&circuit, &[1]).unwrap());
+    wait_all(session.sweep(&circuit, &[2, 3]).unwrap());
     assert_eq!(session.cache_stats().misses, 1, "seed changes must reuse the artifact");
     // …while each knob variant compiles fresh in its own session.
     for variant in variants {
         let other = Session::new(variant);
-        other.sweep(&circuit, &[1]).unwrap();
+        wait_all(other.sweep(&circuit, &[1]).unwrap());
         assert_eq!(other.cache_stats().misses, 1);
     }
 }
@@ -193,8 +200,8 @@ fn config_knobs_split_cache_lines_but_seeds_do_not() {
 #[test]
 fn try_submit_sheds_load_when_the_window_fills() {
     let config = CompilerConfig::for_sensitivity(36, 3, 0.8, 0);
-    let service = AsyncSession::builder(config).queue_depth(2).build();
-    let compiled = service.compile_cached(&benchmarks::qaoa(4, 2)).unwrap();
+    let service = Session::builder(config).queue_depth(2).build();
+    let compiled = service.compile_cached(&benchmarks::qaoa(4, 2)).unwrap().program;
 
     // Saturate the window, counting refusals: with depth 2 and jobs that
     // take milliseconds, refusals must appear well before 64 attempts.
@@ -261,7 +268,7 @@ fn job_future_resolves_under_a_hand_rolled_executor() {
     }
 
     let config = CompilerConfig::for_sensitivity(36, 3, 0.85, 0);
-    let service = AsyncSession::new(config);
+    let service = Session::new(config);
     let circuit = benchmarks::qaoa(4, 2);
 
     let future = service.submit_circuit(&circuit, 7).unwrap();
@@ -269,8 +276,8 @@ fn job_future_resolves_under_a_hand_rolled_executor() {
     assert!(outcome.is_complete());
     assert!(polls >= 1);
 
-    // Reference equality with the synchronous path.
-    let sync = service.session().execute_shared(service.compile_cached(&circuit).unwrap(), 7);
+    // Reference equality with the parking path.
+    let sync = service.execute_shared(service.compile_cached(&circuit).unwrap().program, 7);
     assert_eq!(outcome.report().deterministic(), sync.report().deterministic());
 }
 
@@ -279,17 +286,17 @@ fn job_future_resolves_under_a_hand_rolled_executor() {
 #[test]
 fn futures_redeem_out_of_order_without_mixing_seeds() {
     let config = CompilerConfig::for_sensitivity(36, 3, 0.82, 0);
-    let service = AsyncSession::builder(config).lanes(3).build();
+    let service = Session::builder(config).lanes(3).queue_depth(16).build();
     let circuit = benchmarks::vqe(4, 1);
 
     let futures = service.sweep(&circuit, &SEEDS[..6]).unwrap();
     let session = Session::new(config);
-    let compiled = session.compile(&circuit).unwrap();
+    let compiled = Arc::new(session.compile(&circuit).unwrap());
 
     for future in futures.into_iter().rev() {
         let seed = future.seed();
         let outcome = block_on(future);
-        let solo = session.execute(&compiled, seed);
+        let solo = session.execute_shared(Arc::clone(&compiled), seed);
         assert_eq!(
             outcome.report().deterministic(),
             solo.report().deterministic(),

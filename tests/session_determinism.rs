@@ -1,9 +1,9 @@
 //! Determinism contract of the session API: per `(config, circuit, seed)`,
 //! a warm [`Session`] produces reports byte-identical (wall-clock fields
 //! aside, via `ExecutionReport::deterministic`) to a fresh single-lane,
-//! in-thread session per seed — regardless of batch size, submission
-//! order, lane count, renormalization worker count, or how many
-//! executions the session has already served.
+//! in-thread session per seed — regardless of how many seeds are
+//! submitted at once, submission order, lane count, renormalization
+//! worker count, or how many executions the session has already served.
 //!
 //! In the spirit of `tests/pipeline_determinism.rs`: any state leaking
 //! across `ReshapeEngine::reset`, any cross-lane RNG contamination, and
@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use oneperc_suite::circuit::benchmarks;
 use oneperc_suite::compiler::{
-    CompilerConfig, ExecuteOutcome, ExecutionReport, ExecutionRequest, JobFuture, Session,
+    CompiledProgram, CompilerConfig, ExecutionReport, ExecutionRequest, JobFuture, Session,
 };
 
 const SEEDS: [u64; 16] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597];
@@ -25,13 +25,26 @@ fn cold_reports(config: CompilerConfig, circuit: &oneperc_suite::circuit::Circui
         .map(|&seed| {
             let session = Session::new(config.with_seed(seed).with_renorm_workers(0));
             let compiled = session.compile(circuit).expect("offline pass succeeds");
-            session.execute_report(&compiled).deterministic()
+            session.execute_shared(Arc::new(compiled), seed).into_report().deterministic()
         })
         .collect()
 }
 
-fn batch_reports(outcomes: &[ExecuteOutcome]) -> Vec<ExecutionReport> {
-    outcomes.iter().map(|o| o.report().deterministic()).collect()
+/// Submits one job per seed, then waits for them all, in seed order.
+fn batch_reports(
+    session: &Session,
+    compiled: &Arc<CompiledProgram>,
+    seeds: &[u64],
+) -> Vec<ExecutionReport> {
+    let jobs: Vec<JobFuture> = seeds
+        .iter()
+        .map(|&seed| session.submit(ExecutionRequest::new(Arc::clone(compiled), seed)))
+        .collect();
+    jobs.into_iter().map(|job| job.wait().into_report().deterministic()).collect()
+}
+
+fn compile(session: &Session, circuit: &oneperc_suite::circuit::Circuit) -> Arc<CompiledProgram> {
+    Arc::new(session.compile(circuit).unwrap())
 }
 
 /// The acceptance sweep: a 16-seed batch through one warm session equals 16
@@ -43,29 +56,31 @@ fn warm_16_seed_sweep_matches_cold_per_call_runs() {
     let cold = cold_reports(config, &circuit);
 
     let session = Session::new(config);
-    let compiled = session.compile(&circuit).unwrap();
-    let warm = batch_reports(&session.execute_batch(&compiled, &SEEDS));
+    let compiled = compile(&session, &circuit);
+    let warm = batch_reports(&session, &compiled, &SEEDS);
     assert_eq!(warm, cold);
     assert!(warm.iter().all(|r| r.complete));
 }
 
-/// Batch size and chunking never change per-seed results: one 16-batch,
-/// four 4-batches and sixteen single executions all agree.
+/// Batch size and chunking never change per-seed results: 16 jobs in
+/// flight, four rounds of 4 and sixteen single executions all agree.
 #[test]
 fn batch_size_is_unobservable() {
     let circuit = benchmarks::qft(4);
     let config = CompilerConfig::for_sensitivity(36, 3, 0.85, 0);
     let session = Session::new(config);
-    let compiled = session.compile(&circuit).unwrap();
+    let compiled = compile(&session, &circuit);
 
-    let whole = batch_reports(&session.execute_batch(&compiled, &SEEDS));
+    let whole = batch_reports(&session, &compiled, &SEEDS);
     let chunked: Vec<ExecutionReport> = SEEDS
         .chunks(4)
-        .flat_map(|chunk| batch_reports(&session.execute_batch(&compiled, chunk)))
+        .flat_map(|chunk| batch_reports(&session, &compiled, chunk))
         .collect();
     let singles: Vec<ExecutionReport> = SEEDS
         .iter()
-        .map(|&seed| session.execute(&compiled, seed).report().deterministic())
+        .map(|&seed| {
+            session.execute_shared(Arc::clone(&compiled), seed).report().deterministic()
+        })
         .collect();
     assert_eq!(whole, chunked);
     assert_eq!(whole, singles);
@@ -82,11 +97,11 @@ fn lane_count_and_submission_order_are_unobservable() {
     for lanes in [1usize, 2, 24] {
         let session = Session::builder(config).lanes(lanes).build();
         assert_eq!(session.lane_count(), lanes);
-        let compiled = session.compile(&circuit).unwrap();
-        let forward = batch_reports(&session.execute_batch(&compiled, &SEEDS));
+        let compiled = compile(&session, &circuit);
+        let forward = batch_reports(&session, &compiled, &SEEDS);
         // Reversed submission: collect, then restore seed order.
         let reversed_seeds: Vec<u64> = SEEDS.iter().rev().copied().collect();
-        let mut reversed = batch_reports(&session.execute_batch(&compiled, &reversed_seeds));
+        let mut reversed = batch_reports(&session, &compiled, &reversed_seeds);
         reversed.reverse();
         assert_eq!(forward, reversed, "lanes = {lanes}: submission order leaked");
         match &baseline {
@@ -111,8 +126,8 @@ fn renorm_worker_count_is_unobservable() {
             session.renorm_pool_workers(),
             (workers > 0).then_some(workers)
         );
-        let compiled = session.compile(&circuit).unwrap();
-        let reports = batch_reports(&session.execute_batch(&compiled, &SEEDS[..8]));
+        let compiled = compile(&session, &circuit);
+        let reports = batch_reports(&session, &compiled, &SEEDS[..8]);
         match &baseline {
             None => baseline = Some(reports),
             Some(expected) => assert_eq!(&reports, expected, "workers={workers}"),
@@ -127,10 +142,10 @@ fn renorm_worker_count_is_unobservable() {
 fn long_lived_session_stays_clean() {
     let config = CompilerConfig::for_sensitivity(36, 3, 0.82, 0);
     let session = Session::builder(config).lanes(2).build();
-    let qaoa = Arc::new(session.compile(&benchmarks::qaoa(4, 1)).unwrap());
-    let vqe = Arc::new(session.compile(&benchmarks::vqe(4, 1)).unwrap());
+    let qaoa = compile(&session, &benchmarks::qaoa(4, 1));
+    let vqe = compile(&session, &benchmarks::vqe(4, 1));
 
-    let first = session.execute(&qaoa, 31).report().deterministic();
+    let first = session.execute_shared(Arc::clone(&qaoa), 31).report().deterministic();
     // Churn: interleave programs and seeds through both lanes.
     let handles: Vec<JobFuture> = (0..24u64)
         .map(|i| {
@@ -142,6 +157,6 @@ fn long_lived_session_stays_clean() {
         let _ = handle.wait();
     }
     // The same request after the churn reproduces the first answer.
-    let again = session.execute(&qaoa, 31).report().deterministic();
+    let again = session.execute_shared(Arc::clone(&qaoa), 31).report().deterministic();
     assert_eq!(first, again);
 }
