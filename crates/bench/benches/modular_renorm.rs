@@ -1,7 +1,6 @@
 //! Criterion bench behind Fig. 14(b) and the Fig. 13(c) ablation: modular
-//! versus non-modular 2D renormalization of the same random layer.
-
-use std::sync::Arc;
+//! renormalization (every module in one thread, then the join) versus
+//! non-modular 2D renormalization of the same random layer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_hardware::{FusionEngine, HardwareConfig};
@@ -12,9 +11,6 @@ fn bench_modular_renorm(c: &mut Criterion) {
     let node_size = 6;
     let mut engine = FusionEngine::new(HardwareConfig::new(rsl, 7, 0.75), 11);
     let layer = engine.generate_layer();
-    // The pooled path shares the layer with its workers; holding the Arc
-    // outside the timing loop keeps the A/B free of per-iteration copies.
-    let shared = Arc::new(layer.clone());
 
     let mut group = c.benchmark_group("modular_renorm");
     group.sample_size(10);
@@ -23,20 +19,11 @@ fn bench_modular_renorm(c: &mut Criterion) {
     });
     for &modules_per_side in &[2usize, 3, 4] {
         group.bench_with_input(
-            BenchmarkId::new("modular_parallel", modules_per_side * modules_per_side),
-            &modules_per_side,
-            |b, &g| {
-                let mut renormalizer =
-                    ModularRenormalizer::new(ModularConfig::new(g, 7, node_size));
-                b.iter(|| std::hint::black_box(renormalizer.run_shared(&shared).joined_nodes));
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("modular_sequential", modules_per_side * modules_per_side),
             &modules_per_side,
             |b, &g| {
                 let mut renormalizer =
-                    ModularRenormalizer::new(ModularConfig::new(g, 7, node_size).sequential());
+                    ModularRenormalizer::new(ModularConfig::new(g, 7, node_size));
                 b.iter(|| std::hint::black_box(renormalizer.run(&layer).joined_nodes));
             },
         );

@@ -2,8 +2,6 @@
 //! states — (a) suitable average node size vs RSL size, (b) PL ratio vs
 //! program size, (c) renormalized size vs number of modules / MI ratio.
 
-use std::time::Instant;
-
 use oneperc::CompilerConfig;
 use oneperc_bench::{renorm_success_rate, run_oneperc_with_config, ExperimentArgs};
 use oneperc_circuit::benchmarks::Benchmark;
@@ -64,7 +62,6 @@ fn main() {
     let node_size = 6;
     let mut engine = FusionEngine::new(HardwareConfig::new(rsl, 7, 0.75), args.seed);
     let layer = engine.generate_layer();
-    let shared = std::sync::Arc::new(layer.clone());
     println!("\nFig 13(c): renormalized size vs number of modules ({rsl}x{rsl} RSL, p = 0.75)");
 
     let unlimited = renormalize(&layer, node_size).node_count();
@@ -85,7 +82,7 @@ fn main() {
 
         for &mi_ratio in &[2usize, 4, 7, 14, 19] {
             let config = ModularConfig::new(modules_per_side, mi_ratio, node_size);
-            let outcome = ModularRenormalizer::new(config).run_shared(&shared);
+            let outcome = ModularRenormalizer::new(config).run(&layer);
             println!(
                 "modules = {modules:>2}, MI ratio = {mi_ratio:>2}      {:>10}",
                 outcome.joined_nodes
@@ -96,28 +93,6 @@ fn main() {
             ));
         }
     }
-
-    // Also report the wall-clock advantage of the modular approach, which is
-    // the motivation for accepting the joining overhead. Both sides are
-    // warmed outside the timed window — the online pass keeps its
-    // renormalizer (scratch and worker pool) alive across the RSL stream,
-    // so per-layer latency excludes scratch allocation and pool startup on
-    // either path.
-    let mut plain = Renormalizer::new();
-    let _ = plain.renormalize(&layer, node_size);
-    let start = Instant::now();
-    let _ = plain.renormalize(&layer, node_size);
-    let non_modular_time = start.elapsed();
-    let mut modular_renorm = ModularRenormalizer::new(ModularConfig::new(3, 7, node_size));
-    let _ = modular_renorm.run_shared(&shared);
-    let start = Instant::now();
-    let _ = modular_renorm.run_shared(&shared);
-    let modular_time = start.elapsed();
-    println!(
-        "\nnon-modular {:.1} ms vs modular (9 modules, parallel) {:.1} ms",
-        non_modular_time.as_secs_f64() * 1e3,
-        modular_time.as_secs_f64() * 1e3
-    );
 
     let path = args.write_csv(
         "fig13.csv",

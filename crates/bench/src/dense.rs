@@ -1194,7 +1194,7 @@ mod tests {
         use oneperc_hardware::FusionEngine;
         use oneperc_percolation::ModularRenormalizer;
 
-        let cfg = ModularConfig::new(2, 7, 6).sequential();
+        let cfg = ModularConfig::new(2, 7, 6);
         let mut engine = FusionEngine::new(HardwareConfig::new(40, 7, 0.75), 23);
         let mut scalar = ScalarRenormalizer::new();
         let mut word = ModularRenormalizer::new(cfg);

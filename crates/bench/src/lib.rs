@@ -17,14 +17,14 @@
 //! | `table3` | Table 3: `#RSL` with and without refresh under a RAM budget |
 //! | `fig12` | Fig. 12: `#RSL` vs resource-state size, RSL size and fusion probability |
 //! | `fig13` | Fig. 13: suitable node size, PL ratio, modular renormalized size |
-//! | `fig14` | Fig. 14: online time per RSL vs program size and RSL size |
+//! | `fig14` | Fig. 14: online time per RSL vs program size; vs RSL size, non-modular against the slowest module (joining not timed) |
 //! | `fig15` | Fig. 15: offline compile time vs program and virtual-hardware size |
 //! | `fig16` | Fig. 16: renormalization success rate vs average node size |
 //!
 //! | Criterion bench | Measures |
 //! |---|---|
 //! | `online_per_rsl` | per-RSL renormalize, `spans_target` and generate + renormalize (Fig. 14(a)); generation alone for merged 4-qubit and unmerged 7-qubit states, at L = 120 (p = 0.75) and L = 36 (p = 0.9) |
-//! | `modular_renorm` | modular vs non-modular renormalization of one layer (Figs. 13(c), 14(b)) |
+//! | `modular_renorm` | modular (all modules in one thread, then the join) vs non-modular renormalization of one layer (Figs. 13(c), 14(b)) |
 //! | `offline_mapping` | mapping time vs program size and virtual-hardware size (Fig. 15) |
 //! | `mapper_ablation` | dynamic vs static scheduling and the incomplete-node occupancy limit |
 //! | `baseline_retry` | OneQ repeat-until-success simulation cost vs fusion probability (Table 2) |

@@ -318,7 +318,7 @@ fn modular_pipeline_matches_scalar_reference() {
                 let mut engine = FusionEngine::new(cfg, 99);
                 let layer = engine.generate_layer();
                 for &(g, r, node) in &[(2usize, 7usize, 6usize), (2, 7, 1), (3, 4, 3)] {
-                    let mcfg = ModularConfig::new(g, r, node).sequential();
+                    let mcfg = ModularConfig::new(g, r, node);
                     let mut word = ModularRenormalizer::new(mcfg);
                     let got = word.run(&layer);
                     let want = scalar_modular_outcome(&layer, &mcfg, &mut scalar);

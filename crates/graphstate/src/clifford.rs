@@ -56,23 +56,6 @@ impl MeasBasis {
         }
     }
 
-    /// Feed-forward adjustment of an equatorial angle: `α → (-1)^s α + tπ`
-    /// driven by prior measurement outcomes `s, t ∈ {0, 1}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the basis is not equatorial.
-    pub fn feed_forward(&self, s: bool, t: bool) -> MeasBasis {
-        let alpha = self
-            .equatorial_angle()
-            .expect("feed-forward applies to equatorial measurements");
-        let mut new_alpha = if s { -alpha } else { alpha };
-        if t {
-            new_alpha += std::f64::consts::PI;
-        }
-        MeasBasis::equatorial(new_alpha)
-    }
-
     /// Approximate equality of directions (up to 1e-9 per component).
     pub fn approx_eq(&self, other: &MeasBasis) -> bool {
         self.dir
@@ -95,17 +78,7 @@ impl fmt::Display for MeasBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, PI};
-
-    #[test]
-    fn feed_forward_angle_adjustment() {
-        let m = MeasBasis::equatorial(0.7);
-        let adj = m.feed_forward(true, true);
-        let expected = MeasBasis::equatorial(-0.7 + PI);
-        assert!(adj.approx_eq(&expected));
-        let unchanged = m.feed_forward(false, false);
-        assert!(unchanged.approx_eq(&m));
-    }
+    use std::f64::consts::FRAC_PI_2;
 
     #[test]
     fn equatorial_angle_roundtrip() {

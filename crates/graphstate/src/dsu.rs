@@ -202,13 +202,6 @@ impl DisjointSet {
     pub fn same_set(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let root = self.find(x);
-        // O(n); only used in tests / statistics, never in the hot path.
-        (0..self.len()).filter(|&i| self.find(i) == root).count()
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +226,6 @@ mod tests {
         assert_eq!(dsu.set_count(), 4);
         assert!(dsu.same_set(0, 2));
         assert!(!dsu.same_set(0, 3));
-        assert_eq!(dsu.set_size(0), 3);
     }
 
     #[test]

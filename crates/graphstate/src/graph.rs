@@ -227,77 +227,6 @@ impl GraphState {
         out
     }
 
-    /// Returns the vertices of the largest connected component, or an empty
-    /// vector for an empty graph.
-    pub fn largest_component(&self) -> Vec<VertexId> {
-        let mut best: Vec<VertexId> = Vec::new();
-        let mut visited = vec![false; self.adj.len()];
-        for v in self.vertices() {
-            if visited[v] {
-                continue;
-            }
-            let comp = self.component(v);
-            for &u in &comp {
-                visited[u] = true;
-            }
-            if comp.len() > best.len() {
-                best = comp;
-            }
-        }
-        best
-    }
-
-    /// Breadth-first shortest path from `src` to `dst` restricted to vertices
-    /// for which `allowed` returns `true` (both endpoints must be allowed).
-    /// Returns the vertex sequence including both endpoints, or `None` when
-    /// no such path exists.
-    pub fn shortest_path_filtered<F>(
-        &self,
-        src: VertexId,
-        dst: VertexId,
-        allowed: F,
-    ) -> Option<Vec<VertexId>>
-    where
-        F: Fn(VertexId) -> bool,
-    {
-        if !self.contains(src) || !self.contains(dst) || !allowed(src) || !allowed(dst) {
-            return None;
-        }
-        if src == dst {
-            return Some(vec![src]);
-        }
-        let mut prev: Vec<Option<VertexId>> = vec![None; self.adj.len()];
-        let mut seen = vec![false; self.adj.len()];
-        let mut queue = VecDeque::new();
-        seen[src] = true;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            for &w in &self.adj[u] {
-                if !seen[w] && allowed(w) {
-                    seen[w] = true;
-                    prev[w] = Some(u);
-                    if w == dst {
-                        let mut path = vec![dst];
-                        let mut cur = dst;
-                        while let Some(p) = prev[cur] {
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(w);
-                }
-            }
-        }
-        None
-    }
-
-    /// Breadth-first shortest path between two vertices over the whole graph.
-    pub fn shortest_path(&self, src: VertexId, dst: VertexId) -> Option<Vec<VertexId>> {
-        self.shortest_path_filtered(src, dst, |_| true)
-    }
-
     /// Returns `true` when `src` and `dst` are in the same connected
     /// component.
     pub fn connected(&self, src: VertexId, dst: VertexId) -> bool {
@@ -555,40 +484,6 @@ mod tests {
         g.add_edge(4, 5);
         assert_eq!(g.component(0), vec![0, 1, 2]);
         assert_eq!(g.component(3), vec![3]);
-        assert_eq!(g.largest_component(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn shortest_path_on_grid() {
-        // 3x3 grid, path from corner to corner has 5 vertices.
-        let mut g = GraphState::with_vertices(9);
-        let idx = |r: usize, c: usize| r * 3 + c;
-        for r in 0..3 {
-            for c in 0..3 {
-                if c + 1 < 3 {
-                    g.add_edge(idx(r, c), idx(r, c + 1));
-                }
-                if r + 1 < 3 {
-                    g.add_edge(idx(r, c), idx(r + 1, c));
-                }
-            }
-        }
-        let p = g.shortest_path(idx(0, 0), idx(2, 2)).unwrap();
-        assert_eq!(p.len(), 5);
-        assert_eq!(p[0], idx(0, 0));
-        assert_eq!(*p.last().unwrap(), idx(2, 2));
-        // Filtered search that forbids the center must go around it.
-        let p2 = g
-            .shortest_path_filtered(idx(0, 0), idx(2, 2), |v| v != idx(1, 1))
-            .unwrap();
-        assert_eq!(p2.len(), 5);
-        assert!(!p2.contains(&idx(1, 1)));
-    }
-
-    #[test]
-    fn shortest_path_absent() {
-        let g = GraphState::with_vertices(4);
-        assert!(g.shortest_path(0, 3).is_none());
     }
 
     #[test]

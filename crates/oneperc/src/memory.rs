@@ -37,17 +37,6 @@ impl MemoryModel {
     pub fn peak_bytes(&self, rsl_size: usize, retained_layers: u64) -> u64 {
         (rsl_size as u64) * (rsl_size as u64) * retained_layers * self.bytes_per_site
     }
-
-    /// Peak memory in gibibytes.
-    pub fn peak_gib(&self, rsl_size: usize, retained_layers: u64) -> f64 {
-        self.peak_bytes(rsl_size, retained_layers) as f64 / (1u64 << 30) as f64
-    }
-
-    /// Returns `true` when the estimated peak fits within a RAM budget given
-    /// in gibibytes.
-    pub fn fits(&self, rsl_size: usize, retained_layers: u64, budget_gib: f64) -> bool {
-        self.peak_gib(rsl_size, retained_layers) <= budget_gib
-    }
 }
 
 #[cfg(test)]
@@ -56,24 +45,18 @@ mod tests {
 
     #[test]
     fn paper_scale_footprints() {
+        const GIB: u64 = 1 << 30;
         let model = MemoryModel::default();
         // 64-qubit benchmarks: 192x192 RSL, ~10 000 merged layers without
         // refresh lands in the hundred-GB range.
-        let no_refresh = model.peak_gib(192, 10_000);
-        assert!(no_refresh > 100.0, "expected >100 GiB, got {no_refresh}");
+        let no_refresh = model.peak_bytes(192, 10_000);
+        assert!(no_refresh > 100 * GIB, "expected >100 GiB, got {no_refresh} B");
         // 25-qubit benchmarks without refresh stay within 32 GB.
-        let small = model.peak_gib(120, 3_000);
-        assert!(small < 32.0, "expected <32 GiB, got {small}");
+        let small = model.peak_bytes(120, 3_000);
+        assert!(small < 32 * GIB, "expected <32 GiB, got {small} B");
         // 100-qubit benchmarks with a 50-layer refresh window fit in 32 GB.
-        let refreshed = model.peak_gib(240, 150);
-        assert!(refreshed < 32.0, "expected <32 GiB, got {refreshed}");
-    }
-
-    #[test]
-    fn fits_matches_threshold() {
-        let model = MemoryModel::new(1024);
-        assert!(model.fits(100, 10, 1.0));
-        assert!(!model.fits(1000, 10_000, 1.0));
-        assert_eq!(model.peak_bytes(10, 2), 100 * 2 * 1024);
+        let refreshed = model.peak_bytes(240, 150);
+        assert!(refreshed < 32 * GIB, "expected <32 GiB, got {refreshed} B");
+        assert_eq!(MemoryModel::new(1024).peak_bytes(10, 2), 100 * 2 * 1024);
     }
 }

@@ -17,13 +17,13 @@
 //! * [`ModularRenormalizer`] — the modular variant that splits the RSL into
 //!   independently-processed modules separated by joining intervals,
 //!   trading a small resource overhead for a large reduction in real-time
-//!   latency (Fig. 10, Fig. 13(c), Fig. 14(b)).
+//!   latency (Fig. 10, Fig. 13(c), Fig. 14(b)). It renormalizes the modules
+//!   in the caller's thread, one after another.
 //! * [`WorkerPool`] — persistent workers fed from one shared queue,
-//!   amortizing thread startup across the RSL stream. A job is either a
-//!   region lattice (the modular renormalizer) or one merged layer,
-//!   generated from its key and decided (the reshaping engine). The pool
-//!   multiplexes any number of submitters: each [`PoolClient`] has a
-//!   private reply channel and slot sequence, so concurrent batches
+//!   amortizing thread startup across the RSL stream. A job is one merged
+//!   layer, generated from its key and decided (the reshaping engine). The
+//!   pool multiplexes any number of submitters: each [`PoolClient`] has a
+//!   private reply channel and slot sequence, so concurrent streams
 //!   interleave on the workers without ever mixing results, and a client
 //!   waiting for a result runs queued jobs itself.
 //! * [`ReshapeEngine`] — the (2+1)-D driver that consumes a stream of RSLs,
@@ -48,32 +48,23 @@
 //! first `target_side` column and row bands all percolate, which the
 //! word-parallel band gate answers without extracting a path (see
 //! [`Renormalizer::spans_target`] for the planarity argument). Only the
-//! connect step carries state from one layer to the next. Two independent
-//! levers spread that stream across cores, and both are
-//! determinism-preserving — with a fixed seed they produce identical
-//! reports and byte-identical [`RenormalizedLattice`]s to the fully serial
-//! path, for any worker count:
-//!
-//! * **Stream fan-out** (`ReshapeEngine::with_renorm_client`): layer `i`
-//!   of a run is a pure function of `(config, seed, i)`
-//!   ([`oneperc_hardware::layer_key`]), so each upcoming layer is one pool
-//!   job that generates it into the running thread's own buffer and
-//!   decides it. A bounded window of jobs runs ahead of consumption, the
-//!   answers (counters and verdict, never the layer) are collected
-//!   strictly in stream order, and the engine runs queued jobs while it
-//!   waits. Every layer is consumed in order whatever its logical/routing
-//!   fate, so a job submitted ahead is wasted only when a run ends.
-//!   Time-like fusion outcomes draw from their own seeded sampler in the
-//!   engine thread, the only stream that runs through the layers in
-//!   order.
-//! * **Module fan-out** (`ModularRenormalizer` on a [`WorkerPool`]):
-//!   modules of one layer are renormalized by persistent workers fed from
-//!   a queue. Each worker permanently owns one `Renormalizer` (and thus
-//!   one [`ScratchPool`]); layers are shared with workers as
-//!   `Arc<PhysicalLayer>` for the duration of a batch only, and results
-//!   are written back by slot so worker scheduling cannot reorder them.
-//!   Scratch pools never migrate between workers mid-search; their epoch
-//!   stamps make cross-layer reuse reset-free.
+//! connect step carries state from one layer to the next. One lever
+//! spreads that stream across cores, **stream fan-out**
+//! (`ReshapeEngine::with_renorm_client`), and it is determinism-preserving:
+//! with a fixed seed it produces identical reports and byte-identical
+//! [`RenormalizedLattice`]s to the fully serial path, for any worker count.
+//! Layer `i` of a run is a pure function of `(config, seed, i)`
+//! ([`oneperc_hardware::layer_key`]), so each upcoming layer is one pool
+//! job that generates it into the running thread's own buffer and decides
+//! it. A bounded window of jobs runs ahead of consumption, the answers
+//! (counters and verdict, never the layer) are collected strictly in
+//! stream order, and the engine runs queued jobs while it waits. Every
+//! layer is consumed in order whatever its logical/routing fate, so a job
+//! submitted ahead is wasted only when a run ends. Time-like fusion
+//! outcomes draw from their own seeded sampler in the engine thread, the
+//! only stream that runs through the layers in order. Each worker
+//! permanently owns one `Renormalizer` (and thus one [`ScratchPool`]),
+//! whose epoch stamps make cross-layer reuse reset-free.
 //!
 //! # Flat-index site convention
 //!
@@ -118,8 +109,8 @@ pub mod sync;
 mod timelike;
 
 pub use cancel::CancelToken;
-pub use modular::{ModularConfig, ModularOutcome, ModularRenormalizer, ModuleLayout};
-pub use pool::{panic_message, ModuleRegion, PoolClient, WorkerPool};
+pub use modular::{ModularConfig, ModularOutcome, ModularRenormalizer, ModuleLayout, ModuleRegion};
+pub use pool::{panic_message, PoolClient, WorkerPool};
 pub use renormalize::{renormalize, RenormalizedLattice, Renormalizer};
 pub use scratch::ScratchPool;
 pub use timelike::{

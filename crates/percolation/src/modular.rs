@@ -3,20 +3,20 @@
 //! To keep the real-time latency of the online pass within the photon
 //! lifetime, the RSL is split into `g × g` modules of side `L_module`
 //! separated by joining intervals of width `L_interval` (the *MI ratio* is
-//! `L_module / L_interval`). Modules are renormalized independently — in
-//! this implementation on a persistent [`WorkerPool`] whose workers each
-//! own their flat-grid scratch, amortizing thread startup across the whole
-//! RSL stream — and then joined by searching connecting paths across the
-//! intervals. An entire coarse row or column of the joined lattice only
-//! survives if every inter-module joining path along it is found, which is
-//! the resource overhead studied in Fig. 13(c).
-
-use crate::sync::Arc;
+//! `L_module / L_interval`). Modules are renormalized independently and
+//! then joined by searching connecting paths across the intervals. An
+//! entire coarse row or column of the joined lattice only survives if
+//! every inter-module joining path along it is found, which is the
+//! resource overhead studied in Fig. 13(c).
+//!
+//! The paper gives every module its own processor. A module's lattice does
+//! not depend on which thread computes it, so this implementation runs the
+//! modules one after another in the caller's thread; the latency with one
+//! processor per module is the slowest module's time (Fig. 14(b)).
 
 use graphstate::DisjointSet;
 use oneperc_hardware::PhysicalLayer;
 
-use crate::pool::{ModuleRegion, WorkerPool};
 use crate::renormalize::{RenormalizedLattice, Renormalizer};
 
 /// Configuration of the modular renormalization.
@@ -28,11 +28,6 @@ pub struct ModularConfig {
     pub mi_ratio: usize,
     /// Average coarse node size inside each module.
     pub node_size: usize,
-    /// Process modules on the persistent worker pool.
-    pub parallel: bool,
-    /// Worker threads of the pool (`0` = one per available core, capped at
-    /// one per module). Ignored when `parallel` is off.
-    pub workers: usize,
 }
 
 impl ModularConfig {
@@ -45,39 +40,7 @@ impl ModularConfig {
         assert!(modules_per_side > 0, "need at least one module per side");
         assert!(mi_ratio > 0, "MI ratio must be positive");
         assert!(node_size > 0, "node size must be positive");
-        ModularConfig {
-            modules_per_side,
-            mi_ratio,
-            node_size,
-            parallel: true,
-            workers: 0,
-        }
-    }
-
-    /// Disables thread-level parallelism (useful for deterministic timing
-    /// comparisons).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
-    }
-
-    /// Sets an explicit worker-pool size (`0` = auto). Any count is valid —
-    /// results are independent of the worker count, including a single
-    /// worker and pools oversubscribed beyond the module count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// The pool size this configuration resolves to for `g²` modules.
-    fn resolved_workers(&self) -> usize {
-        let modules = self.modules_per_side * self.modules_per_side;
-        if self.workers > 0 {
-            self.workers
-        } else {
-            let cores = crate::sync::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            cores.min(modules).max(1)
-        }
+        ModularConfig { modules_per_side, mi_ratio, node_size }
     }
 
     /// Splits a layer side of `total` sites into the module length and
@@ -106,6 +69,34 @@ impl ModularConfig {
         }
         ModuleLayout { module_len: (total / g).max(1), interval_len: 0 }
     }
+
+    /// The module regions of a `width × height` layer in row-major module
+    /// order: the [`layout`](ModularConfig::layout) of the shorter side,
+    /// with each region clamped to the layer.
+    pub fn regions(&self, width: usize, height: usize) -> Vec<ModuleRegion> {
+        let g = self.modules_per_side;
+        let layout = self.layout(width.min(height));
+        let stride = layout.module_len + layout.interval_len;
+        (0..g)
+            .flat_map(|gy| (0..g).map(move |gx| (gx * stride, gy * stride)))
+            .map(|(ox, oy)| ModuleRegion {
+                origin: (ox, oy),
+                width: layout.module_len.min(width.saturating_sub(ox)),
+                height: layout.module_len.min(height.saturating_sub(oy)),
+            })
+            .collect()
+    }
+}
+
+/// One module of a layer: a rectangle of physical sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModuleRegion {
+    /// Top-left corner `(x, y)` of the region.
+    pub origin: (usize, usize),
+    /// Extent along x.
+    pub width: usize,
+    /// Extent along y.
+    pub height: usize,
 }
 
 /// Result of [`ModularConfig::layout`].
@@ -119,27 +110,14 @@ pub struct ModuleLayout {
 
 /// Per-module renormalization plus inter-module joining.
 ///
-/// The renormalizer owns its working state: a host-side [`Renormalizer`]
-/// for sequential module runs and the joining union-find, plus a lazily
-/// created persistent [`WorkerPool`] for the parallel path. Keep one
-/// `ModularRenormalizer` alive across an RSL stream — the pool threads and
-/// every worker's scratch memory are reused for all subsequent layers.
+/// The renormalizer owns its working state, a host [`Renormalizer`] whose
+/// scratch serves every module and the joining union-find. Keep one
+/// `ModularRenormalizer` alive across an RSL stream: that scratch memory
+/// is reused for all subsequent layers.
 #[derive(Debug)]
 pub struct ModularRenormalizer {
     config: ModularConfig,
-    /// Host-side renormalizer: sequential module runs and the joining
-    /// union-find.
     host: Renormalizer,
-    /// Persistent module workers, created on the first parallel run.
-    pool: Option<WorkerPool>,
-}
-
-impl Clone for ModularRenormalizer {
-    /// Clones the configuration; the clone lazily builds its own worker
-    /// pool and scratch memory (working state is never shared).
-    fn clone(&self) -> Self {
-        ModularRenormalizer::new(self.config)
-    }
 }
 
 /// Summary of a modular renormalization run.
@@ -172,7 +150,7 @@ impl ModularOutcome {
 impl ModularRenormalizer {
     /// Creates a modular renormalizer.
     pub fn new(config: ModularConfig) -> Self {
-        ModularRenormalizer { config, host: Renormalizer::new(), pool: None }
+        ModularRenormalizer { config, host: Renormalizer::new() }
     }
 
     /// The configuration in use.
@@ -180,48 +158,9 @@ impl ModularRenormalizer {
         &self.config
     }
 
-    /// Runs the modular renormalization on a layer.
-    ///
-    /// On the parallel path the layer must be shared with the pool workers,
-    /// so this convenience wrapper clones it into an [`Arc`] first; callers
-    /// streaming layers should hold them in `Arc`s and call
-    /// [`ModularRenormalizer::run_shared`] to skip the copy.
+    /// Runs the modular renormalization on a layer: every module on the
+    /// host scratch, then the joining step.
     pub fn run(&mut self, layer: &PhysicalLayer) -> ModularOutcome {
-        if self.use_pool() {
-            self.run_shared(&Arc::new(layer.clone()))
-        } else {
-            self.run_local(layer)
-        }
-    }
-
-    /// Runs the modular renormalization on a shared layer without copying
-    /// it. This is the streaming entry point: the pool holds its `Arc`
-    /// clones only for the duration of the batch, so the caller regains
-    /// sole ownership of the allocation when the call returns.
-    pub fn run_shared(&mut self, layer: &Arc<PhysicalLayer>) -> ModularOutcome {
-        if !self.use_pool() {
-            return self.run_local(layer);
-        }
-        let geometry = Geometry::of(&self.config, layer);
-        // The worker count is resolved once, when the pool is first built:
-        // the configuration cannot change under a live renormalizer, and
-        // re-querying core availability per layer would put a syscall on
-        // the latency-critical stream.
-        let pool = match &mut self.pool {
-            Some(pool) => pool,
-            slot => slot.insert(WorkerPool::new(self.config.resolved_workers())),
-        };
-        let modules = pool.renormalize_modules(layer, &geometry.regions, geometry.node_size);
-        self.join(layer, modules, &geometry)
-    }
-
-    /// Whether the next run goes through the worker pool.
-    fn use_pool(&self) -> bool {
-        self.config.parallel && self.config.modules_per_side > 1
-    }
-
-    /// Sequential path: every module is renormalized on the host scratch.
-    fn run_local(&mut self, layer: &PhysicalLayer) -> ModularOutcome {
         let geometry = Geometry::of(&self.config, layer);
         let modules: Vec<RenormalizedLattice> = geometry
             .regions
@@ -239,17 +178,17 @@ impl ModularRenormalizer {
         self.join(layer, modules, &geometry)
     }
 
-    /// Joining step shared by the sequential and pooled paths: for every
-    /// pair of horizontally adjacent modules, each coarse row must be
-    /// connected across the interval; for vertically adjacent modules, each
-    /// coarse column. We check connectivity of the interval strip between
-    /// the two facing module edges with a union-find restricted to the
-    /// strip (plus one site of each module edge), which mirrors the paper's
-    /// connected-path joining. A word-scan precheck over the packed site
-    /// bitmap rejects strips with an empty column/row between the endpoints
-    /// before any union-find work; surviving strips feed the word-parallel
-    /// [`DisjointSet::reset`] path, and the union-find comes from the host
-    /// scratch pool and is reset — not reallocated — per join.
+    /// Joining step: for every pair of horizontally adjacent modules, each
+    /// coarse row must be connected across the interval; for vertically
+    /// adjacent modules, each coarse column. We check connectivity of the
+    /// interval strip between the two facing module edges with a
+    /// union-find restricted to the strip (plus one site of each module
+    /// edge), which mirrors the paper's connected-path joining. A word-scan
+    /// precheck over the packed site bitmap rejects strips with an empty
+    /// column/row between the endpoints before any union-find work;
+    /// surviving strips feed the word-parallel [`DisjointSet::reset`] path,
+    /// and the union-find comes from the host scratch pool and is reset —
+    /// not reallocated — per join.
     fn join(
         &mut self,
         layer: &PhysicalLayer,
@@ -511,7 +450,7 @@ impl ModularRenormalizer {
     }
 }
 
-/// The per-layer module geometry shared by both execution paths.
+/// The per-layer module geometry.
 struct Geometry {
     layout: ModuleLayout,
     stride: usize,
@@ -522,19 +461,13 @@ struct Geometry {
 
 impl Geometry {
     fn of(config: &ModularConfig, layer: &PhysicalLayer) -> Self {
-        let g = config.modules_per_side;
         let layout = config.layout(layer.width.min(layer.height));
-        let stride = layout.module_len + layout.interval_len;
-        let node_size = config.node_size.min(layout.module_len.max(1));
-        let regions = (0..g)
-            .flat_map(|gy| (0..g).map(move |gx| (gx * stride, gy * stride)))
-            .map(|(ox, oy)| ModuleRegion {
-                origin: (ox, oy),
-                width: layout.module_len.min(layer.width.saturating_sub(ox)),
-                height: layout.module_len.min(layer.height.saturating_sub(oy)),
-            })
-            .collect();
-        Geometry { layout, stride, node_size, regions }
+        Geometry {
+            layout,
+            stride: layout.module_len + layout.interval_len,
+            node_size: config.node_size.min(layout.module_len.max(1)),
+            regions: config.regions(layer.width, layer.height),
+        }
     }
 }
 
@@ -613,7 +546,7 @@ mod tests {
         // A layer far below the layout denominator still renormalizes; the
         // degenerate layout just yields adjacent modules.
         let layer = PhysicalLayer::fully_connected(7, 7);
-        let mut renorm = ModularRenormalizer::new(ModularConfig::new(3, 7, 2).sequential());
+        let mut renorm = ModularRenormalizer::new(ModularConfig::new(3, 7, 2));
         let outcome = renorm.run(&layer);
         assert_eq!(outcome.joins_attempted, 0, "no interval, nothing to join");
         assert_eq!(outcome.joined_nodes, outcome.module_nodes);
@@ -622,42 +555,12 @@ mod tests {
     #[test]
     fn fully_connected_layer_joins_everything() {
         let layer = PhysicalLayer::fully_connected(60, 60);
-        let cfg = ModularConfig::new(2, 7, 6).sequential();
+        let cfg = ModularConfig::new(2, 7, 6);
         let outcome = ModularRenormalizer::new(cfg).run(&layer);
         assert_eq!(outcome.module_nodes, outcome.joined_nodes);
         assert!(outcome.module_nodes > 0);
         assert_eq!(outcome.joins_attempted, outcome.joins_found);
         assert!((outcome.joining_efficiency() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pooled_and_sequential_agree() {
-        let mut engine = FusionEngine::new(HardwareConfig::new(60, 7, 0.75), 23);
-        let layer = engine.generate_layer();
-        let cfg_seq = ModularConfig::new(2, 7, 6).sequential();
-        let b = ModularRenormalizer::new(cfg_seq).run(&layer);
-        // Pool sizes from a single worker to oversubscribed (workers >
-        // modules) all match the sequential outcome exactly.
-        for workers in [1usize, 2, 4, 9] {
-            let cfg_par = ModularConfig::new(2, 7, 6).with_workers(workers);
-            let a = ModularRenormalizer::new(cfg_par).run(&layer);
-            assert_eq!(a, b, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn pooled_renormalizer_streams_many_layers() {
-        // One renormalizer (and its pool) across a stream of layers gives
-        // the same answers as a fresh sequential renormalizer per layer.
-        let cfg = ModularConfig::new(2, 7, 6).with_workers(2);
-        let mut streaming = ModularRenormalizer::new(cfg);
-        let mut engine = FusionEngine::new(HardwareConfig::new(48, 7, 0.75), 40);
-        for _ in 0..8 {
-            let layer = std::sync::Arc::new(engine.generate_layer());
-            let pooled = streaming.run_shared(&layer);
-            let serial = ModularRenormalizer::new(cfg.sequential()).run(&layer);
-            assert_eq!(pooled, serial);
-        }
     }
 
     #[test]
@@ -668,7 +571,7 @@ mod tests {
         let layer = engine.generate_layer();
         let non_modular = crate::renormalize(&layer, 6);
         let modular =
-            ModularRenormalizer::new(ModularConfig::new(3, 7, 6).sequential()).run(&layer);
+            ModularRenormalizer::new(ModularConfig::new(3, 7, 6)).run(&layer);
         assert!(modular.joined_nodes > 0);
         // The modular result cannot beat the non-modular total but should
         // stay within the same order of magnitude.
@@ -682,7 +585,7 @@ mod tests {
         // chunk its row scans (regression: PR-5 review caught an unchunked
         // range_word panicking at 'bit range wider than one word').
         let layer = PhysicalLayer::fully_connected(154, 154);
-        let cfg = ModularConfig::new(2, 5, 65).sequential();
+        let cfg = ModularConfig::new(2, 5, 65);
         let outcome = ModularRenormalizer::new(cfg).run(&layer);
         assert!(outcome.joins_attempted > 0, "wide strips must be checked");
         assert_eq!(outcome.joins_attempted, outcome.joins_found);
@@ -699,21 +602,10 @@ mod tests {
     fn blank_layer_yields_nothing() {
         let layer = PhysicalLayer::blank(40, 40);
         let outcome =
-            ModularRenormalizer::new(ModularConfig::new(2, 4, 5).sequential()).run(&layer);
+            ModularRenormalizer::new(ModularConfig::new(2, 4, 5)).run(&layer);
         assert_eq!(outcome.module_nodes, 0);
         assert_eq!(outcome.joined_nodes, 0);
         assert_eq!(outcome.joining_efficiency(), 0.0);
-    }
-
-    #[test]
-    fn clone_starts_with_fresh_working_state() {
-        let mut original = ModularRenormalizer::new(ModularConfig::new(2, 7, 6).with_workers(2));
-        let layer = PhysicalLayer::fully_connected(30, 30);
-        let a = original.run(&layer);
-        let mut cloned = original.clone();
-        assert_eq!(cloned.config(), original.config());
-        let b = cloned.run(&layer);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -3,17 +3,12 @@
 //! [`WorkerPool`] keeps a fixed set of workers alive for the lifetime of
 //! the pool, fed from one shared queue. Each worker owns its scratch (a
 //! [`Renormalizer`], a [`GenerationScratch`] and a layer buffer), sized once
-//! and reused for every job. A job is one of two kinds:
-//!
-//! * a **region job** renormalizes one region of a layer shared as
-//!   `Arc<PhysicalLayer>` (the modular renormalizer's modules); the
-//!   reference is dropped before the reply, so the caller again holds the
-//!   only references it created;
-//! * a **layer job** generates layer `index` of a reshaping run's `seed`
-//!   stream into the running thread's own buffer, decides it with
-//!   [`Renormalizer::spans_target`] and answers with the layer's counters
-//!   and verdict. Keyed layer streams make it a pure function of the plan,
-//!   the seed and the index, so layers never cross threads.
+//! and reused for every job. A job is one merged layer of a reshaping run:
+//! it generates layer `index` of the run's `seed` stream into the running
+//! thread's own buffer, decides it with [`Renormalizer::spans_target`] and
+//! answers with the layer's counters and verdict. Keyed layer streams make
+//! it a pure function of the plan, the seed and the index, so layers never
+//! cross threads.
 //!
 //! # Multiplexing and determinism rules
 //!
@@ -46,26 +41,7 @@ use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use oneperc_hardware::{GenerationPlan, GenerationScratch, PhysicalLayer};
 
-use crate::renormalize::{RenormalizedLattice, Renormalizer};
-
-/// One rectangular region of a layer, in physical sites. A region may be a
-/// module of the modular renormalization or an entire layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModuleRegion {
-    /// Top-left corner `(x, y)` of the region.
-    pub origin: (usize, usize),
-    /// Extent along x.
-    pub width: usize,
-    /// Extent along y.
-    pub height: usize,
-}
-
-impl ModuleRegion {
-    /// The region covering an entire layer.
-    pub fn whole_layer(layer: &PhysicalLayer) -> Self {
-        ModuleRegion { origin: (0, 0), width: layer.width, height: layer.height }
-    }
-}
+use crate::renormalize::Renormalizer;
 
 /// One merged layer of a reshaping run: generate layer `index` of the
 /// `seed` stream and decide whether it spans a `target_side` lattice at
@@ -130,52 +106,16 @@ impl JobScratch {
     }
 }
 
-/// What a job computes.
-#[derive(Debug)]
-enum Task {
-    /// The renormalized lattice of one region of a shared layer
-    /// ([`Renormalizer::renormalize_region`]).
-    Region { layer: Arc<PhysicalLayer>, region: ModuleRegion, node_size: usize },
-    /// One merged layer, generated and decided.
-    Layer(LayerJob),
-}
-
-impl Task {
-    /// Runs the task, consuming it: a region job's layer reference is gone
-    /// by the time the answer exists.
-    fn run(self, scratch: &mut JobScratch) -> Answer {
-        match self {
-            Task::Region { layer, region, node_size } => {
-                Answer::Lattice(scratch.renorm.renormalize_region(
-                    &layer,
-                    region.origin,
-                    region.width,
-                    region.height,
-                    node_size,
-                ))
-            }
-            Task::Layer(job) => Answer::Layer(job.run(scratch)),
-        }
-    }
-}
-
-/// The result of a [`Task`].
-#[derive(Debug)]
-enum Answer {
-    Lattice(RenormalizedLattice),
-    Layer(LayerSummary),
-}
-
 /// The answer for one job: the slot plus the result, or the panic message
 /// of a job that blew up. Panics must travel back explicitly — a silently
 /// swallowed panic would leave the submitter waiting forever.
-type JobReply = (usize, Result<Answer, String>);
+type JobReply = (usize, Result<LayerSummary, String>);
 
-/// One unit of work: a task plus the submitting client's slot and private
-/// reply channel.
+/// One unit of work: a layer job plus the submitting client's slot and
+/// private reply channel.
 #[derive(Debug)]
 struct WorkItem {
-    task: Task,
+    job: LayerJob,
     slot: usize,
     reply: Sender<JobReply>,
 }
@@ -183,8 +123,8 @@ struct WorkItem {
 impl WorkItem {
     /// Runs the job on `scratch` and answers its owner.
     fn run(self, scratch: &mut JobScratch) {
-        let WorkItem { task, slot, reply } = self;
-        let outcome = catch_unwind(AssertUnwindSafe(|| task.run(scratch)));
+        let WorkItem { job, slot, reply } = self;
+        let outcome = catch_unwind(AssertUnwindSafe(|| job.run(scratch)));
         let result = outcome.map_err(|payload| {
             // The scratch may be mid-search; replace it rather than retiring
             // the thread, so one submitter's bad job cannot shrink the pool
@@ -266,9 +206,9 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// A persistent pool of workers fed from a shared queue.
 ///
-/// Obtain per-submitter handles with [`WorkerPool::client`]; the one-shot
-/// [`WorkerPool::renormalize_modules`] batch entry point remains for
-/// callers that process one layer at a time (the modular renormalizer).
+/// Obtain per-submitter handles with [`WorkerPool::client`] and hand each
+/// to a [`ReshapeEngine`](crate::ReshapeEngine), which streams its layer
+/// jobs through it.
 ///
 /// Dropping the pool queues one shutdown sentinel per worker and joins all
 /// of them. Jobs queued ahead of the sentinels are run by the workers;
@@ -277,19 +217,18 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// # Example
 ///
 /// ```
-/// use std::sync::Arc;
-/// use oneperc_hardware::PhysicalLayer;
-/// use oneperc_percolation::{ModuleRegion, WorkerPool};
+/// use oneperc_hardware::HardwareConfig;
+/// use oneperc_percolation::{LayerRequirement, ReshapeConfig, ReshapeEngine, WorkerPool};
 ///
+/// let config = ReshapeConfig::new(HardwareConfig::new(24, 7, 0.75), 6, 3, 1);
 /// let pool = WorkerPool::new(2);
-/// let layer = Arc::new(PhysicalLayer::fully_connected(20, 20));
-/// let regions = [
-///     ModuleRegion { origin: (0, 0), width: 10, height: 10 },
-///     ModuleRegion { origin: (10, 10), width: 10, height: 10 },
-/// ];
-/// let lattices = pool.renormalize_modules(&layer, &regions, 5);
-/// assert_eq!(lattices.len(), 2);
-/// assert!(lattices.iter().all(|l| l.is_success()));
+/// let mut pooled = ReshapeEngine::with_renorm_client(config, pool.client());
+/// let mut local = ReshapeEngine::new(config);
+/// let requirement = LayerRequirement::none();
+/// assert_eq!(
+///     pooled.advance_logical_layer(&requirement),
+///     local.advance_logical_layer(&requirement),
+/// );
 /// ```
 #[derive(Debug)]
 pub struct WorkerPool {
@@ -333,32 +272,6 @@ impl WorkerPool {
     pub fn client(&self) -> PoolClient {
         PoolClient::new(Arc::clone(&self.queue), self.workers)
     }
-
-    /// Renormalizes every region of `layer` on the pool and returns the
-    /// lattices in region order. Blocks until the whole batch is done.
-    ///
-    /// The output is deterministic: result `i` always corresponds to
-    /// `regions[i]`, whatever order the workers finish in. Concurrent
-    /// batches from other clients interleave on the workers without
-    /// affecting this batch's output.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a job panics (the worker's message is relayed). The pool
-    /// itself stays usable: results are per-submitter, so a failed batch
-    /// cannot leak stale lattices into any later batch.
-    pub fn renormalize_modules(
-        &self,
-        layer: &Arc<PhysicalLayer>,
-        regions: &[ModuleRegion],
-        node_size: usize,
-    ) -> Vec<RenormalizedLattice> {
-        let mut client = self.client();
-        for &region in regions {
-            client.submit(layer, region, node_size);
-        }
-        (0..regions.len()).map(|_| client.recv_next()).collect()
-    }
 }
 
 impl Drop for WorkerPool {
@@ -377,13 +290,13 @@ impl Drop for WorkerPool {
 
 /// A per-submitter handle onto a [`WorkerPool`].
 ///
-/// `submit` enqueues a region job and the crate's reshaping engine enqueues
-/// layer jobs, each assigned the next slot of this client's stream;
-/// `recv_next` returns results strictly in submission order, buffering any
-/// that arrive early, and helps run queued jobs while it waits. One client
-/// therefore behaves like a private pipeline through the shared workers:
-/// results come back in the order the work went in, independent of the
-/// worker count and of what other clients are doing.
+/// The reshaping engine submits layer jobs through it, each assigned the
+/// next slot of this client's stream, and receives their summaries strictly
+/// in submission order: answers that arrive early are buffered, and the
+/// client runs queued jobs while it waits. One client therefore behaves
+/// like a private pipeline through the shared workers: results come back
+/// in the order the work went in, independent of the worker count and of
+/// what other clients are doing.
 #[derive(Debug)]
 pub struct PoolClient {
     queue: Arc<Queue>,
@@ -396,7 +309,7 @@ pub struct PoolClient {
     /// Slot whose result `recv_next` returns next.
     next_result: usize,
     /// Results that arrived ahead of `next_result`.
-    reordered: BTreeMap<usize, Result<Answer, String>>,
+    reordered: BTreeMap<usize, Result<LayerSummary, String>>,
     /// Scratch for the jobs this client runs while it waits.
     scratch: Box<JobScratch>,
     /// Jobs run on `scratch` so far; the tests observe helping through it.
@@ -427,27 +340,12 @@ impl PoolClient {
         self.pool_workers
     }
 
-    /// Enqueues one region job and returns its slot in this client's
-    /// stream; receive its lattice with [`PoolClient::recv_next`].
-    pub fn submit(
-        &mut self,
-        layer: &Arc<PhysicalLayer>,
-        region: ModuleRegion,
-        node_size: usize,
-    ) -> usize {
-        self.enqueue(Task::Region { layer: Arc::clone(layer), region, node_size })
-    }
-
     /// Enqueues one layer job and returns its slot; receive its summary
-    /// with [`PoolClient::recv_next_layer`].
-    pub(crate) fn submit_layer(&mut self, job: LayerJob) -> usize {
-        self.enqueue(Task::Layer(job))
-    }
-
-    fn enqueue(&mut self, task: Task) -> usize {
+    /// with [`PoolClient::recv_next`].
+    pub(crate) fn submit(&mut self, job: LayerJob) -> usize {
         let slot = self.next_slot;
         self.next_slot += 1;
-        let item = WorkItem { task, slot, reply: self.reply_tx.clone() };
+        let item = WorkItem { job, slot, reply: self.reply_tx.clone() };
         self.queue.push(Job::Work(Box::new(item)));
         slot
     }
@@ -459,33 +357,16 @@ impl PoolClient {
         self.next_slot - self.next_result
     }
 
-    /// Receives the lattice of the oldest outstanding job, blocking until
+    /// Receives the summary of the oldest outstanding job, blocking until
     /// it is available. While the result has not arrived, the client runs
     /// queued jobs itself, so the wait ends even when no worker is left to
     /// take the job.
     ///
     /// # Panics
     ///
-    /// Panics when no job is outstanding, when the job itself panicked
-    /// (the message is relayed), or when the oldest job is a layer job.
-    pub fn recv_next(&mut self) -> RenormalizedLattice {
-        match self.recv_answer() {
-            Answer::Lattice(lattice) => lattice,
-            Answer::Layer(_) => panic!("the oldest outstanding job is a layer job"),
-        }
-    }
-
-    /// Receives the summary of the oldest outstanding job; the blocking,
-    /// helping and panic rules of [`PoolClient::recv_next`] apply, with the
-    /// oldest job required to be a layer job.
-    pub(crate) fn recv_next_layer(&mut self) -> LayerSummary {
-        match self.recv_answer() {
-            Answer::Layer(summary) => summary,
-            Answer::Lattice(_) => panic!("the oldest outstanding job is a region job"),
-        }
-    }
-
-    fn recv_answer(&mut self) -> Answer {
+    /// Panics when no job is outstanding or when the job itself panicked
+    /// (the message is relayed).
+    pub(crate) fn recv_next(&mut self) -> LayerSummary {
         let want = self.next_result;
         assert!(want < self.next_slot, "no outstanding job to receive");
         let result = loop {
@@ -518,8 +399,8 @@ impl PoolClient {
         };
         self.next_result += 1;
         match result {
-            Ok(answer) => answer,
-            Err(msg) => panic!("renormalization job for slot {want} panicked: {msg}"),
+            Ok(summary) => summary,
+            Err(msg) => panic!("layer job for slot {want} panicked: {msg}"),
         }
     }
 }
@@ -529,6 +410,21 @@ impl PoolClient {
 #[cfg(all(test, oneperc_model))]
 mod model_tests {
     use super::*;
+
+    /// A layer job on 4-site layers, cheap enough to run in every explored
+    /// schedule, and its answer.
+    fn tiny_job() -> (LayerJob, LayerSummary) {
+        use oneperc_hardware::HardwareConfig;
+        let job = LayerJob {
+            plan: Arc::new(GenerationPlan::new(HardwareConfig::new(4, 7, 0.75))),
+            seed: 1,
+            index: 0,
+            node_size: 2,
+            target_side: 2,
+        };
+        let summary = job.run(&mut JobScratch::new());
+        (job, summary)
+    }
 
     /// Drop of an idle pool injects one shutdown sentinel per worker and
     /// joins both — no schedule may leave a worker parked on the queue.
@@ -549,17 +445,12 @@ mod model_tests {
     /// in-flight work is ahead of the shutdown sentinel in the queue.
     #[test]
     fn model_submitted_job_completes_before_shutdown() {
-        let report = oneperc_verify::model(|| {
+        let (job, expected) = tiny_job();
+        let report = oneperc_verify::model(move || {
             let pool = WorkerPool::new(1);
-            let layer = Arc::new(PhysicalLayer::fully_connected(20, 20));
             let mut client = pool.client();
-            client.submit(
-                &layer,
-                ModuleRegion { origin: (0, 0), width: 10, height: 10 },
-                5,
-            );
-            let lattice = client.recv_next();
-            assert!(lattice.is_success());
+            client.submit(job.clone());
+            assert_eq!(client.recv_next(), expected);
             drop(pool);
         });
         assert!(report.complete, "exploration must be exhaustive");
@@ -574,12 +465,12 @@ mod model_tests {
     fn model_waiting_client_runs_its_queued_job_itself() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static HELPED: AtomicUsize = AtomicUsize::new(0);
-        let report = oneperc_verify::model(|| {
+        let (job, expected) = tiny_job();
+        let report = oneperc_verify::model(move || {
             let pool = WorkerPool::new(1);
-            let layer = Arc::new(PhysicalLayer::fully_connected(4, 4));
             let mut client = pool.client();
-            client.submit(&layer, ModuleRegion::whole_layer(&layer), 2);
-            assert!(client.recv_next().is_success());
+            client.submit(job.clone());
+            assert_eq!(client.recv_next(), expected);
             assert!(client.helped <= 1);
             HELPED.fetch_add(client.helped, Ordering::Relaxed);
             drop(pool);
@@ -595,16 +486,17 @@ mod model_tests {
     /// client itself).
     #[test]
     fn model_helping_client_never_takes_a_shutdown_sentinel() {
-        let report = oneperc_verify::model(|| {
+        let (job, expected) = tiny_job();
+        let report = oneperc_verify::model(move || {
             let pool = WorkerPool::new(1);
-            let layer = Arc::new(PhysicalLayer::fully_connected(4, 4));
             let mut client = pool.client();
+            let job = job.clone();
             let waiter = thread::spawn(move || {
-                client.submit(&layer, ModuleRegion::whole_layer(&layer), 2);
-                client.recv_next().is_success()
+                client.submit(job);
+                client.recv_next()
             });
             drop(pool);
-            assert!(waiter.join().expect("waiting client"));
+            assert_eq!(waiter.join().expect("waiting client"), expected);
         });
         assert!(report.complete, "exploration must be exhaustive");
     }
@@ -613,140 +505,6 @@ mod model_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quadrants(side: usize) -> Vec<ModuleRegion> {
-        let h = side / 2;
-        vec![
-            ModuleRegion { origin: (0, 0), width: h, height: h },
-            ModuleRegion { origin: (h, 0), width: h, height: h },
-            ModuleRegion { origin: (0, h), width: h, height: h },
-            ModuleRegion { origin: (h, h), width: h, height: h },
-        ]
-    }
-
-    #[test]
-    fn batch_results_follow_region_order() {
-        let layer = Arc::new(PhysicalLayer::fully_connected(24, 24));
-        let regions = quadrants(24);
-        let pool = WorkerPool::new(3);
-        let lattices = pool.renormalize_modules(&layer, &regions, 6);
-        let mut reference = Renormalizer::new();
-        for (region, lattice) in regions.iter().zip(&lattices) {
-            let expected = reference.renormalize_region(
-                &layer,
-                region.origin,
-                region.width,
-                region.height,
-                6,
-            );
-            assert_eq!(lattice, &expected);
-        }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_results() {
-        use oneperc_hardware::{FusionEngine, HardwareConfig};
-        let mut engine = FusionEngine::new(HardwareConfig::new(32, 7, 0.75), 5);
-        let layer = Arc::new(engine.generate_layer());
-        let regions = quadrants(32);
-        let mut baseline: Option<Vec<RenormalizedLattice>> = None;
-        // 1 worker, a few workers, and oversubscribed (workers > modules).
-        for workers in [1, 2, 4, 7] {
-            let pool = WorkerPool::new(workers);
-            let lattices = pool.renormalize_modules(&layer, &regions, 8);
-            match &baseline {
-                None => baseline = Some(lattices),
-                Some(expected) => assert_eq!(&lattices, expected, "workers = {workers}"),
-            }
-        }
-    }
-
-    #[test]
-    fn pool_survives_many_batches() {
-        let layer = Arc::new(PhysicalLayer::fully_connected(16, 16));
-        let regions = quadrants(16);
-        let pool = WorkerPool::new(2);
-        let first = pool.renormalize_modules(&layer, &regions, 4);
-        for _ in 0..200 {
-            let again = pool.renormalize_modules(&layer, &regions, 4);
-            assert_eq!(again, first);
-        }
-    }
-
-    #[test]
-    fn caller_keeps_sole_ownership_after_batch() {
-        let layer = Arc::new(PhysicalLayer::fully_connected(12, 12));
-        let regions = quadrants(12);
-        let pool = WorkerPool::new(2);
-        let _ = pool.renormalize_modules(&layer, &regions, 3);
-        // All job-held clones were dropped with the batch: the allocation
-        // can cycle back to a layer buffer.
-        let layer = Arc::try_unwrap(layer).expect("pool released the layer");
-        assert_eq!(layer.site_count(), 144);
-    }
-
-    #[test]
-    fn concurrent_clients_multiplex_one_pool() {
-        use oneperc_hardware::{FusionEngine, HardwareConfig};
-        // Several submitter threads stream interleaved batches through the
-        // same two workers; every submitter must see exactly the lattices a
-        // private sequential renormalizer computes, in its own order.
-        let pool = Arc::new(WorkerPool::new(2));
-        let layers: Vec<Arc<PhysicalLayer>> = (0..4)
-            .map(|seed| {
-                let hw = HardwareConfig::new(24, 7, 0.75);
-                Arc::new(FusionEngine::new(hw, seed).generate_layer())
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for submitter in 0..3usize {
-                let pool = Arc::clone(&pool);
-                let layers = layers.clone();
-                scope.spawn(move || {
-                    let mut client = pool.client();
-                    let mut reference = Renormalizer::new();
-                    for round in 0..10 {
-                        let layer = &layers[(submitter + round) % layers.len()];
-                        let region = ModuleRegion::whole_layer(layer);
-                        client.submit(layer, region, 6);
-                        // Keep a second job in flight to force interleaving.
-                        let second = &layers[(submitter + round + 1) % layers.len()];
-                        client.submit(second, ModuleRegion::whole_layer(second), 6);
-                        let a = client.recv_next();
-                        let b = client.recv_next();
-                        assert_eq!(a, reference.renormalize(layer, 6));
-                        assert_eq!(b, reference.renormalize(second, 6));
-                    }
-                    assert_eq!(client.in_flight(), 0);
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn client_streams_results_in_submission_order() {
-        let layer = Arc::new(PhysicalLayer::fully_connected(16, 16));
-        let pool = WorkerPool::new(3);
-        let mut client = pool.client();
-        let regions = quadrants(16);
-        for &region in &regions {
-            client.submit(&layer, region, 4);
-        }
-        assert_eq!(client.in_flight(), 4);
-        let mut reference = Renormalizer::new();
-        for region in &regions {
-            let got = client.recv_next();
-            let expected = reference.renormalize_region(
-                &layer,
-                region.origin,
-                region.width,
-                region.height,
-                4,
-            );
-            assert_eq!(got, expected);
-        }
-        assert_eq!(client.in_flight(), 0);
-    }
 
     /// Layer jobs of one seeded run of 24-site layers of 7-qubit states,
     /// near the threshold so that some layers span and some do not.
@@ -764,31 +522,41 @@ mod tests {
             .collect()
     }
 
-    /// The layer a layer job generates.
-    fn layer_of(job: &LayerJob) -> Arc<PhysicalLayer> {
-        let mut layer = PhysicalLayer::blank(1, 1);
-        job.plan.generate_into(job.seed, job.index, &mut GenerationScratch::default(), &mut layer);
-        Arc::new(layer)
+    /// A job that panics when run: `spans_target` rejects a zero node size.
+    fn panicking_job() -> LayerJob {
+        LayerJob { node_size: 0, ..layer_jobs(1).remove(0) }
     }
 
-    /// Submits a layer job and a whole-layer region job per layer, then
-    /// checks every answer, in slot order, against a private in-thread
-    /// run.
-    fn check_interleaved(client: &mut PoolClient) {
-        let jobs = layer_jobs(6);
-        let layers: Vec<Arc<PhysicalLayer>> = jobs.iter().map(layer_of).collect();
-        for (job, layer) in jobs.iter().zip(&layers) {
-            client.submit_layer(job.clone());
-            client.submit(layer, ModuleRegion::whole_layer(layer), 6);
-        }
+    /// The answers of `jobs` run in-thread on one reused scratch.
+    fn run_local(jobs: &[LayerJob]) -> Vec<LayerSummary> {
         let mut scratch = JobScratch::new();
-        let mut reference = Renormalizer::new();
+        jobs.iter().map(|job| job.run(&mut scratch)).collect()
+    }
+
+    /// Submits every job through `client`, then receives every answer.
+    fn run_on(client: &mut PoolClient, jobs: &[LayerJob]) -> Vec<LayerSummary> {
+        for job in jobs {
+            client.submit(job.clone());
+        }
+        jobs.iter().map(|_| client.recv_next()).collect()
+    }
+
+    /// Submits six layer jobs at once, then checks every answer, in slot
+    /// order, against a fresh in-thread run and against the verdict of a
+    /// renormalizer on the layer the job generates.
+    fn check_in_slot_order(client: &mut PoolClient) {
+        let jobs = layer_jobs(6);
+        for job in &jobs {
+            client.submit(job.clone());
+        }
+        assert_eq!(client.in_flight(), 6);
         let mut verdicts = Vec::new();
-        for (job, layer) in jobs.iter().zip(&layers) {
-            let summary = client.recv_next_layer();
-            assert_eq!(summary, job.run(&mut scratch));
-            assert_eq!(summary.spans, reference.spans_target(layer, 6, 4));
-            assert_eq!(client.recv_next(), reference.renormalize(layer, 6));
+        for job in &jobs {
+            let summary = client.recv_next();
+            assert_eq!(summary, job.run(&mut JobScratch::new()));
+            let mut layer = PhysicalLayer::blank(1, 1);
+            job.plan.generate_into(job.seed, job.index, &mut GenerationScratch::default(), &mut layer);
+            assert_eq!(summary.spans, Renormalizer::new().spans_target(&layer, 6, 4));
             verdicts.push(summary.spans);
         }
         assert_eq!(client.in_flight(), 0);
@@ -796,26 +564,73 @@ mod tests {
     }
 
     #[test]
-    fn layer_jobs_interleave_with_region_jobs_in_slot_order() {
-        let pool = WorkerPool::new(3);
-        check_interleaved(&mut pool.client());
+    fn worker_count_does_not_change_results() {
+        let jobs = layer_jobs(8);
+        let expected = run_local(&jobs);
+        // 1 worker, a few workers, and oversubscribed (workers > jobs in
+        // flight at once).
+        for workers in [1, 2, 4, 7] {
+            let pool = WorkerPool::new(workers);
+            assert_eq!(run_on(&mut pool.client(), &jobs), expected, "workers = {workers}");
+        }
     }
 
     #[test]
-    fn layer_and_region_jobs_interleave_in_slot_order_under_helping() {
+    fn pool_survives_many_batches() {
+        let jobs = layer_jobs(4);
+        let expected = run_local(&jobs);
+        let pool = WorkerPool::new(2);
+        for _ in 0..200 {
+            assert_eq!(run_on(&mut pool.client(), &jobs), expected);
+        }
+    }
+
+    #[test]
+    fn concurrent_clients_multiplex_one_pool() {
+        // Several submitter threads stream interleaved jobs through the
+        // same two workers; every submitter must see exactly the answers
+        // an in-thread run computes, in its own order.
+        let pool = Arc::new(WorkerPool::new(2));
+        let jobs = layer_jobs(4);
+        let expected = run_local(&jobs);
+        std::thread::scope(|scope| {
+            for submitter in 0..3usize {
+                let pool = Arc::clone(&pool);
+                let (jobs, expected) = (&jobs, &expected);
+                scope.spawn(move || {
+                    let mut client = pool.client();
+                    for round in 0..10 {
+                        // Keep a second job in flight to force interleaving.
+                        let (a, b) = ((submitter + round) % 4, (submitter + round + 1) % 4);
+                        let answers = run_on(&mut client, &[jobs[a].clone(), jobs[b].clone()]);
+                        assert_eq!(answers, [expected[a], expected[b]]);
+                    }
+                    assert_eq!(client.in_flight(), 0);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn client_streams_results_in_submission_order() {
+        let pool = WorkerPool::new(3);
+        check_in_slot_order(&mut pool.client());
+    }
+
+    #[test]
+    fn jobs_answer_in_slot_order_under_helping() {
         // A client of a queue no worker serves runs every job itself, in
         // queue order, and still answers in slot order.
         let mut client = PoolClient::new(Arc::new(Queue::default()), 0);
-        check_interleaved(&mut client);
-        assert_eq!(client.helped, 12);
+        check_in_slot_order(&mut client);
+        assert_eq!(client.helped, 6);
     }
 
     #[test]
     fn in_flight_counts_results_buffered_out_of_order() {
         let mut client = PoolClient::new(Arc::new(Queue::default()), 0);
-        let layer = Arc::new(PhysicalLayer::fully_connected(8, 8));
-        for _ in 0..3 {
-            client.submit(&layer, ModuleRegion::whole_layer(&layer), 4);
+        for job in layer_jobs(3) {
+            client.submit(job);
         }
         // Slot 1 finishes first, as on a faster thread: its answer is
         // waiting when slot 0 is received, and is buffered.
@@ -831,15 +646,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "layer job")]
-    fn receiving_a_layer_summary_as_a_lattice_panics() {
-        let pool = WorkerPool::new(1);
-        let mut client = pool.client();
-        client.submit_layer(layer_jobs(1).remove(0));
-        let _ = client.recv_next();
-    }
-
-    #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = WorkerPool::new(0);
@@ -849,37 +655,29 @@ mod tests {
     #[should_panic(expected = "panicked")]
     fn worker_panic_propagates_instead_of_hanging() {
         // Regression: with 2+ workers, a job that panics must surface as a
-        // batch panic; without the catch_unwind relay, the dead worker's
-        // missing result would leave `renormalize_modules` blocked forever.
-        let layer = Arc::new(PhysicalLayer::fully_connected(8, 8));
-        let regions = [
-            // Out-of-bounds region: renormalize_region asserts and panics.
-            ModuleRegion { origin: (6, 6), width: 8, height: 8 },
-            ModuleRegion { origin: (0, 0), width: 4, height: 4 },
-            ModuleRegion { origin: (4, 0), width: 4, height: 4 },
-        ];
+        // panic of its receiver; without the catch_unwind relay, the dead
+        // worker's missing answer would leave `recv_next` blocked forever.
+        let mut jobs = layer_jobs(2);
+        jobs.insert(0, panicking_job());
         let pool = WorkerPool::new(2);
-        let _ = pool.renormalize_modules(&layer, &regions, 2);
+        let _ = run_on(&mut pool.client(), &jobs);
     }
 
     #[test]
     fn panicked_batch_leaves_pool_usable() {
         // Per-submitter reply channels mean a failed batch cannot leak
         // stale results into a later one, so the pool stays usable — the
-        // worker replaces its scratch and keeps serving. (The previous
-        // design had to poison the whole pool here.)
-        let layer = Arc::new(PhysicalLayer::fully_connected(8, 8));
-        let bad = [ModuleRegion { origin: (6, 6), width: 8, height: 8 }];
-        let good = [ModuleRegion { origin: (0, 0), width: 4, height: 4 }];
+        // thread that ran the bad job replaces its scratch and keeps
+        // serving. (The previous design had to poison the whole pool here.)
+        let good = layer_jobs(2);
+        let expected = run_local(&good);
         let pool = WorkerPool::new(2);
         let first = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.renormalize_modules(&layer, &bad, 2)
+            run_on(&mut pool.client(), &[panicking_job()])
         }));
-        assert!(first.is_err(), "bad region must panic the batch");
+        assert!(first.is_err(), "a bad job must panic its batch");
         for _ in 0..4 {
-            let again = pool.renormalize_modules(&layer, &good, 2);
-            assert_eq!(again.len(), 1);
-            assert!(again[0].is_success());
+            assert_eq!(run_on(&mut pool.client(), &good), expected);
         }
     }
 
@@ -887,15 +685,14 @@ mod tests {
     fn pool_drops_cleanly_with_abandoned_jobs() {
         // A client whose jobs are still queued when it is dropped must not
         // wedge the pool or its teardown.
-        let layer = Arc::new(PhysicalLayer::fully_connected(32, 32));
         let pool = WorkerPool::new(1);
         let mut client = pool.client();
-        for _ in 0..8 {
-            client.submit(&layer, ModuleRegion::whole_layer(&layer), 8);
+        for job in layer_jobs(8) {
+            client.submit(job);
         }
         drop(client); // replies go nowhere; workers must shrug it off
-        let survivors = pool.renormalize_modules(&layer, &quadrants(32), 8);
-        assert_eq!(survivors.len(), 4);
+        let survivors = layer_jobs(4);
+        assert_eq!(run_on(&mut pool.client(), &survivors), run_local(&survivors));
         drop(pool);
     }
 }

@@ -340,7 +340,7 @@ impl ReshapeEngine {
         // and their answers must not reach the new one.
         if let RenormBackend::Pooled { client, submitted, .. } = &mut self.renorm {
             for _ in self.consumed..*submitted {
-                let _ = client.recv_next_layer();
+                let _ = client.recv_next();
             }
             *submitted = 0;
         }
@@ -404,10 +404,10 @@ impl ReshapeEngine {
             RenormBackend::Local(scratch) => job(index).run(scratch),
             RenormBackend::Pooled { client, submitted, lookahead } => {
                 while *submitted < index + *lookahead {
-                    client.submit_layer(job(*submitted));
+                    client.submit(job(*submitted));
                     *submitted += 1;
                 }
-                client.recv_next_layer()
+                client.recv_next()
             }
         }
     }

@@ -1,19 +1,15 @@
 //! Property tests for `ScratchPool` epoch-stamping under cross-layer (and
 //! cross-thread) reuse, exercised through the public renormalizer APIs.
 //!
-//! The worker pool keeps one `Renormalizer` — and thus one `ScratchPool` —
-//! alive per worker for the lifetime of the RSL stream, and `Renormalizer`
-//! values may be moved between threads (a pool teardown/rebuild migrates
-//! the work to freshly owned pools). These tests pin down the contract that
-//! makes all of that safe: a scratch pool's history is unobservable, no
-//! matter how many layers it has seen or which thread drives it.
-
-use std::sync::Arc;
+//! Every pool worker, and every modular renormalizer, keeps one
+//! `Renormalizer` — and thus one `ScratchPool` — alive for the lifetime of
+//! the RSL stream, and `Renormalizer` values may be moved between threads.
+//! These tests pin down the contract that makes all of that safe: a
+//! scratch pool's history is unobservable, no matter how many layers or
+//! regions it has seen or which thread drives it.
 
 use oneperc_hardware::{FusionEngine, HardwareConfig, PhysicalLayer};
-use oneperc_percolation::{
-    ModularConfig, ModularRenormalizer, ModuleRegion, Renormalizer, WorkerPool,
-};
+use oneperc_percolation::{ModuleRegion, Renormalizer};
 
 fn random_layer(side: usize, p: f64, seed: u64) -> PhysicalLayer {
     let mut engine = FusionEngine::new(HardwareConfig::new(side, 7, p), seed);
@@ -73,36 +69,22 @@ fn renormalizer_migrated_across_threads_never_leaks_marks() {
 }
 
 #[test]
-fn pool_workers_reusing_scratch_across_layers_match_sequential() {
-    // A 1-worker pool funnels every module of every layer through the same
-    // scratch pool, in whatever order the batches arrive — the harshest
-    // reuse pattern. It must match a sequential renormalizer layer for
-    // layer.
-    let config = ModularConfig::new(2, 7, 6).with_workers(1);
-    let mut pooled = ModularRenormalizer::new(config);
-    let mut sequential = ModularRenormalizer::new(config.sequential());
-    for seed in 0..12u64 {
-        let layer = Arc::new(random_layer(48, 0.74, seed));
-        let a = pooled.run_shared(&layer);
-        let b = sequential.run(&layer);
-        assert_eq!(a, b, "seed {seed}");
-    }
-}
-
-#[test]
 fn overlapping_regions_on_one_worker_stay_independent() {
     // Overlapping module regions of the same layer visit the same flat
-    // sites back to back on one worker; each batch result must equal a
-    // fresh renormalizer's answer for its region.
-    let layer = Arc::new(random_layer(40, 0.75, 7));
+    // sites back to back on one reused renormalizer; each result must
+    // equal a fresh renormalizer's answer for its region.
+    let layer = random_layer(40, 0.75, 7);
     let regions = [
         ModuleRegion { origin: (0, 0), width: 24, height: 24 },
         ModuleRegion { origin: (8, 8), width: 24, height: 24 },
         ModuleRegion { origin: (16, 16), width: 24, height: 24 },
         ModuleRegion { origin: (0, 0), width: 24, height: 24 },
     ];
-    let pool = WorkerPool::new(1);
-    let lattices = pool.renormalize_modules(&layer, &regions, 6);
+    let mut reused = Renormalizer::new();
+    let lattices: Vec<_> = regions
+        .iter()
+        .map(|r| reused.renormalize_region(&layer, r.origin, r.width, r.height, 6))
+        .collect();
     for (region, lattice) in regions.iter().zip(&lattices) {
         let expected = Renormalizer::new().renormalize_region(
             &layer,

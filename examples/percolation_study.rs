@@ -55,26 +55,16 @@ fn main() {
         t_non_modular.as_secs_f64() * 1e3
     );
 
-    // Streaming use: hold the layer in an Arc and keep one renormalizer
-    // (with its persistent worker pool) alive, as the online pass does —
-    // the first run pays pool construction, later runs reuse it.
-    let layer = std::sync::Arc::new(layer);
     for modules_per_side in [2usize, 3] {
         let config = ModularConfig::new(modules_per_side, 7, 6);
-        let mut renormalizer = ModularRenormalizer::new(config);
-        let outcome = renormalizer.run_shared(&layer); // warm: spawns the pool
-        let start = Instant::now();
-        let outcome_warm = renormalizer.run_shared(&layer);
-        let elapsed = start.elapsed();
-        assert_eq!(outcome.joined_nodes, outcome_warm.joined_nodes);
+        let outcome = ModularRenormalizer::new(config).run(&layer);
         println!(
-            "  {} modules:   {} coarse nodes in {:.1} ms ({:.0}% of the non-modular yield)",
+            "  {} modules:   {} coarse nodes ({:.0}% of the non-modular yield)",
             modules_per_side * modules_per_side,
             outcome.joined_nodes,
-            elapsed.as_secs_f64() * 1e3,
             100.0 * outcome.joined_nodes as f64 / non_modular.max(1) as f64
         );
     }
-    println!("\nthe modular pass trades a fraction of the renormalized nodes for a large latency");
-    println!("reduction, which is what keeps the online pass inside the photon lifetime.");
+    println!("\nthe modular pass trades a fraction of the renormalized nodes for latency: with one");
+    println!("processor per module, a layer takes as long as its slowest module (fig14, panel b).");
 }

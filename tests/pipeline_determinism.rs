@@ -3,12 +3,13 @@
 //! byte-identical outputs to the serial path — the same on-demand
 //! logical-layer `RenormalizedLattice`s (down to every path site), the
 //! same `LogicalLayerReport`s and the same cumulative statistics — for any
-//! worker count and at every tested `(L, g, p)` point.
+//! worker count and at every tested `(L, p)` point. A modular
+//! renormalizer reused across a long stream must likewise match a fresh
+//! one per layer at every tested `(L, g, p)` point.
 //!
 //! Any scheduling leak in the worker pool (including the jobs the waiting
-//! engine runs itself) shows up here as a diff on long streams.
-
-use std::sync::Arc;
+//! engine runs itself) or state leak in reused scratch shows up here as a
+//! diff on long streams.
 
 use oneperc_suite::hardware::{FusionEngine, HardwareConfig};
 use oneperc_suite::percolation::{
@@ -82,51 +83,30 @@ fn pipelined_reshaping_is_byte_identical_table1_shape() {
     assert_pooled_stream_matches(40, 10, 0.75, 411, 50);
 }
 
-/// Streams `layers` seeded RSLs through a pooled modular renormalizer at
-/// the given worker count and through a sequential one, comparing the full
-/// outcome (modules, joins, counts) per layer.
-fn assert_pooled_modular_stream_matches(
-    rsl: usize,
-    g: usize,
-    p: f64,
-    workers: usize,
-    seed: u64,
-    layers: usize,
-) {
+/// Streams `layers` seeded RSLs through one modular renormalizer, whose
+/// host scratch serves every module of every layer, and compares the full
+/// outcome (modules, joins, counts) per layer with a fresh renormalizer's.
+fn assert_streamed_modular_matches_fresh(rsl: usize, g: usize, p: f64, seed: u64, layers: usize) {
     let config = ModularConfig::new(g, 7, 6);
-    let mut pooled = ModularRenormalizer::new(config.with_workers(workers));
-    let mut sequential = ModularRenormalizer::new(config.sequential());
+    let mut streamed = ModularRenormalizer::new(config);
     let mut engine = FusionEngine::new(HardwareConfig::new(rsl, 7, p), seed);
     for layer_idx in 0..layers {
-        let layer = Arc::new(engine.generate_layer());
-        let a = pooled.run_shared(&layer);
-        let b = sequential.run(&layer);
+        let layer = engine.generate_layer();
         assert_eq!(
-            a, b,
-            "L={rsl} g={g} p={p} workers={workers}: layer {layer_idx} diverged"
+            streamed.run(&layer),
+            ModularRenormalizer::new(config).run(&layer),
+            "L={rsl} g={g} p={p}: layer {layer_idx} diverged"
         );
     }
 }
 
 #[test]
-fn pooled_modular_matches_serial_one_worker() {
-    // A single worker serializes all modules through one scratch pool.
-    assert_pooled_modular_stream_matches(48, 2, 0.75, 1, 31, 50);
+fn streamed_modular_matches_fresh_two_by_two() {
+    assert_streamed_modular_matches_fresh(48, 2, 0.75, 31, 50);
 }
 
 #[test]
-fn pooled_modular_matches_serial_two_workers() {
-    assert_pooled_modular_stream_matches(48, 2, 0.75, 2, 32, 50);
-}
-
-#[test]
-fn pooled_modular_matches_serial_oversubscribed() {
-    // More workers than modules: idle workers must not perturb anything.
-    assert_pooled_modular_stream_matches(48, 2, 0.75, 9, 33, 50);
-}
-
-#[test]
-fn pooled_modular_matches_serial_three_by_three() {
-    // 9 modules at a larger layer, moderately sized pool.
-    assert_pooled_modular_stream_matches(60, 3, 0.72, 4, 34, 50);
+fn streamed_modular_matches_fresh_three_by_three() {
+    // 9 modules at a larger layer.
+    assert_streamed_modular_matches_fresh(60, 3, 0.72, 34, 50);
 }
