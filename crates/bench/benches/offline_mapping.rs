@@ -1,10 +1,11 @@
 //! Criterion bench behind Fig. 15: offline mapping time as a function of
-//! program size and virtual-hardware size.
+//! program size and virtual-hardware size, plus the lowering walk on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_circuit::benchmarks;
 use oneperc_circuit::ProgramGraph;
-use oneperc_ir::VirtualHardware;
+use oneperc_corpus::CorpusSpec;
+use oneperc_ir::{InstructionProgram, VirtualHardware};
 use oneperc_mapper::{Mapper, MapperConfig};
 
 fn bench_program_size(c: &mut Criterion) {
@@ -33,5 +34,20 @@ fn bench_hardware_size(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_program_size, bench_hardware_size);
+/// `InstructionProgram::lower` alone (validation, statistics and the
+/// instruction stream in one walk) on a finished IR.
+fn bench_lower(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lower");
+    group.sample_size(10);
+    let circuit = CorpusSpec::parse("rcachain:q9,r8").unwrap().circuit(0);
+    let mapping = Mapper::new(MapperConfig::new(VirtualHardware::square(3)))
+        .map(&ProgramGraph::from_circuit(&circuit))
+        .unwrap();
+    group.bench_with_input(BenchmarkId::new("rcachain:q9,r8", 3), &mapping.ir, |b, ir| {
+        b.iter(|| std::hint::black_box(InstructionProgram::lower(ir).unwrap().len()));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_program_size, bench_hardware_size, bench_lower);
 criterion_main!(benches);

@@ -48,7 +48,7 @@ fn assert_equivalent(label: &str, config: &MapperConfig, program: &ProgramGraph)
                 "{label}: layer summaries"
             );
             assert_eq!(
-                flat.instructions.instructions(),
+                flat.instructions.iter().collect::<Vec<_>>(),
                 reference_mapper::lower(&flat.ir).as_slice(),
                 "{label}: lowering differs from the node-by-node reference"
             );

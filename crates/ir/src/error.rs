@@ -60,6 +60,14 @@ pub enum IrError {
         /// Coordinate whose virtual memory was empty.
         coord: (usize, usize),
     },
+    /// A value does not fit the 32-bit field of an instruction record.
+    RecordOverflow {
+        /// Which field: `"cell"` (a `y·w + x` index), `"layer"` or
+        /// `"g_node"`.
+        field: &'static str,
+        /// The value that does not fit.
+        value: usize,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -95,6 +103,9 @@ impl fmt::Display for IrError {
                 "virtual memory at coordinate ({}, {}) is empty",
                 coord.0, coord.1
             ),
+            IrError::RecordOverflow { field, value } => {
+                write!(f, "{field} {value} does not fit a 32-bit instruction record field")
+            }
         }
     }
 }

@@ -14,8 +14,21 @@
 //! * [`FlexLatticeIr::layer_nodes`] walks one block and yields the layer's
 //!   nodes row-major (`y`, then `x`), which is the order the instruction
 //!   lowering emits them in;
-//! * [`FlexLatticeIr::temporal_edges`] walks each block column by column,
-//!   so edges come out in `(to_layer, x, y)` order without a sort.
+//! * [`FlexLatticeIr::layer_summaries`] walks each block column by column,
+//!   so a layer's incoming temporal edges come out in `(x, y)` order
+//!   without a sort.
+//!
+//! # Walks over a finished IR
+//!
+//! The compile path walks a finished IR once:
+//! [`InstructionProgram::lower`](crate::InstructionProgram::lower) reads
+//! each layer's block row-major, checks the rules of
+//! [`FlexLatticeIr::validate`], counts the [`IrStats`] and emits the
+//! instruction stream with its per-layer index, which is what the online
+//! pass reads. [`FlexLatticeIr::validate`] is that walk with the stream
+//! dropped. What remains outside it serves other readers:
+//! [`FlexLatticeIr::stats`] is one pass over the node arena, and
+//! [`FlexLatticeIr::layer_summaries`] feeds the OneQ baseline's planner.
 
 use graphstate::MeasBasis;
 
@@ -136,7 +149,7 @@ pub struct IrLayerSummary {
 }
 
 /// Slot-index value of an empty coordinate.
-const EMPTY: u32 = u32::MAX;
+pub(crate) const EMPTY: u32 = u32::MAX;
 
 /// A program expressed on the virtual hardware: a stack of partially filled
 /// lattice layers with individually enabled spatial and temporal edges.
@@ -191,9 +204,21 @@ impl FlexLatticeIr {
     }
 
     /// The arena index of the node at `(layer, coord)`, if any.
-    fn index(&self, layer: usize, coord: (usize, usize)) -> Option<usize> {
+    pub(crate) fn index(&self, layer: usize, coord: (usize, usize)) -> Option<usize> {
         let i = self.slots[self.slot(layer, coord)?];
         (i != EMPTY).then_some(i as usize)
+    }
+
+    /// Placed nodes in placement order.
+    pub(crate) fn arena(&self) -> &[IrNode] {
+        &self.nodes
+    }
+
+    /// The row-major block of arena indices (or [`EMPTY`]) of a layer that
+    /// exists.
+    pub(crate) fn layer_slots(&self, layer: usize) -> &[u32] {
+        let k2 = self.hardware.nodes_per_layer();
+        &self.slots[layer * k2..(layer + 1) * k2]
     }
 
     /// The node at `(layer, coord)`, if any.
@@ -381,30 +406,24 @@ impl FlexLatticeIr {
         })
     }
 
-    /// All temporal edges of the program in `(to_layer, to_coord)` order.
-    pub fn temporal_edges(&self) -> Vec<TemporalEdge> {
-        (0..self.layer_count()).flat_map(|layer| self.incoming_temporal(layer)).collect()
-    }
-
-    /// Aggregate statistics.
+    /// Aggregate statistics, from one pass over the node arena. (A
+    /// lowered program carries the same counts:
+    /// [`InstructionProgram::stats`](crate::InstructionProgram::stats).)
     pub fn stats(&self) -> IrStats {
         let mut stats = IrStats { layers: self.layer_count(), ..IrStats::default() };
+        let mut temporal_edges = 0;
         for node in &self.nodes {
             match node.kind {
                 NodeKind::Program(_) => stats.program_nodes += 1,
                 NodeKind::Ancilla => stats.ancilla_nodes += 1,
             }
             stats.spatial_edges += usize::from(node.east_edge) + usize::from(node.north_edge);
+            temporal_edges += usize::from(node.temporal_prev.is_some());
+            // A node is stored exactly when it sources a cross-layer edge,
+            // and it sources at most one.
+            stats.cross_temporal_edges += usize::from(node.stored_after);
         }
-        for layer in 0..self.layer_count() {
-            for (_, node) in self.layer_nodes(layer) {
-                match node.temporal_prev {
-                    Some((from, _)) if layer - from > 1 => stats.cross_temporal_edges += 1,
-                    Some(_) => stats.adjacent_temporal_edges += 1,
-                    None => {}
-                }
-            }
-        }
+        stats.adjacent_temporal_edges = temporal_edges - stats.cross_temporal_edges;
         stats
     }
 
@@ -431,46 +450,24 @@ impl FlexLatticeIr {
 
     /// Full structural validation: every edge endpoint exists, spatial edges
     /// connect neighbors, temporal fan-in/out is at most one per node per
-    /// direction.
+    /// direction. This is the lowering walk of
+    /// [`InstructionProgram::lower`](crate::InstructionProgram::lower) with
+    /// its stream dropped.
     ///
     /// # Errors
     ///
     /// Returns the first violation found, scanning layers in order and each
-    /// layer row-major.
+    /// layer row-major, or [`IrError::RecordOverflow`] when a value does not
+    /// fit the instruction records.
     pub fn validate(&self) -> Result<(), IrError> {
-        let mut sourced = vec![false; self.nodes.len()];
-        for idx in 0..self.layer_count() {
-            for ((x, y), node) in self.layer_nodes(idx) {
-                if node.east_edge && self.node(idx, (x + 1, y)).is_none() {
-                    return Err(IrError::MissingNode { layer: idx, coord: (x + 1, y) });
-                }
-                if node.north_edge && self.node(idx, (x, y + 1)).is_none() {
-                    return Err(IrError::MissingNode { layer: idx, coord: (x, y + 1) });
-                }
-                if let Some((from, from_coord)) = node.temporal_prev {
-                    if from >= idx {
-                        return Err(IrError::InvalidTemporalOrder { from, to: idx });
-                    }
-                    let source = self
-                        .index(from, from_coord)
-                        .ok_or(IrError::MissingNode { layer: from, coord: from_coord })?;
-                    if idx - from == 1 && from_coord != (x, y) {
-                        return Err(IrError::NotAdjacent { a: from_coord, b: (x, y) });
-                    }
-                    // At most one outgoing temporal edge per node.
-                    if std::mem::replace(&mut sourced[source], true) {
-                        return Err(IrError::TemporalConflict { layer: from, coord: from_coord });
-                    }
-                }
-            }
-        }
-        Ok(())
+        crate::InstructionProgram::lower(self).map(drop)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Instruction;
 
     fn two_layer_ir() -> FlexLatticeIr {
         let mut ir = FlexLatticeIr::new(VirtualHardware::new(3, 3));
@@ -531,9 +528,8 @@ mod tests {
         ir.place(l2, (1, 0), NodeKind::Program(5)).unwrap();
         ir.enable_temporal_edge((1, 0), 0, 2).unwrap();
         assert!(ir.node(0, (1, 0)).unwrap().stored_after);
-        let edges = ir.temporal_edges();
-        assert_eq!(edges.len(), 2);
-        assert!(edges.iter().any(|e| e.is_cross_layer()));
+        let stats = ir.stats();
+        assert_eq!((stats.adjacent_temporal_edges, stats.cross_temporal_edges), (1, 1));
         assert!(ir.validate().is_ok());
     }
 
@@ -582,11 +578,15 @@ mod tests {
         assert!(ir.node(0, (0, 0)).unwrap().stored_after);
         assert_eq!(ir.node(2, (2, 2)).unwrap().temporal_prev, Some((0, (0, 0))));
         assert!(ir.validate().is_ok());
-        let edges = ir.temporal_edges();
-        assert_eq!(edges.len(), 1);
-        assert!(edges[0].is_cross_layer());
-        assert_eq!(edges[0].from_coord, (0, 0));
-        assert_eq!(edges[0].to_coord, (2, 2));
+        let retrieved: Vec<Instruction> = crate::InstructionProgram::lower(&ir)
+            .unwrap()
+            .iter()
+            .filter(|i| matches!(i, Instruction::RetrieveVNode { .. }))
+            .collect();
+        assert_eq!(
+            retrieved,
+            [Instruction::RetrieveVNode { v_node: (0, 0, 0), position: (2, 2, 1) }]
+        );
     }
 
     #[test]
@@ -730,10 +730,15 @@ mod tests {
                     ir.enable_temporal_edge(c, 0, 1).unwrap();
                 }
             }
-            let keys: Vec<(usize, usize, usize)> = ir
-                .temporal_edges()
+            let keys: Vec<(usize, usize, usize)> = crate::InstructionProgram::lower(&ir)
+                .unwrap()
                 .iter()
-                .map(|e| (e.to_layer, e.to_coord.0, e.to_coord.1))
+                .filter_map(|i| match i {
+                    Instruction::EnableTemporalVEdge { adjacent_v_node: (x, y, z), .. } => {
+                        Some((z, x, y))
+                    }
+                    _ => None,
+                })
                 .collect();
             let mut sorted = keys.clone();
             sorted.sort_unstable();
@@ -771,11 +776,10 @@ mod tests {
             }
             let lowered = crate::InstructionProgram::lower(&ir).unwrap();
             let mapped: Vec<(usize, usize)> = lowered
-                .instructions()
                 .iter()
-                .map(|i| match *i {
-                    crate::Instruction::MapVNode { v_node: (x, y, _), .. } => (x, y),
-                    ref other => panic!("unexpected {other}"),
+                .map(|i| match i {
+                    Instruction::MapVNode { v_node: (x, y, _), .. } => (x, y),
+                    other => panic!("unexpected {other}"),
                 })
                 .collect();
             assert_eq!(mapped, row_major, "{w}x{h}: lowering order");

@@ -6,12 +6,34 @@
 //! By default every physical qubit is measured in the `Z` basis (edges
 //! disabled); the instructions enable exactly the structure the program
 //! needs.
+//!
+//! # Storage layout
+//!
+//! [`InstructionProgram::lower`] walks the IR once, layer by layer. It
+//! checks the IR's structural rules, counts its [`IrStats`] and writes
+//! fixed-size 16-byte records of `u32` fields, not [`Instruction`]s. A
+//! record holds a cell index `y·w + x` and an operation; its layer is the
+//! one whose slice holds it. A cross-layer edge's `retrieve_v_node` +
+//! `enable_temporal_v_edge` pair shares one record, which keeps the stored
+//! node's key `(from_layer, from_cell)`. A value that does not fit a `u32`
+//! field is an [`IrError::RecordOverflow`], never a truncation.
+//!
+//! A per-layer index marks where each layer's records end. Layer `l`'s
+//! slice holds its map, spatial-edge and store records in row-major order,
+//! then the temporal edges ending on `l` in `(x, y)` order. The online
+//! pass reads one slice per layer ([`InstructionProgram::layer`]) to build
+//! that layer's requirement.
+//!
+//! Instructions are decoded only when read: [`InstructionProgram::iter`],
+//! [`InstructionProgram::layer`], `Display` and the
+//! [`InstructionInterpreter`]. [`InstructionProgram::len`] counts decoded
+//! instructions.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::error::IrError;
-use crate::flexlattice::{FlexLatticeIr, NodeKind};
+use crate::flexlattice::{FlexLatticeIr, IrStats, NodeKind, EMPTY};
 
 /// A position on the virtual hardware: `(x, y, layer)`.
 pub type VPos = (usize, usize, usize);
@@ -39,6 +61,12 @@ pub enum Instruction {
     },
     /// Pop a previously stored virtual node out of the delay lines at a new
     /// position.
+    ///
+    /// `position` is one layer below the edge's later endpoint, and a node
+    /// of that layer may already sit at its coordinate. The retrieved bundle
+    /// then fuses into the layer above through the temporal edge that
+    /// follows, so its `position` layer is only notional: it names where the
+    /// bundle re-enters, not a lattice site it owns.
     RetrieveVNode {
         /// Original stored position.
         v_node: VPos,
@@ -99,107 +127,216 @@ impl fmt::Display for Instruction {
     }
 }
 
+/// One fixed-size step of a lowered program: a cell index `y·w + x` on
+/// the layer whose slice holds the record, and what happens there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    cell: u32,
+    op: Op,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Map { g_node: u32 },
+    Ancilla,
+    East,
+    North,
+    Store,
+    /// Temporal edge from the same cell of the layer below.
+    Temporal,
+    /// A cross-layer edge's `retrieve_v_node` + `enable_temporal_v_edge`
+    /// pair, keeping the stored node's key `(from_layer, from_cell)`.
+    Fetch { from_layer: u32, from_cell: u32 },
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 16);
+// Decoding widens `u32` fields with `as usize`, which must never truncate.
+const _: () = assert!(usize::BITS >= u32::BITS);
+
+/// Narrows a value into a record field.
+fn field(value: usize, name: &'static str) -> Result<u32, IrError> {
+    u32::try_from(value).map_err(|_| IrError::RecordOverflow { field: name, value })
+}
+
 /// An ordered instruction stream together with the virtual-hardware layer
-/// count it spans.
+/// count it spans and the statistics of the IR it was lowered from.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InstructionProgram {
-    instructions: Vec<Instruction>,
-    layer_count: usize,
+    records: Vec<Record>,
+    /// Per layer, one past the index of its last record.
+    layer_end: Vec<usize>,
+    /// Layer width, to decode cell indices.
+    width: usize,
+    stats: IrStats,
 }
 
 impl InstructionProgram {
-    /// The instructions in execution order.
-    pub fn instructions(&self) -> &[Instruction] {
-        &self.instructions
+    /// The instructions in execution order, decoded from the records.
+    pub fn iter(&self) -> impl Iterator<Item = Instruction> + '_ {
+        (0..self.layer_count()).flat_map(|layer| self.layer(layer))
     }
 
-    /// Number of instructions.
+    /// The instructions of one layer's slice of the stream: the layer's
+    /// node, spatial-edge and store instructions in row-major order, then
+    /// the retrievals and temporal edges ending on it in `(x, y)` order.
+    /// Empty for a layer that does not exist.
+    pub fn layer(&self, layer: usize) -> impl Iterator<Item = Instruction> + '_ {
+        let records = match self.layer_end.get(layer) {
+            Some(&end) => &self.records[layer.checked_sub(1).map_or(0, |p| self.layer_end[p])..end],
+            None => &[],
+        };
+        let coord = move |cell: u32| (cell as usize % self.width, cell as usize / self.width);
+        records.iter().flat_map(move |&Record { cell, op }| {
+            use Instruction::*;
+            let (x, y) = coord(cell);
+            let here = (x, y, layer);
+            let temporal =
+                || EnableTemporalVEdge { v_node: (x, y, layer - 1), adjacent_v_node: here };
+            let (first, second) = match op {
+                Op::Map { g_node } => (MapVNode { v_node: here, g_node: g_node as usize }, None),
+                Op::Ancilla => (MakeVNodeAncilla { v_node: here }, None),
+                Op::East => {
+                    (EnableSpatialVEdge { v_node: here, adjacent_v_node: (x + 1, y, layer) }, None)
+                }
+                Op::North => {
+                    (EnableSpatialVEdge { v_node: here, adjacent_v_node: (x, y + 1, layer) }, None)
+                }
+                Op::Store => (StoreVNode { v_node: here }, None),
+                Op::Temporal => (temporal(), None),
+                Op::Fetch { from_layer, from_cell } => {
+                    let (fx, fy) = coord(from_cell);
+                    let v_node = (fx, fy, from_layer as usize);
+                    (RetrieveVNode { v_node, position: (x, y, layer - 1) }, Some(temporal()))
+                }
+            };
+            std::iter::once(first).chain(second)
+        })
+    }
+
+    /// Number of instructions (a shared retrieve + temporal-edge record
+    /// counts as two).
     pub fn len(&self) -> usize {
-        self.instructions.len()
+        self.records.len() + self.stats.cross_temporal_edges
     }
 
     /// Returns `true` when the program is empty.
     pub fn is_empty(&self) -> bool {
-        self.instructions.is_empty()
+        self.records.is_empty()
     }
 
     /// Number of virtual-hardware layers the program spans.
     pub fn layer_count(&self) -> usize {
-        self.layer_count
+        self.layer_end.len()
+    }
+
+    /// Statistics of the lowered IR, counted by the lowering walk; equal to
+    /// [`FlexLatticeIr::stats`].
+    pub fn stats(&self) -> IrStats {
+        self.stats
     }
 
     /// Lowers a FlexLattice IR program into an instruction stream, layer by
-    /// layer: node mapping instructions first, then spatial edges, then
-    /// store / retrieve / temporal-edge instructions realizing the temporal
-    /// structure.
+    /// layer: node mapping instructions first, then spatial edges and
+    /// stores, then the retrieve / temporal-edge instructions realizing the
+    /// temporal edges that end on the layer.
+    ///
+    /// This is the one walk over the finished IR: it checks
+    /// [`FlexLatticeIr::validate`]'s rules and counts the
+    /// [`IrStats`] as it emits.
     ///
     /// # Errors
     ///
-    /// Returns the first structural violation found while validating the IR.
+    /// Returns the first structural violation, scanning layers in order and
+    /// each layer row-major, or [`IrError::RecordOverflow`] when a value
+    /// does not fit a record.
     pub fn lower(ir: &FlexLatticeIr) -> Result<Self, IrError> {
-        ir.validate()?;
-        let mut instructions = Vec::new();
-        // Temporal edges come sorted by destination layer: walk them with
-        // one cursor instead of rescanning the program per layer.
-        let edges = ir.temporal_edges();
-        let mut edges = edges.iter().copied().peekable();
+        let (w, h) = (ir.hardware().width(), ir.hardware().height());
+        let arena = ir.arena();
+        let mut stats = IrStats { layers: ir.layer_count(), ..IrStats::default() };
+        let mut records = Vec::with_capacity(arena.len());
+        let mut layer_end = Vec::with_capacity(ir.layer_count());
+        // Per arena node: already the source of a temporal edge.
+        let mut sourced = vec![false; arena.len()];
+        // The current layer's spatial-edge and store records, and its
+        // incoming temporal edges keyed by `(x, y)` order.
+        let mut tail = Vec::new();
+        let mut incoming: Vec<(usize, Record)> = Vec::new();
         for layer in 0..ir.layer_count() {
-            // Deterministic order: row-major over the layer.
-            for ((x, y), node) in ir.layer_nodes(layer) {
-                let v_node = (x, y, layer);
-                match node.kind {
+            let slots = ir.layer_slots(layer);
+            for (s, &i) in slots.iter().enumerate() {
+                if i == EMPTY {
+                    continue;
+                }
+                let node = &arena[i as usize];
+                let (x, y) = (s % w, s / w);
+                if node.east_edge && (x + 1 == w || slots[s + 1] == EMPTY) {
+                    return Err(IrError::MissingNode { layer, coord: (x + 1, y) });
+                }
+                if node.north_edge && (y + 1 == h || slots[s + w] == EMPTY) {
+                    return Err(IrError::MissingNode { layer, coord: (x, y + 1) });
+                }
+                let cell = field(s, "cell")?;
+                let op = match node.kind {
                     NodeKind::Program(g) => {
-                        instructions.push(Instruction::MapVNode { v_node, g_node: g })
+                        stats.program_nodes += 1;
+                        Op::Map { g_node: field(g, "g_node")? }
                     }
                     NodeKind::Ancilla => {
-                        instructions.push(Instruction::MakeVNodeAncilla { v_node })
+                        stats.ancilla_nodes += 1;
+                        Op::Ancilla
+                    }
+                };
+                records.push(Record { cell, op });
+                stats.spatial_edges += usize::from(node.east_edge) + usize::from(node.north_edge);
+                let after = [
+                    (node.east_edge, Op::East),
+                    (node.north_edge, Op::North),
+                    (node.stored_after, Op::Store),
+                ];
+                for (set, op) in after {
+                    if set {
+                        tail.push(Record { cell, op });
                     }
                 }
+                if let Some((from, from_coord)) = node.temporal_prev {
+                    if from >= layer {
+                        return Err(IrError::InvalidTemporalOrder { from, to: layer });
+                    }
+                    let source = ir
+                        .index(from, from_coord)
+                        .ok_or(IrError::MissingNode { layer: from, coord: from_coord })?;
+                    if layer - from == 1 && from_coord != (x, y) {
+                        return Err(IrError::NotAdjacent { a: from_coord, b: (x, y) });
+                    }
+                    // At most one outgoing temporal edge per node.
+                    if std::mem::replace(&mut sourced[source], true) {
+                        return Err(IrError::TemporalConflict { layer: from, coord: from_coord });
+                    }
+                    let op = if layer - from == 1 {
+                        stats.adjacent_temporal_edges += 1;
+                        Op::Temporal
+                    } else {
+                        stats.cross_temporal_edges += 1;
+                        Op::Fetch {
+                            from_layer: field(from, "layer")?,
+                            from_cell: field(from_coord.1 * w + from_coord.0, "cell")?,
+                        }
+                    };
+                    incoming.push((x * h + y, Record { cell, op }));
+                }
             }
-            for ((x, y), node) in ir.layer_nodes(layer) {
-                let v_node = (x, y, layer);
-                if node.east_edge {
-                    instructions.push(Instruction::EnableSpatialVEdge {
-                        v_node,
-                        adjacent_v_node: (x + 1, y, layer),
-                    });
-                }
-                if node.north_edge {
-                    instructions.push(Instruction::EnableSpatialVEdge {
-                        v_node,
-                        adjacent_v_node: (x, y + 1, layer),
-                    });
-                }
-                if node.stored_after {
-                    instructions.push(Instruction::StoreVNode { v_node });
-                }
-            }
-            // Temporal edges terminating on this layer.
-            while let Some(edge) = edges.next_if(|e| e.to_layer == layer) {
-                let (tx, ty) = edge.to_coord;
-                if edge.is_cross_layer() {
-                    // Retrieve the stored node just below the destination
-                    // layer (possibly at a new position), then enable an
-                    // adjacent temporal edge.
-                    instructions.push(Instruction::RetrieveVNode {
-                        v_node: (edge.from_coord.0, edge.from_coord.1, edge.from_layer),
-                        position: (tx, ty, layer - 1),
-                    });
-                }
-                let below = if edge.is_cross_layer() { layer - 1 } else { edge.from_layer };
-                instructions.push(Instruction::EnableTemporalVEdge {
-                    v_node: (tx, ty, below),
-                    adjacent_v_node: (tx, ty, layer),
-                });
-            }
+            records.append(&mut tail);
+            incoming.sort_unstable_by_key(|&(key, _)| key);
+            records.extend(incoming.drain(..).map(|(_, record)| record));
+            layer_end.push(records.len());
         }
-        Ok(InstructionProgram { instructions, layer_count: ir.layer_count() })
+        Ok(InstructionProgram { records, layer_end, width: w, stats })
     }
 }
 
 impl fmt::Display for InstructionProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in &self.instructions {
+        for i in self.iter() {
             writeln!(f, "{i}")?;
         }
         Ok(())
@@ -223,6 +360,8 @@ pub struct InstructionInterpreter {
     temporal_out: HashSet<VPos>,
     /// Number of executed instructions.
     executed: usize,
+    /// Retrievals whose position a mapped node already occupied.
+    fused_retrievals: usize,
 }
 
 impl InstructionInterpreter {
@@ -234,6 +373,13 @@ impl InstructionInterpreter {
     /// Number of instructions executed so far.
     pub fn executed(&self) -> usize {
         self.executed
+    }
+
+    /// Number of retrievals so far whose `position` a node of that layer
+    /// already occupied: their bundles fuse into the layer above (see
+    /// [`Instruction::RetrieveVNode`]).
+    pub fn fused_retrievals(&self) -> usize {
+        self.fused_retrievals
     }
 
     /// Number of bundles currently parked in the virtual memory.
@@ -275,8 +421,13 @@ impl InstructionInterpreter {
                 if !found {
                     return Err(IrError::MemoryUnderflow { coord: (v_node.0, v_node.1) });
                 }
-                // The retrieved bundle re-occupies the lattice at `position`.
-                self.occupied.insert(*position);
+                // The retrieved bundle re-enters the lattice at `position`.
+                // When a node of that layer is already there, the bundle
+                // fuses into the layer above instead: the position layer is
+                // only notional, so sharing it is no conflict.
+                if !self.occupied.insert(*position) {
+                    self.fused_retrievals += 1;
+                }
             }
             Instruction::EnableSpatialVEdge { v_node, adjacent_v_node } => {
                 if v_node.2 != adjacent_v_node.2 {
@@ -339,8 +490,8 @@ impl InstructionInterpreter {
     ///
     /// Returns the first rule violation together with no further execution.
     pub fn run(&mut self, program: &InstructionProgram) -> Result<(), IrError> {
-        for instruction in program.instructions() {
-            self.execute(instruction)?;
+        for instruction in program.iter() {
+            self.execute(&instruction)?;
         }
         Ok(())
     }
@@ -475,5 +626,71 @@ mod tests {
         let program = InstructionProgram::lower(&ir).unwrap();
         assert!(program.is_empty());
         assert_eq!(program.len(), 0);
+    }
+
+    /// Every kind of record on a 70,000 × 1 layer, whose coordinates do not
+    /// fit `u16`, decodes back to the instructions it encodes.
+    #[test]
+    fn coordinates_past_u16_decode_losslessly() {
+        use Instruction::*;
+        let mut ir = FlexLatticeIr::new(VirtualHardware::new(70_000, 1));
+        for _ in 0..3 {
+            ir.push_layer();
+        }
+        ir.place(0, (65_536, 0), NodeKind::Program(70_000)).unwrap();
+        ir.place(0, (65_537, 0), NodeKind::Ancilla).unwrap();
+        ir.enable_spatial_edge(0, (65_536, 0), (65_537, 0)).unwrap();
+        ir.place(1, (65_537, 0), NodeKind::Ancilla).unwrap();
+        ir.enable_temporal_edge((65_537, 0), 0, 1).unwrap();
+        ir.place(2, (69_999, 0), NodeKind::Program(1)).unwrap();
+        ir.enable_temporal_edge_relocated(0, (65_536, 0), 2, (69_999, 0)).unwrap();
+        let program = InstructionProgram::lower(&ir).unwrap();
+        let expected = vec![
+            MapVNode { v_node: (65_536, 0, 0), g_node: 70_000 },
+            MakeVNodeAncilla { v_node: (65_537, 0, 0) },
+            EnableSpatialVEdge { v_node: (65_536, 0, 0), adjacent_v_node: (65_537, 0, 0) },
+            StoreVNode { v_node: (65_536, 0, 0) },
+            MakeVNodeAncilla { v_node: (65_537, 0, 1) },
+            EnableTemporalVEdge { v_node: (65_537, 0, 0), adjacent_v_node: (65_537, 0, 1) },
+            MapVNode { v_node: (69_999, 0, 2), g_node: 1 },
+            RetrieveVNode { v_node: (65_536, 0, 0), position: (69_999, 0, 1) },
+            EnableTemporalVEdge { v_node: (69_999, 0, 1), adjacent_v_node: (69_999, 0, 2) },
+        ];
+        assert_eq!(program.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(program.len(), expected.len());
+        let text: String = expected.iter().map(|i| format!("{i}\n")).collect();
+        assert_eq!(program.to_string(), text);
+        let by_layer: Vec<Instruction> = (0..4).flat_map(|l| program.layer(l)).collect();
+        assert_eq!(by_layer, expected, "the layer slices tile the stream");
+        assert_eq!(program.layer(2).count(), 3);
+        assert_eq!(program.stats(), ir.stats());
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn values_past_u32_are_a_typed_error() {
+        let mut ir = FlexLatticeIr::new(VirtualHardware::new(2, 1));
+        ir.push_layer();
+        ir.place(0, (0, 0), NodeKind::Program(u32::MAX as usize)).unwrap();
+        assert!(InstructionProgram::lower(&ir).is_ok(), "u32::MAX itself fits");
+        let value = u32::MAX as usize + 1;
+        ir.place(0, (1, 0), NodeKind::Program(value)).unwrap();
+        let overflow = IrError::RecordOverflow { field: "g_node", value };
+        assert_eq!(InstructionProgram::lower(&ir), Err(overflow.clone()));
+        assert_eq!(ir.validate(), Err(overflow));
+    }
+
+    #[test]
+    fn fused_retrievals_are_counted() {
+        // The cross-layer example retrieves onto (1, 1, 1), which is empty;
+        // a node placed there makes the bundle fuse into layer 2.
+        let mut ir = cross_layer_example();
+        let mut interp = InstructionInterpreter::new();
+        interp.run(&InstructionProgram::lower(&ir).unwrap()).unwrap();
+        assert_eq!(interp.fused_retrievals(), 0);
+        ir.place(1, (1, 1), NodeKind::Ancilla).unwrap();
+        let mut interp = InstructionInterpreter::new();
+        interp.run(&InstructionProgram::lower(&ir).unwrap()).unwrap();
+        assert_eq!(interp.fused_retrievals(), 1);
     }
 }

@@ -15,6 +15,8 @@
 //! * [`Instruction`] — the six intermediate-level instructions that a
 //!   FlexLattice IR lowers to, plus an interpreter that validates an
 //!   instruction stream against the virtual-hardware rules.
+//! * [`InstructionProgram`] — the lowered stream, written by one walk over
+//!   the IR as compact per-layer records and decoded on read.
 //!
 //! # Example
 //!

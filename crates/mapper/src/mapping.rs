@@ -444,14 +444,16 @@ impl Mapper {
             }
         }
 
-        let ir_stats = state.ir.stats();
-        state.stats.layers = state.ir.layer_count();
+        // One walk over the finished IR: validation, statistics and the
+        // instruction stream.
+        let instructions = InstructionProgram::lower(&state.ir)?;
+        let ir_stats = instructions.stats();
+        state.stats.layers = ir_stats.layers;
         state.stats.temporal_edges =
             ir_stats.adjacent_temporal_edges + ir_stats.cross_temporal_edges;
         state.stats.cross_layer_edges = ir_stats.cross_temporal_edges;
         state.stats.ancilla_nodes = ir_stats.ancilla_nodes;
         state.stats.spatial_edges = ir_stats.spatial_edges;
-        let instructions = InstructionProgram::lower(&state.ir)?;
         Ok(MappingResult {
             ir: state.ir,
             instructions,
@@ -829,10 +831,29 @@ mod tests {
     fn stats_are_internally_consistent() {
         let result = map_benchmark(benchmarks::Benchmark::Vqe, 4, 3);
         let ir_stats = result.ir.stats();
+        assert_eq!(result.instructions.stats(), ir_stats, "the walk counts what the arena holds");
         assert_eq!(result.stats.ancilla_nodes, ir_stats.ancilla_nodes);
         assert_eq!(result.stats.spatial_edges, ir_stats.spatial_edges);
         assert_eq!(result.stats.layers, result.ir.layer_count());
         assert!(result.stats.peak_live_nodes >= result.stats.peak_stored_nodes);
+    }
+
+    /// Most retrievals of a deep chain land on a coordinate that a node of
+    /// the layer below the edge's end already holds; the retrieved bundle
+    /// then fuses into the layer above (see `Instruction::RetrieveVNode`).
+    /// Pinned so a mapper or lowering change that moves it is seen.
+    #[test]
+    fn rcachain_retrievals_sharing_a_position_are_pinned() {
+        let circuit = oneperc_corpus::CorpusSpec::parse("rcachain:q9,r128")
+            .expect("valid spec")
+            .circuit(0x0E1E_C0DE);
+        let result = Mapper::new(MapperConfig::new(VirtualHardware::square(3)))
+            .map(&ProgramGraph::from_circuit(&circuit))
+            .expect("mapping should succeed");
+        let mut interp = InstructionInterpreter::new();
+        interp.run(&result.instructions).unwrap();
+        assert_eq!(result.stats.cross_layer_edges, 47_619, "retrievals");
+        assert_eq!(interp.fused_retrievals(), 34_356, "retrievals onto a node of layer - 1");
     }
 
     #[test]

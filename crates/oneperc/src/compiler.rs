@@ -6,6 +6,7 @@ use std::fmt;
 use std::time::Instant;
 
 use oneperc_circuit::{Circuit, ProgramGraph};
+use oneperc_ir::{Instruction, InstructionProgram};
 use oneperc_mapper::{MapError, Mapper, MapperConfig, MappingResult};
 use oneperc_percolation::{
     CancelToken, LayerRequirement, ReshapeConfig, ReshapeEngine, TemporalRequirement,
@@ -104,6 +105,40 @@ pub(crate) fn reshape_config(config: &CompilerConfig) -> ReshapeConfig {
         .with_temporal_redundancy(config.temporal_redundancy)
 }
 
+/// Fills `requirement` with what layer `layer` of `program` asks of the
+/// online pass, read from that layer's slice of the instruction stream: the
+/// temporal edges ending on it, in the stream's `(x, y)` order, each with
+/// its distance back to the source layer; and its store and retrieve
+/// counts. The online pass calls this once per layer on one reused
+/// requirement.
+pub fn layer_requirement(
+    program: &InstructionProgram,
+    layer: usize,
+    requirement: &mut LayerRequirement,
+) {
+    requirement.temporal_edges.clear();
+    requirement.stores = 0;
+    requirement.retrieves = 0;
+    // A retrieval names the source layer of the temporal edge after it.
+    let mut retrieved_from = None;
+    for instruction in program.layer(layer) {
+        match instruction {
+            Instruction::StoreVNode { .. } => requirement.stores += 1,
+            Instruction::RetrieveVNode { v_node, .. } => {
+                requirement.retrieves += 1;
+                retrieved_from = Some(v_node.2);
+            }
+            Instruction::EnableTemporalVEdge { v_node, adjacent_v_node: (x, y, to) } => {
+                let from = retrieved_from.take().unwrap_or(v_node.2);
+                requirement
+                    .temporal_edges
+                    .push(TemporalRequirement { coord: (x, y), back_distance: to - from });
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Online pass run by the warm [`Session`](crate::Session) lanes: drives
 /// `engine` through every IR layer of `compiled` and derives the
 /// evaluation metrics.
@@ -130,16 +165,9 @@ pub(crate) fn run_online_pass(
 ) -> ExecuteOutcome {
     let start = Instant::now();
     let mut failure: Option<LayerFailure> = None;
-    for (layer_index, summary) in compiled.mapping.ir.layer_summaries().into_iter().enumerate() {
-        let requirement = LayerRequirement {
-            temporal_edges: summary
-                .incoming_temporal
-                .iter()
-                .map(|&(coord, gap)| TemporalRequirement { coord, back_distance: gap })
-                .collect(),
-            stores: summary.stores,
-            retrieves: summary.retrieves,
-        };
+    let mut requirement = LayerRequirement::none();
+    for layer_index in 0..compiled.layer_count() {
+        layer_requirement(&compiled.mapping.instructions, layer_index, &mut requirement);
         let report = match cancel {
             Some(token) => engine.advance_logical_layer_cancellable(&requirement, token),
             None => engine.advance_logical_layer(&requirement),

@@ -161,7 +161,7 @@ pub mod service;
 mod session;
 pub mod sync;
 
-pub use compiler::{CompileError, CompiledProgram};
+pub use compiler::{layer_requirement, CompileError, CompiledProgram};
 pub use config::{CompilerConfig, Preset};
 pub use memory::MemoryModel;
 pub use report::{

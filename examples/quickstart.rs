@@ -37,7 +37,7 @@ fn main() {
         compiled.mapping.instructions.len(),
     );
     println!("first instructions of the stream:");
-    for instruction in compiled.mapping.instructions.instructions().iter().take(8) {
+    for instruction in compiled.mapping.instructions.iter().take(8) {
         println!("  {instruction}");
     }
 
