@@ -1,5 +1,6 @@
 //! Criterion bench behind Fig. 15: offline mapping time as a function of
-//! program size and virtual-hardware size, plus the lowering walk on its own.
+//! program size and virtual-hardware size, `Mapper::map` on the repository
+//! benchmark's two shapes, and the lowering walk on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_circuit::benchmarks;
@@ -34,6 +35,23 @@ fn bench_hardware_size(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Mapper::map` on the shapes the repository benchmark compiles, at its
+/// hardware sides and circuit seed: a deep chain on a 3×3 layer and a wide
+/// program on a 6×6 layer.
+fn bench_map(c: &mut Criterion) {
+    let mut group = c.benchmark_group("map");
+    group.sample_size(10);
+    for (token, side) in [("rcachain:q9,r8", 3usize), ("layered:w36,d60,e400", 6)] {
+        let circuit = CorpusSpec::parse(token).unwrap().circuit(0x0E1E_C0DE);
+        let program = ProgramGraph::from_circuit(&circuit);
+        let mapper = Mapper::new(MapperConfig::new(VirtualHardware::square(side)));
+        group.bench_with_input(BenchmarkId::new(token, side), &program, |b, program| {
+            b.iter(|| std::hint::black_box(mapper.map(program).unwrap().stats.layers));
+        });
+    }
+    group.finish();
+}
+
 /// `InstructionProgram::lower` alone (validation, statistics and the
 /// instruction stream in one walk) on a finished IR.
 fn bench_lower(c: &mut Criterion) {
@@ -49,5 +67,5 @@ fn bench_lower(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_program_size, bench_hardware_size, bench_lower);
+criterion_group!(benches, bench_program_size, bench_hardware_size, bench_map, bench_lower);
 criterion_main!(benches);

@@ -206,9 +206,15 @@ pub fn map(config: &MapperConfig, program: &ProgramGraph) -> Result<MappingResul
                     place_program_node(&mut state, z, g, coord)?;
                     occupied.insert(coord);
                     present.insert(g, coord);
-                    let newly_ready = sched.consume(g);
+                    sched.consume(g);
                     progressed = true;
-                    queue.extend(newly_ready);
+                    // The successors of `g` now in the front are the nodes
+                    // its consume readied.
+                    queue.extend(
+                        dag.successors(g)
+                            .iter()
+                            .filter(|s| sched.front().contains(s)),
+                    );
                     queue.sort_by_key(|g| creation_rank[g]);
                     queue.dedup();
                 }
@@ -352,9 +358,6 @@ fn place_program_node(
     coord: (usize, usize),
 ) -> Result<(), MapError> {
     state.ir.place(layer, coord, NodeKind::Program(g))?;
-    if let Some(basis) = state.program.node(g).basis {
-        state.ir.set_basis(layer, coord, basis)?;
-    }
     state.stats.program_nodes += 1;
     let pending: HashSet<usize> = neighbor_ids(state.program, g).into_iter().collect();
     state.live.insert(

@@ -151,3 +151,17 @@ fn exhausted_layer_budget_matches_the_reference() {
         }
     }
 }
+
+/// The shapes the repository benchmark compiles, at its own hardware
+/// sides and circuit seed: a deep chain of long-lived nodes on a 3×3
+/// layer, and a wide program on a 6×6 layer whose front holds dozens of
+/// nodes at once.
+#[test]
+fn benchmark_shapes_match_the_reference() {
+    for (token, side) in [("rcachain:q9,r8", 3), ("layered:w36,d60,e400", 6)] {
+        let circuit = CorpusSpec::parse(token)
+            .expect("valid spec")
+            .circuit(0x0E1E_C0DE);
+        assert_matrix(token, &circuit, VirtualHardware::square(side), true);
+    }
+}

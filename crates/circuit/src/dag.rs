@@ -140,14 +140,14 @@ impl<'a> DagScheduler<'a> {
         self.consumed
     }
 
-    /// Marks `v` as consumed and returns the nodes that became ready as a
-    /// result.
+    /// Marks `v` as consumed and moves the successors it readies into the
+    /// front layer, without allocating.
     ///
     /// # Panics
     ///
     /// Panics when `v` is not currently in the front layer (consuming a node
     /// whose dependencies are unmet would violate the partial order).
-    pub fn consume(&mut self, v: usize) -> Vec<usize> {
+    pub fn consume(&mut self, v: usize) {
         // A node leaves the front exactly when it is consumed, so front
         // membership also rules out consuming a node twice.
         let pos = self
@@ -156,19 +156,13 @@ impl<'a> DagScheduler<'a> {
             .expect("node must be in the front layer to be consumed");
         self.front.remove(pos);
         self.consumed += 1;
-        let mut newly_ready = Vec::new();
         for &s in &self.dag.succs[v] {
             self.remaining_preds[s] -= 1;
             if self.remaining_preds[s] == 0 {
-                newly_ready.push(s);
+                let at = self.front.partition_point(|&f| f < s);
+                self.front.insert(at, s);
             }
         }
-        newly_ready.sort_unstable();
-        for &s in &newly_ready {
-            let at = self.front.partition_point(|&f| f < s);
-            self.front.insert(at, s);
-        }
-        newly_ready
     }
 }
 
@@ -215,8 +209,7 @@ mod tests {
         dag.add_dependency(2, 3);
         let mut sched = dag.scheduler();
         assert_eq!(sched.front(), &[0]);
-        let ready = sched.consume(0);
-        assert_eq!(ready, vec![1, 2]);
+        sched.consume(0);
         assert_eq!(sched.front(), &[1, 2]);
         sched.consume(1);
         assert!(sched.front().contains(&2));
@@ -256,8 +249,16 @@ mod tests {
                 assert!(!sched.is_done(), "seed {seed}: done after {step} of {n}");
                 let front = sched.front().to_vec();
                 let v = front[rng.gen_range(0..front.len())];
-                let ready = sched.consume(v);
+                sched.consume(v);
                 consumed[v] = true;
+                // The nodes `v` readied: its successors now in the front.
+                let mut ready: Vec<usize> = dag
+                    .successors(v)
+                    .iter()
+                    .copied()
+                    .filter(|s| sched.front().contains(s))
+                    .collect();
+                ready.sort_unstable();
                 let naive: Vec<usize> = (0..n)
                     .filter(|&u| !consumed[u] && dag.predecessors(u).iter().all(|&p| consumed[p]))
                     .collect();

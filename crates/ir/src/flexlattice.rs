@@ -4,7 +4,10 @@
 //!
 //! A [`FlexLatticeIr`] keeps no per-layer maps. Every placed node lives in
 //! one arena, in placement order, next to a flag saying whether it already
-//! sources a temporal edge. A flat slot index holds one `u32` per
+//! sources a temporal edge. An [`IrNode`] holds its role and its edges but
+//! no measurement basis: a program node's basis is
+//! `ProgramGraph::node(g).basis` of the node `g` it names, so the arena
+//! does not copy it. A flat slot index holds one `u32` per
 //! coordinate per layer: slot `layer·w·h + y·w + x` holds the node's arena
 //! index, or `u32::MAX` when the coordinate is empty. A layer is therefore
 //! a contiguous row-major block of `w·h` slots:
@@ -29,8 +32,6 @@
 //! dropped. What remains outside it serves other readers:
 //! [`FlexLatticeIr::stats`] is one pass over the node arena, and
 //! [`FlexLatticeIr::layer_summaries`] feeds the OneQ baseline's planner.
-
-use graphstate::MeasBasis;
 
 use crate::error::IrError;
 use crate::virtual_hw::VirtualHardware;
@@ -57,14 +58,14 @@ impl NodeKind {
 }
 
 /// One node of a FlexLattice IR layer.
+///
+/// A node carries no measurement basis: a program node's basis is
+/// `ProgramGraph::node(g).basis` of the program node `g` it names, and an
+/// ancilla is measured in X or Y depending on wire parity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrNode {
     /// Role of the node.
     pub kind: NodeKind,
-    /// Optional explicit measurement basis (program nodes default to the
-    /// basis recorded in the program graph; ancillas default to X/Y
-    /// depending on wire parity).
-    pub basis: Option<MeasBasis>,
     /// Spatial edge to the `(x + 1, y)` neighbor on the same layer.
     pub east_edge: bool,
     /// Spatial edge to the `(x, y + 1)` neighbor on the same layer.
@@ -86,7 +87,6 @@ impl IrNode {
     fn new(kind: NodeKind) -> Self {
         IrNode {
             kind,
-            basis: None,
             east_edge: false,
             north_edge: false,
             temporal_prev: None,
@@ -269,25 +269,6 @@ impl FlexLatticeIr {
             u32::try_from(self.nodes.len()).expect("FlexLattice arena exceeds u32 indices");
         self.nodes.push(IrNode::new(kind));
         self.temporal_source.push(false);
-        Ok(())
-    }
-
-    /// Sets an explicit measurement basis on a placed node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::MissingNode`] when the position is empty.
-    pub fn set_basis(
-        &mut self,
-        layer: usize,
-        coord: (usize, usize),
-        basis: MeasBasis,
-    ) -> Result<(), IrError> {
-        if layer >= self.layer_count() {
-            return Err(IrError::MissingLayer(layer));
-        }
-        let i = self.index(layer, coord).ok_or(IrError::MissingNode { layer, coord })?;
-        self.nodes[i].basis = Some(basis);
         Ok(())
     }
 
@@ -623,17 +604,6 @@ mod tests {
         assert_eq!(summaries[1].incoming_temporal.len(), 1);
         assert_eq!(summaries[2].retrieves, 1);
         assert_eq!(summaries[2].incoming_temporal[0].1, 2);
-    }
-
-    #[test]
-    fn set_basis_on_existing_node() {
-        let mut ir = two_layer_ir();
-        ir.set_basis(0, (0, 0), MeasBasis::equatorial(0.3)).unwrap();
-        assert!(ir.node(0, (0, 0)).unwrap().basis.is_some());
-        assert!(matches!(
-            ir.set_basis(0, (2, 2), MeasBasis::z()),
-            Err(IrError::MissingNode { .. })
-        ));
     }
 
     /// Non-square shapes in both orientations: a transposed flat index or a

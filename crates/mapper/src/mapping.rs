@@ -1,7 +1,6 @@
 //! The mapping algorithm: program graph state → FlexLattice IR.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -146,7 +145,9 @@ impl LayerGrid {
 
     /// Free coordinates in row-major order.
     fn free(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.occupied.iter().enumerate().filter(|&(_, &o)| !o).map(|(i, _)| self.coord(i))
+        self.occupied.chunks_exact(self.width).enumerate().flat_map(|(y, row)| {
+            row.iter().enumerate().filter(|&(_, &o)| !o).map(move |(x, _)| (x, y))
+        })
     }
 }
 
@@ -172,8 +173,12 @@ struct RunState<'p> {
     live_ids: Vec<usize>,
     /// Sum of `pending.len()` over the live nodes.
     pending_total: usize,
+    /// Emptied `pending` buffers of retired nodes, reused by placements.
+    spare_pending: Vec<Vec<usize>>,
     mapped: Vec<bool>,
     mapped_count: usize,
+    /// Per node, how many of its neighbors are not mapped yet.
+    unmapped_neighbors: Vec<usize>,
     stats: MapperStats,
     refresh_queue: VecDeque<usize>,
     /// Next layer index at which a refresh round may start.
@@ -217,13 +222,6 @@ impl Mapper {
         let dag = program.dependency_dag();
         let mut sched = dag.scheduler();
         let creation_order = program.creation_order();
-        let mut creation_rank = vec![0; total_nodes];
-        for (rank, &v) in creation_order.iter().enumerate() {
-            creation_rank[v] = rank;
-        }
-        // Step 2's queue, as creation ranks: the smallest rank pops first.
-        let mut queue: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
         let mut partners: Vec<usize> = Vec::new();
 
         let mut state = RunState {
@@ -232,8 +230,10 @@ impl Mapper {
             live: (0..total_nodes).map(|_| None).collect(),
             live_ids: Vec::new(),
             pending_total: 0,
+            spare_pending: Vec::new(),
             mapped: vec![false; total_nodes],
             mapped_count: 0,
+            unmapped_neighbors: (0..total_nodes).map(|g| neighbor_ids(program, g).len()).collect(),
             stats: MapperStats::default(),
             refresh_queue: VecDeque::new(),
             next_refresh: self.config.refresh_period.unwrap_or(usize::MAX),
@@ -301,14 +301,16 @@ impl Mapper {
                 // mapped; they are brought onto this layer together and
                 // routed right away, so the layer never fills up with
                 // carried nodes whose edges cannot be completed any more.
+                // The pairs come in sorted order, one at a time, so a full
+                // layer stops the scan of the live set. Routing a pair only
+                // drops that pair, so the pairs after it are as they were.
                 let free_needed = (k2 / 2).clamp(2, 4);
-                state.pending_pairs(&mut pairs);
-                for &(u, v) in &pairs {
-                    if k2 - state.grid.count < free_needed + 2
-                        || state.present.len() + 2 > cap_incomplete.max(2) + 2
-                    {
-                        break;
-                    }
+                let mut after = (0, 0);
+                while k2 - state.grid.count >= free_needed + 2
+                    && state.present.len() <= cap_incomplete.max(2)
+                {
+                    let Some((u, v)) = state.next_pending_pair(after) else { break };
+                    after = (u, v);
                     let mut both_present = true;
                     for g in [u, v] {
                         if state.is_present(g, z) {
@@ -341,30 +343,41 @@ impl Mapper {
                         .iter()
                         .filter(|&&p| state.live[p].as_ref().is_some_and(|l| !l.pending.is_empty()))
                         .count();
-                    queue.clear();
-                    queue.extend(sched.front().iter().map(|&g| Reverse(creation_rank[g])));
-                    while let Some(Reverse(rank)) = queue.pop() {
-                        let g = creation_order[rank];
+                    // The front is walked in creation order, in place, with
+                    // one cursor: a skipped node stays in the front and the
+                    // cursor moves past it; a placed node is consumed and
+                    // leaves the front, so the cursor stays put. Node ids
+                    // are creation ranks (`add_vertex` hands them out in
+                    // order) and every dependency edge goes from a lower id
+                    // to a higher one, so the nodes a consume readies land
+                    // after the cursor and are reached in this same walk,
+                    // in the order a creation-rank priority queue pops them.
+                    let mut cursor = 0;
+                    while let Some(&g) = sched.front().get(cursor) {
                         if state.grid.count >= placement_cap {
                             break;
                         }
-                        let neighbors = neighbor_ids(program, g);
-                        let will_be_incomplete =
-                            neighbors.iter().any(|&n| !state.mapped[n] && n != g);
+                        let will_be_incomplete = state.unmapped_neighbors[g] > 0;
                         if will_be_incomplete
                             && incomplete_present >= cap_incomplete
                             && progressed
                         {
+                            cursor += 1;
                             continue;
                         }
+                        let neighbors = neighbor_ids(program, g);
                         let Some(coord) = state.choose_coord(neighbors) else {
+                            cursor += 1;
                             continue;
                         };
                         state.place_present(z, g, coord)?;
                         incomplete_present += usize::from(!neighbors.is_empty());
                         progressed = true;
-                        let newly_ready = sched.consume(g);
-                        queue.extend(newly_ready.into_iter().map(|s| Reverse(creation_rank[s])));
+                        debug_assert!(
+                            creation_order[g] == g && dag.successors(g).iter().all(|&s| s > g),
+                            "node {g} breaks the creation-rank order the cursor walks in"
+                        );
+                        sched.consume(g);
                     }
                 } else {
                     // Static partition (the OneQ behaviour): fill the layer
@@ -410,18 +423,19 @@ impl Mapper {
             }
 
             // ---- Step 4: retire completed nodes, update peaks ----
+            // `present` holds exactly the live nodes on this layer; the rest
+            // of the live set is parked in the virtual memory.
+            let mut live_present = 0;
             for i in 0..state.present.len() {
                 let g = state.present[i];
                 if state.live[g].as_ref().is_some_and(|l| l.pending.is_empty()) {
                     state.retire(g);
+                } else {
+                    live_present += 1;
                 }
             }
             state.stats.peak_live_nodes = state.stats.peak_live_nodes.max(state.live_ids.len());
-            let stored_now = state
-                .live_ids
-                .iter()
-                .filter(|&&g| state.live[g].as_ref().is_some_and(|l| l.last_layer < z))
-                .count();
+            let stored_now = state.live_ids.len() - live_present;
             state.stats.peak_stored_nodes = state.stats.peak_stored_nodes.max(stored_now);
 
             // ---- Progress guarantee ----
@@ -474,17 +488,15 @@ impl RunState<'_> {
         self.live[g].as_ref().is_some_and(|l| l.last_layer == z)
     }
 
-    /// Fills `pairs` with every unordered pair of live nodes whose mutual
-    /// edge is still pending, in sorted order.
-    fn pending_pairs(&self, pairs: &mut Vec<(usize, usize)>) {
-        pairs.clear();
-        for &u in &self.live_ids {
-            if let Some(l) = &self.live[u] {
-                pairs.extend(
-                    l.pending.iter().filter(|&&v| v > u && self.live[v].is_some()).map(|&v| (u, v)),
-                );
-            }
-        }
+    /// The first pair `(u, v)`, `u < v`, of live nodes whose mutual edge is
+    /// still pending and that sorts after `after`.
+    fn next_pending_pair(&self, after: (usize, usize)) -> Option<(usize, usize)> {
+        let from = self.live_ids.partition_point(|&l| l < after.0);
+        self.live_ids[from..].iter().find_map(|&u| {
+            let floor = if u == after.0 { after.1 } else { u };
+            let l = self.live[u].as_ref()?;
+            l.pending.iter().find(|&&v| v > floor && self.live[v].is_some()).map(|&v| (u, v))
+        })
     }
 
     /// Places a fresh program node and registers it as live.
@@ -495,17 +507,18 @@ impl RunState<'_> {
         coord: (usize, usize),
     ) -> Result<(), MapError> {
         self.ir.place(layer, coord, NodeKind::Program(g))?;
-        if let Some(basis) = self.program.node(g).basis {
-            self.ir.set_basis(layer, coord, basis)?;
-        }
         self.stats.program_nodes += 1;
-        let pending = neighbor_ids(self.program, g).to_vec();
+        let mut pending = self.spare_pending.pop().unwrap_or_default();
+        pending.extend_from_slice(neighbor_ids(self.program, g));
         self.pending_total += pending.len();
         self.live[g] = Some(Live { coord, last_layer: layer, pending });
         let at = self.live_ids.partition_point(|&l| l < g);
         self.live_ids.insert(at, g);
         self.mapped[g] = true;
         self.mapped_count += 1;
+        for &n in neighbor_ids(self.program, g) {
+            self.unmapped_neighbors[n] -= 1;
+        }
         Ok(())
     }
 
@@ -524,7 +537,9 @@ impl RunState<'_> {
 
     /// Drops a completed node from the live set.
     fn retire(&mut self, g: usize) {
-        self.live[g] = None;
+        if let Some(l) = self.live[g].take() {
+            self.spare_pending.push(l.pending);
+        }
         if let Ok(pos) = self.live_ids.binary_search(&g) {
             self.live_ids.remove(pos);
         }
