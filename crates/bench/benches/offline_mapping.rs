@@ -1,6 +1,7 @@
 //! Criterion bench behind Fig. 15: offline mapping time as a function of
 //! program size and virtual-hardware size, `Mapper::map` on the repository
-//! benchmark's two shapes, and the lowering walk on its own.
+//! benchmark's two shapes, the program-graph build on the same shapes, and
+//! the lowering walk on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oneperc_circuit::benchmarks;
@@ -52,6 +53,21 @@ fn bench_map(c: &mut Criterion) {
     group.finish();
 }
 
+/// `ProgramGraph::from_circuit` (lowering the circuit, then the counting
+/// and fill passes of the flat adjacency) on the repository benchmark's
+/// two shapes.
+fn bench_program_graph(c: &mut Criterion) {
+    let mut group = c.benchmark_group("program_graph");
+    group.sample_size(10);
+    for token in ["rcachain:q9,r8", "layered:w36,d60,e400"] {
+        let circuit = CorpusSpec::parse(token).unwrap().circuit(0x0E1E_C0DE);
+        group.bench_with_input(BenchmarkId::from_parameter(token), &circuit, |b, circuit| {
+            b.iter(|| std::hint::black_box(ProgramGraph::from_circuit(circuit).edge_count()));
+        });
+    }
+    group.finish();
+}
+
 /// `InstructionProgram::lower` alone (validation, statistics and the
 /// instruction stream in one walk) on a finished IR.
 fn bench_lower(c: &mut Criterion) {
@@ -67,5 +83,12 @@ fn bench_lower(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_program_size, bench_hardware_size, bench_map, bench_lower);
+criterion_group!(
+    benches,
+    bench_program_size,
+    bench_hardware_size,
+    bench_map,
+    bench_program_graph,
+    bench_lower
+);
 criterion_main!(benches);

@@ -342,12 +342,8 @@ fn pending_pairs(live: &HashMap<usize, Live>) -> Vec<(usize, usize)> {
 }
 
 fn neighbor_ids(program: &ProgramGraph, g: usize) -> Vec<usize> {
-    // GraphState neighbor slices are already sorted by id.
-    program
-        .graph()
-        .neighbors(g)
-        .map(<[usize]>::to_vec)
-        .unwrap_or_default()
+    // Program-graph neighbor slices are already sorted by id.
+    program.neighbors(g).to_vec()
 }
 
 /// Places a fresh program node and registers it as live.

@@ -79,11 +79,13 @@ impl Circuit {
 
     /// Returns an equivalent circuit containing only `{J(α), CZ}` gates.
     pub fn lowered(&self) -> Circuit {
-        let mut out = Circuit::new(self.n_qubits);
+        // A lowering only touches its gate's own qubits, which `push`
+        // checked, so the gates go in without a second check.
+        let mut gates = Vec::with_capacity(self.gates.len());
         for g in &self.gates {
-            out.extend(g.lower());
+            g.lower_into(&mut gates);
         }
-        out
+        Circuit { n_qubits: self.n_qubits, gates }
     }
 
     /// Counts the two-qubit (`CZ`) gates in the lowered form — a rough

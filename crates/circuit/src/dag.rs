@@ -5,7 +5,22 @@
 //! represented as a directed acyclic graph whose *front layer* (nodes with
 //! all predecessors already consumed) is updated as the mapping proceeds
 //! (Section 6.2). [`DependencyDag`] stores the relation; [`DagScheduler`]
-//! maintains the front layer.
+//! maintains the front layer over any [`Dependencies`] source, including
+//! the program graph itself, which derives the relation from its flat
+//! adjacency without building a [`DependencyDag`].
+
+/// A dependency relation over the node ids `0..node_count()` in which
+/// [`DagScheduler`] tracks the front layer.
+pub trait Dependencies {
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+
+    /// Number of direct predecessors of `v`.
+    fn predecessor_count(&self, v: usize) -> usize;
+
+    /// Direct successors of `v`, each once.
+    fn dependents(&self, v: usize) -> impl Iterator<Item = usize> + '_;
+}
 
 /// A directed acyclic dependency graph over the node ids `0..n`.
 #[derive(Debug, Clone, Default)]
@@ -92,6 +107,20 @@ impl DependencyDag {
     }
 }
 
+impl Dependencies for DependencyDag {
+    fn node_count(&self) -> usize {
+        self.len()
+    }
+
+    fn predecessor_count(&self, v: usize) -> usize {
+        self.preds[v].len()
+    }
+
+    fn dependents(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        self.succs[v].iter().copied()
+    }
+}
+
 /// Tracks which nodes are ready (all predecessors consumed) as the offline
 /// mapper consumes nodes one by one.
 ///
@@ -109,18 +138,20 @@ impl DependencyDag {
 /// assert_eq!(sched.front().to_vec(), vec![1]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct DagScheduler<'a> {
-    dag: &'a DependencyDag,
+pub struct DagScheduler<'a, D: Dependencies = DependencyDag> {
+    dag: &'a D,
     remaining_preds: Vec<usize>,
     consumed: usize,
     /// Ready nodes, kept sorted by id.
     front: Vec<usize>,
 }
 
-impl<'a> DagScheduler<'a> {
-    fn new(dag: &'a DependencyDag) -> Self {
-        let remaining_preds: Vec<usize> = dag.preds.iter().map(Vec::len).collect();
-        let front: Vec<usize> = (0..dag.len()).filter(|&v| remaining_preds[v] == 0).collect();
+impl<'a, D: Dependencies> DagScheduler<'a, D> {
+    pub(crate) fn new(dag: &'a D) -> Self {
+        let remaining_preds: Vec<usize> =
+            (0..dag.node_count()).map(|v| dag.predecessor_count(v)).collect();
+        let front: Vec<usize> =
+            (0..dag.node_count()).filter(|&v| remaining_preds[v] == 0).collect();
         DagScheduler { dag, remaining_preds, consumed: 0, front }
     }
 
@@ -132,7 +163,7 @@ impl<'a> DagScheduler<'a> {
 
     /// Returns `true` once every node has been consumed.
     pub fn is_done(&self) -> bool {
-        self.consumed == self.dag.len()
+        self.consumed == self.remaining_preds.len()
     }
 
     /// Number of nodes consumed so far.
@@ -156,7 +187,7 @@ impl<'a> DagScheduler<'a> {
             .expect("node must be in the front layer to be consumed");
         self.front.remove(pos);
         self.consumed += 1;
-        for &s in &self.dag.succs[v] {
+        for s in self.dag.dependents(v) {
             self.remaining_preds[s] -= 1;
             if self.remaining_preds[s] == 0 {
                 let at = self.front.partition_point(|&f| f < s);

@@ -223,56 +223,60 @@ impl Gate {
     /// Lowers the gate into an equivalent sequence over `{J(α), CZ}`
     /// (application order). Primitive gates lower to themselves.
     pub fn lower(&self) -> Vec<Gate> {
+        let mut out = Vec::new();
+        self.lower_into(&mut out);
+        out
+    }
+
+    /// Appends [`Gate::lower`]'s sequence to `out`, allocating nothing
+    /// beyond `out`'s growth.
+    pub(crate) fn lower_into(&self, out: &mut Vec<Gate>) {
         // Helper sequences, all in application order.
-        fn rz(q: usize, theta: f64) -> Vec<Gate> {
-            vec![Gate::J { qubit: q, alpha: theta }, Gate::J { qubit: q, alpha: 0.0 }]
+        fn rz(out: &mut Vec<Gate>, q: usize, theta: f64) {
+            out.extend([Gate::J { qubit: q, alpha: theta }, Gate::J { qubit: q, alpha: 0.0 }]);
         }
-        fn rx(q: usize, theta: f64) -> Vec<Gate> {
-            vec![Gate::J { qubit: q, alpha: 0.0 }, Gate::J { qubit: q, alpha: theta }]
+        fn rx(out: &mut Vec<Gate>, q: usize, theta: f64) {
+            out.extend([Gate::J { qubit: q, alpha: 0.0 }, Gate::J { qubit: q, alpha: theta }]);
         }
-        fn h(q: usize) -> Vec<Gate> {
-            vec![Gate::J { qubit: q, alpha: 0.0 }]
+        fn h(out: &mut Vec<Gate>, q: usize) {
+            out.push(Gate::J { qubit: q, alpha: 0.0 });
         }
-        fn cnot(c: usize, t: usize) -> Vec<Gate> {
-            let mut out = h(t);
+        fn cnot(out: &mut Vec<Gate>, c: usize, t: usize) {
+            h(out, t);
             out.push(Gate::Cz { a: c, b: t });
-            out.extend(h(t));
-            out
+            h(out, t);
         }
         match *self {
-            Gate::J { .. } | Gate::Cz { .. } => vec![self.clone()],
-            Gate::H { qubit } => h(qubit),
-            Gate::X { qubit } => rx(qubit, PI),
-            Gate::Z { qubit } => rz(qubit, PI),
-            Gate::S { qubit } => rz(qubit, FRAC_PI_2),
-            Gate::T { qubit } => rz(qubit, FRAC_PI_4),
-            Gate::Tdg { qubit } => rz(qubit, -FRAC_PI_4),
-            Gate::Rz { qubit, theta } => rz(qubit, theta),
-            Gate::Rx { qubit, theta } => rx(qubit, theta),
+            Gate::J { .. } | Gate::Cz { .. } => out.push(self.clone()),
+            Gate::H { qubit } => h(out, qubit),
+            Gate::X { qubit } => rx(out, qubit, PI),
+            Gate::Z { qubit } => rz(out, qubit, PI),
+            Gate::S { qubit } => rz(out, qubit, FRAC_PI_2),
+            Gate::T { qubit } => rz(out, qubit, FRAC_PI_4),
+            Gate::Tdg { qubit } => rz(out, qubit, -FRAC_PI_4),
+            Gate::Rz { qubit, theta } => rz(out, qubit, theta),
+            Gate::Rx { qubit, theta } => rx(out, qubit, theta),
             Gate::Ry { qubit, theta } => {
                 // Ry(θ) = Rz(π/2) · Rx(θ) · Rz(-π/2) (application order:
                 // Rz(-π/2) first).
-                let mut out = rz(qubit, -FRAC_PI_2);
-                out.extend(rx(qubit, theta));
-                out.extend(rz(qubit, FRAC_PI_2));
-                out
+                rz(out, qubit, -FRAC_PI_2);
+                rx(out, qubit, theta);
+                rz(out, qubit, FRAC_PI_2);
             }
-            Gate::Cnot { control, target } => cnot(control, target),
+            Gate::Cnot { control, target } => cnot(out, control, target),
             Gate::Cphase { control, target, theta } => {
                 // Controlled-phase(θ) up to global phase:
                 // Rz(θ/2) on both, CNOT, Rz(-θ/2) on target, CNOT.
-                let mut out = rz(control, theta / 2.0);
-                out.extend(rz(target, theta / 2.0));
-                out.extend(cnot(control, target));
-                out.extend(rz(target, -theta / 2.0));
-                out.extend(cnot(control, target));
-                out
+                rz(out, control, theta / 2.0);
+                rz(out, target, theta / 2.0);
+                cnot(out, control, target);
+                rz(out, target, -theta / 2.0);
+                cnot(out, control, target);
             }
             Gate::Swap { a, b } => {
-                let mut out = cnot(a, b);
-                out.extend(cnot(b, a));
-                out.extend(cnot(a, b));
-                out
+                cnot(out, a, b);
+                cnot(out, b, a);
+                cnot(out, a, b);
             }
             Gate::Toffoli { a, b, target } => {
                 // Standard 6-CNOT, 7-T decomposition.
@@ -293,7 +297,9 @@ impl Gate {
                     Gate::Tdg { qubit: b },
                     Gate::Cnot { control: a, target: b },
                 ];
-                seq.into_iter().flat_map(|g| g.lower()).collect()
+                for g in &seq {
+                    g.lower_into(out);
+                }
             }
         }
     }

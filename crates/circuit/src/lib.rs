@@ -12,9 +12,16 @@
 //!   the Cuccaro ripple-carry adder and a full-entanglement VQE ansatz.
 //! * [`ProgramGraph`] — the measurement-pattern translation of a circuit
 //!   (Fig. 3 of the paper): `J(α)` gates become equatorial measurements on a
-//!   wire of graph-state qubits, `CZ` gates become edges.
-//! * [`DependencyDag`] — the flow-induced partial order among graph-state
-//!   qubits used by the offline mapper for dynamic scheduling.
+//!   wire of graph-state qubits, `CZ` gates become edges. The adjacency is
+//!   flat (compressed sparse rows, sorted and without repeated edges), and
+//!   the graph states the flow-induced dependency rule between neighbours
+//!   once, for both the scheduler and the explicit DAG.
+//! * [`DagScheduler`] — the front layer of the dependency order as nodes
+//!   are consumed, over any [`Dependencies`] source: the offline mapper
+//!   runs it on [`ProgramGraph::scheduler`] straight off the adjacency.
+//! * [`DependencyDag`] — the same partial order as an explicit DAG
+//!   ([`ProgramGraph::dependency_dag`]), for tools and tests that want its
+//!   edges.
 //! * [`StableHasher`] / [`Circuit::structural_hash`] — process-independent
 //!   64-bit structural hashing, the addressing half of the service layer's
 //!   content-addressed compiled-program cache.
@@ -41,7 +48,7 @@ mod hash;
 mod program;
 
 pub use circuit::Circuit;
-pub use dag::DependencyDag;
+pub use dag::{DagScheduler, Dependencies, DependencyDag};
 pub use gate::Gate;
 pub use hash::StableHasher;
 pub use program::{ProgramGraph, ProgramNode};

@@ -30,9 +30,14 @@
 //!   next to a sorted list of the live ids; each keeps its unrealized edges
 //!   as a sorted id list, and a running total of those edges decides when
 //!   the program is done;
-//! * mapped flags and creation ranks are vectors indexed by node id, and
-//!   dynamic scheduling pops the ready node of lowest creation rank from a
-//!   binary heap;
+//! * the unrealized edges whose endpoints are both live are also kept in
+//!   one sorted pair list, so bringing back deferred edges takes each next
+//!   pair with one binary search instead of a scan of the live set;
+//! * mapped flags are a vector indexed by node id, and dynamic scheduling
+//!   walks the front of [`oneperc_circuit::ProgramGraph::scheduler`]
+//!   (sorted by id, which is creation rank) with one cursor; the scheduler
+//!   counts predecessors off the program graph's flat adjacency, so no
+//!   dependency DAG is built;
 //! * the occupancy of the layer being built is one flag per coordinate,
 //!   and ancilla routes are found by a breadth-first search over reusable
 //!   epoch-stamped buffers;

@@ -173,6 +173,11 @@ struct RunState<'p> {
     live_ids: Vec<usize>,
     /// Sum of `pending.len()` over the live nodes.
     pending_total: usize,
+    /// Pending edges `(u, v)`, `u < v`, whose endpoints are both live,
+    /// sorted: entered when the second endpoint is placed, removed when the
+    /// edge is realized. A node retires only once nothing is pending on it,
+    /// so retiring never touches this.
+    live_pairs: Vec<(usize, usize)>,
     /// Emptied `pending` buffers of retired nodes, reused by placements.
     spare_pending: Vec<Vec<usize>>,
     mapped: Vec<bool>,
@@ -219,8 +224,7 @@ impl Mapper {
         let cap_incomplete = self.config.max_incomplete_nodes();
         let total_nodes = program.node_count();
 
-        let dag = program.dependency_dag();
-        let mut sched = dag.scheduler();
+        let mut sched = program.scheduler();
         let creation_order = program.creation_order();
         let mut partners: Vec<usize> = Vec::new();
 
@@ -230,10 +234,11 @@ impl Mapper {
             live: (0..total_nodes).map(|_| None).collect(),
             live_ids: Vec::new(),
             pending_total: 0,
+            live_pairs: Vec::new(),
             spare_pending: Vec::new(),
             mapped: vec![false; total_nodes],
             mapped_count: 0,
-            unmapped_neighbors: (0..total_nodes).map(|g| neighbor_ids(program, g).len()).collect(),
+            unmapped_neighbors: (0..total_nodes).map(|g| program.degree(g)).collect(),
             stats: MapperStats::default(),
             refresh_queue: VecDeque::new(),
             next_refresh: self.config.refresh_period.unwrap_or(usize::MAX),
@@ -301,15 +306,23 @@ impl Mapper {
                 // mapped; they are brought onto this layer together and
                 // routed right away, so the layer never fills up with
                 // carried nodes whose edges cannot be completed any more.
-                // The pairs come in sorted order, one at a time, so a full
-                // layer stops the scan of the live set. Routing a pair only
-                // drops that pair, so the pairs after it are as they were.
+                // The pairs come in sorted order, one at a time, from the
+                // index of live pending pairs, so a full layer stops the
+                // walk. Routing a pair only drops that pair, so the pairs
+                // after it are as they were.
                 let free_needed = (k2 / 2).clamp(2, 4);
                 let mut after = (0, 0);
                 while k2 - state.grid.count >= free_needed + 2
                     && state.present.len() <= cap_incomplete.max(2)
                 {
-                    let Some((u, v)) = state.next_pending_pair(after) else { break };
+                    let pair = state.next_pending_pair(after);
+                    #[cfg(any(test, debug_assertions))]
+                    assert_eq!(
+                        pair,
+                        state.scan_pending_pair(after),
+                        "pair index disagrees with the live-set scan after {after:?}"
+                    );
+                    let Some((u, v)) = pair else { break };
                     after = (u, v);
                     let mut both_present = true;
                     for g in [u, v] {
@@ -352,6 +365,8 @@ impl Mapper {
                     // to a higher one, so the nodes a consume readies land
                     // after the cursor and are reached in this same walk,
                     // in the order a creation-rank priority queue pops them.
+                    // (`ProgramGraph::dependency_successors` only yields
+                    // higher ids; `front_order` checks the creation ranks.)
                     let mut cursor = 0;
                     while let Some(&g) = sched.front().get(cursor) {
                         if state.grid.count >= placement_cap {
@@ -365,7 +380,7 @@ impl Mapper {
                             cursor += 1;
                             continue;
                         }
-                        let neighbors = neighbor_ids(program, g);
+                        let neighbors = program.neighbors(g);
                         let Some(coord) = state.choose_coord(neighbors) else {
                             cursor += 1;
                             continue;
@@ -373,8 +388,8 @@ impl Mapper {
                         state.place_present(z, g, coord)?;
                         incomplete_present += usize::from(!neighbors.is_empty());
                         progressed = true;
-                        debug_assert!(
-                            creation_order[g] == g && dag.successors(g).iter().all(|&s| s > g),
+                        debug_assert_eq!(
+                            creation_order[g], g,
                             "node {g} breaks the creation-rank order the cursor walks in"
                         );
                         sched.consume(g);
@@ -392,7 +407,7 @@ impl Mapper {
                             state.static_cursor += 1;
                             continue;
                         }
-                        let Some(coord) = state.choose_coord(neighbor_ids(program, g)) else {
+                        let Some(coord) = state.choose_coord(program.neighbors(g)) else {
                             break;
                         };
                         state.place_present(z, g, coord)?;
@@ -441,7 +456,7 @@ impl Mapper {
             // ---- Progress guarantee ----
             if !progressed {
                 if let Some(&g) = sched.front().first() {
-                    let Some(coord) = state.choose_coord(neighbor_ids(program, g)) else {
+                    let Some(coord) = state.choose_coord(program.neighbors(g)) else {
                         return Err(MapError::HardwareTooSmall {
                             needed: state.live_ids.len() + 1,
                             available: k2,
@@ -477,11 +492,6 @@ impl Mapper {
     }
 }
 
-fn neighbor_ids(program: &ProgramGraph, g: usize) -> &[usize] {
-    // GraphState neighbor slices are sorted by id and duplicate-free.
-    program.graph().neighbors(g).unwrap_or_default()
-}
-
 impl RunState<'_> {
     /// Whether live node `g` was placed or brought onto layer `z`.
     fn is_present(&self, g: usize, z: usize) -> bool {
@@ -491,6 +501,14 @@ impl RunState<'_> {
     /// The first pair `(u, v)`, `u < v`, of live nodes whose mutual edge is
     /// still pending and that sorts after `after`.
     fn next_pending_pair(&self, after: (usize, usize)) -> Option<(usize, usize)> {
+        let at = self.live_pairs.partition_point(|&p| p <= after);
+        self.live_pairs.get(at).copied()
+    }
+
+    /// [`RunState::next_pending_pair`] found by scanning the live nodes'
+    /// pending lists, the oracle the pair index is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn scan_pending_pair(&self, after: (usize, usize)) -> Option<(usize, usize)> {
         let from = self.live_ids.partition_point(|&l| l < after.0);
         self.live_ids[from..].iter().find_map(|&u| {
             let floor = if u == after.0 { after.1 } else { u };
@@ -508,15 +526,24 @@ impl RunState<'_> {
     ) -> Result<(), MapError> {
         self.ir.place(layer, coord, NodeKind::Program(g))?;
         self.stats.program_nodes += 1;
+        let neighbors = self.program.neighbors(g);
         let mut pending = self.spare_pending.pop().unwrap_or_default();
-        pending.extend_from_slice(neighbor_ids(self.program, g));
+        pending.extend_from_slice(neighbors);
         self.pending_total += pending.len();
+        // `g` was unmapped, so its edges to live neighbours are pending.
+        for &n in neighbors {
+            if self.live[n].is_some() {
+                let pair = (n.min(g), n.max(g));
+                let at = self.live_pairs.partition_point(|&p| p < pair);
+                self.live_pairs.insert(at, pair);
+            }
+        }
         self.live[g] = Some(Live { coord, last_layer: layer, pending });
         let at = self.live_ids.partition_point(|&l| l < g);
         self.live_ids.insert(at, g);
         self.mapped[g] = true;
         self.mapped_count += 1;
-        for &n in neighbor_ids(self.program, g) {
+        for &n in neighbors {
             self.unmapped_neighbors[n] -= 1;
         }
         Ok(())
@@ -624,6 +651,9 @@ impl RunState<'_> {
                     self.pending_total -= 1;
                 }
             }
+        }
+        if let Ok(pos) = self.live_pairs.binary_search(&(u.min(v), u.max(v))) {
+            self.live_pairs.remove(pos);
         }
         Ok(true)
     }
@@ -869,6 +899,37 @@ mod tests {
         interp.run(&result.instructions).unwrap();
         assert_eq!(result.stats.cross_layer_edges, 47_619, "retrievals");
         assert_eq!(interp.fused_retrievals(), 34_356, "retrievals onto a node of layer - 1");
+    }
+
+    /// Step 1 checks its pair index against the live-set scan at every
+    /// query (the assert is compiled into test builds), so mapping the
+    /// fuzzer's corpus sample in both scheduling modes, refresh off and
+    /// on, checks the index at every layer of every run.
+    #[test]
+    fn pair_index_matches_the_live_scan_on_the_fuzzer_sample() {
+        use oneperc_corpus::{CorpusSpec, FuzzOptions, FAMILIES};
+
+        let base_seed = FuzzOptions::default().base_seed;
+        let mut families = [false; FAMILIES.len()];
+        let mut brought_back = 0;
+        for index in 0..48 {
+            let spec = CorpusSpec::sample(base_seed, index);
+            families[spec.family_index()] = true;
+            let program = ProgramGraph::from_circuit(&spec.circuit(index));
+            let side = if spec.qubits() > 6 { 3 } else { 2 };
+            for dynamic in [true, false] {
+                for refresh in [None, Some(5)] {
+                    let config = MapperConfig::new(VirtualHardware::square(side))
+                        .with_dynamic_scheduling(dynamic)
+                        .with_refresh_period(refresh);
+                    if let Ok(result) = Mapper::new(config).map(&program) {
+                        brought_back += result.stats.cross_layer_edges;
+                    }
+                }
+            }
+        }
+        assert!(families.iter().all(|&f| f), "families covered: {families:?}");
+        assert!(brought_back > 0, "no run brought a node back, so step 1 never had a pair");
     }
 
     #[test]

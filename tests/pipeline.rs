@@ -59,7 +59,7 @@ fn program_graphs_are_well_formed() {
             // only contribute an unmeasured output node.
             if program.node(*v).basis.is_some() {
                 assert!(
-                    program.graph().degree(*v).unwrap_or(0) > 0,
+                    program.degree(*v) > 0,
                     "{bench}: measured node {v} is isolated"
                 );
             }
