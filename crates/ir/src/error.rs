@@ -60,10 +60,15 @@ pub enum IrError {
         /// Coordinate whose virtual memory was empty.
         coord: (usize, usize),
     },
-    /// A value does not fit the 32-bit field of an instruction record.
+    /// A value does not fit its field in the compact storage of an IR node
+    /// or an instruction record.
     RecordOverflow {
-        /// Which field: `"cell"` (a `y·w + x` index), `"layer"` or
-        /// `"g_node"`.
+        /// Which field: `"cell"` (a `y·w + x` index: 32 bits in an IR node,
+        /// 29 in an instruction record), `"layer"` (a temporal edge's
+        /// source layer), `"g_node"` (a program id: 56 bits in an IR node,
+        /// 32 in an instruction record), `"arena"` (the IR's node count),
+        /// `"fetch"` (a program's cross-layer edge count) or `"records"`
+        /// (a program's record count).
         field: &'static str,
         /// The value that does not fit.
         value: usize,
@@ -104,13 +109,18 @@ impl fmt::Display for IrError {
                 coord.0, coord.1
             ),
             IrError::RecordOverflow { field, value } => {
-                write!(f, "{field} {value} does not fit a 32-bit instruction record field")
+                write!(f, "{field} {value} does not fit its compact record field")
             }
         }
     }
 }
 
 impl Error for IrError {}
+
+/// Narrows a value into a 32-bit record field named `field`.
+pub(crate) fn narrow(value: usize, field: &'static str) -> Result<u32, IrError> {
+    u32::try_from(value).map_err(|_| IrError::RecordOverflow { field, value })
+}
 
 #[cfg(test)]
 mod tests {

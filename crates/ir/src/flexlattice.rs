@@ -3,14 +3,26 @@
 //! # Storage layout
 //!
 //! A [`FlexLatticeIr`] keeps no per-layer maps. Every placed node lives in
-//! one arena, in placement order, next to a flag saying whether it already
-//! sources a temporal edge. An [`IrNode`] holds its role and its edges but
-//! no measurement basis: a program node's basis is
-//! `ProgramGraph::node(g).basis` of the node `g` it names, so the arena
-//! does not copy it. A flat slot index holds one `u32` per
-//! coordinate per layer: slot `layer·w·h + y·w + x` holds the node's arena
-//! index, or `u32::MAX` when the coordinate is empty. A layer is therefore
-//! a contiguous row-major block of `w·h` slots:
+//! one arena, in placement order, as one 16-byte record:
+//!
+//! * the program-graph id of a program node, as a `u32` with bits 32..56
+//!   in three spare bytes (placing a larger id is an
+//!   [`IrError::RecordOverflow`]);
+//! * the source of its incoming temporal edge as a `(u32 layer, u32 cell)`
+//!   pair, where a cell is the index `y·w + x` inside a layer;
+//! * one flag byte: ancilla, east edge, north edge, stored after its
+//!   layer, source of a temporal edge, and has an incoming temporal edge.
+//!
+//! A node carries no measurement basis: a program node's basis is
+//! `ProgramGraph::node(g).basis` of the node `g` it names. Every value is
+//! narrowed into its field with a typed [`IrError::RecordOverflow`], never
+//! truncated. [`FlexLatticeIr::node`] and [`FlexLatticeIr::layer_nodes`]
+//! decode a record into an [`IrNode`] and return it by value.
+//!
+//! A flat slot index holds one `u32` per coordinate per layer: slot
+//! `layer·w·h + y·w + x` holds the node's arena index, or `u32::MAX` when
+//! the coordinate is empty. A layer is therefore a contiguous row-major
+//! block of `w·h` slots:
 //!
 //! * [`FlexLatticeIr::node`] is a bounds check and two array reads; an
 //!   out-of-range coordinate or layer is `None`, never a neighbouring slot;
@@ -21,19 +33,23 @@
 //!   so a layer's incoming temporal edges come out in `(x, y)` order
 //!   without a sort.
 //!
+//! The program's [`IrStats`] are counted as nodes are placed and edges
+//! enabled, so [`FlexLatticeIr::stats`] reads them without a walk and the
+//! lowering reserves its records at exact capacity.
+//!
 //! # Walks over a finished IR
 //!
 //! The compile path walks a finished IR once:
 //! [`InstructionProgram::lower`](crate::InstructionProgram::lower) reads
 //! each layer's block row-major, checks the rules of
-//! [`FlexLatticeIr::validate`], counts the [`IrStats`] and emits the
-//! instruction stream with its per-layer index, which is what the online
-//! pass reads. [`FlexLatticeIr::validate`] is that walk with the stream
-//! dropped. What remains outside it serves other readers:
-//! [`FlexLatticeIr::stats`] is one pass over the node arena, and
-//! [`FlexLatticeIr::layer_summaries`] feeds the OneQ baseline's planner.
+//! [`FlexLatticeIr::validate`] and emits the instruction stream with its
+//! per-layer index, which is what the online pass reads.
+//! [`FlexLatticeIr::validate`] is that walk with the stream dropped.
+//! What remains outside it serves other readers: the OneQ baseline's
+//! planner reads [`FlexLatticeIr::layer_summaries`] and
+//! [`FlexLatticeIr::layer_nodes`].
 
-use crate::error::IrError;
+use crate::error::{narrow, IrError};
 use crate::virtual_hw::VirtualHardware;
 
 /// What a virtual-hardware node is used for.
@@ -57,12 +73,14 @@ impl NodeKind {
     }
 }
 
-/// One node of a FlexLattice IR layer.
+/// One node of a FlexLattice IR layer: a decoded view of its arena record,
+/// returned by value by [`FlexLatticeIr::node`] and
+/// [`FlexLatticeIr::layer_nodes`]. Changing a copy does not change the IR.
 ///
 /// A node carries no measurement basis: a program node's basis is
 /// `ProgramGraph::node(g).basis` of the program node `g` it names, and an
 /// ancilla is measured in X or Y depending on wire parity.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IrNode {
     /// Role of the node.
     pub kind: NodeKind,
@@ -83,15 +101,72 @@ pub struct IrNode {
     pub stored_after: bool,
 }
 
-impl IrNode {
-    fn new(kind: NodeKind) -> Self {
-        IrNode {
-            kind,
-            east_edge: false,
-            north_edge: false,
-            temporal_prev: None,
-            stored_after: false,
-        }
+/// Flag bits of a [`Node`].
+const ANCILLA: u8 = 1;
+pub(crate) const EAST: u8 = 1 << 1;
+pub(crate) const NORTH: u8 = 1 << 2;
+pub(crate) const STORED: u8 = 1 << 3;
+/// Already the source of a temporal edge: a node has at most one edge
+/// towards subsequent layers.
+const SOURCE: u8 = 1 << 4;
+/// `prev` holds the source of an incoming temporal edge.
+const PREV: u8 = 1 << 5;
+
+/// Program ids an arena record holds: 32 bits plus 24 in `id_high`.
+const PROGRAM_ID_BITS: u32 = 56;
+
+/// One arena record; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Node {
+    /// Bits 0..32 of a program node's id (0 for an ancilla).
+    id_low: u32,
+    /// The incoming temporal edge's source `(layer, cell)` when the
+    /// [`PREV`] flag is set.
+    prev: (u32, u32),
+    /// Bits 32..56 of a program node's id, little-endian.
+    id_high: [u8; 3],
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+impl Node {
+    /// A node with no edges, or [`IrError::RecordOverflow`] for a program
+    /// id past 56 bits.
+    fn new(kind: NodeKind) -> Result<Self, IrError> {
+        let (id, flags) = match kind {
+            NodeKind::Program(g) => match u64::try_from(g) {
+                Ok(id) if id >> PROGRAM_ID_BITS == 0 => (id, 0),
+                _ => return Err(IrError::RecordOverflow { field: "g_node", value: g }),
+            },
+            NodeKind::Ancilla => (0, ANCILLA),
+        };
+        let [b0, b1, b2, b3, b4, b5, b6, _] = id.to_le_bytes();
+        Ok(Node {
+            id_low: u32::from_le_bytes([b0, b1, b2, b3]),
+            prev: (0, 0),
+            id_high: [b4, b5, b6],
+            flags,
+        })
+    }
+
+    /// Whether every bit of `flag` is set.
+    pub(crate) fn has(self, flag: u8) -> bool {
+        self.flags & flag == flag
+    }
+
+    /// The program-graph id, or `None` for an ancilla.
+    pub(crate) fn program_id(self) -> Option<usize> {
+        let [b4, b5, b6] = self.id_high;
+        let [b0, b1, b2, b3] = self.id_low.to_le_bytes();
+        let id = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, 0]);
+        // `new` took the id from a `usize`, so it fits one again.
+        (!self.has(ANCILLA)).then_some(id as usize)
+    }
+
+    /// The incoming temporal edge's source `(layer, cell)`, if any.
+    pub(crate) fn prev(self) -> Option<(u32, u32)> {
+        self.has(PREV).then_some(self.prev)
     }
 }
 
@@ -154,30 +229,25 @@ pub(crate) const EMPTY: u32 = u32::MAX;
 /// A program expressed on the virtual hardware: a stack of partially filled
 /// lattice layers with individually enabled spatial and temporal edges.
 ///
-/// Placed nodes live in one arena behind a flat slot index with one entry
-/// per coordinate per layer (`layer·w·h + y·w + x`), so each layer is a
-/// row-major block of slots.
+/// Placed nodes live in one arena of 16-byte records behind a flat slot
+/// index with one entry per coordinate per layer (`layer·w·h + y·w + x`),
+/// so each layer is a row-major block of slots.
 #[derive(Debug, Clone)]
 pub struct FlexLatticeIr {
     hardware: VirtualHardware,
     /// Placed nodes in placement order.
-    nodes: Vec<IrNode>,
-    /// Per arena node: already the source of a temporal edge (at most one
-    /// edge towards subsequent layers per node).
-    temporal_source: Vec<bool>,
+    nodes: Vec<Node>,
     /// Arena index per slot, or [`EMPTY`].
     slots: Vec<u32>,
+    /// Layer count and the node and edge counts, kept as the program is
+    /// built.
+    stats: IrStats,
 }
 
 impl FlexLatticeIr {
     /// Creates an empty IR program for the given virtual hardware.
     pub fn new(hardware: VirtualHardware) -> Self {
-        FlexLatticeIr {
-            hardware,
-            nodes: Vec::new(),
-            temporal_source: Vec::new(),
-            slots: Vec::new(),
-        }
+        FlexLatticeIr { hardware, nodes: Vec::new(), slots: Vec::new(), stats: IrStats::default() }
     }
 
     /// The virtual hardware this program targets.
@@ -187,20 +257,20 @@ impl FlexLatticeIr {
 
     /// Number of layers.
     pub fn layer_count(&self) -> usize {
-        self.slots.len() / self.hardware.nodes_per_layer()
+        self.stats.layers
     }
 
     /// Appends an empty layer and returns its index.
     pub fn push_layer(&mut self) -> usize {
-        let layer = self.layer_count();
         self.slots.resize(self.slots.len() + self.hardware.nodes_per_layer(), EMPTY);
-        layer
+        self.stats.layers += 1;
+        self.stats.layers - 1
     }
 
     /// The slot of `(layer, coord)`, or `None` when either is out of range.
     fn slot(&self, layer: usize, (x, y): (usize, usize)) -> Option<usize> {
         let (w, h) = (self.hardware.width(), self.hardware.height());
-        (layer < self.layer_count() && x < w && y < h).then(|| (layer * h + y) * w + x)
+        (layer < self.stats.layers && x < w && y < h).then(|| (layer * h + y) * w + x)
     }
 
     /// The arena index of the node at `(layer, coord)`, if any.
@@ -210,7 +280,7 @@ impl FlexLatticeIr {
     }
 
     /// Placed nodes in placement order.
-    pub(crate) fn arena(&self) -> &[IrNode] {
+    pub(crate) fn arena(&self) -> &[Node] {
         &self.nodes
     }
 
@@ -221,25 +291,40 @@ impl FlexLatticeIr {
         &self.slots[layer * k2..(layer + 1) * k2]
     }
 
+    /// The coordinate of a cell index `y·w + x`.
+    fn coord(&self, cell: usize) -> (usize, usize) {
+        let w = self.hardware.width();
+        (cell % w, cell / w)
+    }
+
+    /// Decodes an arena record.
+    fn view(&self, node: Node) -> IrNode {
+        IrNode {
+            kind: node.program_id().map_or(NodeKind::Ancilla, NodeKind::Program),
+            east_edge: node.has(EAST),
+            north_edge: node.has(NORTH),
+            temporal_prev: node
+                .prev()
+                .map(|(layer, cell)| (layer as usize, self.coord(cell as usize))),
+            stored_after: node.has(STORED),
+        }
+    }
+
     /// The node at `(layer, coord)`, if any.
-    pub fn node(&self, layer: usize, coord: (usize, usize)) -> Option<&IrNode> {
-        self.index(layer, coord).map(|i| &self.nodes[i])
+    pub fn node(&self, layer: usize, coord: (usize, usize)) -> Option<IrNode> {
+        self.index(layer, coord).map(|i| self.view(self.nodes[i]))
     }
 
     /// The nodes of a layer with their coordinates, in row-major order
     /// (`y`, then `x`). Empty for a layer that does not exist.
-    pub fn layer_nodes(
-        &self,
-        layer: usize,
-    ) -> impl Iterator<Item = ((usize, usize), &IrNode)> + '_ {
+    pub fn layer_nodes(&self, layer: usize) -> impl Iterator<Item = ((usize, usize), IrNode)> + '_ {
         let k2 = self.hardware.nodes_per_layer();
-        let w = self.hardware.width();
-        let block = if layer < self.layer_count() { layer * k2..(layer + 1) * k2 } else { 0..0 };
+        let block = if layer < self.stats.layers { layer * k2..(layer + 1) * k2 } else { 0..0 };
         self.slots[block]
             .iter()
             .enumerate()
             .filter(|&(_, &i)| i != EMPTY)
-            .map(move |(s, &i)| ((s % w, s / w), &self.nodes[i as usize]))
+            .map(move |(s, &i)| (self.coord(s), self.view(self.nodes[i as usize])))
     }
 
     /// Number of occupied coordinates on a layer.
@@ -253,7 +338,8 @@ impl FlexLatticeIr {
     ///
     /// Returns [`IrError::OutOfBounds`], [`IrError::MissingLayer`] or
     /// [`IrError::Occupied`] (checked in that order) when the position is
-    /// invalid.
+    /// invalid, and [`IrError::RecordOverflow`] when a program id does not
+    /// fit 56 bits (`"g_node"`) or the arena is full (`"arena"`).
     pub fn place(
         &mut self,
         layer: usize,
@@ -265,10 +351,19 @@ impl FlexLatticeIr {
         if self.slots[slot] != EMPTY {
             return Err(IrError::Occupied { layer, coord });
         }
-        self.slots[slot] =
-            u32::try_from(self.nodes.len()).expect("FlexLattice arena exceeds u32 indices");
-        self.nodes.push(IrNode::new(kind));
-        self.temporal_source.push(false);
+        let node = Node::new(kind)?;
+        // `EMPTY` marks a free slot, so it is no arena index.
+        let index = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&i| i != EMPTY)
+            .ok_or(IrError::RecordOverflow { field: "arena", value: self.nodes.len() })?;
+        self.slots[slot] = index;
+        self.nodes.push(node);
+        if node.has(ANCILLA) {
+            self.stats.ancilla_nodes += 1;
+        } else {
+            self.stats.program_nodes += 1;
+        }
         Ok(())
     }
 
@@ -290,17 +385,17 @@ impl FlexLatticeIr {
         if !self.hardware.adjacent(a, b) {
             return Err(IrError::NotAdjacent { a, b });
         }
-        if layer >= self.layer_count() {
+        if layer >= self.stats.layers {
             return Err(IrError::MissingLayer(layer));
         }
         let ia = self.index(layer, a).ok_or(IrError::MissingNode { layer, coord: a })?;
         let ib = self.index(layer, b).ok_or(IrError::MissingNode { layer, coord: b })?;
         // Normalize to the west/south endpoint owning the flag.
         let owner = &mut self.nodes[if a < b { ia } else { ib }];
-        if a.1 == b.1 {
-            owner.east_edge = true;
-        } else {
-            owner.north_edge = true;
+        let flag = if a.1 == b.1 { EAST } else { NORTH };
+        if !owner.has(flag) {
+            owner.flags |= flag;
+            self.stats.spatial_edges += 1;
         }
         Ok(())
     }
@@ -335,7 +430,8 @@ impl FlexLatticeIr {
     ///
     /// As [`FlexLatticeIr::enable_temporal_edge`], plus
     /// [`IrError::NotAdjacent`] when an adjacent-layer edge tries to change
-    /// coordinates.
+    /// coordinates, and [`IrError::RecordOverflow`] when the earlier
+    /// endpoint's layer or cell does not fit a `u32`.
     pub fn enable_temporal_edge_relocated(
         &mut self,
         from_layer: usize,
@@ -348,7 +444,7 @@ impl FlexLatticeIr {
         if from_layer >= to_layer {
             return Err(IrError::InvalidTemporalOrder { from: from_layer, to: to_layer });
         }
-        if to_layer >= self.layer_count() {
+        if to_layer >= self.stats.layers {
             return Err(IrError::MissingLayer(to_layer));
         }
         if to_layer - from_layer == 1 && from_coord != to_coord {
@@ -363,16 +459,24 @@ impl FlexLatticeIr {
         // The earlier node may have at most one edge towards subsequent
         // layers: it must not already be the source of another temporal
         // edge.
-        if self.temporal_source[from] {
+        if self.nodes[from].has(SOURCE) {
             return Err(IrError::TemporalConflict { layer: from_layer, coord: from_coord });
         }
-        if self.nodes[to].temporal_prev.is_some() {
+        if self.nodes[to].has(PREV) {
             return Err(IrError::TemporalConflict { layer: to_layer, coord: to_coord });
         }
-        self.nodes[to].temporal_prev = Some((from_layer, from_coord));
-        self.temporal_source[from] = true;
+        let prev = (
+            narrow(from_layer, "layer")?,
+            narrow(from_coord.1 * self.hardware.width() + from_coord.0, "cell")?,
+        );
+        self.nodes[to].prev = prev;
+        self.nodes[to].flags |= PREV;
         if to_layer - from_layer > 1 {
-            self.nodes[from].stored_after = true;
+            self.nodes[from].flags |= SOURCE | STORED;
+            self.stats.cross_temporal_edges += 1;
+        } else {
+            self.nodes[from].flags |= SOURCE;
+            self.stats.adjacent_temporal_edges += 1;
         }
         Ok(())
     }
@@ -387,30 +491,16 @@ impl FlexLatticeIr {
         })
     }
 
-    /// Aggregate statistics, from one pass over the node arena. (A
-    /// lowered program carries the same counts:
+    /// Aggregate statistics, counted as the program was built. (A lowered
+    /// program carries the same counts:
     /// [`InstructionProgram::stats`](crate::InstructionProgram::stats).)
     pub fn stats(&self) -> IrStats {
-        let mut stats = IrStats { layers: self.layer_count(), ..IrStats::default() };
-        let mut temporal_edges = 0;
-        for node in &self.nodes {
-            match node.kind {
-                NodeKind::Program(_) => stats.program_nodes += 1,
-                NodeKind::Ancilla => stats.ancilla_nodes += 1,
-            }
-            stats.spatial_edges += usize::from(node.east_edge) + usize::from(node.north_edge);
-            temporal_edges += usize::from(node.temporal_prev.is_some());
-            // A node is stored exactly when it sources a cross-layer edge,
-            // and it sources at most one.
-            stats.cross_temporal_edges += usize::from(node.stored_after);
-        }
-        stats.adjacent_temporal_edges = temporal_edges - stats.cross_temporal_edges;
-        stats
+        self.stats
     }
 
     /// Per-layer summaries in layer order, used to drive the online pass.
     pub fn layer_summaries(&self) -> Vec<IrLayerSummary> {
-        (0..self.layer_count())
+        (0..self.stats.layers)
             .map(|layer| {
                 let mut summary = IrLayerSummary::default();
                 for (_, node) in self.layer_nodes(layer) {
@@ -604,6 +694,117 @@ mod tests {
         assert_eq!(summaries[1].incoming_temporal.len(), 1);
         assert_eq!(summaries[2].retrieves, 1);
         assert_eq!(summaries[2].incoming_temporal[0].1, 2);
+    }
+
+    /// Builds a program with every kind of node and edge, keeping a plain
+    /// copy of what each successful call set. Every decoded view, and the
+    /// counts kept along the way, must match that copy.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn node_views_match_a_shadow_of_the_calls() {
+        use std::collections::BTreeMap;
+        let ids = [0, 1, u32::MAX as usize, u32::MAX as usize + 1, (1 << PROGRAM_ID_BITS) - 1];
+        let (w, h) = (4, 3);
+        let mut ir = FlexLatticeIr::new(VirtualHardware::new(w, h));
+        // Keyed `(layer, y, x)`, which is row-major order within a layer.
+        let mut shadow: BTreeMap<(usize, usize, usize), IrNode> = BTreeMap::new();
+        let mut next_id = ids.iter().cycle();
+        for layer in 0..4 {
+            ir.push_layer();
+            for (i, (x, y)) in ir.hardware().coords().collect::<Vec<_>>().into_iter().enumerate() {
+                if (i + layer) % 5 == 3 {
+                    continue;
+                }
+                let kind = if (i + layer) % 3 == 0 {
+                    NodeKind::Ancilla
+                } else {
+                    NodeKind::Program(*next_id.next().unwrap())
+                };
+                ir.place(layer, (x, y), kind).unwrap();
+                let node = IrNode {
+                    kind,
+                    east_edge: false,
+                    north_edge: false,
+                    temporal_prev: None,
+                    stored_after: false,
+                };
+                shadow.insert((layer, y, x), node);
+            }
+        }
+        // A program id past 56 bits is refused and leaves no trace.
+        let too_wide = 1 << PROGRAM_ID_BITS;
+        assert_eq!(
+            ir.place(3, (0, 0), NodeKind::Program(too_wide)),
+            Err(IrError::RecordOverflow { field: "g_node", value: too_wide })
+        );
+        assert_eq!(ir.node(3, (0, 0)), None);
+        for layer in 0..4 {
+            for (x, y) in ir.hardware().coords().collect::<Vec<_>>() {
+                // East and north edges on a parity pattern, where both
+                // endpoints exist. Each east edge is enabled again from its
+                // other end, which must not count twice.
+                if (x + y + layer) % 2 == 0
+                    && ir.enable_spatial_edge(layer, (x, y), (x + 1, y)).is_ok()
+                {
+                    shadow.get_mut(&(layer, y, x)).unwrap().east_edge = true;
+                    ir.enable_spatial_edge(layer, (x + 1, y), (x, y)).unwrap();
+                }
+                if (x + y + layer) % 3 != 0
+                    && ir.enable_spatial_edge(layer, (x, y), (x, y + 1)).is_ok()
+                {
+                    shadow.get_mut(&(layer, y, x)).unwrap().north_edge = true;
+                }
+            }
+        }
+        let mut temporal =
+            |ir: &mut FlexLatticeIr, from: usize, a: (usize, usize), to: usize, b| {
+                if ir.enable_temporal_edge_relocated(from, a, to, b).is_ok() {
+                    shadow.get_mut(&(to, b.1, b.0)).unwrap().temporal_prev = Some((from, a));
+                    if to - from > 1 {
+                        shadow.get_mut(&(from, a.1, a.0)).unwrap().stored_after = true;
+                    }
+                }
+            };
+        for (x, y) in ir.hardware().coords().collect::<Vec<_>>() {
+            if (x + y) % 2 == 0 {
+                temporal(&mut ir, 0, (x, y), 1, (x, y));
+                temporal(&mut ir, 1, (x, y), 3, (w - 1 - x, h - 1 - y));
+            } else {
+                temporal(&mut ir, 0, (x, y), 2, (x, y));
+                temporal(&mut ir, 2, (x, y), 3, (x, y));
+            }
+        }
+        let decoded: BTreeMap<(usize, usize, usize), IrNode> = (0..4)
+            .flat_map(|layer| ir.layer_nodes(layer).map(move |((x, y), n)| ((layer, y, x), n)))
+            .collect();
+        assert_eq!(decoded, shadow, "layer_nodes");
+        for layer in 0..4 {
+            for (x, y) in ir.hardware().coords() {
+                assert_eq!(ir.node(layer, (x, y)), shadow.get(&(layer, y, x)).copied());
+            }
+        }
+        let nodes: Vec<&IrNode> = shadow.values().collect();
+        let count = |f: &dyn Fn(&IrNode) -> bool| nodes.iter().filter(|n| f(n)).count();
+        let cross = count(&|n| n.stored_after);
+        let expected = IrStats {
+            layers: 4,
+            program_nodes: count(&|n| n.kind != NodeKind::Ancilla),
+            ancilla_nodes: count(&|n| n.kind == NodeKind::Ancilla),
+            spatial_edges: count(&|n| n.east_edge) + count(&|n| n.north_edge),
+            adjacent_temporal_edges: count(&|n| n.temporal_prev.is_some()) - cross,
+            cross_temporal_edges: cross,
+        };
+        assert_eq!(ir.stats(), expected);
+        // Every kind of node and edge is present, and every id.
+        assert!(expected.ancilla_nodes > 0 && expected.spatial_edges > 0);
+        assert!(expected.adjacent_temporal_edges > 0 && cross > 0);
+        assert!(count(&|n| n.east_edge) > 0 && count(&|n| n.north_edge) > 0);
+        let relocated =
+            |(&(_, y, x), n): (&_, &IrNode)| n.temporal_prev.is_some_and(|(_, c)| c != (x, y));
+        assert!(shadow.iter().any(relocated));
+        for id in ids {
+            assert!(nodes.iter().any(|n| n.kind == NodeKind::Program(id)), "id {id}");
+        }
     }
 
     /// Non-square shapes in both orientations: a transposed flat index or a

@@ -10,19 +10,23 @@
 //! # Storage layout
 //!
 //! [`InstructionProgram::lower`] walks the IR once, layer by layer. It
-//! checks the IR's structural rules, counts its [`IrStats`] and writes
-//! fixed-size 16-byte records of `u32` fields, not [`Instruction`]s. A
-//! record holds a cell index `y·w + x` and an operation; its layer is the
-//! one whose slice holds it. A cross-layer edge's `retrieve_v_node` +
-//! `enable_temporal_v_edge` pair shares one record, which keeps the stored
-//! node's key `(from_layer, from_cell)`. A value that does not fit a `u32`
-//! field is an [`IrError::RecordOverflow`], never a truncation.
+//! checks the IR's structural rules and writes fixed-size 8-byte records,
+//! not [`Instruction`]s. One `u32` of a record holds a cell index
+//! `y·w + x` above a 3-bit operation tag, so a cell must be below 2^29;
+//! the record's layer is the one whose slice holds it. The other `u32`
+//! holds a mapped node's `g_node`. A cross-layer edge's
+//! `retrieve_v_node` + `enable_temporal_v_edge` pair shares one record,
+//! whose second `u32` indexes a side table of stored-node keys
+//! `(from_layer, from_cell)`. A value that does not fit its field is an
+//! [`IrError::RecordOverflow`], never a truncation. The records and the
+//! side table are reserved at exact capacity from the counts the IR keeps
+//! as it is built.
 //!
-//! A per-layer index marks where each layer's records end. Layer `l`'s
-//! slice holds its map, spatial-edge and store records in row-major order,
-//! then the temporal edges ending on `l` in `(x, y)` order. The online
-//! pass reads one slice per layer ([`InstructionProgram::layer`]) to build
-//! that layer's requirement.
+//! A per-layer `u32` index marks where each layer's records end. Layer
+//! `l`'s slice holds its map, spatial-edge and store records in row-major
+//! order, then the temporal edges ending on `l` in `(x, y)` order. The
+//! online pass reads one slice per layer ([`InstructionProgram::layer`]) to
+//! build that layer's requirement.
 //!
 //! Instructions are decoded only when read: [`InstructionProgram::iter`],
 //! [`InstructionProgram::layer`], `Display` and the
@@ -32,8 +36,8 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use crate::error::IrError;
-use crate::flexlattice::{FlexLatticeIr, IrStats, NodeKind, EMPTY};
+use crate::error::{narrow, IrError};
+use crate::flexlattice::{FlexLatticeIr, IrStats, EAST, EMPTY, NORTH, STORED};
 
 /// A position on the virtual hardware: `(x, y, layer)`.
 pub type VPos = (usize, usize, usize);
@@ -127,12 +131,13 @@ impl fmt::Display for Instruction {
     }
 }
 
-/// One fixed-size step of a lowered program: a cell index `y·w + x` on
-/// the layer whose slice holds the record, and what happens there.
+/// One 8-byte step of a lowered program: `head` holds a cell index
+/// `y·w + x` on the layer whose slice holds the record, above the tag of
+/// its [`Op`]; `arg` holds the op's operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Record {
-    cell: u32,
-    op: Op,
+    head: u32,
+    arg: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,17 +150,55 @@ enum Op {
     /// Temporal edge from the same cell of the layer below.
     Temporal,
     /// A cross-layer edge's `retrieve_v_node` + `enable_temporal_v_edge`
-    /// pair, keeping the stored node's key `(from_layer, from_cell)`.
-    Fetch { from_layer: u32, from_cell: u32 },
+    /// pair; `index` points into the program's table of stored-node keys
+    /// `(from_layer, from_cell)`.
+    Fetch { index: u32 },
 }
 
-const _: () = assert!(std::mem::size_of::<Record>() <= 16);
+/// Width of the op tag below a record's cell index.
+const TAG_BITS: u32 = 3;
+/// Cells a record can address: 2^29.
+const RECORD_CELLS: usize = 1 << (u32::BITS - TAG_BITS);
+
+const _: () = assert!(std::mem::size_of::<Record>() == 8);
 // Decoding widens `u32` fields with `as usize`, which must never truncate.
 const _: () = assert!(usize::BITS >= u32::BITS);
 
-/// Narrows a value into a record field.
-fn field(value: usize, name: &'static str) -> Result<u32, IrError> {
-    u32::try_from(value).map_err(|_| IrError::RecordOverflow { field: name, value })
+impl Record {
+    /// Packs `op` at `cell`, or [`IrError::RecordOverflow`] when the cell
+    /// does not fit 29 bits.
+    fn pack(cell: usize, op: Op) -> Result<Self, IrError> {
+        if cell >= RECORD_CELLS {
+            return Err(IrError::RecordOverflow { field: "cell", value: cell });
+        }
+        let (tag, arg) = match op {
+            Op::Map { g_node } => (0, g_node),
+            Op::Ancilla => (1, 0),
+            Op::East => (2, 0),
+            Op::North => (3, 0),
+            Op::Store => (4, 0),
+            Op::Temporal => (5, 0),
+            Op::Fetch { index } => (6, index),
+        };
+        Ok(Record { head: (cell as u32) << TAG_BITS | tag, arg })
+    }
+
+    fn cell(self) -> usize {
+        (self.head >> TAG_BITS) as usize
+    }
+
+    fn op(self) -> Op {
+        match self.head & ((1 << TAG_BITS) - 1) {
+            0 => Op::Map { g_node: self.arg },
+            1 => Op::Ancilla,
+            2 => Op::East,
+            3 => Op::North,
+            4 => Op::Store,
+            5 => Op::Temporal,
+            // `pack` writes tag 6 and never 7.
+            _ => Op::Fetch { index: self.arg },
+        }
+    }
 }
 
 /// An ordered instruction stream together with the virtual-hardware layer
@@ -163,8 +206,11 @@ fn field(value: usize, name: &'static str) -> Result<u32, IrError> {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InstructionProgram {
     records: Vec<Record>,
+    /// The stored-node key `(from_layer, from_cell)` of each
+    /// [`Op::Fetch`] record.
+    fetches: Vec<(u32, u32)>,
     /// Per layer, one past the index of its last record.
-    layer_end: Vec<usize>,
+    layer_end: Vec<u32>,
     /// Layer width, to decode cell indices.
     width: usize,
     stats: IrStats,
@@ -182,17 +228,20 @@ impl InstructionProgram {
     /// Empty for a layer that does not exist.
     pub fn layer(&self, layer: usize) -> impl Iterator<Item = Instruction> + '_ {
         let records = match self.layer_end.get(layer) {
-            Some(&end) => &self.records[layer.checked_sub(1).map_or(0, |p| self.layer_end[p])..end],
+            Some(&end) => {
+                let start = layer.checked_sub(1).map_or(0, |p| self.layer_end[p]);
+                &self.records[start as usize..end as usize]
+            }
             None => &[],
         };
-        let coord = move |cell: u32| (cell as usize % self.width, cell as usize / self.width);
-        records.iter().flat_map(move |&Record { cell, op }| {
+        let coord = move |cell: usize| (cell % self.width, cell / self.width);
+        records.iter().flat_map(move |&record| {
             use Instruction::*;
-            let (x, y) = coord(cell);
+            let (x, y) = coord(record.cell());
             let here = (x, y, layer);
             let temporal =
                 || EnableTemporalVEdge { v_node: (x, y, layer - 1), adjacent_v_node: here };
-            let (first, second) = match op {
+            let (first, second) = match record.op() {
                 Op::Map { g_node } => (MapVNode { v_node: here, g_node: g_node as usize }, None),
                 Op::Ancilla => (MakeVNodeAncilla { v_node: here }, None),
                 Op::East => {
@@ -203,8 +252,9 @@ impl InstructionProgram {
                 }
                 Op::Store => (StoreVNode { v_node: here }, None),
                 Op::Temporal => (temporal(), None),
-                Op::Fetch { from_layer, from_cell } => {
-                    let (fx, fy) = coord(from_cell);
+                Op::Fetch { index } => {
+                    let (from_layer, from_cell) = self.fetches[index as usize];
+                    let (fx, fy) = coord(from_cell as usize);
                     let v_node = (fx, fy, from_layer as usize);
                     (RetrieveVNode { v_node, position: (x, y, layer - 1) }, Some(temporal()))
                 }
@@ -216,7 +266,7 @@ impl InstructionProgram {
     /// Number of instructions (a shared retrieve + temporal-edge record
     /// counts as two).
     pub fn len(&self) -> usize {
-        self.records.len() + self.stats.cross_temporal_edges
+        self.records.len() + self.fetches.len()
     }
 
     /// Returns `true` when the program is empty.
@@ -229,8 +279,7 @@ impl InstructionProgram {
         self.layer_end.len()
     }
 
-    /// Statistics of the lowered IR, counted by the lowering walk; equal to
-    /// [`FlexLatticeIr::stats`].
+    /// Statistics of the lowered IR; equal to [`FlexLatticeIr::stats`].
     pub fn stats(&self) -> IrStats {
         self.stats
     }
@@ -241,8 +290,7 @@ impl InstructionProgram {
     /// temporal edges that end on the layer.
     ///
     /// This is the one walk over the finished IR: it checks
-    /// [`FlexLatticeIr::validate`]'s rules and counts the
-    /// [`IrStats`] as it emits.
+    /// [`FlexLatticeIr::validate`]'s rules as it emits.
     ///
     /// # Errors
     ///
@@ -252,53 +300,51 @@ impl InstructionProgram {
     pub fn lower(ir: &FlexLatticeIr) -> Result<Self, IrError> {
         let (w, h) = (ir.hardware().width(), ir.hardware().height());
         let arena = ir.arena();
-        let mut stats = IrStats { layers: ir.layer_count(), ..IrStats::default() };
-        let mut records = Vec::with_capacity(arena.len());
-        let mut layer_end = Vec::with_capacity(ir.layer_count());
+        let stats = ir.stats();
+        // One record per node, spatial edge, store (one per cross-layer
+        // edge) and temporal edge.
+        let capacity = stats.program_nodes
+            + stats.ancilla_nodes
+            + stats.spatial_edges
+            + stats.adjacent_temporal_edges
+            + 2 * stats.cross_temporal_edges;
+        narrow(capacity, "records")?;
+        let mut records = Vec::with_capacity(capacity);
+        let mut fetches = Vec::with_capacity(stats.cross_temporal_edges);
+        let mut layer_end = Vec::with_capacity(stats.layers);
         // Per arena node: already the source of a temporal edge.
         let mut sourced = vec![false; arena.len()];
         // The current layer's spatial-edge and store records, and its
         // incoming temporal edges keyed by `(x, y)` order.
         let mut tail = Vec::new();
         let mut incoming: Vec<(usize, Record)> = Vec::new();
-        for layer in 0..ir.layer_count() {
+        for layer in 0..stats.layers {
             let slots = ir.layer_slots(layer);
             for (s, &i) in slots.iter().enumerate() {
                 if i == EMPTY {
                     continue;
                 }
-                let node = &arena[i as usize];
+                let node = arena[i as usize];
                 let (x, y) = (s % w, s / w);
-                if node.east_edge && (x + 1 == w || slots[s + 1] == EMPTY) {
+                if node.has(EAST) && (x + 1 == w || slots[s + 1] == EMPTY) {
                     return Err(IrError::MissingNode { layer, coord: (x + 1, y) });
                 }
-                if node.north_edge && (y + 1 == h || slots[s + w] == EMPTY) {
+                if node.has(NORTH) && (y + 1 == h || slots[s + w] == EMPTY) {
                     return Err(IrError::MissingNode { layer, coord: (x, y + 1) });
                 }
-                let cell = field(s, "cell")?;
-                let op = match node.kind {
-                    NodeKind::Program(g) => {
-                        stats.program_nodes += 1;
-                        Op::Map { g_node: field(g, "g_node")? }
-                    }
-                    NodeKind::Ancilla => {
-                        stats.ancilla_nodes += 1;
-                        Op::Ancilla
-                    }
+                let op = match node.program_id() {
+                    Some(g) => Op::Map { g_node: narrow(g, "g_node")? },
+                    None => Op::Ancilla,
                 };
-                records.push(Record { cell, op });
-                stats.spatial_edges += usize::from(node.east_edge) + usize::from(node.north_edge);
-                let after = [
-                    (node.east_edge, Op::East),
-                    (node.north_edge, Op::North),
-                    (node.stored_after, Op::Store),
-                ];
-                for (set, op) in after {
-                    if set {
-                        tail.push(Record { cell, op });
+                records.push(Record::pack(s, op)?);
+                for (flag, op) in [(EAST, Op::East), (NORTH, Op::North), (STORED, Op::Store)] {
+                    if node.has(flag) {
+                        tail.push(Record::pack(s, op)?);
                     }
                 }
-                if let Some((from, from_coord)) = node.temporal_prev {
+                if let Some(key @ (from, from_cell)) = node.prev() {
+                    let (from, from_cell) = (from as usize, from_cell as usize);
+                    let from_coord = (from_cell % w, from_cell / w);
                     if from >= layer {
                         return Err(IrError::InvalidTemporalOrder { from, to: layer });
                     }
@@ -313,24 +359,21 @@ impl InstructionProgram {
                         return Err(IrError::TemporalConflict { layer: from, coord: from_coord });
                     }
                     let op = if layer - from == 1 {
-                        stats.adjacent_temporal_edges += 1;
                         Op::Temporal
                     } else {
-                        stats.cross_temporal_edges += 1;
-                        Op::Fetch {
-                            from_layer: field(from, "layer")?,
-                            from_cell: field(from_coord.1 * w + from_coord.0, "cell")?,
-                        }
+                        let op = Op::Fetch { index: narrow(fetches.len(), "fetch")? };
+                        fetches.push(key);
+                        op
                     };
-                    incoming.push((x * h + y, Record { cell, op }));
+                    incoming.push((x * h + y, Record::pack(s, op)?));
                 }
             }
             records.append(&mut tail);
             incoming.sort_unstable_by_key(|&(key, _)| key);
             records.extend(incoming.drain(..).map(|(_, record)| record));
-            layer_end.push(records.len());
+            layer_end.push(narrow(records.len(), "records")?);
         }
-        Ok(InstructionProgram { records, layer_end, width: w, stats })
+        Ok(InstructionProgram { records, fetches, layer_end, width: w, stats })
     }
 }
 
@@ -500,6 +543,7 @@ impl InstructionInterpreter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flexlattice::NodeKind;
     use crate::virtual_hw::VirtualHardware;
 
     /// Builds the cross-layer example of Section 6.3: an ancilla at
@@ -678,6 +722,62 @@ mod tests {
         let overflow = IrError::RecordOverflow { field: "g_node", value };
         assert_eq!(InstructionProgram::lower(&ir), Err(overflow.clone()));
         assert_eq!(ir.validate(), Err(overflow));
+    }
+
+    /// Every op packs and unpacks unchanged at the cell bound, with the
+    /// largest operand; the first cell past the bound is a typed error.
+    #[test]
+    fn records_round_trip_every_op_at_the_boundaries() {
+        let ops = [
+            Op::Map { g_node: 0 },
+            Op::Map { g_node: u32::MAX },
+            Op::Ancilla,
+            Op::East,
+            Op::North,
+            Op::Store,
+            Op::Temporal,
+            Op::Fetch { index: 0 },
+            Op::Fetch { index: u32::MAX },
+        ];
+        for op in ops {
+            for cell in [0, 1, RECORD_CELLS - 1] {
+                let record = Record::pack(cell, op).unwrap();
+                assert_eq!((record.cell(), record.op()), (cell, op), "{op:?} at {cell}");
+            }
+            assert_eq!(
+                Record::pack(RECORD_CELLS, op),
+                Err(IrError::RecordOverflow { field: "cell", value: 1 << 29 })
+            );
+        }
+    }
+
+    /// A `Fetch` whose stored-node key is `(u32::MAX, u32::MAX)`, at the
+    /// largest record cell, decodes to the retrieve + temporal-edge pair
+    /// it stands for.
+    #[test]
+    fn the_largest_fetch_key_decodes() {
+        let width = 7;
+        let cell = RECORD_CELLS - 1;
+        let program = InstructionProgram {
+            records: vec![Record::pack(cell, Op::Fetch { index: 0 }).unwrap()],
+            fetches: vec![(u32::MAX, u32::MAX)],
+            layer_end: vec![0, 1],
+            width,
+            stats: IrStats { layers: 2, cross_temporal_edges: 1, ..IrStats::default() },
+        };
+        let max = u32::MAX as usize;
+        let (x, y) = (cell % width, cell / width);
+        assert_eq!(
+            program.iter().collect::<Vec<_>>(),
+            [
+                Instruction::RetrieveVNode {
+                    v_node: (max % width, max / width, max),
+                    position: (x, y, 0)
+                },
+                Instruction::EnableTemporalVEdge { v_node: (x, y, 0), adjacent_v_node: (x, y, 1) },
+            ]
+        );
+        assert_eq!(program.len(), 2);
     }
 
     #[test]

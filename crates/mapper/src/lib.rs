@@ -41,9 +41,10 @@
 //! * the occupancy of the layer being built is one flag per coordinate,
 //!   and ancilla routes are found by a breadth-first search over reusable
 //!   epoch-stamped buffers;
-//! * the emitted [`oneperc_ir::FlexLatticeIr`] stores its nodes in one
-//!   arena behind a flat per-coordinate slot index (see its docs), which
-//!   the instruction lowering walks row-major.
+//! * the emitted [`oneperc_ir::FlexLatticeIr`] stores its nodes as
+//!   16-byte records in one arena behind a flat per-coordinate slot index
+//!   (see its docs), which the instruction lowering walks row-major into
+//!   8-byte instruction records.
 //!
 //! Every step visits nodes, pairs and partners in id order, so the result
 //! is a pure function of the program and the configuration.
