@@ -32,13 +32,16 @@
 //!   IR program (Section 5.2). It classifies each layer by its
 //!   [`spans_target`](Renormalizer::spans_target) verdict and extracts no
 //!   path; [`ReshapeEngine::last_logical_lattice`] renormalizes the kept
-//!   logical layer only when asked. Built with
-//!   [`ReshapeEngine::with_renorm_client`], the engine overlaps its
-//!   stages: layers are generated and decided on a shared worker pool a
+//!   logical layer only when asked. Every layer is one job submitted
+//!   through the engine's [`PoolClient`]. Built with
+//!   [`ReshapeEngine::with_renorm_client`] on a shared worker pool, the
+//!   engine overlaps its stages: layers are generated and decided there a
 //!   window ahead (the waiting engine helps), and connected in the
-//!   driving thread. [`ReshapeEngine::reset`] restarts
-//!   the stochastic stream for a new seed while keeping every thread and
-//!   allocation warm — the primitive behind the `oneperc` session API.
+//!   driving thread. [`ReshapeEngine::new`] uses a client with no
+//!   workers, whose jobs the engine runs itself, one at a time.
+//!   [`ReshapeEngine::reset`] restarts the stochastic stream for a new
+//!   seed while keeping every thread and allocation warm — the primitive
+//!   behind the `oneperc` session API.
 //!
 //! # Pipeline architecture and ownership rules
 //!
@@ -52,11 +55,13 @@
 //! spreads that stream across cores, **stream fan-out**
 //! (`ReshapeEngine::with_renorm_client`), and it is determinism-preserving:
 //! with a fixed seed it produces identical reports and byte-identical
-//! [`RenormalizedLattice`]s to the fully serial path, for any worker count.
+//! [`RenormalizedLattice`]s for any worker count, zero (the serial path of
+//! [`ReshapeEngine::new`]) included.
 //! Layer `i` of a run is a pure function of `(config, seed, i)`
 //! ([`oneperc_hardware::layer_key`]), so each upcoming layer is one pool
 //! job that generates it into the running thread's own buffer and decides
-//! it. A bounded window of jobs runs ahead of consumption, the answers
+//! it. A bounded window of jobs runs ahead of consumption (one job when no
+//! worker serves the client), the answers
 //! (counters and verdict, never the layer) are collected strictly in
 //! stream order, and the engine runs queued jobs while it waits. Every
 //! layer is consumed in order whatever its logical/routing fate, so a job

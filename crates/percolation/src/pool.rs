@@ -16,9 +16,10 @@
 //! reply sender pointing back at its client, so batches from several
 //! clients (one per session lane) interleave without their results ever
 //! mixing. Jobs wait in a `Mutex<VecDeque>`; idle workers sleep on a
-//! condvar, never inside the lock. Every job is tagged with its
-//! submitter-local slot, and a client reorders arrivals back into
-//! submission order. Jobs are pure functions of their parameters (scratch
+//! condvar, never inside the lock, and count themselves asleep under it,
+//! so a push signals the condvar only when a worker sleeps. Every job is
+//! tagged with its submitter-local slot, and a client reorders arrivals
+//! back into submission order. Jobs are pure functions of their parameters (scratch
 //! reuse is observationally reset-free), so any worker count produces
 //! byte-identical results in identical order.
 //!
@@ -27,7 +28,9 @@
 //! and replies to each job's owner. A waiting reshaping engine thereby
 //! adds its thread to the pool, and a job a client waits for completes
 //! whether or not a worker is left to take it. Helpers never take a
-//! shutdown sentinel, so teardown still ends every worker.
+//! shutdown sentinel, so teardown still ends every worker. A client with
+//! a private queue and no workers runs every job it submits this way:
+//! that is the in-thread reshaping engine.
 //!
 //! A job that panics is reported back to its submitter, and the thread that
 //! ran it replaces its (possibly mid-search) scratch, so one submitter's
@@ -73,8 +76,8 @@ pub(crate) struct LayerSummary {
 
 impl LayerJob {
     /// Generates the layer into `scratch`'s buffer and decides it. The one
-    /// generate-and-decide path: pool workers, helping clients and the
-    /// reshaping engine's in-thread backend all run it.
+    /// generate-and-decide path: pool workers and waiting clients run it,
+    /// including the worker-less client of an in-thread reshaping engine.
     pub(crate) fn run(&self, scratch: &mut JobScratch) -> LayerSummary {
         let JobScratch { renorm, generation, layer } = scratch;
         self.plan.generate_into(self.seed, self.index, generation, layer);
@@ -144,45 +147,62 @@ impl WorkItem {
 /// which makes teardown independent of how many [`PoolClient`]s are alive.
 #[derive(Debug)]
 enum Job {
-    Work(Box<WorkItem>),
+    Work(WorkItem),
     Shutdown,
 }
 
-/// The shared job queue: a deque under a mutex, and a condvar on which idle
-/// workers wait for it to become non-empty.
+/// A job queue: a deque and the number of workers asleep on it, under one
+/// mutex, and the condvar those workers sleep on.
 #[derive(Debug, Default)]
 struct Queue {
-    jobs: Mutex<VecDeque<Job>>,
+    state: Mutex<QueueState>,
     ready: Condvar,
 }
 
+#[derive(Debug, Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    sleeping: usize,
+}
+
 impl Queue {
-    fn lock(&self) -> MutexGuard<'_, VecDeque<Job>> {
-        // Nothing runs under the lock but deque operations.
-        self.jobs.lock().expect("job queue poisoned")
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        // Nothing runs under the lock but deque and counter operations.
+        self.state.lock().expect("job queue poisoned")
     }
 
-    /// Appends a job and wakes one idle worker.
+    /// Appends a job and wakes one worker if any sleeps. A worker counts
+    /// itself asleep under the lock it waits with, so a push either lands
+    /// before the worker's emptiness check or sees it asleep; skipping the
+    /// notify otherwise saves a wake syscall per job.
     fn push(&self, job: Job) {
-        self.lock().push_back(job);
-        self.ready.notify_one();
+        let mut state = self.lock();
+        state.jobs.push_back(job);
+        let wake = state.sleeping > 0;
+        drop(state);
+        if wake {
+            self.ready.notify_one();
+        }
     }
 
     /// Takes the oldest job, sleeping while the queue is empty (workers).
     fn pop(&self) -> Job {
-        let mut jobs = self.lock();
+        let mut state = self.lock();
         loop {
-            if let Some(job) = jobs.pop_front() {
+            if let Some(job) = state.jobs.pop_front() {
                 return job;
             }
-            jobs = self.ready.wait(jobs).expect("job queue poisoned");
+            state.sleeping += 1;
+            state = self.ready.wait(state).expect("job queue poisoned");
+            state.sleeping -= 1;
         }
     }
 
     /// Takes the oldest work item without waiting, passing over shutdown
     /// sentinels (helping clients).
-    fn take_work(&self) -> Option<Box<WorkItem>> {
-        let mut jobs = self.lock();
+    fn take_work(&self) -> Option<WorkItem> {
+        let mut state = self.lock();
+        let jobs = &mut state.jobs;
         let at = jobs.iter().position(|job| matches!(job, Job::Work(_)))?;
         match jobs.remove(at) {
             Some(Job::Work(item)) => Some(item),
@@ -314,7 +334,7 @@ pub struct PoolClient {
     scratch: Box<JobScratch>,
     /// Jobs run on `scratch` so far; the tests observe helping through it.
     #[cfg(test)]
-    helped: usize,
+    pub(crate) helped: usize,
 }
 
 impl PoolClient {
@@ -334,9 +354,16 @@ impl PoolClient {
         }
     }
 
+    /// A client of a private queue no worker serves: every job it submits
+    /// runs in the calling thread, when [`PoolClient::recv_next`] waits
+    /// for it.
+    pub(crate) fn in_thread() -> Self {
+        Self::new(Arc::new(Queue::default()), 0)
+    }
+
     /// Worker count of the pool behind this client — what a submitter
     /// should size its in-flight window against.
-    pub fn pool_workers(&self) -> usize {
+    pub(crate) fn pool_workers(&self) -> usize {
         self.pool_workers
     }
 
@@ -346,14 +373,15 @@ impl PoolClient {
         let slot = self.next_slot;
         self.next_slot += 1;
         let item = WorkItem { job, slot, reply: self.reply_tx.clone() };
-        self.queue.push(Job::Work(Box::new(item)));
+        self.queue.push(Job::Work(item));
         slot
     }
 
     /// Number of submitted jobs whose results have not been received yet,
     /// including results that arrived early and wait in the reorder
     /// buffer.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
         self.next_slot - self.next_result
     }
 
@@ -477,6 +505,25 @@ mod model_tests {
         });
         assert!(report.complete, "exploration must be exhaustive");
         assert!(HELPED.load(Ordering::Relaxed) > 0, "no schedule let the client help");
+    }
+
+    /// A push wakes the only worker whenever it sleeps: the submitter
+    /// queues a job while the worker may be going idle, then blocks on the
+    /// reply without helping, so only the worker can answer. A push that
+    /// skipped a sleeping worker (a lost wakeup) deadlocks here; the
+    /// helping tests above cannot see one, since their waiting client runs
+    /// the job itself.
+    #[test]
+    fn model_push_wakes_a_sleeping_worker() {
+        let (job, expected) = tiny_job();
+        let report = oneperc_verify::model(move || {
+            let pool = WorkerPool::new(1);
+            let (reply, answers) = channel::<JobReply>();
+            pool.queue.push(Job::Work(WorkItem { job: job.clone(), slot: 0, reply }));
+            assert_eq!(answers.recv().expect("the worker answers"), (0, Ok(expected)));
+            drop(pool);
+        });
+        assert!(report.complete, "exploration must be exhaustive");
     }
 
     /// A helping client never consumes a shutdown sentinel: with the pool
@@ -621,20 +668,20 @@ mod tests {
     fn jobs_answer_in_slot_order_under_helping() {
         // A client of a queue no worker serves runs every job itself, in
         // queue order, and still answers in slot order.
-        let mut client = PoolClient::new(Arc::new(Queue::default()), 0);
+        let mut client = PoolClient::in_thread();
         check_in_slot_order(&mut client);
         assert_eq!(client.helped, 6);
     }
 
     #[test]
     fn in_flight_counts_results_buffered_out_of_order() {
-        let mut client = PoolClient::new(Arc::new(Queue::default()), 0);
+        let mut client = PoolClient::in_thread();
         for job in layer_jobs(3) {
             client.submit(job);
         }
         // Slot 1 finishes first, as on a faster thread: its answer is
         // waiting when slot 0 is received, and is buffered.
-        let second = client.queue.lock().remove(1);
+        let second = client.queue.lock().jobs.remove(1);
         let Some(Job::Work(second)) = second else { panic!("slot 1 is queued work") };
         second.run(&mut JobScratch::new());
         let _ = client.recv_next();

@@ -27,23 +27,27 @@
 //! step carries state from one layer to the next: layer `i` of a run is a
 //! pure function of `(config, seed, i)` ([`oneperc_hardware::layer_key`]),
 //! just as each RSG cycle of the hardware yields an independent layer. So
-//! generate and decide form one job per layer, and an engine built with
-//! [`ReshapeEngine::with_renorm_client`] keeps a window of upcoming layer
-//! jobs on a shared [`WorkerPool`](crate::WorkerPool) while it connects the
-//! current layer. Each job generates its layer into the running thread's
-//! own buffer and answers with the layer's counters and verdict only;
-//! layers never cross threads. While the engine waits for the oldest
-//! answer it runs queued jobs itself, so one worker plus the engine keep
-//! two cores busy.
+//! generate and decide form one job per layer, submitted through the
+//! engine's [`PoolClient`] and answered with the layer's counters and
+//! verdict only; each job generates its layer into the running thread's
+//! own buffer, so layers never cross threads. While the engine waits for
+//! the oldest answer it runs queued jobs itself.
+//!
+//! That one path serves every worker count. An engine built with
+//! [`ReshapeEngine::with_renorm_client`] on a shared
+//! [`WorkerPool`](crate::WorkerPool) keeps a window of upcoming layer jobs
+//! there while it connects the current layer, so one worker plus the
+//! engine keep two cores busy. [`ReshapeEngine::new`] gives the engine a
+//! client with a private queue and no workers, and a window of one job:
+//! the engine submits each layer's job and runs it when it waits for it.
 //!
 //! Determinism is preserved by construction: every job is a pure function
 //! of its key, answers are consumed in stream order, and time-like fusion
 //! outcomes come from a *separate* sampler seeded from the configuration
-//! and drawn only in the engine thread. With a fixed seed the pooled
-//! engine therefore produces identical [`LogicalLayerReport`]s and
-//! byte-identical on-demand [`RenormalizedLattice`]s to the in-thread
-//! engine, which runs the same job function in-thread — the contract
-//! enforced by `tests/pipeline_determinism.rs`.
+//! and drawn only in the engine thread. With a fixed seed an engine
+//! therefore produces identical [`LogicalLayerReport`]s and byte-identical
+//! on-demand [`RenormalizedLattice`]s whatever the pool's worker count,
+//! none included — the contract enforced by `tests/pipeline_determinism.rs`.
 
 use crate::sync::Arc;
 
@@ -53,7 +57,7 @@ use oneperc_hardware::{
 };
 
 use crate::cancel::CancelToken;
-use crate::pool::{JobScratch, LayerJob, LayerSummary, PoolClient};
+use crate::pool::{LayerJob, LayerSummary, PoolClient};
 use crate::renormalize::{renormalize, RenormalizedLattice};
 
 /// One time-like edge requested by the IR program for the layer currently
@@ -241,8 +245,8 @@ pub struct ReshapeEngine {
     bulk_attempted: u64,
     bulk_succeeded: u64,
     /// Layer-pattern fusions accumulated from *consumed* layers. Counting
-    /// at consumption (not submission) keeps the in-thread and pooled
-    /// totals identical even while the pool's window runs ahead.
+    /// at consumption (not submission) keeps the totals identical for any
+    /// worker count, while the pool's window runs ahead.
     layer_attempted: u64,
     layer_succeeded: u64,
     /// Index of the next layer of the stream to consume.
@@ -250,54 +254,42 @@ pub struct ReshapeEngine {
     /// Index of the most recent logical layer, if any; it is regenerated
     /// from its key for [`ReshapeEngine::last_logical_lattice`].
     last_logical: Option<u64>,
-    /// Where layer jobs run: in-thread, or on the worker pool a window
-    /// ahead. Scratch memory (or the pool's workers) is reused across every
-    /// RSL this engine consumes — and across [`ReshapeEngine::reset`]s.
-    renorm: RenormBackend,
-}
-
-/// Where the engine's layer jobs run.
-#[derive(Debug)]
-enum RenormBackend {
-    /// In-thread, on one reusable scratch.
-    Local(Box<JobScratch>),
-    /// On a worker pool: jobs for layers `consumed..submitted` are in
-    /// flight, and the engine keeps `lookahead` of them there so the pool
-    /// always has work while the engine connects the current layer.
-    Pooled { client: PoolClient, submitted: u64, lookahead: u64 },
+    /// Where the layer jobs run: a worker pool's client, or a client with
+    /// no workers, which runs each job in this thread when the engine
+    /// waits for it. Its scratch (and the pool's workers) is reused across
+    /// every RSL this engine consumes, and across [`ReshapeEngine::reset`]s.
+    client: PoolClient,
+    /// Jobs for layers `consumed..submitted` are in flight.
+    submitted: u64,
+    /// Jobs the engine keeps in flight, so a pool always has work while
+    /// the engine connects the current layer.
+    lookahead: u64,
 }
 
 impl ReshapeEngine {
-    /// Creates an engine that generates and decides layers in-thread; use
-    /// [`ReshapeEngine::with_renorm_client`] to run them on a worker pool
-    /// instead.
+    /// Creates an engine that generates and decides layers in-thread: its
+    /// client has no workers, so the engine runs each layer job itself
+    /// when it waits for it. Use [`ReshapeEngine::with_renorm_client`] to
+    /// run them on a worker pool instead.
     pub fn new(config: ReshapeConfig) -> Self {
-        Self::with_backend(config, RenormBackend::Local(Box::new(JobScratch::new())))
+        Self::with_renorm_client(config, PoolClient::in_thread())
     }
 
-    /// Creates an engine whose layer jobs (generate and decide) run on a
-    /// worker pool through `client` (obtained from
-    /// [`WorkerPool::client`](crate::WorkerPool::client)). Several
-    /// engines — e.g. one per session lane — can stream through one pool
-    /// concurrently; results are byte-identical to the in-thread
-    /// [`ReshapeEngine::new`] for any pool size.
+    /// Creates an engine whose layer jobs (generate and decide) run
+    /// through `client`. A client obtained from
+    /// [`WorkerPool::client`](crate::WorkerPool::client) puts them on the
+    /// pool's workers, and several engines (one per session lane) can
+    /// stream through one pool concurrently. Results are byte-identical
+    /// for any pool size, and to [`ReshapeEngine::new`].
     ///
     /// The pool must outlive this engine.
     pub fn with_renorm_client(config: ReshapeConfig, client: PoolClient) -> Self {
-        let lookahead = Self::lookahead_for(client.pool_workers());
-        let renorm = RenormBackend::Pooled { client, submitted: 0, lookahead };
-        Self::with_backend(config, renorm)
-    }
-
-    /// In-flight window of the pooled backend: two jobs for each worker
-    /// and for the helping engine, so a thread that finishes a job always
-    /// finds another queued. Capped to bound the work thrown away when a
-    /// run ends with jobs in flight.
-    fn lookahead_for(workers: usize) -> u64 {
-        (2 * (workers as u64 + 1)).min(8)
-    }
-
-    fn with_backend(config: ReshapeConfig, renorm: RenormBackend) -> Self {
+        // Two jobs for each worker and for the helping engine, so a thread
+        // that finishes a job always finds another queued, capped to bound
+        // the work thrown away when a run ends with jobs in flight. With no
+        // worker, one: the engine never runs a job it does not consume.
+        let workers = client.pool_workers() as u64;
+        let lookahead = if workers == 0 { 1 } else { (2 * (workers + 1)).min(8) };
         ReshapeEngine {
             config,
             plan: Arc::new(GenerationPlan::new(config.hardware)),
@@ -316,7 +308,9 @@ impl ReshapeEngine {
             layer_succeeded: 0,
             consumed: 0,
             last_logical: None,
-            renorm,
+            client,
+            submitted: 0,
+            lookahead,
         }
     }
 
@@ -327,8 +321,8 @@ impl ReshapeEngine {
 
     /// Restarts the engine's stochastic execution from `seed`, exactly as
     /// if it had been freshly constructed with that seed, while keeping
-    /// every warm resource alive: the generation plan, the job scratch —
-    /// or the worker pool — are retained. This is what makes a long-lived
+    /// every warm resource alive: the generation plan, the job scratch and
+    /// the worker pool are retained. This is what makes a long-lived
     /// session lane cheap: repeated seeded executions pay no thread or
     /// allocation startup.
     ///
@@ -336,14 +330,13 @@ impl ReshapeEngine {
     /// by `warm_reset_matches_cold_engine` and the session determinism
     /// suite.
     pub fn reset(&mut self, seed: u64) {
-        // Drain the pooled window first: its jobs belong to the old stream,
-        // and their answers must not reach the new one.
-        if let RenormBackend::Pooled { client, submitted, .. } = &mut self.renorm {
-            for _ in self.consumed..*submitted {
-                let _ = client.recv_next();
-            }
-            *submitted = 0;
+        // Drain the window first: its jobs belong to the old stream, and
+        // their answers must not reach the new one. A worker-less engine
+        // has none in flight.
+        for _ in self.consumed..self.submitted {
+            let _ = self.client.recv_next();
         }
+        self.submitted = 0;
         self.config.seed = seed;
         self.consumed = 0;
         self.last_logical = None;
@@ -382,43 +375,34 @@ impl ReshapeEngine {
     /// The summary of the next layer of the stream: its counters and its
     /// verdict, whether it renormalizes to the target lattice.
     ///
-    /// On the pooled backend the engine first tops the window up with the
-    /// jobs of upcoming layers, then waits for the oldest answer (running
-    /// queued jobs while it waits). Every layer of the stream is consumed
-    /// in order whatever its logical/routing fate, so a job submitted
-    /// ahead is wasted only when the run ends, and because the answers are
-    /// consumed in submission order they match the in-thread path for any
-    /// worker count.
+    /// The engine first tops the window up with the jobs of upcoming
+    /// layers, then waits for the oldest answer (running queued jobs while
+    /// it waits). Every layer of the stream is consumed in order whatever
+    /// its logical/routing fate, so a job submitted ahead is wasted only
+    /// when the run ends, and because the answers are consumed in
+    /// submission order they are the same for any worker count.
     fn next_summary(&mut self) -> LayerSummary {
-        let ReshapeEngine { config, plan, consumed, renorm, .. } = self;
-        let index = *consumed;
-        *consumed += 1;
-        let job = |index| LayerJob {
-            plan: Arc::clone(plan),
-            seed: config.seed,
-            index,
-            node_size: config.node_size,
-            target_side: config.target_side,
-        };
-        match renorm {
-            RenormBackend::Local(scratch) => job(index).run(scratch),
-            RenormBackend::Pooled { client, submitted, lookahead } => {
-                while *submitted < index + *lookahead {
-                    client.submit(job(*submitted));
-                    *submitted += 1;
-                }
-                client.recv_next()
-            }
+        let index = self.consumed;
+        self.consumed += 1;
+        while self.submitted < index + self.lookahead {
+            self.client.submit(LayerJob {
+                plan: Arc::clone(&self.plan),
+                seed: self.config.seed,
+                index: self.submitted,
+                node_size: self.config.node_size,
+                target_side: self.config.target_side,
+            });
+            self.submitted += 1;
         }
+        self.client.recv_next()
     }
 
     /// Consumes resource-state layers until one of them becomes a logical
     /// layer satisfying `requirement`, or the safety cap is hit.
     ///
-    /// On the pooled backend a layer decided ahead but not yet consumed
-    /// when a logical layer forms simply waits in the window and is the
-    /// first layer of the next call, so the stream order matches the
-    /// in-thread path exactly.
+    /// A layer decided ahead but not yet consumed when a logical layer
+    /// forms simply waits in the window and is the first layer of the next
+    /// call, so the stream order is the same for any worker count.
     pub fn advance_logical_layer(&mut self, requirement: &LayerRequirement) -> LogicalLayerReport {
         self.advance_logical_layer_impl(requirement, None)
     }
@@ -456,8 +440,8 @@ impl ReshapeEngine {
                 self.update_fusion_totals();
                 return report;
             }
-            // Generate + decide: in-thread, or collected from the worker
-            // pool that was given this layer's job a few steps ago.
+            // Generate + decide: collected from the job submitted for this
+            // layer, which a pool worker or this thread ran.
             let layer = self.next_summary();
             report.merged_layers += 1;
             report.raw_rsl += layer.raw_rsl;
@@ -819,6 +803,34 @@ mod tests {
         for _ in 0..3 {
             engine.reset(55);
             assert_eq!(drive(&mut engine, 4), first);
+        }
+    }
+
+    #[test]
+    fn worker_less_engine_runs_each_layer_job_once() {
+        // With no worker the window is one job, so every job the engine
+        // submits is one it consumes: across resets and a cancelled run,
+        // the jobs its client ran equal the merged layers consumed.
+        let config = small_config(0.72, 23);
+        let mut engine = ReshapeEngine::new(config);
+        let mut consumed = 0;
+        for (seed, cancel_after) in [(23, None), (31, Some(2)), (47, None)] {
+            engine.reset(seed);
+            let mut cold = ReshapeEngine::new(config.with_seed(seed));
+            match cancel_after {
+                None => assert_eq!(drive(&mut engine, 4), drive(&mut cold, 4), "seed {seed}"),
+                Some(logical) => {
+                    assert_eq!(drive(&mut engine, logical), drive(&mut cold, logical));
+                    let cancelled = CancelToken::new();
+                    cancelled.cancel();
+                    let req = LayerRequirement::none();
+                    let report = engine.advance_logical_layer_cancellable(&req, &cancelled);
+                    assert!(report.cancelled);
+                    assert_eq!(report, cold.advance_logical_layer_cancellable(&req, &cancelled));
+                }
+            }
+            consumed += engine.stats().merged_layers as usize;
+            assert_eq!(engine.client.helped, consumed, "seed {seed}");
         }
     }
 
